@@ -24,7 +24,7 @@ from .bounds import (CaseNotApplicable, GapReport, MultiUserBoundParams,
                      lower_bound_multi_user, lower_bound_single_user,
                      matched_bound_params, optimize_lower_bound_mu)
 from .experiments import (DichotomyResult, SweepRow, audit, default_grid,
-                          dichotomy_multi_user, dichotomy_single_user,
+                          dichotomy_multi_user, dichotomy_single_user, evaluate,
                           mixed_rate, random_multi_user_config,
                           random_single_user_config, sweep, write_plot_data,
                           write_sweep_csv, write_sweep_json)

@@ -14,37 +14,63 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .bounds import gap_report, lower_bound_single_user, optimize_lower_bound_mu
+from .bounds import (GapReport, gap_report, lower_bound_single_user,
+                     optimize_lower_bound_mu)
 from .model import (MemoryLike, RateReport, Setup, SystemConfig, check_memory,
                     config_to_dict)
 from .multi_user import rate_memory_sharing, refine_partition, simplify
-from .radicals import ExactValue, RootSum, as_exact_str, to_decimal
+from .radicals import ExactValue, RootSum, as_exact_str, exact_sign, to_decimal
 from .single_level import rate_single_level
 from .single_user import partition_su, rate_clustering
 
 
 def _ratio(a: ExactValue, b: ExactValue) -> ExactValue:
     """larger/smaller of two positive exact values."""
-    hi, lo = (a, b) if _ge(a, b) else (b, a)
+    hi, lo = (a, b) if exact_sign(a - b) >= 0 else (b, a)
     if isinstance(lo, RootSum):
         return simplify(hi * lo.inverse())
     return simplify(hi * Fraction(1, lo)) if isinstance(hi, RootSum) else Fraction(hi, 1) / lo
 
 
-def _ge(a, b) -> bool:
-    d = a - b if isinstance(a, RootSum) or isinstance(b, RootSum) else Fraction(a) - b
-    return d.sign() >= 0 if isinstance(d, RootSum) else d >= 0
+def evaluate(config: SystemConfig, M: MemoryLike,
+             strict: bool = False) -> tuple[RateReport, Optional[GapReport]]:
+    """Achievable rate, lower bound and gap at one memory, for any setup.
+
+    The report carries the lower bound, gap ratio and bound parameters, plus
+    the `gap_constant` and `within_constant` extras.  The mixed setup has no
+    lower bound: its report says so in a note and the gap report is None.
+    """
+    if config.setup is Setup.MIXED:
+        report = mixed_rate(config, M)
+        report.notes = report.notes + ("no lower bound is emitted for the mixed setup",)
+        return report, None
+    if config.setup is Setup.MULTI_USER:
+        report = rate_memory_sharing(config, M, strict=strict)
+        lower, params = optimize_lower_bound_mu(config, M)
+    else:
+        report = rate_clustering(config, M, strict=strict)
+        lower, params = lower_bound_single_user(config, M)
+    gap = gap_report(config.setup, report.achievable, lower, M, config)
+    report.lower, report.ratio, report.bound_params = lower, gap.ratio, params
+    report.extras["gap_constant"] = gap.constant
+    report.extras["within_constant"] = gap.within
+    return report, gap
 
 
 # -- memory sweeps -----------------------------------------------------------
 
+def linear_grid(start: MemoryLike, stop: MemoryLike, points: int) -> list[Fraction]:
+    """`points` evenly spaced memories from start to stop, inclusive; just
+    ``[start]`` when fewer than two points are asked for."""
+    start, stop = Fraction(start), Fraction(stop)
+    if points < 2:
+        return [start]
+    return sorted({start + (stop - start) * k / (points - 1) for k in range(points)})
+
+
 def default_grid(config: SystemConfig, points: int = 33) -> list[Fraction]:
     """Evenly spaced memories from 0 to the total library size, inclusive."""
-    total = config.total_files
-    if points < 2:
-        return [Fraction(0)]
-    grid = {Fraction(total) * k / (points - 1) for k in range(points)}
-    return sorted(grid)
+    return linear_grid(0, config.total_files, points)
 
 
 @dataclass(frozen=True)
@@ -66,24 +92,16 @@ def sweep(config: SystemConfig, grid: Optional[Sequence[MemoryLike]] = None,
     grid = sorted({check_memory(M) for M in grid})
     rows = []
     for M in grid:
+        report, _ = evaluate(config, M)
+        part = report.partition
         if config.setup is Setup.MULTI_USER:
-            report = rate_memory_sharing(config, M)
-            lower, _ = optimize_lower_bound_mu(config, M)
-            gap = gap_report(config.setup, report.achievable, lower, M, config)
-            part = report.partition
-            rows.append(SweepRow(M, report.achievable, lower, gap.ratio,
-                                 tuple(sorted(part.H)), tuple(sorted(part.I)),
-                                 tuple(sorted(part.J))))
+            sets = (part.H, part.I, part.J)
         elif config.setup is Setup.SINGLE_USER:
-            report = rate_clustering(config, M)
-            lower, _ = lower_bound_single_user(config, M)
-            gap = gap_report(config.setup, report.achievable, lower, M, config)
-            part = report.partition
-            rows.append(SweepRow(M, report.achievable, lower, gap.ratio,
-                                 tuple(sorted(part.Hprime)), tuple(sorted(part.Iprime)), ()))
+            sets = (part.Hprime, part.Iprime, ())
         else:
-            report = mixed_rate(config, M)
-            rows.append(SweepRow(M, report.achievable, None, None, (), (), ()))
+            sets = ((), (), ())
+        rows.append(SweepRow(M, report.achievable, report.lower, report.ratio,
+                             *(tuple(sorted(s)) for s in sets)))
     return rows
 
 
@@ -180,15 +198,6 @@ def dichotomy_multi_user(r: int, M: Optional[MemoryLike] = None) -> DichotomyRes
                            exact_ms, exact_cl, _ratio(exact_cl, exact_ms), in_regime)
 
 
-def _clustering_one_level(files: int, users: int, M: Fraction) -> Fraction:
-    """Clustering rate of a lone level: uncoded below files/users, else coded."""
-    if M < Fraction(files, users):
-        return Fraction(users)
-    if M == 0:
-        return Fraction(users)
-    return max(Fraction(files) / M - 1, Fraction(0))
-
-
 def dichotomy_single_user(L: int, files: int = 16,
                           M: Optional[MemoryLike] = None) -> DichotomyResult:
     """Equal-size single-user family where per-level splitting loses a factor L.
@@ -210,10 +219,10 @@ def dichotomy_single_user(L: int, files: int = 16,
     approx_cl = Fraction(L * files) / M
     exact_cl = rate_clustering(config, M).achievable
     share = M / L
-    exact_ms = sum((_clustering_one_level(files, files, share) for _ in range(L)),
-                   Fraction(0))
+    lone_level = SystemConfig.single_user(files, [(files, files)])
+    exact_ms = L * rate_clustering(lone_level, share).achievable
     part = partition_su(config, M)
-    in_regime = not part.Hprime and all(share >= Fraction(files, files) for _ in range(L))
+    in_regime = not part.Hprime and share >= 1
     return DichotomyResult(L, M, approx_ms, approx_cl, _ratio(approx_ms, approx_cl),
                            exact_ms, exact_cl, _ratio(exact_ms, exact_cl), in_regime)
 
@@ -253,7 +262,7 @@ def mixed_rate(config: SystemConfig, M: MemoryLike,
     for k in range(gamma_grid):
         g = Fraction(k, gamma_grid - 1) if gamma_grid > 1 else Fraction(0)
         value = rate_at(g)
-        if best_rate is None or not _ge(value, best_rate):
+        if best_rate is None or exact_sign(value - best_rate) < 0:
             best_g, best_rate = g, value
     chosen = gamma if gamma is not None else best_g
     achieved = rate_at(chosen) if gamma is not None else best_rate
@@ -303,7 +312,7 @@ def random_single_user_config(rng: random.Random, max_levels: int = 4) -> System
 
 def audit_grid(config: SystemConfig, points: int = 20) -> list[Fraction]:
     total = config.total_files
-    grid = {Fraction(total) * k / (points - 1) for k in range(points)}
+    grid = set(linear_grid(0, total, points))
     if config.setup is Setup.SINGLE_USER:
         # Exercise the small-memory gap constant as well.
         grid.update({Fraction(1, 12), Fraction(1, 7)})
@@ -364,20 +373,15 @@ def audit(setup: Setup, count: int, seed: int, grid_points: int = 20,
         else:
             config = random_single_user_config(rng, max_levels)
         for M in audit_grid(config, grid_points):
-            if setup is Setup.MULTI_USER:
-                achievable = rate_memory_sharing(config, M).achievable
-                lower, _ = optimize_lower_bound_mu(config, M)
-            else:
-                achievable = rate_clustering(config, M).achievable
-                lower, _ = lower_bound_single_user(config, M)
+            _, gap = evaluate(config, M)
             summary.points += 1
-            gap = gap_report(setup, achievable, lower, M, config)
             if gap.inversion:
                 summary.inversions.append({
                     "config": config_to_dict(config), "M": as_exact_str(M),
-                    "achievable": as_exact_str(achievable), "lower": as_exact_str(lower)})
+                    "achievable": as_exact_str(gap.achievable),
+                    "lower": as_exact_str(gap.lower)})
                 continue
-            if lower == 0:
+            if gap.lower == 0:
                 if not gap.within:
                     summary.uninformative_points += 1
                 continue

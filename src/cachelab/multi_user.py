@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .model import (LevelSpec, MemoryLike, RateReport, Setup, SystemConfig,
                     check_memory, validate_multi_user)
@@ -97,6 +97,22 @@ class MemoryAllocation:
         return tuple(simplify(a * Fraction(1, self.M)) for a in self.amounts)
 
 
+def _sums(config: SystemConfig, I: Iterable[int],
+          J: Iterable[int]) -> tuple[RootSum, Fraction, Fraction]:
+    """``S_I``, ``T_J`` and ``V_I`` of a split, as defined on `Partition`.
+
+    I is summed in the caller's order, which fixes how equivalent kernels
+    of ``S_I`` are represented.
+    """
+    levels = config.levels
+    S_I = RootSum(0)
+    for i in I:
+        S_I = S_I + _sqrt_nu(levels[i])
+    T_J = sum((Fraction(levels[j].files) for j in J), Fraction(0))
+    V_I = sum((Fraction(levels[i].files, config.caches) for i in I), Fraction(0))
+    return S_I, T_J, V_I
+
+
 def _split_conditions(config: SystemConfig, M: Fraction,
                       H: Sequence[int], I: Sequence[int], J: Sequence[int]) -> bool:
     """Exact check of the three membership conditions for a candidate split."""
@@ -104,11 +120,7 @@ def _split_conditions(config: SystemConfig, M: Fraction,
     levels = config.levels
     if not I:
         return False
-    S_I = RootSum(0)
-    for i in I:
-        S_I = S_I + _sqrt_nu(levels[i])
-    T_J = sum((Fraction(levels[j].files) for j in J), Fraction(0))
-    V_I = sum((Fraction(levels[i].files, K) for i in I), Fraction(0))
+    S_I, T_J, V_I = _sums(config, I, J)
     KW = K * (M - T_J + V_I)
     # h in H:  M_tilde < (1/K)sqrt(N_h/U_h)    <=>  K*W < S_I*sqrt(N_h/U_h)
     for h in H:
@@ -131,13 +143,7 @@ def _split_conditions(config: SystemConfig, M: Fraction,
 
 def _build_partition(config: SystemConfig, M: Fraction,
                      H: frozenset[int], I: frozenset[int], J: frozenset[int]) -> Partition:
-    K = config.caches
-    levels = config.levels
-    S_I = RootSum(0)
-    for i in I:
-        S_I = S_I + _sqrt_nu(levels[i])
-    T_J = sum((Fraction(levels[j].files) for j in J), Fraction(0))
-    V_I = sum((Fraction(levels[i].files, K) for i in I), Fraction(0))
+    S_I, T_J, V_I = _sums(config, I, J)
     M_tilde = None
     if I:
         M_tilde = (M - T_J + V_I) * S_I.inverse()

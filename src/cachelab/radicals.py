@@ -240,23 +240,7 @@ class RootSum:
         # every coefficient is zero (and zero coefficients are never stored).
         prec = _precision_floor
         while prec <= _PRECISION_CEILING:
-            lo = Fraction(0)
-            hi = Fraction(0)
-            scale = 1 << (2 * prec)
-            for kernel, coeff in self._terms.items():
-                if kernel == 1:
-                    lo += coeff
-                    hi += coeff
-                    continue
-                a = math.isqrt(kernel * scale)
-                root_lo = Fraction(a, 1 << prec)
-                root_hi = Fraction(a + 1, 1 << prec)
-                if coeff > 0:
-                    lo += coeff * root_lo
-                    hi += coeff * root_hi
-                else:
-                    lo += coeff * root_hi
-                    hi += coeff * root_lo
+            lo, hi = self.interval(prec)
             if lo > 0:
                 return 1
             if hi < 0:

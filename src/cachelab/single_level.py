@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .model import MemoryLike, check_memory
 from .radicals import ExactValue, RootSum, exact_sign
@@ -213,6 +213,35 @@ def worst_case_demands(K: int, N: int, users_per_cache: int = 1) -> list[tuple[i
     return demands
 
 
+def span_contains(rows: Iterable[int], known: int, wanted: int) -> bool:
+    """Is every symbol of `wanted` in the GF(2) span of `rows` and `known`?
+
+    Rows and symbol sets are bit masks, one bit per symbol.  The `known`
+    symbols are unit vectors, so they are cleared from every row before the
+    rows are eliminated into an echelon basis; each wanted symbol that is
+    not known must then reduce to zero against that basis.
+    """
+    basis: dict[int, int] = {}  # pivot bit -> row mask
+    for mask in rows:
+        mask &= ~known
+        while mask:
+            pivot = mask.bit_length() - 1
+            if pivot not in basis:
+                basis[pivot] = mask
+                break
+            mask ^= basis[pivot]
+    wanted &= ~known
+    while wanted:
+        vec = wanted & -wanted
+        wanted ^= vec
+        while vec:
+            pivot = vec.bit_length() - 1
+            if pivot not in basis:
+                return False
+            vec ^= basis[pivot]
+    return True
+
+
 def verify_decode(placement: PlacementState,
                   transcript: Transcript,
                   demands: Sequence[tuple[int, int]]) -> bool:
@@ -226,45 +255,17 @@ def verify_decode(placement: PlacementState,
     """
     index: dict[SubfileId, int] = {}
 
-    def col(sf: SubfileId) -> int:
-        if sf not in index:
-            index[sf] = len(index)
-        return index[sf]
+    def mask(subfiles: Iterable[SubfileId]) -> int:
+        out = 0
+        for sf in subfiles:
+            out ^= 1 << index.setdefault(sf, len(index))
+        return out
 
-    message_masks = []
-    for msg in transcript.messages:
-        mask = 0
-        for sf in msg.parts:
-            mask ^= 1 << col(sf)
-        message_masks.append(mask)
-
+    messages = [mask(msg.parts) for msg in transcript.messages]
     try:
         rows = _rows(demands, placement.K, placement.N)
     except ValueError:
         return False
-
-    for row in rows:
-        for cache, file in row.items():
-            cached = {col(sf) for sf in placement.caches[cache]}
-            # Reduce messages by the cached unit vectors, then eliminate.
-            basis: dict[int, int] = {}  # pivot bit -> row mask
-            for mask in message_masks:
-                for b in cached:
-                    mask &= ~(1 << b)
-                while mask:
-                    pivot = mask.bit_length() - 1
-                    if pivot in basis:
-                        mask ^= basis[pivot]
-                    else:
-                        basis[pivot] = mask
-                        break
-            for sf in placement.subfiles_of(file):
-                if cache in sf.subset:
-                    continue  # already cached
-                vec = 1 << col(sf)
-                while vec:
-                    pivot = vec.bit_length() - 1
-                    if pivot not in basis:
-                        return False
-                    vec ^= basis[pivot]
-    return True
+    return all(span_contains(messages, mask(placement.caches[cache]),
+                             mask(placement.subfiles_of(file)))
+               for row in rows for cache, file in row.items())

@@ -13,11 +13,11 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .model import (MemoryLike, RateReport, Setup, SystemConfig, check_memory,
                     validate_single_user)
-from .single_level import Transcript, deliver, place, verify_decode
+from .single_level import Transcript, deliver, place, span_contains, verify_decode
 
 
 @dataclass(frozen=True)
@@ -157,19 +157,16 @@ def _check_assignment(config: SystemConfig, assignment: Sequence[int]) -> None:
         raise ValueError(f"assignment level counts {counts} != user counts {expected}")
 
 
-def cluster_place_deliver(config: SystemConfig, M: MemoryLike,
-                          assignment: Sequence[int],
-                          demands: Sequence[int]) -> ClusterRun:
-    """Run the clustered scheme for one user arrangement and demand vector.
+def _super_level(config: SystemConfig, M: Fraction, assignment: Sequence[int],
+                 demands: Sequence[int]
+                 ) -> tuple[ClusterPartition, tuple, tuple[int, ...], int, list[int]]:
+    """Split the caches by the clustering partition at memory M.
 
-    `assignment[c]` is the level of the user at cache c and `demands[c]`
-    its file index within that level.  Uncoded-set users get one full file
-    each; the super-level users are served by the subset-placement engine
-    over their caches, with the union of the super-level libraries as one
-    library.  Decodability of the engine transcript is verified by the
-    independent span check before returning.
+    Returns the partition, the uncoded transmissions (cache, level, file),
+    the active caches whose users request super-level files, the size of
+    the merged super-level library, and each active cache's demand within
+    that library (indexed like `active`).
     """
-    M = check_memory(M)
     _check_assignment(config, assignment)
     if len(demands) != config.caches:
         raise ValueError(f"need one demand per cache, got {len(demands)}")
@@ -185,11 +182,28 @@ def cluster_place_deliver(config: SystemConfig, M: MemoryLike,
     for i in sorted(part.Iprime):
         offsets[i] = n_super
         n_super += config.levels[i].files
+    wants = [offsets[assignment[c]] + demands[c] for c in active]
+    return part, uncoded, active, n_super, wants
+
+
+def cluster_place_deliver(config: SystemConfig, M: MemoryLike,
+                          assignment: Sequence[int],
+                          demands: Sequence[int]) -> ClusterRun:
+    """Run the clustered scheme for one user arrangement and demand vector.
+
+    `assignment[c]` is the level of the user at cache c and `demands[c]`
+    its file index within that level.  Uncoded-set users get one full file
+    each; the super-level users are served by the subset-placement engine
+    over their caches, with the union of the super-level libraries as one
+    library.  Decodability of the engine transcript is verified by the
+    independent span check before returning.
+    """
+    M = check_memory(M)
+    part, uncoded, active, n_super, wants = _super_level(config, M, assignment, demands)
     if not active:
         return ClusterRun(uncoded, Transcript(()), (), part)
     placement = place(len(active), n_super, min(M, Fraction(n_super)))
-    engine_demands = [(slot, offsets[assignment[c]] + demands[c])
-                      for slot, c in enumerate(active)]
+    engine_demands = list(enumerate(wants))
     transcript = deliver(placement, engine_demands)
     if not verify_decode(placement, transcript, engine_demands):
         raise RuntimeError("super-level transcript failed the decodability check")
@@ -222,16 +236,7 @@ def cluster_place_deliver_decentralized(config: SystemConfig, M: MemoryLike,
                                         demands: Sequence[int],
                                         seed: int, segments: int = 60) -> DecentralizedRun:
     M = check_memory(M)
-    _check_assignment(config, assignment)
-    part = partition_su(config, M)
-    uncoded = tuple((c, assignment[c], demands[c])
-                    for c in range(config.caches) if assignment[c] in part.Hprime)
-    active = [c for c in range(config.caches) if assignment[c] in part.Iprime]
-    offsets = {}
-    n_super = 0
-    for i in sorted(part.Iprime):
-        offsets[i] = n_super
-        n_super += config.levels[i].files
+    _, uncoded, active, n_super, wants = _super_level(config, M, assignment, demands)
     if not active:
         return DecentralizedRun(uncoded, (), True)
     rng = random.Random(seed)
@@ -239,17 +244,16 @@ def cluster_place_deliver_decentralized(config: SystemConfig, M: MemoryLike,
     stored = {slot: {f: frozenset(rng.sample(range(segments), per_file))
                      for f in range(n_super)}
               for slot in range(len(active))}
-    wants = {slot: offsets[assignment[c]] + demands[c] for slot, c in enumerate(active)}
 
     sizes = []
-    rows = []  # (slot XOR rows for the span check)
+    rows = []  # GF(2) rows: one per segment position of each message
     symbol_index: dict[tuple[int, int], int] = {}
 
-    def col(file: int, seg: int) -> int:
-        key = (file, seg)
-        if key not in symbol_index:
-            symbol_index[key] = len(symbol_index)
-        return symbol_index[key]
+    def mask(symbols: Iterable[tuple[int, int]]) -> int:
+        out = 0
+        for key in symbols:
+            out ^= 1 << symbol_index.setdefault(key, len(symbol_index))
+        return out
 
     slots = list(range(len(active)))
     for size in range(len(slots), 0, -1):
@@ -268,37 +272,10 @@ def cluster_place_deliver_decentralized(config: SystemConfig, M: MemoryLike,
                 continue
             sizes.append(Fraction(width, segments))
             for k in range(width):
-                mask = 0
-                for f, segs in lists:
-                    if k < len(segs):
-                        mask ^= 1 << col(f, segs[k])
-                rows.append(mask)
+                rows.append(mask((f, segs[k]) for f, segs in lists if k < len(segs)))
 
-    ok = _segments_decodable(rows, stored, wants, segments, col)
+    ok = all(span_contains(rows,
+                           mask((f, s) for f, segs in stored[slot].items() for s in segs),
+                           mask((file, s) for s in range(segments)))
+             for slot, file in enumerate(wants))
     return DecentralizedRun(uncoded, tuple(sizes), ok)
-
-
-def _segments_decodable(rows, stored, wants, segments, col) -> bool:
-    for slot, file in wants.items():
-        known = {col(f, s) for f, segs in stored[slot].items() for s in segs}
-        basis: dict[int, int] = {}
-        for mask in rows:
-            for b in known:
-                mask &= ~(1 << b)
-            while mask:
-                pivot = mask.bit_length() - 1
-                if pivot in basis:
-                    mask ^= basis[pivot]
-                else:
-                    basis[pivot] = mask
-                    break
-        for seg in range(segments):
-            if seg in stored[slot][file]:
-                continue
-            vec = 1 << col(file, seg)
-            while vec:
-                pivot = vec.bit_length() - 1
-                if pivot not in basis:
-                    return False
-                vec ^= basis[pivot]
-    return True

@@ -82,6 +82,22 @@ def test_sweep_rejects_out_of_range_grid(mu_config, tmp_path):
                      "--out", str(tmp_path / "x.csv")]) == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--grid", "0:8:1x"), ("--grid", "a:8:3"),
+                                         ("--grid", "0:8"), ("--grid", "1/0:8:3"),
+                                         ("--mems", "1,b")])
+def test_sweep_malformed_memories_is_config_error(mu_config, tmp_path, capsys, flag, value):
+    assert cli.main(["sweep", mu_config, flag, value,
+                     "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def test_directory_config_is_config_error(tmp_path, capsys):
+    assert cli.main(["rate", str(tmp_path), "--mem", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
 def test_sweep_unwritable_exit(mu_config):
     assert cli.main(["sweep", mu_config, "--mems", "0,2",
                      "--out", "/nonexistent-dir/x.csv"]) == 4
@@ -101,6 +117,13 @@ def test_audit_command(capsys):
                      "--grid-points", "6"]) == 0
     blob = json.loads(capsys.readouterr().out)
     assert blob["ok"] is True
+
+
+def test_audit_single_grid_point(capsys):
+    assert cli.main(["audit", "--setup", "mu", "--count", "2", "--seed", "1",
+                     "--grid-points", "1"]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["ok"] is True and blob["points"] == 2  # M = 0 for each instance
 
 
 def test_audit_failure_exit(monkeypatch, capsys):

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from cachelab.radicals import RootSum
 from cachelab.single_level import (Transcript, deliver, place, rate_single_level,
-                                   scheme_rate, verify_decode, worst_case_demands)
+                                   scheme_rate, span_contains, verify_decode,
+                                   worst_case_demands)
 
 
 def test_rate_examples():
@@ -91,6 +92,23 @@ def test_verify_detects_missing_message():
     pl = place(2, 2, 1)
     demands = [(0, 0), (1, 1)]
     assert not verify_decode(pl, Transcript(()), demands)
+    # Worst-case demands use every message, so dropping any one must fail.
+    for M in (Fraction(1), Fraction(3, 2)):  # t = 1 and t = 3/2 at K = N = 4
+        pl = place(4, 4, M)
+        demands = worst_case_demands(4, 4)
+        messages = deliver(pl, demands).messages
+        assert verify_decode(pl, Transcript(messages), demands)
+        for k in range(len(messages)):
+            dropped = Transcript(messages[:k] + messages[k + 1:])
+            assert not verify_decode(pl, dropped, demands)
+
+
+def test_span_contains_needs_xor_of_rows():
+    a, b, c = 1, 2, 4
+    assert span_contains([a | b, b], 0, a)          # a = (a+b) + b
+    assert not span_contains([a | b, b | c], 0, a)  # the span is {a+b, b+c, a+c}
+    assert span_contains([a | b, b | c], c, a | b)  # knowing c turns b+c into b
+    assert span_contains([], c, c)                  # known symbols need no rows
 
 
 def test_worst_case_matches_scheme_rate_at_integer_points():

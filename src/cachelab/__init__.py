@@ -7,14 +7,14 @@ from .model import (BETA, ConfigSchemaError, LevelSpec, RateReport,
                     check_memory, config_from_dict, config_to_dict,
                     load_config, popularity, validate, validate_multi_user,
                     validate_single_user)
-from .radicals import RootSum, precision_floor
+from .radicals import RootSum
 from .single_level import (PlacementState, SubfileId, Transcript, deliver,
                            place, rate_single_level, scheme_rate, verify_decode,
                            worst_case_demands)
 from .multi_user import (MemoryAllocation, Partition, PartitionInfeasibleError,
                          RefinedPartition, allocate_memory,
-                         enumerate_feasible_partitions, find_m_feasible_partition,
-                         level_rate_bounds, rate_memory_sharing, refine_partition)
+                         find_m_feasible_partition, level_rate_bounds,
+                         rate_memory_sharing, refine_partition)
 from .single_user import (ClusterPartition, ClusterRun, RefinedClusterPartition,
                           cluster_place_deliver, cluster_place_deliver_decentralized,
                           partition_su, rate_clustering, rate_upper_bound_su,

@@ -6,7 +6,10 @@ minus ``(t/b)*M`` over a choice of caches-per-window ``t``, broadcast count
 valid bound, so the optimizer maximizes over a sound candidate grid rather
 than the full (astronomically large) ``b`` range; the grid always contains
 the closed-form witness parameters used by the gap analysis, so the audited
-ratios stay within the published constants.
+ratios stay within the published constants.  For each parameter choice the
+bound is a line in M, and the grid does not depend on M, so the optimizer
+builds the upper envelope of these lines once per config and reads every
+memory off it exactly; no float takes part.
 
 The single-user bound is a cut-set recipe keyed on the four-regime level
 partition, with one small-memory branch below M = 1/6.
@@ -54,51 +57,60 @@ class MultiUserBoundParams:
                 raise ValueError(f"s[{i}]={si} outside 1..{smax}")
 
 
+def _cut_sum(config: SystemConfig, t: int, b: int, s: tuple[int, ...]) -> Fraction:
+    """Sum of the cut terms ``min{s_i*t*U_i, N_i/(s_i*b)}``: the bound at M = 0.
+
+    Each term's side is chosen by integer cross-multiplication, and the
+    fractional terms are summed as one integer numerator and denominator.
+    """
+    whole, num, den = 0, 0, 1
+    for lv, si in zip(config.levels, s):
+        if si * si * t * b * lv.users <= lv.files:
+            whole += si * t * lv.users
+        else:  # N_i/(s_i*b); the common factor 1/b is applied at the end
+            num, den = num * si + lv.files * den, den * si
+    return Fraction(whole * den * b + num, den * b)
+
+
 def lower_bound_multi_user(config: SystemConfig, M: MemoryLike,
                            params: MultiUserBoundParams) -> Fraction:
     """Exact bound value for one parameter choice; may be negative."""
     M = check_memory(M)
     params.validate(config.caches, len(config.levels))
-    total = Fraction(0)
-    for lv, si in zip(config.levels, params.s):
-        total += min(Fraction(si * params.t * lv.users),
-                     Fraction(lv.files, si * params.b))
-    return total - Fraction(params.t, params.b) * M
+    return _cut_sum(config, params.t, params.b, params.s) - Fraction(params.t, params.b) * M
 
 
 def best_cut_sizes(config: SystemConfig, t: int, b: int) -> tuple[int, ...]:
     """Separable per-level choice of the window counts for fixed (t, b).
 
-    The objective is a sum of per-level terms, each unimodal in its own
-    count, so the integer argmax sits next to ``sqrt(N_i/(t*b*U_i))``.
-    Ties resolve to the smallest count.
+    Each per-level term ``min{s*t*U, N/(s*b)}`` is ``s*t*U``, increasing, up
+    to ``sqrt(N/(t*b*U))`` and ``N/(s*b)``, decreasing, beyond it, so the
+    integer argmax is the floor of that root or the next count.  Ties
+    resolve to the smaller count.
     """
-    K = config.caches
-    smax = K // (2 * t)
+    smax = config.caches // (2 * t)
     out = []
     for lv in config.levels:
         denom = t * b * lv.users
         base = math.isqrt(lv.files * denom) // denom  # floor(sqrt(N/(t*b*U)))
-        best_s, best_v = None, None
-        for s in (base - 1, base, base + 1):
-            s = min(max(s, 1), smax)
-            v = min(Fraction(s * t * lv.users), Fraction(lv.files, s * b))
-            if best_v is None or v > best_v:
-                best_s, best_v = s, v
-        out.append(best_s)
+        if base < 1:
+            out.append(1)
+        elif base >= smax:
+            out.append(smax)
+        else:  # N/((base+1)*b) > base*t*U, cross-multiplied
+            out.append(base + 1 if lv.files > base * (base + 1) * denom else base)
     return tuple(out)
 
 
-@lru_cache(maxsize=65536)
 def _candidate_b_values(config: SystemConfig, t: int) -> tuple[int, ...]:
     """Broadcast-count candidates for one window size t.
 
-    Depends only on (config, t) — never on M — so the maximized bound is a
-    max over a fixed family of functions each linear and nonincreasing in
-    M, hence itself exactly nonincreasing in M.  The grid combines small
-    values, a geometric ladder (the per-level window counts adapt to b, so
-    ladder resolution costs at most a constant factor), and the per-level
-    crossing points ``N_i/(t*U_i*s^2)`` where the cut terms switch sides.
+    Depends only on (config, t), never on M, so the maximized bound is a
+    max over a fixed family of lines in M (see `_bound_lines`).  The grid
+    combines small values, a geometric ladder (the per-level window counts
+    adapt to b, so ladder resolution costs at most a constant factor), and
+    the per-level crossing points ``N_i/(t*U_i*s^2)`` where the cut terms
+    switch sides.
     """
     b_max = _b_search_limit(config)
     cands = set(range(1, min(16, b_max) + 1))
@@ -122,7 +134,6 @@ def _candidate_b_values(config: SystemConfig, t: int) -> tuple[int, ...]:
     return tuple(sorted(c for c in cands if 1 <= c <= b_max))
 
 
-@lru_cache(maxsize=4096)
 def _b_search_limit(config: SystemConfig) -> int:
     """Upper end of the broadcast-count grid, from the closed-form scale
     ``64*(sum N_i)^2 / (sum sqrt(N_i*U_i))^2`` (over-approximated with the
@@ -132,58 +143,70 @@ def _b_search_limit(config: SystemConfig) -> int:
     return max(1, -(-64 * total_files ** 2 // s_sq_int))
 
 
+def _strictly_below(left: tuple, mid: tuple, right: tuple) -> bool:
+    """Whether line `mid` is below the higher of `left` and `right` at every M.
+
+    Lines are ``(A, t, b, s)`` for ``A - (t/b)*M``, steepest first.  That
+    holds iff `mid` meets `left` strictly right of where it meets `right`:
+    ``(A1-A2)/(m1-m2) > (A2-A3)/(m2-m3)``, cross-multiplied in integers.
+    """
+    (A1, t1, b1, _), (A2, t2, b2, _), (A3, t3, b3, _) = left, mid, right
+    a1, d1, a2, d2, a3, d3 = (A1.numerator, A1.denominator, A2.numerator,
+                              A2.denominator, A3.numerator, A3.denominator)
+    return ((a1 * d2 - a2 * d1) * (t2 * b3 - t3 * b2) * d3 * b1
+            > (a2 * d3 - a3 * d2) * (t1 * b2 - t2 * b1) * d1 * b3)
+
+
+@lru_cache(maxsize=16)
+def _bound_lines(config: SystemConfig) -> tuple[tuple[Fraction, Fraction, tuple], ...]:
+    """Upper envelope of the bound lines ``A - (t/b)*M``.
+
+    There is one line per grid candidate (t, b) with its best window counts
+    s, and A is the cut sum at M = 0.  Entries are ``(A, t/b, (t, b, s))``,
+    steepest line first.  Of lines with equal slope only the one with the
+    largest A, then the smallest key, is kept.  A line is dropped only when
+    its neighbours beat it strictly at every M, so every line that attains
+    the maximum somewhere, exact ties included, stays.
+    """
+    by_slope: dict[tuple[int, int], tuple] = {}  # reduced (t, b) -> line
+    for t in range(1, config.caches // 2 + 1):
+        for b in _candidate_b_values(config, t):
+            s = best_cut_sizes(config, t, b)
+            A = _cut_sum(config, t, b, s)
+            g = math.gcd(t, b)
+            slope = (t // g, b // g)
+            # Keys arrive in increasing order, so equal A keeps the first.
+            if slope not in by_slope or A > by_slope[slope][0]:
+                by_slope[slope] = (A, t, b, s)
+    hull: list[tuple] = []
+    for slope in sorted(by_slope, key=lambda tb: Fraction(*tb), reverse=True):
+        line = by_slope[slope]
+        while len(hull) >= 2 and _strictly_below(hull[-2], hull[-1], line):
+            hull.pop()
+        hull.append(line)
+    return tuple((A, Fraction(t, b), (t, b, s)) for A, t, b, s in hull)
+
+
 def optimize_lower_bound_mu(config: SystemConfig, M: MemoryLike
                             ) -> tuple[Fraction, Optional[MultiUserBoundParams]]:
     """Best bound over the candidate parameter grid, clamped at zero.
 
     Every parameter choice in range yields a valid bound, so maximizing
-    over the candidate grid is sound by construction.  A float envelope
-    ``sqrt(t/b)*sum(sqrt(N_i*U_i)) - tM/b`` (an upper bound on the exact
-    value for any window counts) prunes hopeless (t, b) pairs before exact
-    evaluation; ties keep the lexicographically smallest (t, b, s).
+    over the candidate grid is sound by construction.  The maximum is read
+    off the config's cached envelope of lines (`_bound_lines`), exactly;
+    ties keep the lexicographically smallest (t, b, s).
     """
     M = check_memory(M)
-    K = config.caches
-    levels = config.levels
-    if K < 2:
+    if config.caches < 2:
         return Fraction(0), None
-    s_float = sum(math.sqrt(float(lv.files * lv.users)) for lv in levels)
-    m_float = float(M)
-
-    best_val: Optional[Fraction] = None
-    best_params: Optional[MultiUserBoundParams] = None
-    best_key = None
-    best_float = -math.inf
-    for t in range(1, K // 2 + 1):
-        # Envelope maximum over all b >= 1 sits at b = max(1, 4tM^2/S^2).
-        if m_float > 0:
-            b_peak = max(1.0, 4 * t * m_float * m_float / (s_float * s_float))
-        else:
-            b_peak = 1.0
-        t_env = math.sqrt(t / b_peak) * s_float * 1.0000001 - t * m_float / b_peak * 0.9999999
-        if t_env + 1e-9 < best_float:
-            continue
-        # Visit candidates nearest the envelope peak first so the running
-        # maximum prunes the rest of the grid quickly.
-        for b in sorted(_candidate_b_values(config, t),
-                        key=lambda b: abs(math.log(b / b_peak))):
-            envelope = math.sqrt(t / b) * s_float * 1.0000001 - t * m_float / b * 0.9999999
-            if envelope + 1e-9 < best_float:
-                continue
-            s = best_cut_sizes(config, t, b)
-            value = Fraction(0)
-            for lv, si in zip(levels, s):
-                value += min(Fraction(si * t * lv.users), Fraction(lv.files, si * b))
-            value -= Fraction(t, b) * M
-            key = (t, b, s)
-            if best_val is None or value > best_val or (value == best_val and key < best_key):
-                best_val = value
-                best_params = MultiUserBoundParams(t, b, s)
-                best_key = key
-                best_float = float(value)
-    if best_val is None or best_val < 0:
-        return Fraction(0), best_params
-    return best_val, best_params
+    best_val = best_key = None
+    for A, slope, key in _bound_lines(config):
+        value = A - slope * M
+        if best_val is not None and value < best_val:
+            break  # along the envelope the values at M rise, then fall
+        if best_val is None or value > best_val or (value == best_val and key < best_key):
+            best_val, best_key = value, key
+    return max(best_val, Fraction(0)), MultiUserBoundParams(*best_key)
 
 
 class CaseNotApplicable(RuntimeError):

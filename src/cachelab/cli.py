@@ -4,8 +4,10 @@ Subcommands: ``rate`` (one memory point), ``sweep`` (memory grid to
 CSV/JSON/plot data), ``dichotomy`` (the two strategy-separation families),
 ``mixed`` (superposition rate), ``audit`` (randomized gap audit).
 
-Exit codes: 0 success, 2 config/schema problem, 3 regularity violation in
-strict mode, 4 unwritable output path, 5 audit failure.
+Exit codes: 0 success, 1 no feasible level partition (irregular instance),
+2 config/schema problem or an invalid argument value, 3 regularity violation
+in strict mode, 4 unwritable output path, 5 audit failure.  Every failure
+prints one line to stderr.
 """
 
 from __future__ import annotations
@@ -185,6 +187,9 @@ def main(argv=None) -> int:
     except RegularityError as exc:
         print(f"regularity violation: {exc}", file=sys.stderr)
         return EXIT_REGULARITY
+    except ValueError as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
     except PartitionInfeasibleError as exc:
         print(f"partition infeasible: {exc}", file=sys.stderr)
         return 1

@@ -283,7 +283,7 @@ def config_from_dict(data: dict) -> SystemConfig:
         mixed = tuple(LevelSpec(int(lv["files"]), int(lv["users"]))
                       for lv in data.get("mixed_levels", ()))
         beta = Fraction(data["beta"]) if "beta" in data else BETA
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigSchemaError(f"bad config field: {exc}") from exc
     if setup is not Setup.MIXED and data.get("mixed_levels"):
         raise ConfigSchemaError("mixed_levels is only valid with setup \"mixed\"")

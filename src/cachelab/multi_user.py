@@ -12,7 +12,6 @@ partial-memory set.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -180,28 +179,6 @@ def find_m_feasible_partition(config: SystemConfig, M: MemoryLike) -> Partition:
     feasible.sort(key=lambda item: (item[0], item[1]))
     _, _, H, I, J = feasible[0]
     return _build_partition(config, M, H, I, J)
-
-
-def enumerate_feasible_partitions(config: SystemConfig, M: MemoryLike) -> set:
-    """Brute-force oracle: all feasible (H, I, J) label assignments.
-
-    Enumerates all 3^L assignments and keeps the ones passing the exact
-    membership conditions (plus the everything-cacheable convention when M
-    exceeds the library).  Exponential; for tests only.
-    """
-    M = check_memory(M)
-    L = len(config.levels)
-    total = sum(lv.files for lv in config.levels)
-    out = set()
-    if M > total:
-        out.add((frozenset(), frozenset(), frozenset(range(L))))
-    for labels in itertools.product("HIJ", repeat=L):
-        H = [i for i, c in enumerate(labels) if c == "H"]
-        I = [i for i, c in enumerate(labels) if c == "I"]
-        J = [i for i, c in enumerate(labels) if c == "J"]
-        if _split_conditions(config, M, H, I, J):
-            out.add((frozenset(H), frozenset(I), frozenset(J)))
-    return out
 
 
 def allocate_memory(partition: Partition, config: SystemConfig, M: MemoryLike) -> MemoryAllocation:

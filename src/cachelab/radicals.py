@@ -9,35 +9,23 @@ is zero iff every coefficient is zero, which makes comparisons decidable:
 an exact zero test first, then interval refinement that is guaranteed to
 terminate for nonzero values.
 
-The interval refinement starts at a configurable precision floor, read from
-the ``CACHELAB_PRECISION_BITS`` environment variable (default 256 bits).
+The interval refinement starts at 256 bits and doubles the precision until
+the answer is certain; the starting precision only sets how soon that is.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 from typing import Union
 
 Rational = Union[int, Fraction]
 
-_DEFAULT_PRECISION_BITS = 256
-_precision_floor = int(os.environ.get("CACHELAB_PRECISION_BITS", _DEFAULT_PRECISION_BITS))
+_PRECISION_FLOOR = 256
 _PRECISION_CEILING = 1 << 20
 
 # Squares of small primes, used to shrink kernels opportunistically.
 _SMALL_SQUARES = [p * p for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)]
-
-
-def precision_floor(bits: int | None = None) -> int:
-    """Get or set the starting precision (in bits) for certified comparisons."""
-    global _precision_floor
-    if bits is not None:
-        if bits < 8:
-            raise ValueError("precision floor must be at least 8 bits")
-        _precision_floor = bits
-    return _precision_floor
 
 
 def _shrink_kernel(n: int) -> tuple[int, int]:
@@ -238,7 +226,7 @@ class RootSum:
             return 0
         # Kernels are pairwise inequivalent, so the value is nonzero unless
         # every coefficient is zero (and zero coefficients are never stored).
-        prec = _precision_floor
+        prec = _PRECISION_FLOOR
         while prec <= _PRECISION_CEILING:
             lo, hi = self.interval(prec)
             if lo > 0:
@@ -295,7 +283,7 @@ class RootSum:
 
     def interval(self, prec: int | None = None) -> tuple[Fraction, Fraction]:
         """Enclosing rational interval at roughly ``prec`` bits."""
-        prec = prec or _precision_floor
+        prec = prec or _PRECISION_FLOOR
         lo = Fraction(0)
         hi = Fraction(0)
         scale = 1 << (2 * prec)
@@ -322,7 +310,7 @@ class RootSum:
     def floor(self) -> int:
         """Exact floor."""
         lo, hi = self.interval()
-        prec = _precision_floor
+        prec = _PRECISION_FLOOR
         while math.floor(lo) != math.floor(hi):
             # The value may be an exact integer sitting on the boundary.
             n = math.floor(hi)

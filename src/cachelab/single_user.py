@@ -212,6 +212,10 @@ def cluster_place_deliver(config: SystemConfig, M: MemoryLike,
 
 # -- decentralized placement variant ----------------------------------------
 
+# The delivery enumerates every team of active caches: 2^K of them.
+MAX_DECENTRALIZED_CACHES = 12
+
+
 @dataclass(frozen=True)
 class DecentralizedRun:
     """Randomized-placement variant of the super-level delivery.
@@ -237,6 +241,9 @@ def cluster_place_deliver_decentralized(config: SystemConfig, M: MemoryLike,
                                         seed: int, segments: int = 60) -> DecentralizedRun:
     M = check_memory(M)
     _, uncoded, active, n_super, wants = _super_level(config, M, assignment, demands)
+    if len(active) > MAX_DECENTRALIZED_CACHES:
+        raise ValueError(f"{len(active)} active caches; the decentralized run enumerates "
+                         f"2^K teams and takes at most {MAX_DECENTRALIZED_CACHES}")
     if not active:
         return DecentralizedRun(uncoded, (), True)
     rng = random.Random(seed)

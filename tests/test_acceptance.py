@@ -15,12 +15,13 @@ from cachelab.experiments import (audit, dichotomy_multi_user,
                                   dichotomy_single_user,
                                   random_multi_user_config)
 from cachelab.model import Setup, SystemConfig
-from cachelab.multi_user import (allocate_memory, enumerate_feasible_partitions,
-                                 find_m_feasible_partition, level_rate_bounds)
+from cachelab.multi_user import (allocate_memory, find_m_feasible_partition,
+                                 level_rate_bounds)
 from cachelab.radicals import exact_sign
 from cachelab.single_level import (deliver, place, rate_single_level,
                                    scheme_rate, verify_decode)
 from cachelab.single_user import cluster_place_deliver, rate_clustering
+from oracles import enumerate_feasible_partitions
 
 SEED = 20260809
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cachelab.bounds import (CaseNotApplicable, MultiUserBoundParams,
-                             best_cut_sizes, gap_report,
+                             _bound_lines, best_cut_sizes, gap_report,
                              lower_bound_multi_user, lower_bound_single_user,
                              matched_bound_params, optimize_lower_bound_mu)
 from cachelab.experiments import (random_multi_user_config,
@@ -14,6 +14,7 @@ from cachelab.model import Setup, SystemConfig
 from cachelab.multi_user import rate_memory_sharing
 from cachelab.radicals import exact_sign
 from cachelab.single_user import rate_clustering
+from oracles import grid_bound_mu
 
 
 def one_level():
@@ -80,13 +81,48 @@ def test_separable_choice_matches_exhaustive():
             smax = K // (2 * t)
             for b in range(1, 9):
                 chosen = best_cut_sizes(cfg, t, b)
-                best = None
+                best = best_vec = None
                 for svec in itertools.product(range(1, smax + 1), repeat=len(cfg.levels)):
                     val = lower_bound_multi_user(cfg, 0, MultiUserBoundParams(t, b, svec))
                     if best is None or val > best:
-                        best = val
+                        best, best_vec = val, svec
                 got = lower_bound_multi_user(cfg, 0, MultiUserBoundParams(t, b, chosen))
                 assert got == best
+                assert chosen == best_vec  # ties resolve to the smallest counts
+
+
+def _oracle_configs():
+    rng = random.Random(59)
+    for K in (2, 3, 4, 8, 16):
+        for _ in range(4):
+            levels = [(rng.randint(1, 80), rng.randint(1, 6)) for _ in range(rng.randint(1, 3))]
+            yield SystemConfig.multi_user(K, levels)
+
+
+def _breakpoints(cfg):
+    """Non-negative memories where consecutive envelope lines meet."""
+    lines = _bound_lines(cfg)
+    crossings = {(A1 - A2) / (m1 - m2) for (A1, m1, _), (A2, m2, _) in zip(lines, lines[1:])}
+    return sorted(M for M in crossings if M >= 0)
+
+
+def test_optimizer_matches_grid_oracle():
+    rng = random.Random(61)
+    for cfg in _oracle_configs():
+        total = cfg.total_files
+        mems = [Fraction(0)] + [Fraction(rng.randint(0, 8 * total), 7) for _ in range(6)]
+        for M in mems + _breakpoints(cfg):
+            assert optimize_lower_bound_mu(cfg, M) == grid_bound_mu(cfg, M), (cfg, M)
+
+
+def test_optimizer_nonincreasing_across_breakpoints():
+    for cfg in _oracle_configs():
+        values = [optimize_lower_bound_mu(cfg, M)[0] for M in _breakpoints(cfg)]
+        assert values == sorted(values, reverse=True), cfg
+
+
+def test_optimizer_single_cache_has_no_bound():
+    assert optimize_lower_bound_mu(SystemConfig.multi_user(1, [(8, 2)]), 1) == (0, None)
 
 
 def _matched_case_config():

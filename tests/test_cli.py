@@ -98,6 +98,23 @@ def test_directory_config_is_config_error(tmp_path, capsys):
     assert err.startswith("config error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["rate", "{mu}", "--mem", "-1"],
+    ["dichotomy", "su", "--levels", "3", "--files", "2"],
+    ["dichotomy", "mu", "--r", "0"],
+    ["mixed", "{mu}", "--mem", "1"],
+    ["rate", "{zero_beta}", "--mem", "1"],
+])
+def test_bad_input_exits_2_with_one_line(mu_config, tmp_path, capsys, argv):
+    zero_beta = tmp_path / "zero_beta.json"
+    zero_beta.write_text(json.dumps({"setup": "multi-user", "caches": 4, "beta": "1/0",
+                                     "levels": [{"files": 8, "users": 2}]}))
+    argv = [a.format(mu=mu_config, zero_beta=zero_beta) for a in argv]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_sweep_unwritable_exit(mu_config):
     assert cli.main(["sweep", mu_config, "--mems", "0,2",
                      "--out", "/nonexistent-dir/x.csv"]) == 4

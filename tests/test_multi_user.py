@@ -3,12 +3,12 @@ from fractions import Fraction
 
 from cachelab.experiments import random_multi_user_config
 from cachelab.model import SystemConfig
-from cachelab.multi_user import (allocate_memory,
-                                 enumerate_feasible_partitions,
-                                 find_m_feasible_partition, level_rate_bounds,
-                                 rate_memory_sharing, refine_partition)
+from cachelab.multi_user import (allocate_memory, find_m_feasible_partition,
+                                 level_rate_bounds, rate_memory_sharing,
+                                 refine_partition)
 from cachelab.radicals import exact_sign
 from cachelab.single_level import rate_single_level
+from oracles import enumerate_feasible_partitions
 
 
 def one_level():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cachelab.radicals import RootSum, as_exact_str, precision_floor, to_decimal
+from cachelab.radicals import RootSum, as_exact_str, to_decimal
 
 
 def test_sqrt_merges_equivalent_kernels():
@@ -73,17 +73,6 @@ def test_float_and_strings():
     assert math.isclose(float(x), 1.5 + 1.25 * math.sqrt(6))
     assert "sqrt(6)" in as_exact_str(x)
     assert to_decimal(Fraction(1, 3)) == "0.333333333333"
-
-
-def test_precision_floor_roundtrip():
-    old = precision_floor()
-    try:
-        assert precision_floor(128) == 128
-        assert RootSum.sqrt(2) < Fraction(3363, 2378)
-    finally:
-        precision_floor(old)
-    with pytest.raises(ValueError):
-        precision_floor(4)
 
 
 small_fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)

@@ -159,3 +159,10 @@ def test_decentralized_run_decodes():
     run_same = cluster_place_deliver_decentralized(cfg, 1, [0, 0, 1], [0, 1, 2],
                                                    seed=11, segments=24)
     assert run.message_sizes == run_same.message_sizes  # seeded determinism
+
+
+def test_decentralized_run_refuses_many_active_caches():
+    # 13 active caches would mean 2^13 teams; the run stops before placing anything.
+    cfg = SystemConfig.single_user(13, [(13, 13)])
+    with pytest.raises(ValueError, match="13 active caches"):
+        cluster_place_deliver_decentralized(cfg, 1, [0] * 13, list(range(13)), seed=0)

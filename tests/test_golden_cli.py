@@ -34,6 +34,9 @@ CONFIGS = {
     "su.json": {"setup": "single-user", "caches": 6,
                 "levels": [{"files": 4, "users": 2}, {"files": 12, "users": 3},
                            {"files": 30, "users": 1}]},
+    "mu4.json": {"setup": "multi-user", "caches": 4,
+                 "levels": [{"files": 59, "users": 1}, {"files": 219, "users": 3},
+                            {"files": 157, "users": 1}, {"files": 951, "users": 3}]},
     "mixed.json": {"setup": "mixed", "caches": 4,
                    "levels": [{"files": 8, "users": 2}],
                    "mixed_levels": [{"files": 6, "users": 2}]},
@@ -43,6 +46,7 @@ CASES = {
     "rate_mu_rational": ["rate", "mu.json", "--mem", "2"],
     "rate_mu_irrational": ["rate", "mu2.json", "--mem", "10"],
     "rate_mu_no_memory_level": ["rate", "mu2.json", "--mem", "3"],
+    "rate_mu_four_radicals": ["rate", "mu4.json", "--mem", "1483/8"],
     "rate_su": ["rate", "su.json", "--mem", "2"],
     "rate_su_small_memory": ["rate", "su.json", "--mem", "1/12"],
     "rate_mixed": ["rate", "mixed.json", "--mem", "3"],

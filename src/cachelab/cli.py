@@ -116,6 +116,8 @@ def cmd_mixed(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    if args.count < 1 or args.grid_points < 1:
+        raise ValueError("--count and --grid-points must be at least 1")
     setup = Setup.MULTI_USER if args.setup == "mu" else Setup.SINGLE_USER
     summary = experiments.audit(setup, args.count, args.seed,
                                 grid_points=args.grid_points)

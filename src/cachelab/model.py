@@ -275,13 +275,37 @@ def describe(obj):
 _SETUP_NAMES = {s.value: s for s in Setup}
 
 
+_CONFIG_KEYS = frozenset({"setup", "caches", "levels", "mixed_levels", "beta"})
+_LEVEL_KEYS = frozenset({"files", "users"})
+
+
+def _check_keys(data: dict, allowed: frozenset, what: str) -> None:
+    for key in data:
+        if key not in allowed:
+            raise ConfigSchemaError(f"unknown {what} key {key!r}")
+
+
+def _integer(value, name: str) -> int:
+    # JSON integers only: int() would truncate 1.5 and turn true into 1.
+    if type(value) is not int:
+        raise ConfigSchemaError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _level(lv) -> LevelSpec:
+    if not isinstance(lv, dict):
+        raise ConfigSchemaError(f"a level must be an object, got {lv!r}")
+    _check_keys(lv, _LEVEL_KEYS, "level")
+    return LevelSpec(_integer(lv["files"], "files"), _integer(lv["users"], "users"))
+
+
 def config_from_dict(data: dict) -> SystemConfig:
+    _check_keys(data, _CONFIG_KEYS, "config")
     try:
         setup = _SETUP_NAMES[data["setup"]]
-        caches = int(data["caches"])
-        levels = tuple(LevelSpec(int(lv["files"]), int(lv["users"])) for lv in data["levels"])
-        mixed = tuple(LevelSpec(int(lv["files"]), int(lv["users"]))
-                      for lv in data.get("mixed_levels", ()))
+        caches = _integer(data["caches"], "caches")
+        levels = tuple(_level(lv) for lv in data["levels"])
+        mixed = tuple(_level(lv) for lv in data.get("mixed_levels", ()))
         beta = Fraction(data["beta"]) if "beta" in data else BETA
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ConfigSchemaError(f"bad config field: {exc}") from exc

@@ -11,6 +11,22 @@ terminate for nonzero values.
 
 The interval refinement starts at 256 bits and doubles the precision until
 the answer is certain; the starting precision only sets how soon that is.
+Each round bounds every ``sqrt(n)`` by ``isqrt(n * 4^prec)`` and sums the
+bounds as integers over one common denominator; ``interval`` hands the same
+bounds out as ``Fraction``s.
+
+Division climbs a tower of quadratic extensions.  Over a generator basis
+``g_1..g_m`` of the kernels' square classes, conjugating ``sqrt(g_m)``
+(flipping the sign of every term whose class contains ``g_m``) gives a
+``conj`` with ``x * conj`` free of ``g_m``; so ``1/x = conj / (x * conj)``
+and the inner inverse needs one generator fewer.  That is ``m`` conjugations
+and about ``4^m`` term products, where the product of all ``2^m - 1`` sign
+conjugates costs about ``8^m``.  The value of an inverse is unique, and so is
+its printed form when every kernel is squarefree after ``_shrink_kernel``.
+A kernel that keeps the square of a prime above 47 (``53^2 * 2`` and ``2``
+are one square class) prints as whichever member of its class a sum met
+first, so the printed form of such a value depends on the order of the
+products that built it; its value does not.
 """
 
 from __future__ import annotations
@@ -88,6 +104,13 @@ class RootSum:
 
     def _insert(self, kernel: int, coeff: Fraction) -> None:
         if not coeff:
+            return
+        if kernel in self._terms:
+            # Stored kernels are already shrunk and pairwise inequivalent, so
+            # the merge scan below would land on this same key.
+            self._terms[kernel] += coeff
+            if not self._terms[kernel]:
+                del self._terms[kernel]
             return
         if kernel != 1:
             kernel, mult = _shrink_kernel(kernel)
@@ -171,14 +194,16 @@ class RootSum:
         return other * self.inverse()
 
     def inverse(self) -> "RootSum":
-        """Exact multiplicative inverse.
-
-        Rewrites the kernels over an independent generator set of the
-        square-class group, multiplies all nontrivial sign conjugates, and
-        divides by the resulting rational norm.
-        """
+        """Exact multiplicative inverse, by a tower of quadratic conjugations."""
         if not self._terms:
             raise ZeroDivisionError("inverse of zero")
+        return self._tower_inverse(len(self._terms))
+
+    def _tower_inverse(self, rank: int) -> "RootSum":
+        # self = a + b*sqrt(g_m) and conj = a - b*sqrt(g_m) over a greedy
+        # generator basis g_1..g_m; self * conj = a^2 - b^2*g_m needs only
+        # g_1..g_{m-1}.  `rank` bounds m, so the recursion cannot loop.
+        # Private, so a traced inverse() is entered once per division.
         kernels = [k for k in self._terms if k != 1]
         if not kernels:
             out = RootSum()
@@ -192,18 +217,13 @@ class RootSum:
                 gens.append(k)
                 mask = 1 << (len(gens) - 1)
             expo[k] = mask
-        product = RootSum(1)
-        for sigma in range(1, 1 << len(gens)):
-            conj = RootSum()
-            conj._terms = {
-                k: (-c if k != 1 and (expo[k] & sigma).bit_count() % 2 else c)
-                for k, c in self._terms.items()
-            }
-            product = product * conj
-        norm = product * self
-        if set(norm._terms) - {1}:
-            raise ArithmeticError("norm of a radical sum was not rational")
-        return product * RootSum(1 / norm._terms[1])
+        if len(gens) > rank:
+            raise ArithmeticError("a conjugation did not remove its generator")
+        top = 1 << (len(gens) - 1)
+        conj = RootSum()
+        conj._terms = {k: (-c if k != 1 and expo[k] & top else c)
+                       for k, c in self._terms.items()}
+        return conj * (self * conj)._tower_inverse(len(gens) - 1)
 
     @staticmethod
     def _class_mask(kernel: int, gens: list[int]) -> int | None:
@@ -228,7 +248,7 @@ class RootSum:
         # every coefficient is zero (and zero coefficients are never stored).
         prec = _PRECISION_FLOOR
         while prec <= _PRECISION_CEILING:
-            lo, hi = self.interval(prec)
+            lo, hi, _ = self._scaled_interval(prec)
             if lo > 0:
                 return 1
             if hi < 0:
@@ -283,25 +303,33 @@ class RootSum:
 
     def interval(self, prec: int | None = None) -> tuple[Fraction, Fraction]:
         """Enclosing rational interval at roughly ``prec`` bits."""
-        prec = prec or _PRECISION_FLOOR
-        lo = Fraction(0)
-        hi = Fraction(0)
-        scale = 1 << (2 * prec)
+        lo, hi, den = self._scaled_interval(prec or _PRECISION_FLOOR)
+        return Fraction(lo, den), Fraction(hi, den)
+
+    def _scaled_interval(self, prec: int) -> tuple[int, int, int]:
+        """``(lo, hi, den)`` with ``lo/den <= self <= hi/den`` and ``den > 0``.
+
+        Each ``sqrt(n)`` lies in ``[a, a + 1] / 2^prec`` with
+        ``a = isqrt(n * 4^prec)``; the bounds are summed as integers over the
+        common denominator ``lcm(coefficient denominators) * 2^prec``.
+        """
+        one = 1 << prec
+        den = math.lcm(*(c.denominator for c in self._terms.values()))
+        lo = hi = 0
         for kernel, coeff in self._terms.items():
+            num = coeff.numerator * (den // coeff.denominator)
             if kernel == 1:
-                lo += coeff
-                hi += coeff
+                lo += num * one
+                hi += num * one
                 continue
-            a = math.isqrt(kernel * scale)
-            root_lo = Fraction(a, 1 << prec)
-            root_hi = Fraction(a + 1, 1 << prec)
-            if coeff > 0:
-                lo += coeff * root_lo
-                hi += coeff * root_hi
+            a = math.isqrt(kernel << (2 * prec))
+            if num > 0:
+                lo += num * a
+                hi += num * (a + 1)
             else:
-                lo += coeff * root_hi
-                hi += coeff * root_lo
-        return lo, hi
+                lo += num * (a + 1)
+                hi += num * a
+        return lo, hi, den * one
 
     def __float__(self) -> float:
         lo, hi = self.interval(64)

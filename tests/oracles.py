@@ -10,6 +10,7 @@ from fractions import Fraction
 from cachelab.bounds import MultiUserBoundParams, _candidate_b_values, best_cut_sizes
 from cachelab.model import check_memory
 from cachelab.multi_user import _split_conditions
+from cachelab.radicals import RootSum
 
 
 def enumerate_feasible_partitions(config, M):
@@ -55,3 +56,36 @@ def grid_bound_mu(config, M):
             if best is None or value > best[0] or (value == best[0] and (t, b, s) < best[1]):
                 best = (value, (t, b, s))
     return max(best[0], Fraction(0)), MultiUserBoundParams(*best[1])
+
+
+def conjugate_product_inverse(x):
+    """1/x as the product of all 2^g - 1 nontrivial sign conjugates over the norm.
+
+    Rewrites the kernels over a greedy generator basis of the square-class
+    group (g generators), multiplies every conjugate that flips the sign of
+    an odd number of them in a term's class, and divides by the rational
+    norm, the product of all 2^g conjugates.
+    """
+    kernels = [k for k in x._terms if k != 1]
+    if not kernels:
+        return RootSum(1 / x._terms[1])
+    gens: list[int] = []
+    expo: dict[int, int] = {}
+    for k in kernels:
+        mask = RootSum._class_mask(k, gens)
+        if mask is None:
+            gens.append(k)
+            mask = 1 << (len(gens) - 1)
+        expo[k] = mask
+    product = RootSum(1)
+    for sigma in range(1, 1 << len(gens)):
+        conj = RootSum()
+        conj._terms = {
+            k: (-c if k != 1 and (expo[k] & sigma).bit_count() % 2 else c)
+            for k, c in x._terms.items()
+        }
+        product = product * conj
+    norm = product * x
+    if set(norm._terms) - {1}:
+        raise ArithmeticError("norm of a radical sum was not rational")
+    return product * RootSum(1 / norm._terms[1])

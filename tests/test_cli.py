@@ -39,6 +39,16 @@ def test_rate_schema_exit(tmp_path, capsys):
     assert cli.main(["rate", str(tmp_path / "missing.json"), "--mem", "1"]) == 2
 
 
+def test_rate_fractional_files_is_config_error(tmp_path, capsys):
+    path = tmp_path / "frac.json"
+    path.write_text(json.dumps(
+        {"setup": "multi-user", "caches": 4, "levels": [{"files": 1.5, "users": 2}]}))
+    assert cli.main(["rate", str(path), "--mem", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+
+
 def test_rate_strict_exit(irregular_config, capsys):
     assert cli.main(["rate", irregular_config, "--mem", "1"]) == 0
     out = capsys.readouterr().out
@@ -141,6 +151,15 @@ def test_audit_single_grid_point(capsys):
                      "--grid-points", "1"]) == 0
     blob = json.loads(capsys.readouterr().out)
     assert blob["ok"] is True and blob["points"] == 2  # M = 0 for each instance
+
+
+@pytest.mark.parametrize("flags", [["--count", "-1"], ["--count", "0"],
+                                   ["--grid-points", "0"]])
+def test_audit_rejects_empty_runs(capsys, flags):
+    assert cli.main(["audit", "--setup", "mu", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input: ") and captured.err.count("\n") == 1
 
 
 def test_audit_failure_exit(monkeypatch, capsys):

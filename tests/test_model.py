@@ -129,6 +129,19 @@ def test_config_schema_errors(tmp_path):
         load_config(str(bad))
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"levels": [{"files": 1.5, "users": 2}]}, "files must be an integer, got 1.5"),
+    ({"caches": True}, "caches must be an integer, got True"),
+    ({"levels": [{"files": "3", "users": 2}]}, "files must be an integer, got '3'"),
+    ({"bogus": 1}, "unknown config key 'bogus'"),
+    ({"levels": [{"files": 8, "users": 2, "user": 1}]}, "unknown level key 'user'"),
+])
+def test_config_rejects_non_integers_and_unknown_keys(change, message):
+    data = {"setup": "multi-user", "caches": 4, "levels": [{"files": 8, "users": 2}]}
+    with pytest.raises(ConfigSchemaError, match=message):
+        config_from_dict({**data, **change})
+
+
 def test_validate_dispatch_mixed():
     cfg = SystemConfig(Setup.MIXED, 4, (LevelSpec(8, 2),), (LevelSpec(9, 3),))
     assert validate(cfg).ok

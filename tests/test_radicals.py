@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cachelab.radicals import RootSum, as_exact_str, to_decimal
+from oracles import conjugate_product_inverse
 
 
 def test_sqrt_merges_equivalent_kernels():
@@ -39,6 +41,20 @@ def test_tight_comparison_against_convergent():
     assert RootSum.sqrt(2) > Fraction(2378, 1682)
 
 
+def test_interval_encloses_value():
+    # q + c*sqrt(k) lies in [lo, hi] iff ((lo - q)/c)^2 and ((hi - q)/c)^2
+    # bracket k, in the order the sign of c sets.
+    for q, c, k in ((0, Fraction(3, 7), 2), (5, Fraction(-3, 7), 2),
+                    (Fraction(-1, 3), -2, 10 ** 12 + 39), (1, Fraction(5, 11), 10 ** 12 + 39)):
+        x = q + c * RootSum.sqrt(k)
+        for prec in (64, 256):
+            lo, hi = x.interval(prec)
+            below, above = ((lo - q) / c) ** 2, ((hi - q) / c) ** 2
+            if c < 0:
+                below, above = above, below
+            assert lo < hi and below < k < above
+
+
 def test_ordering_operators():
     a = RootSum.sqrt(2)
     assert a < 2 and a > 1 and a <= a and a >= a
@@ -53,6 +69,29 @@ def test_inverse_known_values():
     assert y.inverse() == RootSum.sqrt(3) - RootSum.sqrt(2)
     with pytest.raises(ZeroDivisionError):
         RootSum(0).inverse()
+
+
+def test_inverse_matches_conjugate_product_oracle():
+    # Kernels are products of distinct primes <= 47, sometimes times 53^2,
+    # a square that _shrink_kernel leaves in place; only then may the
+    # kernel chosen for a square class, and so the repr, differ.
+    rng = random.Random(5)
+    primes = (2, 3, 5, 7, 11, 47)
+    for _ in range(100):
+        x = RootSum(Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+        canonical = True
+        for _ in range(rng.randint(1, 6)):
+            kernel = math.prod(rng.sample(primes, rng.randint(1, 3)))
+            if rng.random() < 0.2:
+                kernel *= 53 * 53
+                canonical = False
+            x = x + Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 5)) * RootSum.sqrt(kernel)
+        if not x:
+            continue
+        got, expected = x.inverse(), conjugate_product_inverse(x)
+        assert (got - expected).sign() == 0
+        if canonical:
+            assert repr(got) == repr(expected)
 
 
 def test_division_operator():

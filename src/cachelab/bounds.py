@@ -8,8 +8,8 @@ than the full (astronomically large) ``b`` range; the grid always contains
 the closed-form witness parameters used by the gap analysis, so the audited
 ratios stay within the published constants.  For each parameter choice the
 bound is a line in M, and the grid does not depend on M, so the optimizer
-builds the upper envelope of these lines once per config and reads every
-memory off it exactly; no float takes part.
+builds the upper envelope of these lines once per config and finds each
+memory's maximum on it by bisection, exactly; no float takes part.
 
 The single-user bound is a cut-set recipe keyed on the four-regime level
 partition, with one small-memory branch below M = 1/6.
@@ -57,11 +57,12 @@ class MultiUserBoundParams:
                 raise ValueError(f"s[{i}]={si} outside 1..{smax}")
 
 
-def _cut_sum(config: SystemConfig, t: int, b: int, s: tuple[int, ...]) -> Fraction:
+def _cut_sum(config: SystemConfig, t: int, b: int, s: tuple[int, ...]) -> tuple[int, int]:
     """Sum of the cut terms ``min{s_i*t*U_i, N_i/(s_i*b)}``: the bound at M = 0.
 
     Each term's side is chosen by integer cross-multiplication, and the
-    fractional terms are summed as one integer numerator and denominator.
+    fractional terms are summed as one integer numerator and denominator,
+    returned unreduced as ``(numerator, denominator)``.
     """
     whole, num, den = 0, 0, 1
     for lv, si in zip(config.levels, s):
@@ -69,7 +70,7 @@ def _cut_sum(config: SystemConfig, t: int, b: int, s: tuple[int, ...]) -> Fracti
             whole += si * t * lv.users
         else:  # N_i/(s_i*b); the common factor 1/b is applied at the end
             num, den = num * si + lv.files * den, den * si
-    return Fraction(whole * den * b + num, den * b)
+    return whole * den * b + num, den * b
 
 
 def lower_bound_multi_user(config: SystemConfig, M: MemoryLike,
@@ -77,7 +78,8 @@ def lower_bound_multi_user(config: SystemConfig, M: MemoryLike,
     """Exact bound value for one parameter choice; may be negative."""
     M = check_memory(M)
     params.validate(config.caches, len(config.levels))
-    return _cut_sum(config, params.t, params.b, params.s) - Fraction(params.t, params.b) * M
+    return (Fraction(*_cut_sum(config, params.t, params.b, params.s))
+            - Fraction(params.t, params.b) * M)
 
 
 def best_cut_sizes(config: SystemConfig, t: int, b: int) -> tuple[int, ...]:
@@ -146,13 +148,12 @@ def _b_search_limit(config: SystemConfig) -> int:
 def _strictly_below(left: tuple, mid: tuple, right: tuple) -> bool:
     """Whether line `mid` is below the higher of `left` and `right` at every M.
 
-    Lines are ``(A, t, b, s)`` for ``A - (t/b)*M``, steepest first.  That
-    holds iff `mid` meets `left` strictly right of where it meets `right`:
-    ``(A1-A2)/(m1-m2) > (A2-A3)/(m2-m3)``, cross-multiplied in integers.
+    Lines are ``(a, d, t, b, s)`` for ``a/d - (t/b)*M`` with ``d > 0``,
+    steepest first.  That holds iff `mid` meets `left` strictly right of
+    where it meets `right`: ``(A1-A2)/(m1-m2) > (A2-A3)/(m2-m3)``,
+    cross-multiplied in integers.
     """
-    (A1, t1, b1, _), (A2, t2, b2, _), (A3, t3, b3, _) = left, mid, right
-    a1, d1, a2, d2, a3, d3 = (A1.numerator, A1.denominator, A2.numerator,
-                              A2.denominator, A3.numerator, A3.denominator)
+    (a1, d1, t1, b1, _), (a2, d2, t2, b2, _), (a3, d3, t3, b3, _) = left, mid, right
     return ((a1 * d2 - a2 * d1) * (t2 * b3 - t3 * b2) * d3 * b1
             > (a2 * d3 - a3 * d2) * (t1 * b2 - t2 * b1) * d1 * b3)
 
@@ -172,19 +173,23 @@ def _bound_lines(config: SystemConfig) -> tuple[tuple[Fraction, Fraction, tuple]
     for t in range(1, config.caches // 2 + 1):
         for b in _candidate_b_values(config, t):
             s = best_cut_sizes(config, t, b)
-            A = _cut_sum(config, t, b, s)
+            a, d = _cut_sum(config, t, b, s)
             g = math.gcd(t, b)
             slope = (t // g, b // g)
+            kept = by_slope.get(slope)
             # Keys arrive in increasing order, so equal A keeps the first.
-            if slope not in by_slope or A > by_slope[slope][0]:
-                by_slope[slope] = (A, t, b, s)
+            if kept is None or a * kept[1] > kept[0] * d:
+                by_slope[slope] = (a, d, t, b, s)
+    # Distinct reduced slopes differ by at least 1/P, so floor(t*P/b) orders
+    # them strictly, in integers.
+    P = max((b for _, b in by_slope), default=1) ** 2
     hull: list[tuple] = []
-    for slope in sorted(by_slope, key=lambda tb: Fraction(*tb), reverse=True):
+    for slope in sorted(by_slope, key=lambda tb: tb[0] * P // tb[1], reverse=True):
         line = by_slope[slope]
         while len(hull) >= 2 and _strictly_below(hull[-2], hull[-1], line):
             hull.pop()
         hull.append(line)
-    return tuple((A, Fraction(t, b), (t, b, s)) for A, t, b, s in hull)
+    return tuple((Fraction(a, d), Fraction(t, b), (t, b, s)) for a, d, t, b, s in hull)
 
 
 def optimize_lower_bound_mu(config: SystemConfig, M: MemoryLike
@@ -199,13 +204,27 @@ def optimize_lower_bound_mu(config: SystemConfig, M: MemoryLike
     M = check_memory(M)
     if config.caches < 2:
         return Fraction(0), None
-    best_val = best_key = None
-    for A, slope, key in _bound_lines(config):
-        value = A - slope * M
-        if best_val is not None and value < best_val:
-            break  # along the envelope the values at M rise, then fall
-        if best_val is None or value > best_val or (value == best_val and key < best_key):
-            best_val, best_key = value, key
+    lines = _bound_lines(config)
+
+    def value(k: int) -> Fraction:
+        A, slope, _ = lines[k]
+        return A - slope * M
+
+    # Line k is not below line k + 1 exactly when M is at most their
+    # breakpoint, and the breakpoints of an envelope do not decrease, so
+    # the first such line (the maximum) is found by bisection.
+    lo, hi = 0, len(lines) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if value(mid) >= value(mid + 1):
+            hi = mid
+        else:
+            lo = mid + 1
+    best_val, best_key = value(lo), lines[lo][2]
+    for k in range(lo + 1, len(lines)):  # lines tied with the maximum follow it
+        if value(k) < best_val:
+            break
+        best_key = min(best_key, lines[k][2])
     return max(best_val, Fraction(0)), MultiUserBoundParams(*best_key)
 
 

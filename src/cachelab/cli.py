@@ -13,6 +13,7 @@ prints one line to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -60,17 +61,20 @@ def cmd_rate(args) -> int:
 
 def _parse_grid(args, config) -> list[Fraction]:
     total = Fraction(config.total_files)
+    grid, start, stop, count = None, Fraction(0), total, args.points
     try:
         if args.mems:
             grid = sorted({Fraction(part) for part in args.mems.split(",")})
         elif args.grid:
             start, stop, count = args.grid.split(":")
-            grid = experiments.linear_grid(Fraction(start), Fraction(stop), int(count))
-        else:
-            grid = experiments.default_grid(config, args.points)
+            start, stop, count = Fraction(start), Fraction(stop), int(count)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigSchemaError(f"--mems wants M1,M2,... and --grid START:STOP:COUNT "
                                 f"with rational memories ({exc})") from exc
+    if grid is None:
+        if count < 1:
+            raise ValueError("--points and the --grid count must be at least 1")
+        grid = experiments.linear_grid(start, stop, count)
     for M in grid:
         if M < 0 or M > total:
             raise ConfigSchemaError(f"grid point {M} outside [0, {total}]")
@@ -128,7 +132,9 @@ def cmd_audit(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="cachelab",
         description="Rates, lower bounds, and gap audits for multi-level coded caching.")

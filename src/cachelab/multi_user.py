@@ -8,17 +8,24 @@ membership conditions compare the normalized memory
 decision goes through the certified exact comparisons of
 :mod:`cachelab.radicals`; boundary equalities assign a level to the
 partial-memory set.
+
+Everything that does not depend on M (the level order, the sums over each
+candidate I, the threshold constants with their enclosures, ``S_I^-1``)
+lives in a per-config `_SplitPlan`, cached for the last 16 configs and
+filled only as far as the queries reach; a memory then costs rational
+comparisons plus the M-dependent rates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from functools import lru_cache
+from typing import Iterable, Optional
 
 from .model import (LevelSpec, MemoryLike, RateReport, Setup, SystemConfig,
                     check_memory, validate_multi_user)
-from .radicals import ExactValue, RootSum
+from .radicals import Enclosure, ExactValue, RootSum
 from .single_level import rate_single_level
 
 
@@ -112,41 +119,109 @@ def _sums(config: SystemConfig, I: Iterable[int],
     return S_I, T_J, V_I
 
 
-def _split_conditions(config: SystemConfig, M: Fraction,
-                      H: Sequence[int], I: Sequence[int], J: Sequence[int]) -> bool:
-    """Exact check of the three membership conditions for a candidate split."""
-    K = config.caches
-    levels = config.levels
-    if not I:
-        return False
-    S_I, T_J, V_I = _sums(config, I, J)
-    KW = K * (M - T_J + V_I)
-    # h in H:  M_tilde < (1/K)sqrt(N_h/U_h)    <=>  K*W < S_I*sqrt(N_h/U_h)
-    for h in H:
-        if not (S_I * _sqrt_n_over_u(levels[h]) - KW).sign() > 0:
-            return False
-    # i in I:  (1/K)x_i <= M_tilde <= (1+1/K)x_i
-    for i in I:
-        bound = S_I * _sqrt_n_over_u(levels[i])
-        if (KW - bound).sign() < 0:
-            return False
-        if (KW - (K + 1) * bound).sign() > 0:
-            return False
-    # j in J:  (1+1/K)x_j < M_tilde
-    for j in J:
-        bound = (K + 1) * (S_I * _sqrt_n_over_u(levels[j]))
-        if not (KW - bound).sign() > 0:
-            return False
-    return True
+class _Block:
+    """Memory-independent state of one partial-memory set I, filled lazily.
+
+    The membership conditions compare ``K*W = K*(M - T_J + V_I)`` with the
+    cut constants ``S_I*sqrt(N_l/U_l)`` (`cut`), and the allocation scales
+    ``sqrt(N_i*U_i)*S_I^-1`` (`share`) by W.  S_I is summed in the order of
+    the frozenset I, as `Partition.S_I` is; only the value of a cut
+    constant matters, but its inverse, square and shares are printed.
+    """
+
+    __slots__ = ("I", "S_I", "V_I", "_levels", "_x", "_cuts", "_inverse",
+                 "_square", "_shares")
+
+    def __init__(self, config: SystemConfig, x: tuple[RootSum, ...], I: frozenset[int]):
+        self.I = I
+        self.S_I, _, self.V_I = _sums(config, I, ())
+        self._levels, self._x = config.levels, x
+        self._cuts: dict[int, Enclosure] = {}
+        self._inverse: Optional[RootSum] = None
+        self._square: Optional[RootSum] = None
+        self._shares: dict[int, RootSum] = {}
+
+    def cut(self, level: int) -> Enclosure:
+        cut = self._cuts.get(level)
+        if cut is None:
+            cut = self._cuts[level] = Enclosure(self.S_I * self._x[level])
+        return cut
+
+    def inverse(self) -> RootSum:
+        if self._inverse is None:
+            self._inverse = self.S_I.inverse()
+        return self._inverse
+
+    def square(self) -> RootSum:
+        if self._square is None:
+            self._square = self.S_I * self.S_I
+        return self._square
+
+    def share(self, i: int) -> RootSum:
+        share = self._shares.get(i)
+        if share is None:
+            share = self._shares[i] = _sqrt_nu(self._levels[i]) * self.inverse()
+        return share
 
 
-def _build_partition(config: SystemConfig, M: Fraction,
-                     H: frozenset[int], I: frozenset[int], J: frozenset[int]) -> Partition:
-    S_I, T_J, V_I = _sums(config, I, J)
-    M_tilde = None
-    if I:
-        M_tilde = (M - T_J + V_I) * S_I.inverse()
-    return Partition(H, I, J, S_I, T_J, V_I, M_tilde)
+class _SplitPlan:
+    """Memory-independent state of a multi-user config's partition scan.
+
+    Holds the level order, ``sqrt(N_i/U_i)``, the sums ``T_J`` of the
+    prefixes of the order, the validation report, and one `_Block` per
+    partial-memory set met so far (at most ``L*(L+1)/2`` from the scan).
+    """
+
+    def __init__(self, config: SystemConfig):
+        levels = config.levels
+        self.config = config
+        self.order = tuple(sorted(range(len(levels)),
+                                  key=lambda i: (Fraction(levels[i].files, levels[i].users), i)))
+        self.total = sum(lv.files for lv in levels)
+        self.x = tuple(_sqrt_n_over_u(lv) for lv in levels)
+        self.T = [Fraction(0)]
+        for i in self.order:
+            self.T.append(self.T[-1] + levels[i].files)
+        self._blocks: dict[frozenset[int], _Block] = {}
+        self._validation = None
+
+    def validation(self):
+        if self._validation is None:
+            self._validation = validate_multi_user(self.config)
+        return self._validation
+
+    def block(self, I: frozenset[int]) -> _Block:
+        block = self._blocks.get(I)
+        if block is None:
+            block = self._blocks[I] = _Block(self.config, self.x, I)
+        return block
+
+    def admits(self, block: _Block, j_end: int, h_start: int, M: Fraction) -> bool:
+        """Exact check of the three membership conditions for the split
+        ``J = order[:j_end]``, ``I = order[j_end:h_start]`` (`block`),
+        ``H = order[h_start:]``."""
+        K = self.config.caches
+        KW = K * (M - self.T[j_end] + block.V_I)
+        num, den = KW.numerator, KW.denominator
+        # h in H:  M_tilde < (1/K)x_h        <=>  S_I*x_h > K*W
+        for h in self.order[h_start:]:
+            if block.cut(h).sign_minus(num, den) <= 0:
+                return False
+        # i in I:  (1/K)x_i <= M_tilde <= (1+1/K)x_i
+        for i in self.order[j_end:h_start]:
+            cut = block.cut(i)
+            if cut.sign_minus(num, den) > 0 or cut.sign_minus(num, den * (K + 1)) < 0:
+                return False
+        # j in J:  (1+1/K)x_j < M_tilde     <=>  S_I*x_j < K*W/(K+1)
+        for j in self.order[:j_end]:
+            if block.cut(j).sign_minus(num, den * (K + 1)) >= 0:
+                return False
+        return True
+
+
+@lru_cache(maxsize=16)
+def _split_plan(config: SystemConfig) -> _SplitPlan:
+    return _SplitPlan(config)
 
 
 def find_m_feasible_partition(config: SystemConfig, M: MemoryLike) -> Partition:
@@ -156,43 +231,47 @@ def find_m_feasible_partition(config: SystemConfig, M: MemoryLike) -> Partition:
     full-storage set must be a prefix and the no-memory set a suffix of
     that order, which the threshold structure makes exhaustive.  Among
     feasible splits the one with the smallest full-storage set, then the
-    smallest no-memory set, is returned.  If the memory exceeds the total
-    library size, everything is fully stored.
+    smallest no-memory set, is returned, so the scan stops at the first
+    feasible split in that order.  If the memory exceeds the total library
+    size, everything is fully stored.  Everything but the comparisons with
+    the memory comes from the config's cached `_SplitPlan`.
     """
     M = check_memory(M)
-    levels = config.levels
-    L = len(levels)
-    total = sum(lv.files for lv in levels)
-    if M > total:
-        return _build_partition(config, M, frozenset(), frozenset(), frozenset(range(L)))
-    order = sorted(range(L), key=lambda i: (Fraction(levels[i].files, levels[i].users), i))
-    feasible = []
+    plan = _split_plan(config)
+    L = len(plan.order)
+    if M > plan.total:
+        return Partition(frozenset(), frozenset(), frozenset(range(L)), RootSum(0),
+                         plan.T[L], Fraction(0), None)
     for j_end in range(L):
-        for h_start in range(j_end + 1, L + 1):
-            J = order[:j_end]
-            I = order[j_end:h_start]
-            H = order[h_start:]
-            if _split_conditions(config, M, H, I, J):
-                feasible.append((len(J), len(H), frozenset(H), frozenset(I), frozenset(J)))
-    if not feasible:
-        raise PartitionInfeasibleError(config, M)
-    feasible.sort(key=lambda item: (item[0], item[1]))
-    _, _, H, I, J = feasible[0]
-    return _build_partition(config, M, H, I, J)
+        for h_start in range(L, j_end, -1):
+            block = plan.block(frozenset(plan.order[j_end:h_start]))
+            if plan.admits(block, j_end, h_start, M):
+                T_J = plan.T[j_end]
+                W = M - T_J + block.V_I
+                return Partition(frozenset(plan.order[h_start:]), block.I,
+                                 frozenset(plan.order[:j_end]), block.S_I, T_J, block.V_I,
+                                 W * block.inverse())
+    raise PartitionInfeasibleError(config, M)
 
 
 def allocate_memory(partition: Partition, config: SystemConfig, M: MemoryLike) -> MemoryAllocation:
-    """Per-level memory: none for H, everything for J, threshold-matched for I."""
+    """Per-level memory: none for H, everything for J, threshold-matched for I.
+
+    A level i in I gets ``W*(sqrt(N_i*U_i)*S_I^-1) - N_i/K`` with
+    ``W = M - T_J + V_I``, so M is the memory the partition was found for.
+    """
     M = check_memory(M)
     levels = config.levels
     K = config.caches
+    if partition.I:
+        block = _split_plan(config).block(partition.I)
+        W = M - partition.T_J + partition.V_I
     amounts: list[ExactValue] = []
     for idx, lv in enumerate(levels):
         if idx in partition.J:
             amounts.append(Fraction(lv.files))
         elif idx in partition.I:
-            assert partition.M_tilde is not None
-            amounts.append(simplify(_sqrt_nu(lv) * partition.M_tilde - Fraction(lv.files, K)))
+            amounts.append(simplify(W * block.share(idx) - Fraction(lv.files, K)))
         else:
             amounts.append(Fraction(0))
     return MemoryAllocation(tuple(amounts), M)
@@ -205,10 +284,10 @@ def refine_partition(config: SystemConfig, M: MemoryLike,
     if partition is None:
         partition = find_m_feasible_partition(config, M)
     K = config.caches
-    levels = config.levels
+    plan = _split_plan(config)
     I0, I1, Iprime = set(), set(), set()
     for i in partition.I:
-        x = _sqrt_n_over_u(levels[i])
+        x = plan.x[i]
         if (M - Fraction(2, K) * x).sign() < 0:
             I0.add(i)
         elif (M - (config.beta + Fraction(1, K)) * x).sign() > 0:
@@ -217,7 +296,7 @@ def refine_partition(config: SystemConfig, M: MemoryLike,
             Iprime.add(i)
     refined = RefinedPartition(partition.H, frozenset(I0), frozenset(Iprime),
                                frozenset(I1), partition.J, partition)
-    if len(I1) > 1 and validate_multi_user(config).ok:
+    if len(I1) > 1 and plan.validation().ok:
         raise RuntimeError(f"regular instance produced {len(I1)} high-memory levels; "
                            "expected at most one")
     return refined
@@ -233,7 +312,8 @@ def rate_memory_sharing(config: SystemConfig, M: MemoryLike, strict: bool = Fals
     gap checks.
     """
     M = check_memory(M)
-    validation = validate_multi_user(config).raise_if_strict(strict)
+    plan = _split_plan(config)
+    validation = plan.validation().raise_if_strict(strict)
     partition = find_m_feasible_partition(config, M)
     allocation = allocate_memory(partition, config, M)
     K = config.caches
@@ -244,7 +324,7 @@ def rate_memory_sharing(config: SystemConfig, M: MemoryLike, strict: bool = Fals
     if partition.I and M != partition.T_J:
         approx = simplify(
             sum(K * config.levels[h].users for h in partition.H)
-            + (partition.S_I * partition.S_I) * (1 / Fraction(M - partition.T_J))
+            + plan.block(partition.I).square() * (1 / Fraction(M - partition.T_J))
             - sum(config.levels[i].users for i in partition.I))
     return RateReport(
         setup=Setup.MULTI_USER,

@@ -13,7 +13,9 @@ The interval refinement starts at 256 bits and doubles the precision until
 the answer is certain; the starting precision only sets how soon that is.
 Each round bounds every ``sqrt(n)`` by ``isqrt(n * 4^prec)`` and sums the
 bounds as integers over one common denominator; ``interval`` hands the same
-bounds out as ``Fraction``s.
+bounds out as ``Fraction``s.  An ``Enclosure`` keeps the 256-bit bounds of a
+fixed value, so comparing it with many rationals costs integer products,
+and ``sign`` only for a rational inside the bounds.
 
 Division climbs a tower of quadratic extensions.  Over a generator basis
 ``g_1..g_m`` of the kernels' square classes, conjugating ``sqrt(g_m)``
@@ -137,10 +139,42 @@ class RootSum:
 
     # -- ring operations ---------------------------------------------------
 
+    def _rational(self) -> Fraction | None:
+        """The value if it is rational, else None."""
+        terms = self._terms
+        if not terms:
+            return Fraction(0)
+        if len(terms) == 1 and 1 in terms:
+            return terms[1]
+        return None
+
     def __add__(self, other) -> "RootSum":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        # A rational operand only touches kernel 1.  Both fast paths leave
+        # the terms, and their order, as the _insert loop below would.
+        q = other._rational()
+        if q is not None:
+            out = RootSum(self)
+            if q:
+                total = out._terms.get(1, Fraction(0)) + q
+                if total:
+                    out._terms[1] = total
+                else:
+                    del out._terms[1]
+            return out
+        q = self._rational()
+        if q is not None:
+            out = RootSum(q)
+            for kernel, coeff in other._terms.items():
+                if kernel != 1:
+                    out._terms[kernel] = coeff
+                elif q + coeff:
+                    out._terms[1] = q + coeff
+                else:
+                    del out._terms[1]
+            return out
         out = RootSum(self)
         for kernel, coeff in other._terms.items():
             out._insert(kernel, coeff)
@@ -169,7 +203,20 @@ class RootSum:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        # A rational operand only scales the coefficients: the kernels are
+        # already shrunk and pairwise inequivalent, so _insert would keep
+        # them, in order.
         out = RootSum()
+        q = other._rational()
+        if q is not None:
+            if q:
+                out._terms = {k: c * q for k, c in self._terms.items()}
+            return out
+        q = self._rational()
+        if q is not None:
+            if q:
+                out._terms = {k: q * c for k, c in other._terms.items()}
+            return out
         for k1, c1 in self._terms.items():
             for k2, c2 in other._terms.items():
                 if k1 == 1 or k2 == 1:
@@ -294,7 +341,7 @@ class RootSum:
     # -- conversions -------------------------------------------------------
 
     def is_rational(self) -> bool:
-        return not (set(self._terms) - {1})
+        return self._rational() is not None
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
@@ -360,12 +407,40 @@ class RootSum:
         for kernel in sorted(self._terms):
             coeff = self._terms[kernel]
             if kernel == 1:
-                parts.append(str(coeff))
+                parts.append(_fraction_str(coeff))
             elif coeff == 1:
-                parts.append(f"sqrt({kernel})")
+                parts.append(f"sqrt({_int_str(kernel)})")
             else:
-                parts.append(f"{coeff}*sqrt({kernel})")
+                parts.append(f"{_fraction_str(coeff)}*sqrt({_int_str(kernel)})")
         return " + ".join(parts).replace("+ -", "- ")
+
+
+# str() refuses integers above the interpreter's digit limit (4300 digits by
+# default, never below 640); numbers of at most this many bits stay under any
+# limit and are converted directly.
+_STR_CHUNK_BITS = 2000
+
+
+def _int_str(n: int) -> str:
+    """Decimal digits of n, as ``str(n)`` but for integers of any size.
+
+    Larger integers are split at a power of ten and converted half by half,
+    without touching the interpreter's limit.
+    """
+    if n < 0:
+        return "-" + _int_str(-n)
+    if n.bit_length() <= _STR_CHUNK_BITS:
+        return str(n)
+    digits = n.bit_length() * 3 // 20  # about half the decimal digits of n
+    high, low = divmod(n, 10 ** digits)
+    return _int_str(high) + _int_str(low).zfill(digits)
+
+
+def _fraction_str(q: Fraction) -> str:
+    """``str(q)`` for a Fraction of any size."""
+    if q.denominator == 1:
+        return _int_str(q.numerator)
+    return f"{_int_str(q.numerator)}/{_int_str(q.denominator)}"
 
 
 def _coerce(value) -> "RootSum":
@@ -385,15 +460,39 @@ def exact_sign(value: ExactValue) -> int:
     return (value > 0) - (value < 0)
 
 
+class Enclosure:
+    """A fixed exact value, kept with its enclosure for many rational comparisons.
+
+    ``sign_minus(num, den)`` is the sign of ``value - num/den`` (``den > 0``).
+    It takes two integer cross-multiplications with the bounds of
+    ``_scaled_interval`` at the starting precision, and the certified
+    ``sign`` of the difference only when num/den lies inside them.
+    """
+
+    __slots__ = ("value", "_lo", "_hi", "_den")
+
+    def __init__(self, value: RootSum):
+        self.value = value
+        self._lo, self._hi, self._den = value._scaled_interval(_PRECISION_FLOOR)
+
+    def sign_minus(self, num: int, den: int) -> int:
+        scaled = num * self._den
+        if scaled < self._lo * den:
+            return 1
+        if scaled > self._hi * den:
+            return -1
+        return (self.value - Fraction(num, den)).sign()
+
+
 def as_exact_str(value) -> str:
     """Canonical exact string for report/JSON output."""
     if isinstance(value, RootSum):
         if value.is_rational():
-            return str(value.as_fraction())
+            return _fraction_str(value.as_fraction())
         return repr(value)
     if value is None:
         return ""
-    return str(Fraction(value))
+    return _fraction_str(Fraction(value))
 
 
 def to_decimal(value, sig_digits: int = 12) -> str:

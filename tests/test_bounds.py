@@ -14,7 +14,7 @@ from cachelab.model import Setup, SystemConfig
 from cachelab.multi_user import rate_memory_sharing
 from cachelab.radicals import exact_sign
 from cachelab.single_user import rate_clustering
-from oracles import grid_bound_mu
+from oracles import grid_bound_mu, linear_envelope_scan
 
 
 def one_level():
@@ -113,6 +113,17 @@ def test_optimizer_matches_grid_oracle():
         mems = [Fraction(0)] + [Fraction(rng.randint(0, 8 * total), 7) for _ in range(6)]
         for M in mems + _breakpoints(cfg):
             assert optimize_lower_bound_mu(cfg, M) == grid_bound_mu(cfg, M), (cfg, M)
+
+
+def test_bisection_matches_linear_envelope_scan():
+    # Every breakpoint ties two lines, so the tie rule is exercised there.
+    for cfg in _oracle_configs():
+        slopes = [m for _, m, _ in _bound_lines(cfg)]
+        assert all(m1 > m2 for m1, m2 in zip(slopes, slopes[1:]))  # steepest first
+        points = [Fraction(0)] + _breakpoints(cfg)
+        mids = [(a + b) / 2 for a, b in zip(points, points[1:])]
+        for M in points + mids + [points[-1] + 1, 10 * cfg.total_files]:
+            assert optimize_lower_bound_mu(cfg, M) == linear_envelope_scan(cfg, M), (cfg, M)
 
 
 def test_optimizer_nonincreasing_across_breakpoints():

@@ -102,6 +102,26 @@ def test_sweep_malformed_memories_is_config_error(mu_config, tmp_path, capsys, f
     assert err.startswith("config error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flags", [["--points", "0"], ["--points", "-3"],
+                                   ["--grid", "0:8:0"], ["--grid", "0:8:-4"]])
+def test_sweep_rejects_empty_grids(mu_config, tmp_path, capsys, flags):
+    out_csv = tmp_path / "x.csv"
+    assert cli.main(["sweep", mu_config, *flags, "--out", str(out_csv)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out_csv.exists()
+    assert captured.err.startswith("invalid input: ") and captured.err.count("\n") == 1
+
+
+def test_sweep_single_point_grid(mu_config, tmp_path):
+    out_csv = tmp_path / "x.csv"
+    assert cli.main(["sweep", mu_config, "--points", "1", "--out", str(out_csv)]) == 0
+    assert len(out_csv.read_text().splitlines()) == 2  # header and M = 0
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_directory_config_is_config_error(tmp_path, capsys):
     assert cli.main(["rate", str(tmp_path), "--mem", "1"]) == 2
     err = capsys.readouterr().err

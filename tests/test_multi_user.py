@@ -1,14 +1,18 @@
+import json
+import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from cachelab.experiments import random_multi_user_config
 from cachelab.model import SystemConfig
-from cachelab.multi_user import (allocate_memory, find_m_feasible_partition,
-                                 level_rate_bounds, rate_memory_sharing,
-                                 refine_partition)
-from cachelab.radicals import exact_sign
+from cachelab.multi_user import (PartitionInfeasibleError, allocate_memory,
+                                 find_m_feasible_partition, level_rate_bounds,
+                                 rate_memory_sharing, refine_partition)
+from cachelab.radicals import RootSum, exact_sign
 from cachelab.single_level import rate_single_level
-from oracles import enumerate_feasible_partitions
+from oracles import enumerate_feasible_partitions, scan_rate_memory_sharing
 
 
 def one_level():
@@ -173,3 +177,63 @@ def test_refined_high_memory_set_is_small_for_regular_instances():
         for M in (Fraction(total, 5), Fraction(total, 2)):
             refined = refine_partition(cfg, M)
             assert len(refined.I1) <= 1
+
+
+def _wide_config(rng, partial):
+    # Level i has N_i*U_i = U_i^2 * p_i * s_i^2 for distinct primes p_i, so
+    # the square roots of the levels are independent radicals.
+    K = rng.choice((4, 6, 8))
+    levels = []
+    for p in rng.sample((2, 3, 5, 7, 11, 13, 17, 19, 23), partial):
+        users = rng.randint(1, 4)
+        s = max(1, round(rng.uniform(6, 12) / math.sqrt(p)))
+        levels.append((users * p * s * s, users))
+    return SystemConfig.multi_user(K, levels)
+
+
+def _oracle_configs():
+    rng = random.Random(71)
+    for _ in range(6):
+        yield random_multi_user_config(rng, max_levels=4)          # regular
+    for _ in range(10):
+        K = rng.choice((2, 3, 4, 6, 8))
+        levels = [(rng.randint(1, 60), rng.randint(1, 5)) for _ in range(rng.randint(1, 4))]
+        yield SystemConfig.multi_user(K, levels)                    # irregular
+    for partial in (2, 3, 4):
+        yield _wide_config(rng, partial)                            # independent radicals
+
+
+def _report_or_error(rate, cfg, M):
+    try:
+        return json.dumps(rate(cfg, M).to_json_dict())
+    except PartitionInfeasibleError:
+        return "infeasible"
+
+
+def test_rate_matches_per_memory_scan_oracle():
+    # Prefix sums of the library sizes in the scan order are exact rational
+    # thresholds (M = T_J and M = T_J + N_i when I = {i}), where the cached
+    # enclosures cannot decide and the certified fallback must.
+    rng = random.Random(73)
+    for cfg in _oracle_configs():
+        total = cfg.total_files
+        order = sorted(cfg.levels, key=lambda lv: Fraction(lv.files, lv.users))
+        prefix = [sum(lv.files for lv in order[:k]) for k in range(len(order) + 1)]
+        mems = {Fraction(m) for m in prefix}
+        mems |= {Fraction(rng.randint(0, 8 * total), 8) for _ in range(8)}
+        mems.add(Fraction(total + 1))
+        for M in sorted(mems):
+            assert _report_or_error(rate_memory_sharing, cfg, M) \
+                == _report_or_error(scan_rate_memory_sharing, cfg, M), (cfg, M)
+
+
+@pytest.mark.parametrize("M", [0, 8])
+def test_exact_threshold_takes_the_certified_fallback(monkeypatch, M):
+    # With one level, K*W meets S_I*sqrt(N/U) = N at M = 0 and (K + 1)*N at
+    # M = N exactly, so only RootSum.sign can decide the split.
+    signs = []
+    sign = RootSum.sign
+    monkeypatch.setattr(RootSum, "sign", lambda x: signs.append(x) or sign(x))
+    report = rate_memory_sharing(one_level(), M)
+    assert any(not x for x in signs)  # a difference that is exactly zero
+    assert report.to_json_dict() == scan_rate_memory_sharing(one_level(), M).to_json_dict()

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cachelab.radicals import RootSum, as_exact_str, to_decimal
-from oracles import conjugate_product_inverse
+from cachelab.radicals import RootSum, _int_str, as_exact_str, to_decimal
+from oracles import conjugate_product_inverse, insert_route_add, insert_route_mul
 
 
 def test_sqrt_merges_equivalent_kernels():
@@ -92,6 +92,51 @@ def test_inverse_matches_conjugate_product_oracle():
         assert (got - expected).sign() == 0
         if canonical:
             assert repr(got) == repr(expected)
+
+
+def _random_root_sum(rng):
+    # Kernels as in the conjugate-product test, 53^2 included.
+    x = RootSum(Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+    for _ in range(rng.randint(0, 5)):
+        kernel = math.prod(rng.sample((2, 3, 5, 7, 11, 47), rng.randint(1, 3)))
+        if rng.random() < 0.3:
+            kernel *= 53 * 53
+        x = x + Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 5)) * RootSum.sqrt(kernel)
+    return x
+
+
+def test_rational_fast_paths_match_insert_route():
+    rng = random.Random(13)
+    for _ in range(200):
+        x = _random_root_sum(rng)
+        q = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        # The last one cancels the constant term of x.
+        rationals = (q, rng.randint(-3, 3), RootSum(q), RootSum(0), -x._terms.get(1, q))
+        for r in rationals:
+            # r + x with an int or Fraction r runs x.__radd__, that is x + r.
+            r_sum, left = (r, True) if isinstance(r, RootSum) else (RootSum(r), False)
+            for got, want in ((x + r, insert_route_add(x, r_sum)),
+                              (r + x, insert_route_add(*((r_sum, x) if left else (x, r_sum)))),
+                              (x - r, insert_route_add(x, -r_sum)),
+                              (r - x, insert_route_add(r_sum, -x)),
+                              (x * r, insert_route_mul(x, r_sum)),
+                              (r * x, insert_route_mul(*((r_sum, x) if left else (x, r_sum))))):
+                assert list(got._terms.items()) == list(want._terms.items())
+                assert repr(got) == repr(want)
+                assert all(type(c) is Fraction for c in got._terms.values())
+
+
+def test_int_str_is_str_beyond_the_digit_limit():
+    rng = random.Random(17)
+    for bits in (1, 64, 1999, 2000, 2001, 9000, 14000):
+        n = rng.getrandbits(bits) | 1
+        assert _int_str(n) == str(n) and _int_str(-n) == str(-n)
+    big = 10 ** 4400 + 1
+    assert _int_str(big) == "1" + "0" * 4399 + "1"
+    assert _int_str(big * 10 ** 4400) == "1" + "0" * 4399 + "1" + "0" * 4400
+    text = as_exact_str(RootSum(Fraction(big, 3)) + RootSum.sqrt(2))
+    assert text == "1" + "0" * 4399 + "1/3 + sqrt(2)"
+    assert as_exact_str(Fraction(-big, 7)) == "-1" + "0" * 4399 + "1/7"
 
 
 def test_division_operator():

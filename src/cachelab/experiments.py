@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .bounds import (GapReport, gap_report, lower_bound_single_user,
                      optimize_lower_bound_mu)
-from .model import (MemoryLike, RateReport, Setup, SystemConfig, check_memory,
+from .model import (BETA, MemoryLike, RateReport, Setup, SystemConfig, check_memory,
                     config_to_dict)
 from .multi_user import rate_memory_sharing, refine_partition, simplify
 from .radicals import ExactValue, RootSum, as_exact_str, exact_sign, to_decimal
@@ -278,7 +278,7 @@ def mixed_rate(config: SystemConfig, M: MemoryLike,
 # -- randomized audits -------------------------------------------------------
 
 CACHE_COUNTS = (4, 8, 16, 32, 96, 128)
-POPULARITY_SEPARATION = 6400  # 1/BETA**2
+POPULARITY_SEPARATION = int(1 / BETA**2)
 
 
 def random_multi_user_config(rng: random.Random, max_levels: int = 4) -> SystemConfig:
@@ -329,7 +329,8 @@ class AuditSummary:
     inversions: list = field(default_factory=list)
     gap_violations: list = field(default_factory=list)
     uninformative_points: int = 0
-    max_ratio: dict = field(default_factory=dict)  # constant -> (float ratio, instance)
+    # constant -> (float ratio, config, M, exact ratio)
+    max_ratio: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -339,8 +340,8 @@ class AuditSummary:
                M: Fraction) -> None:
         key = str(constant)
         current = self.max_ratio.get(key)
-        if current is None or float(ratio) > current[0]:
-            self.max_ratio[key] = (float(ratio), config_to_dict(config), as_exact_str(M))
+        if current is None or exact_sign(ratio - current[3]) > 0:
+            self.max_ratio[key] = (float(ratio), config_to_dict(config), as_exact_str(M), ratio)
 
     def to_json_dict(self) -> dict:
         return {
@@ -357,8 +358,7 @@ class AuditSummary:
         }
 
 
-def audit(setup: Setup, count: int, seed: int, grid_points: int = 20,
-          max_levels: int = 4) -> AuditSummary:
+def audit(setup: Setup, count: int, seed: int, grid_points: int = 20) -> AuditSummary:
     """Generate seeded valid instances and check every gap constant.
 
     Gap ratios are evaluated at points with a positive lower bound (a zero
@@ -369,9 +369,9 @@ def audit(setup: Setup, count: int, seed: int, grid_points: int = 20,
     summary = AuditSummary(setup, count, seed)
     for _ in range(count):
         if setup is Setup.MULTI_USER:
-            config = random_multi_user_config(rng, max_levels)
+            config = random_multi_user_config(rng)
         else:
-            config = random_single_user_config(rng, max_levels)
+            config = random_single_user_config(rng)
         for M in audit_grid(config, grid_points):
             _, gap = evaluate(config, M)
             summary.points += 1

@@ -64,16 +64,13 @@ class SystemConfig:
     Levels are stored in canonical order (decreasing popularity, input order
     on ties); all level indices in reports refer to this order.  For the
     mixed setup, `levels` holds the per-cache-replicated class and
-    `mixed_levels` the single-row class.  `beta` is the popularity-separation
-    constant read by every downstream recipe (validation, regime thresholds,
-    per-level rate caps); override it only for experiments.
+    `mixed_levels` the single-row class.
     """
 
     setup: Setup
     caches: int
     levels: tuple[LevelSpec, ...]
     mixed_levels: tuple[LevelSpec, ...] = ()
-    beta: Fraction = BETA
 
     def __post_init__(self):
         if self.caches < 1:
@@ -82,9 +79,6 @@ class SystemConfig:
             raise ValueError("level list must not be empty")
         if self.mixed_levels and self.setup is not Setup.MIXED:
             raise ValueError("mixed_levels requires the mixed setup")
-        if not (0 < self.beta < 1):
-            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
-        object.__setattr__(self, "beta", Fraction(self.beta))
         object.__setattr__(self, "levels", _canonical(self.levels))
         object.__setattr__(self, "mixed_levels", _canonical(self.mixed_levels))
 
@@ -156,7 +150,7 @@ def validate_multi_user(config: SystemConfig) -> ValidationReport:
             violations.append(Violation(
                 "MU-FILES", (i,),
                 f"level {i}: files {lv.files} < caches*users = {config.caches * lv.users}"))
-    sep = 1 / config.beta**2
+    sep = 1 / BETA**2
     for i in range(len(config.levels)):
         for j in range(i + 1, len(config.levels)):
             pi, pj = popularity(config.levels[i]), popularity(config.levels[j])
@@ -275,7 +269,7 @@ def describe(obj):
 _SETUP_NAMES = {s.value: s for s in Setup}
 
 
-_CONFIG_KEYS = frozenset({"setup", "caches", "levels", "mixed_levels", "beta"})
+_CONFIG_KEYS = frozenset({"setup", "caches", "levels", "mixed_levels"})
 _LEVEL_KEYS = frozenset({"files", "users"})
 
 
@@ -306,13 +300,12 @@ def config_from_dict(data: dict) -> SystemConfig:
         caches = _integer(data["caches"], "caches")
         levels = tuple(_level(lv) for lv in data["levels"])
         mixed = tuple(_level(lv) for lv in data.get("mixed_levels", ()))
-        beta = Fraction(data["beta"]) if "beta" in data else BETA
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigSchemaError(f"bad config field: {exc}") from exc
     if setup is not Setup.MIXED and data.get("mixed_levels"):
         raise ConfigSchemaError("mixed_levels is only valid with setup \"mixed\"")
     try:
-        return SystemConfig(setup, caches, levels, mixed, beta)
+        return SystemConfig(setup, caches, levels, mixed)
     except ValueError as exc:
         raise ConfigSchemaError(str(exc)) from exc
 
@@ -326,8 +319,6 @@ def config_to_dict(config: SystemConfig) -> dict:
     if config.mixed_levels:
         out["mixed_levels"] = [{"files": lv.files, "users": lv.users}
                                for lv in config.mixed_levels]
-    if config.beta != BETA:
-        out["beta"] = str(config.beta)
     return out
 
 

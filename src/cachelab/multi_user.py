@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional
 
-from .model import (LevelSpec, MemoryLike, RateReport, Setup, SystemConfig,
+from .model import (BETA, LevelSpec, MemoryLike, RateReport, Setup, SystemConfig,
                     check_memory, validate_multi_user)
 from .radicals import Enclosure, ExactValue, RootSum
 from .single_level import rate_single_level
@@ -290,7 +290,7 @@ def refine_partition(config: SystemConfig, M: MemoryLike,
         x = plan.x[i]
         if (M - Fraction(2, K) * x).sign() < 0:
             I0.add(i)
-        elif (M - (config.beta + Fraction(1, K)) * x).sign() > 0:
+        elif (M - (BETA + Fraction(1, K)) * x).sign() > 0:
             I1.add(i)
         else:
             Iprime.add(i)
@@ -343,14 +343,14 @@ def level_rate_bounds(config: SystemConfig, M: MemoryLike) -> list[ExactValue]:
     No-memory levels are capped at ``K*U_h`` exactly; partial-memory levels
     at ``2*S_I*sqrt(N_i*U_i)/(M - T_J + V_I)``; high-memory levels at
     ``(1/beta)*U_i*(1 - (M-T_J)/N_i) + (1/beta)*U_i*(S_I0+S_I')/sqrt(N_i*U_i)``
-    with the config's separation constant beta; fully stored levels at 0.
+    with the separation constant beta = ``BETA``; fully stored levels at 0.
     """
     M = check_memory(M)
     refined = refine_partition(config, M)
     part = refined.base
     K = config.caches
     levels = config.levels
-    inv_beta = 1 / config.beta
+    inv_beta = 1 / BETA
     W = M - part.T_J + part.V_I
     S_low = RootSum(0)
     for i in refined.I0 | refined.Iprime:

@@ -96,14 +96,6 @@ class RootSum:
         out._insert(value.numerator * value.denominator, Fraction(1, value.denominator))
         return out
 
-    @staticmethod
-    def _from_terms(terms: dict[int, Fraction]) -> "RootSum":
-        out = RootSum()
-        for kernel, coeff in terms.items():
-            if coeff:
-                out._insert(kernel, coeff)
-        return out
-
     def _insert(self, kernel: int, coeff: Fraction) -> None:
         if not coeff:
             return

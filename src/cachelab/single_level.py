@@ -106,6 +106,24 @@ def rate_single_level(M: MemoryLike, K: int, N: int, U: int) -> ExactValue:
     return U * (Fraction(N, 1) / M - 1)
 
 
+def _layers(K: int, N: int, M: Fraction) -> tuple[Layer, ...]:
+    """Memory split at non-integer ``t = KM/N``: the sublayers at the floor
+    and the ceiling of t, weighted so that each cache stores exactly M."""
+    if M > N:
+        raise ValueError(f"memory {M} exceeds library size {N}")
+    t_exact = Fraction(K) * M / N
+    t0 = math.floor(t_exact)
+    if t0 >= K:
+        return (Layer(K, Fraction(1), Fraction(1)),)
+    lam = t0 + 1 - t_exact  # weight of the lower sublayer
+    layers = []
+    if lam > 0:
+        layers.append(Layer(t0, lam, lam / math.comb(K, t0)))
+    if lam < 1:
+        layers.append(Layer(t0 + 1, 1 - lam, (1 - lam) / math.comb(K, t0 + 1)))
+    return tuple(layers)
+
+
 def scheme_rate(M: MemoryLike, K: int, N: int) -> Fraction:
     """Exact per-row rate of the subset-placement scheme.
 
@@ -113,17 +131,8 @@ def scheme_rate(M: MemoryLike, K: int, N: int) -> Fraction:
     linearly between adjacent integer points (matching the two-sublayer
     memory split used by ``place``).
     """
-    M = check_memory(M)
-    if M > N:
-        raise ValueError(f"memory {M} exceeds library size {N}")
-    t_exact = Fraction(K) * M / N
-    t0 = math.floor(t_exact)
-    lam = t0 + 1 - t_exact  # weight of the lower sublayer
-    def point(t: int) -> Fraction:
-        return Fraction(K - t, t + 1)
-    if t0 >= K:
-        return Fraction(0)
-    return lam * point(t0) + (1 - lam) * point(t0 + 1)
+    return sum((layer.part * Fraction(K - layer.t, layer.t + 1)
+                for layer in _layers(K, N, check_memory(M))), Fraction(0))
 
 
 def place(K: int, N: int, M: MemoryLike) -> PlacementState:
@@ -134,19 +143,7 @@ def place(K: int, N: int, M: MemoryLike) -> PlacementState:
     The two sublayer part sizes are chosen so each cache stores exactly M.
     """
     M = check_memory(M)
-    if M > N:
-        raise ValueError(f"memory {M} exceeds library size {N}")
-    t_exact = Fraction(K) * M / N
-    t0 = math.floor(t_exact)
-    lam = t0 + 1 - t_exact
-    layers = []
-    if t0 >= K:
-        layers.append(Layer(K, Fraction(1), Fraction(1, math.comb(K, K))))
-    else:
-        if lam > 0:
-            layers.append(Layer(t0, lam, lam / math.comb(K, t0)))
-        if lam < 1:
-            layers.append(Layer(t0 + 1, 1 - lam, (1 - lam) / math.comb(K, t0 + 1)))
+    layers = _layers(K, N, M)
     caches: list[set[SubfileId]] = [set() for _ in range(K)]
     for li, layer in enumerate(layers):
         for subset in itertools.combinations(range(K), layer.t):
@@ -154,7 +151,7 @@ def place(K: int, N: int, M: MemoryLike) -> PlacementState:
                 sf = SubfileId(f, frozenset(subset), li)
                 for c in subset:
                     caches[c].add(sf)
-    return PlacementState(tuple(frozenset(c) for c in caches), tuple(layers), K, N, M)
+    return PlacementState(tuple(frozenset(c) for c in caches), layers, K, N, M)
 
 
 def _rows(demands: Sequence[tuple[int, int]], K: int, N: int) -> list[dict[int, int]]:
@@ -200,17 +197,19 @@ def deliver(placement: PlacementState, demands: Sequence[tuple[int, int]]) -> Tr
     return Transcript(tuple(messages))
 
 
-def worst_case_demands(K: int, N: int, users_per_cache: int = 1) -> list[tuple[int, int]]:
-    """Demand vector maximizing the scheme's transcript size.
+def worst_case_demands(K: int, N: int) -> list[tuple[int, int]]:
+    """Demand vector maximizing the scheme's transcript size: one user per
+    cache, on distinct files whenever the library allows it and round-robin
+    otherwise."""
+    return [(c, c % N) for c in range(K)]
 
-    Within each row, files are distinct whenever the library allows it and
-    repeat round-robin otherwise.
-    """
-    demands = []
-    for r in range(users_per_cache):
-        for c in range(K):
-            demands.append((c, (r * K + c) % N))
-    return demands
+
+def symbol_mask(index: dict, symbols: Iterable) -> int:
+    """GF(2) bit mask of `symbols`; `index` numbers each new symbol on sight."""
+    out = 0
+    for key in symbols:
+        out ^= 1 << index.setdefault(key, len(index))
+    return out
 
 
 def span_contains(rows: Iterable[int], known: int, wanted: int) -> bool:
@@ -254,18 +253,11 @@ def verify_decode(placement: PlacementState,
     elimination, independently of how `deliver` built the transcript.
     """
     index: dict[SubfileId, int] = {}
-
-    def mask(subfiles: Iterable[SubfileId]) -> int:
-        out = 0
-        for sf in subfiles:
-            out ^= 1 << index.setdefault(sf, len(index))
-        return out
-
-    messages = [mask(msg.parts) for msg in transcript.messages]
+    messages = [symbol_mask(index, msg.parts) for msg in transcript.messages]
     try:
         rows = _rows(demands, placement.K, placement.N)
     except ValueError:
         return False
-    return all(span_contains(messages, mask(placement.caches[cache]),
-                             mask(placement.subfiles_of(file)))
+    return all(span_contains(messages, symbol_mask(index, placement.caches[cache]),
+                             symbol_mask(index, placement.subfiles_of(file)))
                for row in rows for cache, file in row.items())

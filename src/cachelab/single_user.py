@@ -9,15 +9,15 @@ threshold comparisons are exact rational arithmetic.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .model import (MemoryLike, RateReport, Setup, SystemConfig, check_memory,
                     validate_single_user)
-from .single_level import Transcript, deliver, place, span_contains, verify_decode
+from .single_level import (Transcript, deliver, place, span_contains, symbol_mask,
+                           verify_decode)
 
 
 @dataclass(frozen=True)
@@ -212,10 +212,6 @@ def cluster_place_deliver(config: SystemConfig, M: MemoryLike,
 
 # -- decentralized placement variant ----------------------------------------
 
-# The delivery enumerates every team of active caches: 2^K of them.
-MAX_DECENTRALIZED_CACHES = 12
-
-
 @dataclass(frozen=True)
 class DecentralizedRun:
     """Randomized-placement variant of the super-level delivery.
@@ -239,50 +235,46 @@ def cluster_place_deliver_decentralized(config: SystemConfig, M: MemoryLike,
                                         assignment: Sequence[int],
                                         demands: Sequence[int],
                                         seed: int, segments: int = 60) -> DecentralizedRun:
+    """Run the decentralized variant; O(K^2 * segments) for K active caches.
+
+    A segment that a slot lacks belongs to exactly one team: that slot plus
+    every other slot storing the segment.  So one pass over the missing
+    segments groups them by team, and the teams are sent largest first,
+    ties in lexicographic order.
+    """
     M = check_memory(M)
     _, uncoded, active, n_super, wants = _super_level(config, M, assignment, demands)
-    if len(active) > MAX_DECENTRALIZED_CACHES:
-        raise ValueError(f"{len(active)} active caches; the decentralized run enumerates "
-                         f"2^K teams and takes at most {MAX_DECENTRALIZED_CACHES}")
     if not active:
         return DecentralizedRun(uncoded, (), True)
     rng = random.Random(seed)
     per_file = min(segments, int(Fraction(M, n_super) * segments)) if M < n_super else segments
+    slots = range(len(active))
     stored = {slot: {f: frozenset(rng.sample(range(segments), per_file))
                      for f in range(n_super)}
-              for slot in range(len(active))}
+              for slot in slots}
+
+    # team -> slot -> the segments of its demand that it lacks, ascending
+    teams: dict[tuple[int, ...], dict[int, list[int]]] = {}
+    for slot, f in enumerate(wants):
+        for s in range(segments):
+            if s not in stored[slot][f]:
+                team = tuple(o for o in slots if o == slot or s in stored[o][f])
+                teams.setdefault(team, {}).setdefault(slot, []).append(s)
 
     sizes = []
     rows = []  # GF(2) rows: one per segment position of each message
-    symbol_index: dict[tuple[int, int], int] = {}
-
-    def mask(symbols: Iterable[tuple[int, int]]) -> int:
-        out = 0
-        for key in symbols:
-            out ^= 1 << symbol_index.setdefault(key, len(symbol_index))
-        return out
-
-    slots = list(range(len(active)))
-    for size in range(len(slots), 0, -1):
-        for team in itertools.combinations(slots, size):
-            team_set = set(team)
-            lists = []
-            for slot in team:
-                f = wants[slot]
-                segs = sorted(s for s in range(segments)
-                              if s not in stored[slot][f]
-                              and all((s in stored[o][f]) == (o in team_set - {slot})
-                                      for o in slots if o != slot))
-                lists.append((f, segs))
-            width = max((len(segs) for _, segs in lists), default=0)
-            if width == 0:
-                continue
-            sizes.append(Fraction(width, segments))
-            for k in range(width):
-                rows.append(mask((f, segs[k]) for f, segs in lists if k < len(segs)))
+    index: dict[tuple[int, int], int] = {}
+    for team in sorted(teams, key=lambda team: (-len(team), team)):
+        lists = [(wants[slot], segs) for slot, segs in teams[team].items()]
+        width = max(len(segs) for _, segs in lists)
+        sizes.append(Fraction(width, segments))
+        for k in range(width):
+            rows.append(symbol_mask(index, ((f, segs[k]) for f, segs in lists
+                                            if k < len(segs))))
 
     ok = all(span_contains(rows,
-                           mask((f, s) for f, segs in stored[slot].items() for s in segs),
-                           mask((file, s) for s in range(segments)))
+                           symbol_mask(index, ((f, s) for f, segs in stored[slot].items()
+                                               for s in segs)),
+                           symbol_mask(index, ((file, s) for s in range(segments))))
              for slot, file in enumerate(wants))
     return DecentralizedRun(uncoded, tuple(sizes), ok)

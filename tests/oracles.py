@@ -6,6 +6,7 @@ package, so the package only carries the fast paths it checks.
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 from cachelab.bounds import (MultiUserBoundParams, _bound_lines, _candidate_b_values,
@@ -14,7 +15,8 @@ from cachelab.model import RateReport, Setup, check_memory, validate_multi_user
 from cachelab.multi_user import (MemoryAllocation, Partition, PartitionInfeasibleError,
                                  _sqrt_n_over_u, _sqrt_nu, _sums, simplify)
 from cachelab.radicals import RootSum
-from cachelab.single_level import rate_single_level
+from cachelab.single_level import rate_single_level, span_contains, symbol_mask
+from cachelab.single_user import DecentralizedRun, _super_level
 
 
 def _split_conditions(config, M, H, I, J):
@@ -226,3 +228,47 @@ def insert_route_mul(x, y):
                 g = math.gcd(k1, k2)
                 out._insert((k1 // g) * (k2 // g), c1 * c2 * g)
     return out
+
+
+def team_enumeration_decentralized(config, M, assignment, demands, seed, segments=60):
+    """The decentralized run with every team of active caches enumerated.
+
+    For each of the 2^K teams, largest first, every member contributes the
+    segments of its demand stored at exactly the other members; a team with
+    no such segment sends nothing.
+    """
+    M = check_memory(M)
+    _, uncoded, active, n_super, wants = _super_level(config, M, assignment, demands)
+    if not active:
+        return DecentralizedRun(uncoded, (), True)
+    rng = random.Random(seed)
+    per_file = min(segments, int(Fraction(M, n_super) * segments)) if M < n_super else segments
+    stored = {slot: {f: frozenset(rng.sample(range(segments), per_file))
+                     for f in range(n_super)}
+              for slot in range(len(active))}
+    sizes, rows, index = [], [], {}
+    slots = list(range(len(active)))
+    for size in range(len(slots), 0, -1):
+        for team in itertools.combinations(slots, size):
+            team_set = set(team)
+            lists = []
+            for slot in team:
+                f = wants[slot]
+                segs = sorted(s for s in range(segments)
+                              if s not in stored[slot][f]
+                              and all((s in stored[o][f]) == (o in team_set - {slot})
+                                      for o in slots if o != slot))
+                lists.append((f, segs))
+            width = max((len(segs) for _, segs in lists), default=0)
+            if width == 0:
+                continue
+            sizes.append(Fraction(width, segments))
+            for k in range(width):
+                rows.append(symbol_mask(index, ((f, segs[k]) for f, segs in lists
+                                                if k < len(segs))))
+    ok = all(span_contains(rows,
+                           symbol_mask(index, ((f, s) for f, segs in stored[slot].items()
+                                               for s in segs)),
+                           symbol_mask(index, ((file, s) for s in range(segments))))
+             for slot, file in enumerate(wants))
+    return DecentralizedRun(uncoded, tuple(sizes), ok)

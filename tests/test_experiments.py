@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cachelab.experiments import (audit, audit_grid, default_grid,
+from cachelab.experiments import (AuditSummary, audit, audit_grid, default_grid,
                                   dichotomy_multi_user, dichotomy_single_user,
                                   mixed_rate, random_multi_user_config,
                                   random_single_user_config, sweep,
@@ -146,3 +146,15 @@ def test_audit_empty_and_small():
     assert all(v[0] <= 72 for v in small.max_ratio.values())
     data = small.to_json_dict()
     assert data["ok"] and data["setup"] == "single-user"
+
+
+def test_audit_summary_keeps_the_exact_maximum():
+    # 3/2 and 3/2 + 10^-30 round to the same float; the larger one must win.
+    summary = AuditSummary(Setup.MULTI_USER, 1, seed=0)
+    cfg = SystemConfig.multi_user(4, [(8, 2)])
+    summary.record(Fraction(192), Fraction(3, 2), cfg, Fraction(1))
+    summary.record(Fraction(192), Fraction(3, 2) + Fraction(1, 10**30), cfg, Fraction(2))
+    summary.record(Fraction(192), Fraction(3, 2), cfg, Fraction(3))
+    ratio, _, M = summary.max_ratio["192"][:3]
+    assert (ratio, M) == (1.5, "2")
+    assert summary.to_json_dict()["max_ratio"]["192"]["ratio"] == 1.5

@@ -39,6 +39,22 @@ def test_scheme_rate_examples():
     assert scheme_rate(1, 4, 8) == (4 + Fraction(3, 2)) / 2
 
 
+def test_scheme_rate_interpolates_between_integer_subset_sizes():
+    for K in range(1, 8):
+        for N in range(1, 8):
+            for q in range(4 * N + 1):
+                M = Fraction(q, 4)
+                t = Fraction(K) * M / N
+                t0 = t.numerator // t.denominator
+                if t0 >= K:
+                    expected = Fraction(0)
+                else:
+                    lam = t0 + 1 - t
+                    expected = (lam * Fraction(K - t0, t0 + 1)
+                                + (1 - lam) * Fraction(K - t0 - 1, t0 + 2))
+                assert scheme_rate(M, K, N) == expected
+
+
 def test_place_examples():
     pl = place(2, 2, 1)
     assert [layer.t for layer in pl.layers] == [1]

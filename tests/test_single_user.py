@@ -10,6 +10,7 @@ from cachelab.single_user import (cluster_place_deliver,
                                   cluster_place_deliver_decentralized,
                                   partition_su, rate_clustering,
                                   rate_upper_bound_su, refine_partition_su)
+from oracles import team_enumeration_decentralized
 
 
 def two_levels():
@@ -161,8 +162,39 @@ def test_decentralized_run_decodes():
     assert run.message_sizes == run_same.message_sizes  # seeded determinism
 
 
-def test_decentralized_run_refuses_many_active_caches():
-    # 13 active caches would mean 2^13 teams; the run stops before placing anything.
-    cfg = SystemConfig.single_user(13, [(13, 13)])
-    with pytest.raises(ValueError, match="13 active caches"):
-        cluster_place_deliver_decentralized(cfg, 1, [0] * 13, list(range(13)), seed=0)
+def test_decentralized_run_serves_sixteen_active_caches():
+    # No cap on the active caches: the delivery costs O(K^2 * segments).
+    cfg = SystemConfig.single_user(16, [(16, 16)])
+    run = cluster_place_deliver_decentralized(cfg, 1, [0] * 16, list(range(16)), seed=0)
+    assert run.decodable
+    assert run.uncoded == () and run.message_sizes
+    assert 0 < run.total_size <= 16
+
+
+def _random_decentralized_instance(rng, K):
+    L = rng.randint(1, min(3, K))
+    cuts = sorted(rng.sample(range(1, K), L - 1))
+    parts = [b - a for a, b in zip([0] + cuts, cuts + [K])]
+    cfg = SystemConfig.single_user(K, [(k * rng.randint(1, 3), k) for k in parts])
+    assignment = [lvl for lvl, lv in enumerate(cfg.levels) for _ in range(lv.users)]
+    rng.shuffle(assignment)
+    demands = [rng.randrange(cfg.levels[lvl].files) for lvl in assignment]
+    return cfg, assignment, demands
+
+
+def test_decentralized_run_matches_team_enumeration():
+    rng = random.Random(20261018)
+    kinds = set()
+    for i in range(126):
+        K = 2 + i % 7
+        segments = (6, 13, 24, 60)[i % 4]
+        cfg, assignment, demands = _random_decentralized_instance(rng, K)
+        total = cfg.total_files
+        M = (Fraction(0), Fraction(total), Fraction(rng.randint(1, 4 * total), 4))[min(i % 5, 2)]
+        seed = rng.randrange(1 << 20)
+        run = cluster_place_deliver_decentralized(cfg, M, assignment, demands, seed, segments)
+        assert run == team_enumeration_decentralized(cfg, M, assignment, demands, seed,
+                                                     segments)
+        assert run.decodable
+        kinds.add("coded" if run.message_sizes else "uncoded only")
+    assert kinds == {"coded", "uncoded only"}

@@ -32,6 +32,9 @@ MULTI_USER_GAP = 192
 SINGLE_USER_GAP = 72
 SMALL_MEMORY_GAP = Fraction(6, 5)
 SMALL_MEMORY_THRESHOLD = Fraction(1, 6)
+# The envelope holds lines for every window size t up to K/2, under a second
+# of work at this many caches; above it the multi-user bound is refused.
+MAX_BOUND_CACHES = 4096
 
 
 @dataclass(frozen=True)
@@ -199,11 +202,15 @@ def optimize_lower_bound_mu(config: SystemConfig, M: MemoryLike
     Every parameter choice in range yields a valid bound, so maximizing
     over the candidate grid is sound by construction.  The maximum is read
     off the config's cached envelope of lines (`_bound_lines`), exactly;
-    ties keep the lexicographically smallest (t, b, s).
+    ties keep the lexicographically smallest (t, b, s).  Raises ValueError
+    for more than ``MAX_BOUND_CACHES`` caches.
     """
     M = check_memory(M)
     if config.caches < 2:
         return Fraction(0), None
+    if config.caches > MAX_BOUND_CACHES:
+        raise ValueError(f"the multi-user lower bound is limited to {MAX_BOUND_CACHES} caches, "
+                         f"got {config.caches}")
     lines = _bound_lines(config)
 
     def value(k: int) -> Fraction:

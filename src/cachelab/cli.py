@@ -5,9 +5,9 @@ CSV/JSON/plot data), ``dichotomy`` (the two strategy-separation families),
 ``mixed`` (superposition rate), ``audit`` (randomized gap audit).
 
 Exit codes: 0 success, 1 no feasible level partition (irregular instance),
-2 config/schema problem or an invalid argument value, 3 regularity violation
-in strict mode, 4 unwritable output path, 5 audit failure.  Every failure
-prints one line to stderr.
+2 config/schema problem, an invalid argument value or a rejected argument
+vector (``usage error:``), 3 regularity violation in strict mode, 4 unwritable
+output path, 5 audit failure.  Every failure prints one line to stderr.
 """
 
 from __future__ import annotations
@@ -132,10 +132,21 @@ def cmd_audit(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a rejected argument vector on one ``usage error:`` line, exit 2.
+
+    Subcommand parsers are made with the class of their parent, so they
+    report the same way.
+    """
+
+    def error(self, message: str):
+        self.exit(EXIT_SCHEMA, f"usage error: {self.prog}: {' '.join(message.splitlines())}\n")
+
+
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cachelab",
         description="Rates, lower bounds, and gap audits for multi-level coded caching.")
     sub = parser.add_subparsers(dest="command", required=True)

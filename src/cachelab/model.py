@@ -99,7 +99,8 @@ class SystemConfig:
 
 def check_memory(M: MemoryLike) -> Fraction:
     """Validate and normalize a cache memory value (in file units)."""
-    M = Fraction(M)
+    if not isinstance(M, Fraction):
+        M = Fraction(M)
     if M < 0:
         raise ValueError(f"memory must be nonnegative, got {M}")
     return M

@@ -126,7 +126,9 @@ class _Block:
     cut constants ``S_I*sqrt(N_l/U_l)`` (`cut`), and the allocation scales
     ``sqrt(N_i*U_i)*S_I^-1`` (`share`) by W.  S_I is summed in the order of
     the frozenset I, as `Partition.S_I` is; only the value of a cut
-    constant matters, but its inverse, square and shares are printed.
+    constant matters, but its inverse, square and shares are printed.  The
+    square and the shares are kept as Fractions when rational (always for a
+    one-level I), so the rates built from them stay in Fraction arithmetic.
     """
 
     __slots__ = ("I", "S_I", "V_I", "_levels", "_x", "_cuts", "_inverse",
@@ -138,8 +140,8 @@ class _Block:
         self._levels, self._x = config.levels, x
         self._cuts: dict[int, Enclosure] = {}
         self._inverse: Optional[RootSum] = None
-        self._square: Optional[RootSum] = None
-        self._shares: dict[int, RootSum] = {}
+        self._square: Optional[ExactValue] = None
+        self._shares: dict[int, ExactValue] = {}
 
     def cut(self, level: int) -> Enclosure:
         cut = self._cuts.get(level)
@@ -152,15 +154,15 @@ class _Block:
             self._inverse = self.S_I.inverse()
         return self._inverse
 
-    def square(self) -> RootSum:
+    def square(self) -> ExactValue:
         if self._square is None:
-            self._square = self.S_I * self.S_I
+            self._square = simplify(self.S_I * self.S_I)
         return self._square
 
-    def share(self, i: int) -> RootSum:
+    def share(self, i: int) -> ExactValue:
         share = self._shares.get(i)
         if share is None:
-            share = self._shares[i] = _sqrt_nu(self._levels[i]) * self.inverse()
+            share = self._shares[i] = simplify(_sqrt_nu(self._levels[i]) * self.inverse())
         return share
 
 

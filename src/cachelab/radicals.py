@@ -9,6 +9,10 @@ is zero iff every coefficient is zero, which makes comparisons decidable:
 an exact zero test first, then interval refinement that is guaranteed to
 terminate for nonzero values.
 
+A product of two irrational sums adds its term products as integer
+numerators over the product of the two operands' common denominators and
+makes one Fraction per surviving term at the end.
+
 The interval refinement starts at 256 bits and doubles the precision until
 the answer is certain; the starting precision only sets how soon that is.
 Each round bounds every ``sqrt(n)`` by ``isqrt(n * 4^prec)`` and sums the
@@ -78,7 +82,8 @@ class RootSum:
         if isinstance(value, RootSum):
             self._terms = dict(value._terms)
             return
-        value = Fraction(value)
+        if not isinstance(value, Fraction):
+            value = Fraction(value)
         self._terms: dict[int, Fraction] = {1: value} if value else {}
 
     # -- construction ------------------------------------------------------
@@ -96,38 +101,46 @@ class RootSum:
         out._insert(value.numerator * value.denominator, Fraction(1, value.denominator))
         return out
 
-    def _insert(self, kernel: int, coeff: Fraction) -> None:
+    def _insert(self, kernel: int, coeff) -> None:
+        """Add ``coeff * sqrt(kernel)``, keeping the kernels shrunk and pairwise
+        inequivalent and no zero coefficient.
+
+        The coefficients are Fractions, or (inside a product) integer
+        numerators over one denominator common to all terms; a merge into a
+        kernel with a larger square part then leaves a Fraction numerator.
+        """
         if not coeff:
             return
-        if kernel in self._terms:
+        terms = self._terms
+        if kernel in terms:
             # Stored kernels are already shrunk and pairwise inequivalent, so
             # the merge scan below would land on this same key.
-            self._terms[kernel] += coeff
-            if not self._terms[kernel]:
-                del self._terms[kernel]
+            terms[kernel] += coeff
+            if not terms[kernel]:
+                del terms[kernel]
             return
         if kernel != 1:
             kernel, mult = _shrink_kernel(kernel)
             if mult != 1:
                 coeff = coeff * mult
         if kernel == 1:
-            self._terms[1] = self._terms.get(1, Fraction(0)) + coeff
-            if not self._terms[1]:
-                del self._terms[1]
+            terms[1] = terms.get(1, 0) + coeff
+            if not terms[1]:
+                del terms[1]
             return
         # Merge with an equivalent kernel if one exists: sqrt(n) is a rational
         # multiple of sqrt(k) exactly when n*k is a perfect square.
-        for k in self._terms:
+        for k in terms:
             if k == 1:
                 continue
             prod = k * kernel
             r = math.isqrt(prod)
             if r * r == prod:
-                self._terms[k] += coeff * Fraction(r, k)
-                if not self._terms[k]:
-                    del self._terms[k]
+                terms[k] += coeff * Fraction(r, k)
+                if not terms[k]:
+                    del terms[k]
                 return
-        self._terms[kernel] = coeff
+        terms[kernel] = coeff
 
     # -- ring operations ---------------------------------------------------
 
@@ -141,12 +154,14 @@ class RootSum:
         return None
 
     def __add__(self, other) -> "RootSum":
-        other = _coerce(other)
-        if other is NotImplemented:
+        if isinstance(other, RootSum):
+            q = other._rational()
+        elif isinstance(other, (int, Fraction)):
+            q = other
+        else:
             return NotImplemented
         # A rational operand only touches kernel 1.  Both fast paths leave
         # the terms, and their order, as the _insert loop below would.
-        q = other._rational()
         if q is not None:
             out = RootSum(self)
             if q:
@@ -180,8 +195,7 @@ class RootSum:
         return out
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, (RootSum, int, Fraction)):
             return NotImplemented
         return self + (-other)
 
@@ -192,14 +206,16 @@ class RootSum:
         return other + (-self)
 
     def __mul__(self, other) -> "RootSum":
-        other = _coerce(other)
-        if other is NotImplemented:
+        if isinstance(other, RootSum):
+            q = other._rational()
+        elif isinstance(other, (int, Fraction)):
+            q = other
+        else:
             return NotImplemented
         # A rational operand only scales the coefficients: the kernels are
         # already shrunk and pairwise inequivalent, so _insert would keep
         # them, in order.
         out = RootSum()
-        q = other._rational()
         if q is not None:
             if q:
                 out._terms = {k: c * q for k, c in self._terms.items()}
@@ -209,13 +225,20 @@ class RootSum:
             if q:
                 out._terms = {k: q * c for k, c in other._terms.items()}
             return out
-        for k1, c1 in self._terms.items():
-            for k2, c2 in other._terms.items():
+        # Term products are inserted as integer numerators over the product
+        # of the two operands' common denominators, in the order and with
+        # the merges and deletions of Fraction coefficients.
+        den_a, a = _numerators(self._terms)
+        den_b, b = _numerators(other._terms)
+        for k1, n1 in a:
+            for k2, n2 in b:
                 if k1 == 1 or k2 == 1:
-                    out._insert(k1 * k2, c1 * c2)
+                    out._insert(k1 * k2, n1 * n2)
                 else:
                     g = math.gcd(k1, k2)
-                    out._insert((k1 // g) * (k2 // g), c1 * c2 * g)
+                    out._insert((k1 // g) * (k2 // g), n1 * n2 * g)
+        den = den_a * den_b
+        out._terms = {k: Fraction(n, den) for k, n in out._terms.items()}
         return out
 
     __rmul__ = __mul__
@@ -353,10 +376,9 @@ class RootSum:
         common denominator ``lcm(coefficient denominators) * 2^prec``.
         """
         one = 1 << prec
-        den = math.lcm(*(c.denominator for c in self._terms.values()))
+        den, nums = _numerators(self._terms)
         lo = hi = 0
-        for kernel, coeff in self._terms.items():
-            num = coeff.numerator * (den // coeff.denominator)
+        for kernel, num in nums:
             if kernel == 1:
                 lo += num * one
                 hi += num * one
@@ -433,6 +455,12 @@ def _fraction_str(q: Fraction) -> str:
     if q.denominator == 1:
         return _int_str(q.numerator)
     return f"{_int_str(q.numerator)}/{_int_str(q.denominator)}"
+
+
+def _numerators(terms: dict[int, Fraction]) -> tuple[int, list[tuple[int, int]]]:
+    """``(den, [(kernel, numerator), ...])`` over the lcm of the denominators."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return den, [(k, c.numerator * (den // c.denominator)) for k, c in terms.items()]
 
 
 def _coerce(value) -> "RootSum":

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cachelab.bounds import (CaseNotApplicable, MultiUserBoundParams,
+from cachelab.bounds import (MAX_BOUND_CACHES, CaseNotApplicable, MultiUserBoundParams,
                              _bound_lines, best_cut_sizes, gap_report,
                              lower_bound_multi_user, lower_bound_single_user,
                              matched_bound_params, optimize_lower_bound_mu)
@@ -134,6 +134,12 @@ def test_optimizer_nonincreasing_across_breakpoints():
 
 def test_optimizer_single_cache_has_no_bound():
     assert optimize_lower_bound_mu(SystemConfig.multi_user(1, [(8, 2)]), 1) == (0, None)
+
+
+def test_optimizer_refuses_more_caches_than_the_limit():
+    K = MAX_BOUND_CACHES + 1
+    with pytest.raises(ValueError, match="limited to 4096 caches"):
+        optimize_lower_bound_mu(SystemConfig.multi_user(K, [(K, 1)]), 1)
 
 
 def _matched_case_config():

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -122,6 +123,19 @@ def test_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
 
 
+def test_huge_cache_count_exits_2_at_once(tmp_path, capsys):
+    # Without the limit the bound's envelope would take about 16 s here.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(
+        {"setup": "multi-user", "caches": 100000, "levels": [{"files": 100000, "users": 1}]}))
+    start = time.perf_counter()
+    assert cli.main(["rate", str(path), "--mem", "1"]) == 2
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert err.startswith("invalid input: the multi-user lower bound is limited to 4096 caches")
+    assert err.count("\n") == 1
+
+
 def test_directory_config_is_config_error(tmp_path, capsys):
     assert cli.main(["rate", str(tmp_path), "--mem", "1"]) == 2
     err = capsys.readouterr().err
@@ -146,6 +160,20 @@ def test_bad_input_exits_2_with_one_line(mu_config, tmp_path, capsys, argv):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["rate", "{mu}"], "cachelab rate: the following arguments are required: --mem"),
+    (["rate", "{mu}", "--mem", "abc"], "cachelab rate: argument --mem: not a rational number"),
+    (["frob", "{mu}"], "cachelab: argument command: invalid choice: 'frob'"),
+    (["rate", "{mu}", "--mem", "1", "a\nb"], "cachelab: unrecognized arguments: a b"),
+])
+def test_usage_error_is_one_line(mu_config, capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([a.format(mu=mu_config) for a in argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: " + message) and err.count("\n") == 1
 
 
 def test_sweep_unwritable_exit(mu_config):

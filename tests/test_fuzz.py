@@ -107,5 +107,6 @@ def test_main_ends_in_a_documented_exit_code(work_dir, data, config):
             code = exc.code
     assert code in EXIT_CODES, (argv, stderr.getvalue())
     assert "Traceback" not in stderr.getvalue()
+    assert stderr.getvalue().count("\n") <= 1, (argv, stderr.getvalue())
     if code:
         assert stderr.getvalue().strip(), argv

@@ -126,6 +126,39 @@ def test_rational_fast_paths_match_insert_route():
                 assert all(type(c) is Fraction for c in got._terms.values())
 
 
+def test_irrational_products_match_insert_route():
+    # The product of two irrational sums accumulates integer numerators; it
+    # must keep the terms, their order and their merges and deletions of
+    # inserting every term product as a Fraction.
+    rng = random.Random(29)
+    cases = []
+    while len(cases) < 450:
+        x, y = _random_root_sum(rng), _random_root_sum(rng)
+        if not (x.is_rational() or y.is_rational()):
+            cases += [(x, y), (x, x), (x, -x)]
+    r2, r3, r6 = RootSum.sqrt(2), RootSum.sqrt(3), RootSum.sqrt(6)
+    big = 53 * 53
+    cases += [
+        # Conjugates: the cross terms cancel to zero and are deleted.
+        (r2 + r3, r2 - r3),
+        (1 + r2 + r3 + r6, 1 - r2 - r3 + r6),
+        (Fraction(1, 3) * r2 - Fraction(5, 7) * r3, Fraction(1, 3) * r2 + Fraction(5, 7) * r3),
+        # 53^2 stays in a kernel, so sqrt(6) and sqrt(6*53^2) are one class:
+        # the later kernel merges into the earlier one, scaled by 53 or 1/53.
+        (r2 + RootSum.sqrt(3 * big), r3 + r2),
+        (RootSum.sqrt(3 * big) + r2, r2 + r3),
+        (Fraction(2, 5) * RootSum.sqrt(3 * big) - r2, Fraction(3, 4) * r2 + r3),
+    ]
+    for x, y in cases:
+        got, want = x * y, insert_route_mul(x, y)
+        assert list(got._terms.items()) == list(want._terms.items())
+        assert repr(got) == repr(want)
+        assert all(type(c) is Fraction and c for c in got._terms.values())
+    products = [repr(x * y) for x, y in cases[-6:]]
+    assert products == ["-1", "2", "-577/441", "161 + 54*sqrt(6)",
+                        "161 + 54/53*sqrt(16854)", "621/10 + 149/530*sqrt(16854)"]
+
+
 def test_int_str_is_str_beyond_the_digit_limit():
     rng = random.Random(17)
     for bits in (1, 64, 1999, 2000, 2001, 9000, 14000):

@@ -19,10 +19,9 @@ from .single_user import (ClusterPartition, ClusterRun, RefinedClusterPartition,
                           cluster_place_deliver, cluster_place_deliver_decentralized,
                           partition_su, rate_clustering, rate_upper_bound_su,
                           refine_partition_su)
-from .bounds import (CaseNotApplicable, GapReport, MultiUserBoundParams,
-                     SingleUserBoundParams, best_cut_sizes, gap_report,
-                     lower_bound_multi_user, lower_bound_single_user,
-                     matched_bound_params, optimize_lower_bound_mu)
+from .bounds import (GapReport, MultiUserBoundParams, SingleUserBoundParams,
+                     best_cut_sizes, gap_report, lower_bound_multi_user,
+                     lower_bound_single_user, optimize_lower_bound_mu)
 from .experiments import (DichotomyResult, SweepRow, audit, default_grid,
                           dichotomy_multi_user, dichotomy_single_user, evaluate,
                           mixed_rate, random_multi_user_config,

@@ -24,8 +24,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .model import MemoryLike, Setup, SystemConfig, check_memory
-from .multi_user import _sqrt_n_over_u, refine_partition
-from .radicals import ExactValue, RootSum, exact_sign
+from .radicals import ExactValue
 from .single_user import refine_partition_su
 
 MULTI_USER_GAP = 192
@@ -235,45 +234,6 @@ def optimize_lower_bound_mu(config: SystemConfig, M: MemoryLike
     return max(best_val, Fraction(0)), MultiUserBoundParams(*best_key)
 
 
-class CaseNotApplicable(RuntimeError):
-    """The closed-form parameter recipe's preconditions do not hold."""
-
-
-def matched_bound_params(config: SystemConfig, M: MemoryLike) -> MultiUserBoundParams:
-    """Closed-form bound parameters for the large-system regime.
-
-    Applies when K >= 96, no level sits in the high-memory regime, and the
-    full-storage set is nonempty; the window counts are floors of
-    threshold-matched expressions and the broadcast count is
-    ``floor(64*(M-T_J+V_I)^2/S_I^2)``.
-    """
-    M = check_memory(M)
-    K = config.caches
-    if K < 96:
-        raise CaseNotApplicable(f"needs K >= 96, got {K}")
-    refined = refine_partition(config, M)
-    if refined.I1:
-        raise CaseNotApplicable("a level sits in the high-memory regime")
-    if not refined.J:
-        raise CaseNotApplicable("the full-storage set is empty")
-    part = refined.base
-    W = M - part.T_J + part.V_I
-    s: list[int] = []
-    for idx, lv in enumerate(config.levels):
-        if idx in refined.H:
-            s.append(K // 8)
-        elif idx in refined.I0:
-            s.append((Fraction(1, 16) * part.S_I * _sqrt_n_over_u(lv)
-                      * Fraction(1, W)).floor())
-        elif idx in refined.Iprime:
-            s.append((Fraction(1, 8) * part.S_I * _sqrt_n_over_u(lv)
-                      * Fraction(1, W)).floor())
-        else:
-            s.append(1)
-    b = ((64 * W * W) * (part.S_I * part.S_I).inverse()).floor()
-    return MultiUserBoundParams(1, b, tuple(s))
-
-
 @dataclass(frozen=True)
 class SingleUserBoundParams:
     """Cut choice: b broadcasts, per-level cut sizes, and the collective cut."""
@@ -372,13 +332,12 @@ def gap_report(setup: Setup, achievable: ExactValue, lower: Fraction,
         constant = SMALL_MEMORY_GAP
     else:
         constant = Fraction(SINGLE_USER_GAP)
-    inversion = exact_sign(achievable - lower) < 0
+    inversion = achievable < lower
     if lower > 0:
-        ratio = achievable * Fraction(1, lower) if isinstance(achievable, RootSum) \
-            else Fraction(achievable) / lower
-        within = exact_sign(constant * lower - achievable) >= 0
+        ratio = achievable / lower
+        within = achievable <= constant * lower
     else:
-        zero = exact_sign(achievable) == 0
+        zero = achievable == 0
         ratio = Fraction(0) if zero else None
         within = zero
     return GapReport(achievable, lower, ratio, constant, within, inversion)

@@ -17,19 +17,16 @@ from typing import Optional, Sequence
 from .bounds import (GapReport, gap_report, lower_bound_single_user,
                      optimize_lower_bound_mu)
 from .model import (BETA, MemoryLike, RateReport, Setup, SystemConfig, check_memory,
-                    config_to_dict)
-from .multi_user import rate_memory_sharing, refine_partition, simplify
-from .radicals import ExactValue, RootSum, as_exact_str, exact_sign, to_decimal
+                    config_to_dict, validate)
+from .multi_user import rate_memory_sharing, refine_partition
+from .radicals import ExactValue, RootSum, as_exact_str, to_decimal
 from .single_level import rate_single_level
 from .single_user import partition_su, rate_clustering
 
 
 def _ratio(a: ExactValue, b: ExactValue) -> ExactValue:
     """larger/smaller of two positive exact values."""
-    hi, lo = (a, b) if exact_sign(a - b) >= 0 else (b, a)
-    if isinstance(lo, RootSum):
-        return simplify(hi * lo.inverse())
-    return simplify(hi * Fraction(1, lo)) if isinstance(hi, RootSum) else Fraction(hi, 1) / lo
+    return a / b if a >= b else b / a
 
 
 def _family_memory(M: Optional[MemoryLike], default: Fraction, total: int) -> Fraction:
@@ -50,7 +47,7 @@ def evaluate(config: SystemConfig, M: MemoryLike,
     lower bound: its report says so in a note and the gap report is None.
     """
     if config.setup is Setup.MIXED:
-        report = mixed_rate(config, M)
+        report = mixed_rate(config, M, strict=strict)
         report.notes = report.notes + ("no lower bound is emitted for the mixed setup",)
         return report, None
     if config.setup is Setup.MULTI_USER:
@@ -197,7 +194,7 @@ def dichotomy_multi_user(r: int, M: Optional[MemoryLike] = None) -> DichotomyRes
     config = SystemConfig.multi_user(K, [(n1, u1), (n2, u2)])
     M = _family_memory(M, Fraction(n1), n1 + n2)
     s = RootSum.sqrt(n1 * u1) + RootSum.sqrt(n2 * u2)
-    approx_ms = simplify((s * s) * Fraction(1, M))
+    approx_ms = s * s / M
     approx_cl = Fraction((n1 + n2) * (u1 + u2)) / M
     exact_ms = rate_memory_sharing(config, M).achievable
     exact_cl = rate_single_level(M, K, n1 + n2, u1 + u2)
@@ -224,7 +221,7 @@ def dichotomy_single_user(L: int, files: int = 16,
     s = RootSum(0)
     for _ in range(L):
         s = s + RootSum.sqrt(files)
-    approx_ms = simplify((s * s) * Fraction(1, M))
+    approx_ms = s * s / M
     approx_cl = Fraction(L * files) / M
     exact_cl = rate_clustering(config, M).achievable
     share = M / L
@@ -238,17 +235,19 @@ def dichotomy_single_user(L: int, files: int = 16,
 
 # -- mixed setup -------------------------------------------------------------
 
-def mixed_rate(config: SystemConfig, M: MemoryLike,
-               gamma: Optional[Fraction] = None, gamma_grid: int = 101) -> RateReport:
+def mixed_rate(config: SystemConfig, M: MemoryLike, gamma: Optional[Fraction] = None,
+               gamma_grid: int = 101, strict: bool = False) -> RateReport:
     """Superposition rate: memory-sharing on the replicated class with a
     gamma fraction of the memory, clustering on the single-row class with
     the rest.  Reports the rate at the requested gamma (default: the grid
     minimizer) plus the best gamma found on the grid.  No lower bound is
-    emitted for the mixed setup.
+    emitted for the mixed setup.  The report's `regular` flag is
+    ``validate(config).ok``; with `strict`, a violation raises.
     """
     if config.setup is not Setup.MIXED:
         raise ValueError("mixed_rate needs a mixed-setup config")
     M = check_memory(M)
+    validation = validate(config).raise_if_strict(strict)
     f_cfg = SystemConfig(Setup.MULTI_USER, config.caches, config.levels) \
         if config.levels else None
     row_users = sum(lv.users for lv in config.mixed_levels)
@@ -261,7 +260,7 @@ def mixed_rate(config: SystemConfig, M: MemoryLike,
             total = total + rate_memory_sharing(f_cfg, g * M).achievable
         if g_cfg is not None:
             total = total + rate_clustering(g_cfg, (1 - g) * M).achievable
-        return simplify(total)
+        return total
 
     if gamma is not None:
         gamma = Fraction(gamma)
@@ -271,7 +270,7 @@ def mixed_rate(config: SystemConfig, M: MemoryLike,
     for k in range(gamma_grid):
         g = Fraction(k, gamma_grid - 1) if gamma_grid > 1 else Fraction(0)
         value = rate_at(g)
-        if best_rate is None or exact_sign(value - best_rate) < 0:
+        if best_rate is None or value < best_rate:
             best_g, best_rate = g, value
     chosen = gamma if gamma is not None else best_g
     achieved = rate_at(chosen) if gamma is not None else best_rate
@@ -279,7 +278,7 @@ def mixed_rate(config: SystemConfig, M: MemoryLike,
         setup=Setup.MIXED,
         memory=M,
         achievable=achieved,
-        regular=True,
+        regular=validation.ok,
         extras={"gamma": chosen, "best_gamma": best_g, "best_rate": best_rate},
     )
 
@@ -349,7 +348,7 @@ class AuditSummary:
                M: Fraction) -> None:
         key = str(constant)
         current = self.max_ratio.get(key)
-        if current is None or exact_sign(ratio - current[3]) > 0:
+        if current is None or ratio > current[3]:
             self.max_ratio[key] = (float(ratio), config_to_dict(config), as_exact_str(M), ratio)
 
     def to_json_dict(self) -> dict:

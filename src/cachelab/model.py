@@ -329,8 +329,8 @@ def load_config(path: str) -> SystemConfig:
     with open(path) as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigSchemaError(f"not valid JSON: {exc}") from exc
+        except ValueError as exc:  # bad JSON, or an integer past the digit limit
+            raise ConfigSchemaError(f"cannot parse JSON: {exc}") from exc
     return config_from_dict(data)
 
 

@@ -29,18 +29,12 @@ from .radicals import Enclosure, ExactValue, RootSum
 from .single_level import rate_single_level
 
 
-def _sqrt_nu(level: LevelSpec) -> RootSum:
+def _sqrt_nu(level: LevelSpec) -> ExactValue:
     return RootSum.sqrt(level.files * level.users)
 
 
-def _sqrt_n_over_u(level: LevelSpec) -> RootSum:
+def _sqrt_n_over_u(level: LevelSpec) -> ExactValue:
     return RootSum.sqrt(Fraction(level.files, level.users))
-
-
-def simplify(value: ExactValue) -> ExactValue:
-    if isinstance(value, RootSum) and value.is_rational():
-        return value.as_fraction()
-    return value
 
 
 class PartitionInfeasibleError(RuntimeError):
@@ -68,10 +62,10 @@ class Partition:
     H: frozenset[int]
     I: frozenset[int]
     J: frozenset[int]
-    S_I: RootSum
+    S_I: ExactValue
     T_J: Fraction
     V_I: Fraction
-    M_tilde: Optional[RootSum]
+    M_tilde: Optional[ExactValue]
 
     def key(self) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
         return (self.H, self.I, self.J)
@@ -100,11 +94,11 @@ class MemoryAllocation:
     def alphas(self) -> Optional[tuple[ExactValue, ...]]:
         if self.M == 0:
             return None
-        return tuple(simplify(a * Fraction(1, self.M)) for a in self.amounts)
+        return tuple(a / self.M for a in self.amounts)
 
 
 def _sums(config: SystemConfig, I: Iterable[int],
-          J: Iterable[int]) -> tuple[RootSum, Fraction, Fraction]:
+          J: Iterable[int]) -> tuple[ExactValue, Fraction, Fraction]:
     """``S_I``, ``T_J`` and ``V_I`` of a split, as defined on `Partition`.
 
     I is summed in the caller's order, which fixes how equivalent kernels
@@ -126,20 +120,18 @@ class _Block:
     cut constants ``S_I*sqrt(N_l/U_l)`` (`cut`), and the allocation scales
     ``sqrt(N_i*U_i)*S_I^-1`` (`share`) by W.  S_I is summed in the order of
     the frozenset I, as `Partition.S_I` is; only the value of a cut
-    constant matters, but its inverse, square and shares are printed.  The
-    square and the shares are kept as Fractions when rational (always for a
-    one-level I), so the rates built from them stay in Fraction arithmetic.
+    constant matters, but its inverse, square and shares are printed.
     """
 
     __slots__ = ("I", "S_I", "V_I", "_levels", "_x", "_cuts", "_inverse",
                  "_square", "_shares")
 
-    def __init__(self, config: SystemConfig, x: tuple[RootSum, ...], I: frozenset[int]):
+    def __init__(self, config: SystemConfig, x: tuple[ExactValue, ...], I: frozenset[int]):
         self.I = I
         self.S_I, _, self.V_I = _sums(config, I, ())
         self._levels, self._x = config.levels, x
         self._cuts: dict[int, Enclosure] = {}
-        self._inverse: Optional[RootSum] = None
+        self._inverse: Optional[ExactValue] = None
         self._square: Optional[ExactValue] = None
         self._shares: dict[int, ExactValue] = {}
 
@@ -149,20 +141,20 @@ class _Block:
             cut = self._cuts[level] = Enclosure(self.S_I * self._x[level])
         return cut
 
-    def inverse(self) -> RootSum:
+    def inverse(self) -> ExactValue:
         if self._inverse is None:
-            self._inverse = self.S_I.inverse()
+            self._inverse = 1 / self.S_I
         return self._inverse
 
     def square(self) -> ExactValue:
         if self._square is None:
-            self._square = simplify(self.S_I * self.S_I)
+            self._square = self.S_I * self.S_I
         return self._square
 
     def share(self, i: int) -> ExactValue:
         share = self._shares.get(i)
         if share is None:
-            share = self._shares[i] = simplify(_sqrt_nu(self._levels[i]) * self.inverse())
+            share = self._shares[i] = _sqrt_nu(self._levels[i]) * self.inverse()
         return share
 
 
@@ -242,7 +234,7 @@ def find_m_feasible_partition(config: SystemConfig, M: MemoryLike) -> Partition:
     plan = _split_plan(config)
     L = len(plan.order)
     if M > plan.total:
-        return Partition(frozenset(), frozenset(), frozenset(range(L)), RootSum(0),
+        return Partition(frozenset(), frozenset(), frozenset(range(L)), Fraction(0),
                          plan.T[L], Fraction(0), None)
     for j_end in range(L):
         for h_start in range(L, j_end, -1):
@@ -273,7 +265,7 @@ def allocate_memory(partition: Partition, config: SystemConfig, M: MemoryLike) -
         if idx in partition.J:
             amounts.append(Fraction(lv.files))
         elif idx in partition.I:
-            amounts.append(simplify(W * block.share(idx) - Fraction(lv.files, K)))
+            amounts.append(W * block.share(idx) - Fraction(lv.files, K))
         else:
             amounts.append(Fraction(0))
     return MemoryAllocation(tuple(amounts), M)
@@ -290,9 +282,9 @@ def refine_partition(config: SystemConfig, M: MemoryLike,
     I0, I1, Iprime = set(), set(), set()
     for i in partition.I:
         x = plan.x[i]
-        if (M - Fraction(2, K) * x).sign() < 0:
+        if M < Fraction(2, K) * x:
             I0.add(i)
-        elif (M - (BETA + Fraction(1, K)) * x).sign() > 0:
+        elif M > (BETA + Fraction(1, K)) * x:
             I1.add(i)
         else:
             Iprime.add(i)
@@ -324,14 +316,13 @@ def rate_memory_sharing(config: SystemConfig, M: MemoryLike, strict: bool = Fals
         rate = rate + rate_single_level(amount, K, lv.files, lv.users)
     approx = None
     if partition.I and M != partition.T_J:
-        approx = simplify(
-            sum(K * config.levels[h].users for h in partition.H)
-            + plan.block(partition.I).square() * (1 / Fraction(M - partition.T_J))
-            - sum(config.levels[i].users for i in partition.I))
+        approx = (sum(K * config.levels[h].users for h in partition.H)
+                  + plan.block(partition.I).square() / (M - partition.T_J)
+                  - sum(config.levels[i].users for i in partition.I))
     return RateReport(
         setup=Setup.MULTI_USER,
         memory=M,
-        achievable=simplify(rate),
+        achievable=rate,
         regular=validation.ok,
         partition=partition,
         allocation=allocation,
@@ -362,12 +353,12 @@ def level_rate_bounds(config: SystemConfig, M: MemoryLike) -> list[ExactValue]:
         if idx in refined.H:
             bounds.append(Fraction(K * lv.users))
         elif idx in refined.I0 or idx in refined.Iprime:
-            bounds.append(simplify(2 * part.S_I * _sqrt_nu(lv) * (1 / Fraction(W))))
+            bounds.append(2 * part.S_I * _sqrt_nu(lv) / W)
         elif idx in refined.I1:
             nu = lv.files * lv.users
             term1 = inv_beta * lv.users * (1 - Fraction(M - part.T_J, lv.files))
             term2 = inv_beta * lv.users * (S_low * _sqrt_nu(lv)) * Fraction(1, nu)
-            bounds.append(simplify(term1 + term2))
+            bounds.append(term1 + term2)
         else:
             bounds.append(Fraction(0))
     return bounds

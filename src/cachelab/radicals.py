@@ -9,6 +9,13 @@ is zero iff every coefficient is zero, which makes comparisons decidable:
 an exact zero test first, then interval refinement that is guaranteed to
 terminate for nonzero values.
 
+Every arithmetic result is canonical: a ``Fraction`` when its value is
+rational, an irrational ``RootSum`` otherwise.  That holds for ``+``, ``-``,
+``*``, ``/``, negation, ``inverse`` and ``RootSum.sqrt`` (so
+``RootSum.sqrt(4)`` is ``Fraction(2)``), and callers mix both types freely
+in arithmetic and comparisons, in either operand order.  Only the
+constructor ``RootSum(q)`` still makes a rational ``RootSum``.
+
 A product of two irrational sums adds its term products as integer
 numerators over the product of the two operands' common denominators and
 makes one Fraction per surviving term at the end.
@@ -38,6 +45,7 @@ products that built it; its value does not.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Union
 
@@ -89,17 +97,15 @@ class RootSum:
     # -- construction ------------------------------------------------------
 
     @staticmethod
-    def sqrt(value: Rational) -> "RootSum":
+    def sqrt(value: Rational) -> "ExactValue":
         """Exact square root of a nonnegative rational."""
         value = Fraction(value)
         if value < 0:
             raise ValueError("square root of a negative rational")
-        if value == 0:
-            return RootSum(0)
         # sqrt(p/q) = sqrt(p*q)/q
         out = RootSum()
         out._insert(value.numerator * value.denominator, Fraction(1, value.denominator))
-        return out
+        return _canonical(out)
 
     def _insert(self, kernel: int, coeff) -> None:
         """Add ``coeff * sqrt(kernel)``, keeping the kernels shrunk and pairwise
@@ -153,7 +159,7 @@ class RootSum:
             return terms[1]
         return None
 
-    def __add__(self, other) -> "RootSum":
+    def __add__(self, other) -> "ExactValue":
         if isinstance(other, RootSum):
             q = other._rational()
         elif isinstance(other, (int, Fraction)):
@@ -170,7 +176,7 @@ class RootSum:
                     out._terms[1] = total
                 else:
                     del out._terms[1]
-            return out
+            return _canonical(out)
         q = self._rational()
         if q is not None:
             out = RootSum(q)
@@ -181,18 +187,18 @@ class RootSum:
                     out._terms[1] = q + coeff
                 else:
                     del out._terms[1]
-            return out
+            return out  # keeps the irrational kernels of other
         out = RootSum(self)
         for kernel, coeff in other._terms.items():
             out._insert(kernel, coeff)
-        return out
+        return _canonical(out)
 
     __radd__ = __add__
 
-    def __neg__(self) -> "RootSum":
+    def __neg__(self) -> "ExactValue":
         out = RootSum()
         out._terms = {k: -c for k, c in self._terms.items()}
-        return out
+        return _canonical(out)
 
     def __sub__(self, other):
         if not isinstance(other, (RootSum, int, Fraction)):
@@ -205,13 +211,16 @@ class RootSum:
             return NotImplemented
         return other + (-self)
 
-    def __mul__(self, other) -> "RootSum":
-        if isinstance(other, RootSum):
-            q = other._rational()
-        elif isinstance(other, (int, Fraction)):
-            q = other
-        else:
+    def __mul__(self, other) -> "ExactValue":
+        if not isinstance(other, (RootSum, int, Fraction)):
             return NotImplemented
+        return _canonical(self._product(other))
+
+    __rmul__ = __mul__
+
+    def _product(self, other: "RootSum | Rational") -> "RootSum":
+        """``self * other`` as a RootSum, rational or not."""
+        q = other._rational() if isinstance(other, RootSum) else other
         # A rational operand only scales the coefficients: the kernels are
         # already shrunk and pairwise inequivalent, so _insert would keep
         # them, in order.
@@ -241,25 +250,28 @@ class RootSum:
         out._terms = {k: Fraction(n, den) for k, n in out._terms.items()}
         return out
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RootSum":
-        other = _coerce(other)
-        if other is NotImplemented:
+    def __truediv__(self, other) -> "ExactValue":
+        if isinstance(other, RootSum):
+            q = other._rational()
+            if q is None:
+                return self * other.inverse()
+        elif isinstance(other, (int, Fraction)):
+            q = other
+        else:
             return NotImplemented
-        return self * other.inverse()
+        return self * Fraction(1, q)
 
-    def __rtruediv__(self, other):
+    def __rtruediv__(self, other) -> "ExactValue":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return other * self.inverse()
 
-    def inverse(self) -> "RootSum":
+    def inverse(self) -> "ExactValue":
         """Exact multiplicative inverse, by a tower of quadratic conjugations."""
         if not self._terms:
             raise ZeroDivisionError("inverse of zero")
-        return self._tower_inverse(len(self._terms))
+        return _canonical(self._tower_inverse(len(self._terms)))
 
     def _tower_inverse(self, rank: int) -> "RootSum":
         # self = a + b*sqrt(g_m) and conj = a - b*sqrt(g_m) over a greedy
@@ -285,7 +297,7 @@ class RootSum:
         conj = RootSum()
         conj._terms = {k: (-c if k != 1 and expo[k] & top else c)
                        for k, c in self._terms.items()}
-        return conj * (self * conj)._tower_inverse(len(gens) - 1)
+        return conj._product(self._product(conj)._tower_inverse(len(gens) - 1))
 
     @staticmethod
     def _class_mask(kernel: int, gens: list[int]) -> int | None:
@@ -318,35 +330,19 @@ class RootSum:
             prec *= 2
         raise RuntimeError("precision ceiling reached while comparing radicals")
 
-    def __eq__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self - other).sign() == 0
+    def _compare(op):
+        def compare(self, other):
+            if not isinstance(other, (RootSum, int, Fraction)):
+                return NotImplemented
+            return op(exact_sign(self - other), 0)
+        return compare
 
-    def __lt__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self - other).sign() < 0
-
-    def __le__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self - other).sign() > 0
-
-    def __ge__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self - other).sign() >= 0
+    __eq__ = _compare(operator.eq)
+    __lt__ = _compare(operator.lt)
+    __le__ = _compare(operator.le)
+    __gt__ = _compare(operator.gt)
+    __ge__ = _compare(operator.ge)
+    del _compare
 
     __hash__ = None
 
@@ -354,14 +350,6 @@ class RootSum:
         return bool(self._terms)
 
     # -- conversions -------------------------------------------------------
-
-    def is_rational(self) -> bool:
-        return self._rational() is not None
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is irrational")
-        return self._terms.get(1, Fraction(0))
 
     def interval(self, prec: int | None = None) -> tuple[Fraction, Fraction]:
         """Enclosing rational interval at roughly ``prec`` bits."""
@@ -396,14 +384,14 @@ class RootSum:
         lo, hi = self.interval(64)
         return float((lo + hi) / 2)
 
-    def floor(self) -> int:
-        """Exact floor."""
+    def __floor__(self) -> int:
+        """Exact floor, for ``math.floor``."""
         lo, hi = self.interval()
         prec = _PRECISION_FLOOR
         while math.floor(lo) != math.floor(hi):
             # The value may be an exact integer sitting on the boundary.
             n = math.floor(hi)
-            if (self - n).sign() >= 0:
+            if self >= n:
                 return n
             prec *= 2
             if prec > _PRECISION_CEILING:
@@ -411,8 +399,9 @@ class RootSum:
             lo, hi = self.interval(prec)
         return math.floor(lo)
 
-    def ceil(self) -> int:
-        return -((-self).floor())
+    def __ceil__(self) -> int:
+        """Exact ceiling, for ``math.ceil``."""
+        return -math.floor(-self)
 
     def __repr__(self) -> str:
         if not self._terms:
@@ -463,6 +452,12 @@ def _numerators(terms: dict[int, Fraction]) -> tuple[int, list[tuple[int, int]]]
     return den, [(k, c.numerator * (den // c.denominator)) for k, c in terms.items()]
 
 
+def _canonical(value: RootSum) -> "ExactValue":
+    """The value as a Fraction when it is rational, else the RootSum itself."""
+    q = value._rational()
+    return value if q is None else q
+
+
 def _coerce(value) -> "RootSum":
     if isinstance(value, RootSum):
         return value
@@ -481,7 +476,8 @@ def exact_sign(value: ExactValue) -> int:
 
 
 class Enclosure:
-    """A fixed exact value, kept with its enclosure for many rational comparisons.
+    """A fixed exact value (Fraction or RootSum), kept with its enclosure for
+    many rational comparisons.
 
     ``sign_minus(num, den)`` is the sign of ``value - num/den`` (``den > 0``).
     It takes two integer cross-multiplications with the bounds of
@@ -491,9 +487,9 @@ class Enclosure:
 
     __slots__ = ("value", "_lo", "_hi", "_den")
 
-    def __init__(self, value: RootSum):
+    def __init__(self, value: ExactValue):
         self.value = value
-        self._lo, self._hi, self._den = value._scaled_interval(_PRECISION_FLOOR)
+        self._lo, self._hi, self._den = _coerce(value)._scaled_interval(_PRECISION_FLOOR)
 
     def sign_minus(self, num: int, den: int) -> int:
         scaled = num * self._den
@@ -501,14 +497,12 @@ class Enclosure:
             return 1
         if scaled > self._hi * den:
             return -1
-        return (self.value - Fraction(num, den)).sign()
+        return exact_sign(self.value - Fraction(num, den))
 
 
 def as_exact_str(value) -> str:
     """Canonical exact string for report/JSON output."""
     if isinstance(value, RootSum):
-        if value.is_rational():
-            return _fraction_str(value.as_fraction())
         return repr(value)
     if value is None:
         return ""

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .model import MemoryLike, check_memory
-from .radicals import ExactValue, RootSum, exact_sign
+from .radicals import ExactValue, RootSum
 
 
 class SubfileId(NamedTuple):
@@ -150,22 +150,16 @@ def rate_single_level(M: MemoryLike, K: int, N: int, U: int) -> ExactValue:
     memory-sharing allocation; the result is then exact as well.
     """
     if isinstance(M, RootSum):
-        if M.is_rational():
-            return rate_single_level(M.as_fraction(), K, N, U)
-        if M.sign() < 0 or (M - N).sign() > 0:
+        if M < 0 or M > N:
             raise ValueError(f"memory {M} outside [0, {N}]")
-        # min{N/M, K} = K  iff  N >= K*M
-        if exact_sign(N - K * M) >= 0:
-            return U * K * (1 - M * Fraction(1, N))
-        return U * (N * M.inverse() - 1)
-    M = check_memory(M)
-    if M > N:
-        raise ValueError(f"memory {M} exceeds library size {N}")
-    if M == 0:
-        return Fraction(U * K)
+    else:
+        M = check_memory(M)
+        if M > N:
+            raise ValueError(f"memory {M} exceeds library size {N}")
+    # min{N/M, K} = K  iff  N >= K*M, which includes M = 0
     if N >= K * M:
-        return U * K * (1 - Fraction(M, N))
-    return U * (Fraction(N, 1) / M - 1)
+        return U * K * (1 - M / N)
+    return U * (N / M - 1)
 
 
 def _layers(K: int, N: int, M: Fraction) -> tuple[Layer, ...]:

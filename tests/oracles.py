@@ -13,7 +13,7 @@ from cachelab.bounds import (MultiUserBoundParams, _bound_lines, _candidate_b_va
                              best_cut_sizes)
 from cachelab.model import RateReport, Setup, check_memory, validate_multi_user
 from cachelab.multi_user import (MemoryAllocation, Partition, PartitionInfeasibleError,
-                                 _sqrt_n_over_u, _sqrt_nu, _sums, simplify)
+                                 _sqrt_n_over_u, _sqrt_nu, _sums, refine_partition)
 from cachelab.radicals import RootSum
 from cachelab.single_level import (Message, PlacementState, SubfileId, Transcript, _layers,
                                    _rows, rate_single_level, span_contains, symbol_mask)
@@ -30,19 +30,17 @@ def _split_conditions(config, M, H, I, J):
     KW = K * (M - T_J + V_I)
     # h in H:  M_tilde < (1/K)sqrt(N_h/U_h)    <=>  K*W < S_I*sqrt(N_h/U_h)
     for h in H:
-        if not (S_I * _sqrt_n_over_u(levels[h]) - KW).sign() > 0:
+        if not S_I * _sqrt_n_over_u(levels[h]) > KW:
             return False
     # i in I:  (1/K)x_i <= M_tilde <= (1+1/K)x_i
     for i in I:
         bound = S_I * _sqrt_n_over_u(levels[i])
-        if (KW - bound).sign() < 0:
-            return False
-        if (KW - (K + 1) * bound).sign() > 0:
+        if KW < bound or KW > (K + 1) * bound:
             return False
     # j in J:  (1+1/K)x_j < M_tilde
     for j in J:
         bound = (K + 1) * (S_I * _sqrt_n_over_u(levels[j]))
-        if not (KW - bound).sign() > 0:
+        if not KW > bound:
             return False
     return True
 
@@ -51,7 +49,7 @@ def _build_partition(config, M, H, I, J):
     S_I, T_J, V_I = _sums(config, I, J)
     M_tilde = None
     if I:
-        M_tilde = (M - T_J + V_I) * S_I.inverse()
+        M_tilde = (M - T_J + V_I) / S_I
     return Partition(H, I, J, S_I, T_J, V_I, M_tilde)
 
 
@@ -95,7 +93,7 @@ def scan_rate_memory_sharing(config, M):
         if idx in partition.J:
             amounts.append(Fraction(lv.files))
         elif idx in partition.I:
-            amounts.append(simplify(_sqrt_nu(lv) * partition.M_tilde - Fraction(lv.files, K)))
+            amounts.append(_sqrt_nu(lv) * partition.M_tilde - Fraction(lv.files, K))
         else:
             amounts.append(Fraction(0))
     rate = Fraction(0)
@@ -103,11 +101,10 @@ def scan_rate_memory_sharing(config, M):
         rate = rate + rate_single_level(amount, K, lv.files, lv.users)
     approx = None
     if partition.I and M != partition.T_J:
-        approx = simplify(
-            sum(K * config.levels[h].users for h in partition.H)
-            + (partition.S_I * partition.S_I) * (1 / Fraction(M - partition.T_J))
-            - sum(config.levels[i].users for i in partition.I))
-    return RateReport(setup=Setup.MULTI_USER, memory=M, achievable=simplify(rate),
+        approx = (sum(K * config.levels[h].users for h in partition.H)
+                  + (partition.S_I * partition.S_I) / (M - partition.T_J)
+                  - sum(config.levels[i].users for i in partition.I))
+    return RateReport(setup=Setup.MULTI_USER, memory=M, achievable=rate,
                       regular=validation.ok, partition=partition,
                       allocation=MemoryAllocation(tuple(amounts), M),
                       extras={"approx_rate": approx})
@@ -166,9 +163,10 @@ def conjugate_product_inverse(x):
     an odd number of them in a term's class, and divides by the rational
     norm, the product of all 2^g conjugates.
     """
+    x = RootSum(x)
     kernels = [k for k in x._terms if k != 1]
     if not kernels:
-        return RootSum(1 / x._terms[1])
+        return 1 / x._terms[1]
     gens: list[int] = []
     expo: dict[int, int] = {}
     for k in kernels:
@@ -186,9 +184,9 @@ def conjugate_product_inverse(x):
         }
         product = product * conj
     norm = product * x
-    if set(norm._terms) - {1}:
+    if not isinstance(norm, Fraction):
         raise ArithmeticError("norm of a radical sum was not rational")
-    return product * RootSum(1 / norm._terms[1])
+    return product / norm
 
 
 def linear_envelope_scan(config, M):
@@ -211,24 +209,69 @@ def linear_envelope_scan(config, M):
 
 
 def insert_route_add(x, y):
-    """x + y with every term of y inserted one by one through `_insert`."""
+    """x + y with every term of y inserted one by one through `_insert`.
+
+    Rational operands count as ``RootSum(q)``; the result is a RootSum
+    even when its value is rational.
+    """
     out = RootSum(x)
-    for kernel, coeff in y._terms.items():
+    for kernel, coeff in RootSum(y)._terms.items():
         out._insert(kernel, coeff)
     return out
 
 
 def insert_route_mul(x, y):
-    """x * y with every product of two terms inserted through `_insert`."""
+    """x * y with every product of two terms inserted through `_insert`.
+
+    Operands and result as in `insert_route_add`.
+    """
     out = RootSum()
-    for k1, c1 in x._terms.items():
-        for k2, c2 in y._terms.items():
+    for k1, c1 in RootSum(x)._terms.items():
+        for k2, c2 in RootSum(y)._terms.items():
             if k1 == 1 or k2 == 1:
                 out._insert(k1 * k2, c1 * c2)
             else:
                 g = math.gcd(k1, k2)
                 out._insert((k1 // g) * (k2 // g), c1 * c2 * g)
     return out
+
+
+class CaseNotApplicable(RuntimeError):
+    """The closed-form parameter recipe's preconditions do not hold."""
+
+
+def matched_bound_params(config, M):
+    """Closed-form bound parameters for the large-system regime.
+
+    Applies when K >= 96, no level sits in the high-memory regime, and the
+    full-storage set is nonempty; the window counts are floors of
+    threshold-matched expressions and the broadcast count is
+    ``floor(64*(M-T_J+V_I)^2/S_I^2)``.  A witness for the optimizer, whose
+    candidate grid contains these parameters.
+    """
+    M = check_memory(M)
+    K = config.caches
+    if K < 96:
+        raise CaseNotApplicable(f"needs K >= 96, got {K}")
+    refined = refine_partition(config, M)
+    if refined.I1:
+        raise CaseNotApplicable("a level sits in the high-memory regime")
+    if not refined.J:
+        raise CaseNotApplicable("the full-storage set is empty")
+    part = refined.base
+    W = M - part.T_J + part.V_I
+    s = []
+    for idx, lv in enumerate(config.levels):
+        if idx in refined.H:
+            s.append(K // 8)
+        elif idx in refined.I0:
+            s.append(math.floor(Fraction(1, 16) * part.S_I * _sqrt_n_over_u(lv) / W))
+        elif idx in refined.Iprime:
+            s.append(math.floor(Fraction(1, 8) * part.S_I * _sqrt_n_over_u(lv) / W))
+        else:
+            s.append(1)
+    b = math.floor(64 * W * W / (part.S_I * part.S_I))
+    return MultiUserBoundParams(1, b, tuple(s))
 
 
 def team_enumeration_decentralized(config, M, assignment, demands, seed, segments=60):

@@ -4,17 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from cachelab.bounds import (MAX_BOUND_CACHES, CaseNotApplicable, MultiUserBoundParams,
-                             _bound_lines, best_cut_sizes, gap_report,
-                             lower_bound_multi_user, lower_bound_single_user,
-                             matched_bound_params, optimize_lower_bound_mu)
+from cachelab.bounds import (MAX_BOUND_CACHES, MultiUserBoundParams, _bound_lines,
+                             best_cut_sizes, gap_report, lower_bound_multi_user,
+                             lower_bound_single_user, optimize_lower_bound_mu)
 from cachelab.experiments import (random_multi_user_config,
                                   random_single_user_config)
 from cachelab.model import Setup, SystemConfig
 from cachelab.multi_user import rate_memory_sharing
 from cachelab.radicals import exact_sign
 from cachelab.single_user import rate_clustering
-from oracles import grid_bound_mu, linear_envelope_scan
+from oracles import (CaseNotApplicable, grid_bound_mu, linear_envelope_scan,
+                     matched_bound_params)
 
 
 def one_level():
@@ -180,6 +180,8 @@ def test_matched_params_examples():
     value = lower_bound_multi_user(cfg, M, params)
     achievable = rate_memory_sharing(cfg, M).achievable
     assert exact_sign(achievable - value) >= 0
+    # the optimizer's grid holds these parameters, so it does no worse
+    assert optimize_lower_bound_mu(cfg, M)[0] >= value
 
     with pytest.raises(CaseNotApplicable):
         matched_bound_params(one_level(), 2)  # K < 96
@@ -202,6 +204,7 @@ def test_matched_params_h_cut_size():
     for j in refined.J:
         assert params.s[j] == 1
     params.validate(cfg.caches, len(cfg.levels))
+    assert optimize_lower_bound_mu(cfg, M)[0] >= lower_bound_multi_user(cfg, M, params)
 
 
 def test_single_user_bound_examples():

@@ -57,6 +57,23 @@ def test_rate_strict_exit(irregular_config, capsys):
     assert cli.main(["rate", irregular_config, "--mem", "1", "--strict"]) == 3
 
 
+def test_rate_strict_exit_mixed(tmp_path, capsys):
+    # Level 0 of each class breaks its setup's files rule (MU-FILES, SU-FILES).
+    path = tmp_path / "bad_mixed.json"
+    path.write_text(json.dumps({
+        "setup": "mixed", "caches": 4,
+        "levels": [{"files": 3, "users": 2}],
+        "mixed_levels": [{"files": 1, "users": 3}]}))
+    assert cli.main(["rate", str(path), "--mem", "1"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out[out.index("{"):])["regular"] is False
+    assert cli.main(["rate", str(path), "--mem", "1", "--strict"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("regularity violation: ") and captured.err.count("\n") == 1
+    assert "files 3 < caches*users = 8" in captured.err and "files 1 < users 3" in captured.err
+
+
 def test_rate_mixed(tmp_path, capsys):
     path = tmp_path / "mixed.json"
     path.write_text(json.dumps({
@@ -134,6 +151,19 @@ def test_huge_cache_count_exits_2_at_once(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("invalid input: the multi-user lower bound is limited to 4096 caches")
     assert err.count("\n") == 1
+
+
+def test_huge_config_integer_is_config_error(tmp_path, capsys):
+    # json.load refuses integers past the interpreter's digit limit (4300
+    # digits by default) with a ValueError that is not a JSONDecodeError.
+    path = tmp_path / "digits.json"
+    path.write_text('{"setup": "multi-user", "caches": ' + "9" * 5000
+                    + ', "levels": [{"files": 1, "users": 1}]}')
+    assert cli.main(["rate", str(path), "--mem", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: cannot parse JSON: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_directory_config_is_config_error(tmp_path, capsys):

@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from cachelab import radicals
 from cachelab.experiments import random_multi_user_config
 from cachelab.model import SystemConfig
 from cachelab.multi_user import (PartitionInfeasibleError, allocate_memory,
                                  find_m_feasible_partition, level_rate_bounds,
                                  rate_memory_sharing, refine_partition)
-from cachelab.radicals import RootSum, exact_sign
+from cachelab.radicals import exact_sign
 from cachelab.single_level import rate_single_level
 from oracles import enumerate_feasible_partitions, scan_rate_memory_sharing
 
@@ -230,10 +231,10 @@ def test_rate_matches_per_memory_scan_oracle():
 @pytest.mark.parametrize("M", [0, 8])
 def test_exact_threshold_takes_the_certified_fallback(monkeypatch, M):
     # With one level, K*W meets S_I*sqrt(N/U) = N at M = 0 and (K + 1)*N at
-    # M = N exactly, so only RootSum.sign can decide the split.
+    # M = N exactly, so only the certified exact_sign can decide the split.
     signs = []
-    sign = RootSum.sign
-    monkeypatch.setattr(RootSum, "sign", lambda x: signs.append(x) or sign(x))
+    sign = radicals.exact_sign
+    monkeypatch.setattr(radicals, "exact_sign", lambda x: signs.append(x) or sign(x))
     report = rate_memory_sharing(one_level(), M)
     assert any(not x for x in signs)  # a difference that is exactly zero
     assert report.to_json_dict() == scan_rate_memory_sharing(one_level(), M).to_json_dict()

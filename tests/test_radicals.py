@@ -6,19 +6,49 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cachelab.radicals import RootSum, _int_str, as_exact_str, to_decimal
+from cachelab.radicals import RootSum, _int_str, as_exact_str, exact_sign, to_decimal
 from oracles import conjugate_product_inverse, insert_route_add, insert_route_mul
+
+
+def _is_rational_route(raw):
+    """A raw RootSum from an oracle is rational iff its only kernel is 1."""
+    return set(raw._terms) <= {1}
+
+
+def _same_value(got, raw):
+    """Exact equality by the insert route: ``got - raw`` keeps no term."""
+    return not insert_route_add(got, insert_route_mul(raw, -1))._terms
+
+
+def _assert_canonical(got, raw):
+    """`got` is a Fraction exactly when the oracle's value `raw` is rational,
+    an irrational RootSum otherwise, and equal to it."""
+    assert type(got) is (Fraction if _is_rational_route(raw) else RootSum), (got, raw)
+    assert _same_value(got, raw), (got, raw)
+
+
+def assert_canonical_route(got, want):
+    """`got` is the canonical form of the raw RootSum `want`, and an
+    irrational `got` keeps the terms of `want`, in order, with nonzero
+    Fraction coefficients."""
+    _assert_canonical(got, want)
+    if type(got) is RootSum:
+        assert list(got._terms.items()) == list(want._terms.items())
+        assert repr(got) == repr(want)
+        assert all(type(c) is Fraction and c for c in got._terms.values())
 
 
 def test_sqrt_merges_equivalent_kernels():
     assert RootSum.sqrt(2) + RootSum.sqrt(8) == 3 * RootSum.sqrt(2)
     assert RootSum.sqrt(18) == 3 * RootSum.sqrt(2)
-    assert (RootSum.sqrt(2) - RootSum.sqrt(2)).sign() == 0
+    zero = RootSum.sqrt(2) - RootSum.sqrt(2)
+    assert type(zero) is Fraction and zero == 0
 
 
 def test_sqrt_of_rational():
     x = RootSum.sqrt(Fraction(9, 4))
-    assert x.is_rational() and x.as_fraction() == Fraction(3, 2)
+    assert type(x) is Fraction and x == Fraction(3, 2)
+    assert type(RootSum.sqrt(4)) is Fraction and RootSum.sqrt(4) == 2
     y = RootSum.sqrt(Fraction(1, 2))
     assert y * y == Fraction(1, 2)
 
@@ -88,8 +118,8 @@ def test_inverse_matches_conjugate_product_oracle():
             x = x + Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 5)) * RootSum.sqrt(kernel)
         if not x:
             continue
-        got, expected = x.inverse(), conjugate_product_inverse(x)
-        assert (got - expected).sign() == 0
+        got, expected = 1 / x, conjugate_product_inverse(x)
+        assert got == expected
         if canonical:
             assert repr(got) == repr(expected)
 
@@ -111,7 +141,8 @@ def test_rational_fast_paths_match_insert_route():
         x = _random_root_sum(rng)
         q = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
         # The last one cancels the constant term of x.
-        rationals = (q, rng.randint(-3, 3), RootSum(q), RootSum(0), -x._terms.get(1, q))
+        constant = x if isinstance(x, Fraction) else x._terms.get(1, q)
+        rationals = (q, rng.randint(-3, 3), RootSum(q), RootSum(0), -constant)
         for r in rationals:
             # r + x with an int or Fraction r runs x.__radd__, that is x + r.
             r_sum, left = (r, True) if isinstance(r, RootSum) else (RootSum(r), False)
@@ -121,9 +152,7 @@ def test_rational_fast_paths_match_insert_route():
                               (r - x, insert_route_add(r_sum, -x)),
                               (x * r, insert_route_mul(x, r_sum)),
                               (r * x, insert_route_mul(*((r_sum, x) if left else (x, r_sum))))):
-                assert list(got._terms.items()) == list(want._terms.items())
-                assert repr(got) == repr(want)
-                assert all(type(c) is Fraction for c in got._terms.values())
+                assert_canonical_route(got, want)
 
 
 def test_irrational_products_match_insert_route():
@@ -134,7 +163,7 @@ def test_irrational_products_match_insert_route():
     cases = []
     while len(cases) < 450:
         x, y = _random_root_sum(rng), _random_root_sum(rng)
-        if not (x.is_rational() or y.is_rational()):
+        if all(isinstance(v, RootSum) and not _is_rational_route(v) for v in (x, y)):
             cases += [(x, y), (x, x), (x, -x)]
     r2, r3, r6 = RootSum.sqrt(2), RootSum.sqrt(3), RootSum.sqrt(6)
     big = 53 * 53
@@ -150,13 +179,84 @@ def test_irrational_products_match_insert_route():
         (Fraction(2, 5) * RootSum.sqrt(3 * big) - r2, Fraction(3, 4) * r2 + r3),
     ]
     for x, y in cases:
-        got, want = x * y, insert_route_mul(x, y)
-        assert list(got._terms.items()) == list(want._terms.items())
-        assert repr(got) == repr(want)
-        assert all(type(c) is Fraction and c for c in got._terms.values())
-    products = [repr(x * y) for x, y in cases[-6:]]
+        assert_canonical_route(x * y, insert_route_mul(x, y))
+    products = [as_exact_str(x * y) for x, y in cases[-6:]]
     assert products == ["-1", "2", "-577/441", "161 + 54*sqrt(6)",
                         "161 + 54/53*sqrt(16854)", "621/10 + 149/530*sqrt(16854)"]
+
+
+def _twin(value):
+    """The same rational value in the other representation, else None."""
+    if isinstance(value, RootSum):
+        return value._terms.get(1, Fraction(0)) if _is_rational_route(value) else None
+    return RootSum(value)
+
+
+def _property_operands():
+    rng = random.Random(41)
+    r2, r3 = RootSum.sqrt(2), RootSum.sqrt(3)
+    x = _random_root_sum(rng)
+    while not isinstance(x, RootSum) or _is_rational_route(x):
+        x = _random_root_sum(rng)
+    # x - x, x * x^-1, a conjugate product and sqrt(9/4) are rational.
+    special = [x - x, x * x.inverse(), (r2 + r3) * (r2 - r3), RootSum.sqrt(Fraction(9, 4))]
+    assert special == [0, 1, -1, Fraction(3, 2)]
+    assert all(type(v) is Fraction for v in special)
+    return [
+        0, 2, -3, Fraction(-7, 3), Fraction(9, 4),
+        RootSum(0), RootSum(5), RootSum(Fraction(-2, 3)),   # rational RootSums
+        r2, -r2, 1 + r2, r2 + r3, r2 - r3, 3 * r2 - 4, x, *special,
+    ] + [_random_root_sum(rng) for _ in range(14)]
+
+
+def test_results_are_canonical_and_match_the_insert_route():
+    # Every result of an operation on a RootSum is a Fraction exactly when
+    # its value is rational; the oracles build the raw value term by term.
+    operands = _property_operands()
+    for a in operands:
+        if isinstance(a, RootSum):
+            assert_canonical_route(-a, insert_route_mul(a, -1))
+            if a:
+                inverse = a.inverse()
+                assert type(inverse) is (Fraction if _is_rational_route(a) else RootSum)
+                assert _same_value(1, insert_route_mul(a, inverse))
+                _assert_canonical(inverse, RootSum(conjugate_product_inverse(a)))
+        for b in operands:
+            if not (isinstance(a, RootSum) or isinstance(b, RootSum)):
+                continue
+            _assert_canonical(a + b, insert_route_add(a, b))
+            _assert_canonical(a - b, insert_route_add(a, insert_route_mul(b, -1)))
+            assert_canonical_route(a * b, insert_route_mul(a, b))
+            if b:
+                _assert_canonical(a / b, insert_route_mul(a, conjugate_product_inverse(b)))
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    a / b
+    for q in (0, 1, 4, Fraction(9, 4), Fraction(1, 2), 12, Fraction(50, 8), 53 * 53 * 2):
+        q = Fraction(q)
+        root = RootSum.sqrt(q)
+        square = all(math.isqrt(n) ** 2 == n for n in (q.numerator, q.denominator))
+        assert type(root) is (Fraction if square else RootSum)
+        assert _same_value(q, insert_route_mul(root, root))
+
+
+def test_comparisons_and_floors_agree_across_types():
+    operands = _property_operands()
+    for a in operands:
+        floor, ceil = math.floor(a), math.ceil(a)
+        assert floor <= a < floor + 1 and ceil - 1 < a <= ceil
+        twin = _twin(a)
+        if twin is not None:
+            assert (math.floor(twin), math.ceil(twin)) == (floor, ceil)
+        for b in operands:
+            sign = exact_sign(a - b)
+            got = (a < b, a <= b, a == b, a != b, a > b, a >= b)
+            assert got == (sign < 0, sign <= 0, sign == 0, sign != 0, sign > 0, sign >= 0)
+            assert got == (b > a, b >= a, b == a, b != a, b < a, b <= a)
+            for a2, b2 in ((_twin(a), b), (a, _twin(b))):
+                if a2 is not None and b2 is not None:
+                    assert (a2 < b2, a2 <= b2, a2 == b2, a2 > b2, a2 >= b2) \
+                        == tuple(got[k] for k in (0, 1, 2, 4, 5))
 
 
 def test_int_str_is_str_beyond_the_digit_limit():
@@ -178,11 +278,12 @@ def test_division_operator():
 
 
 def test_floor_and_ceil():
-    assert (3 * RootSum.sqrt(2)).floor() == 4
-    assert (3 * RootSum.sqrt(2)).ceil() == 5
-    assert RootSum(Fraction(7, 2)).floor() == 3
-    assert RootSum.sqrt(9).floor() == 3
-    assert (-RootSum.sqrt(2)).floor() == -2
+    assert math.floor(3 * RootSum.sqrt(2)) == 4
+    assert math.ceil(3 * RootSum.sqrt(2)) == 5
+    assert math.floor(RootSum(Fraction(7, 2))) == 3
+    assert math.ceil(RootSum(Fraction(7, 2))) == 4
+    assert math.floor(RootSum.sqrt(9)) == 3
+    assert math.floor(-RootSum.sqrt(2)) == -2
 
 
 def test_float_and_strings():
@@ -205,8 +306,8 @@ def test_sign_matches_float(terms):
         x = x + Fraction(coeff) * RootSum.sqrt(kernel)
         approx += float(coeff) * math.sqrt(kernel)
     if abs(approx) > 1e-6:
-        assert x.sign() == (1 if approx > 0 else -1)
-    assert (x - x).sign() == 0
+        assert exact_sign(x) == (1 if approx > 0 else -1)
+    assert x - x == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -216,15 +317,15 @@ def test_inverse_round_trips(terms):
     x = RootSum(0)
     for coeff, kernel in terms:
         x = x + Fraction(coeff) * RootSum.sqrt(kernel)
-    if x.sign() == 0:
+    if x == 0:
         return
-    assert x * x.inverse() == 1
+    assert x * (1 / x) == 1
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=1, max_value=10 ** 9))
 def test_floor_of_pure_root(n):
-    assert RootSum.sqrt(n).floor() == math.isqrt(n)
+    assert math.floor(RootSum.sqrt(n)) == math.isqrt(n)
 
 
 @settings(max_examples=200, deadline=None)
@@ -244,4 +345,4 @@ def test_two_term_sign_matches_closed_form(c1, k1, c2, k2):
     else:
         positive_sq, negative_sq = (a, b) if c1 > 0 else (b, a)
         expect = 1 if positive_sq > negative_sq else (-1 if positive_sq < negative_sq else 0)
-    assert x.sign() == expect
+    assert exact_sign(x) == expect

@@ -11,6 +11,14 @@ bound is a line in M, and the grid does not depend on M, so the optimizer
 builds the upper envelope of these lines once per config and finds each
 memory's maximum on it by bisection, exactly; no float takes part.
 
+The envelope is built in one integer pass.  The ``b`` ladder that every
+window size shares is built once per config, and each ``t`` adds only its
+crossing points.  A candidate ``(t, b)`` whose reduced pair
+``(t/g, b/g)``, ``g = gcd(t, b) > 1``, is itself a candidate is skipped: the
+reduced pair has the same slope and a cut sum at least as large, so the
+skipped line could never be kept.  Window counts are recomputed only for
+the lines left on the envelope.
+
 The single-user bound is a cut-set recipe keyed on the four-regime level
 partition, with one small-memory branch below M = 1/6.
 """
@@ -31,8 +39,11 @@ MULTI_USER_GAP = 192
 SINGLE_USER_GAP = 72
 SMALL_MEMORY_GAP = Fraction(6, 5)
 SMALL_MEMORY_THRESHOLD = Fraction(1, 6)
-# The envelope holds lines for every window size t up to K/2, under a second
-# of work at this many caches; above it the multi-user bound is refused.
+# The envelope holds lines for every window size t up to K/2.  At this many
+# caches the first bound query takes 0.23-0.25 s on one level (N = 4096),
+# 0.33-0.35 s on four levels of 4096..16384 files and 1.5-1.6 s on four
+# regular levels 6400 times apart in popularity (2 vCPU, CPython 3.11.7);
+# above it the multi-user bound is refused.
 MAX_BOUND_CACHES = 4096
 
 
@@ -45,18 +56,25 @@ class MultiUserBoundParams:
     s: tuple[int, ...]
 
     def validate(self, K: int, L: int) -> None:
-        if self.t < 1 or self.t > K:
-            raise ValueError(f"t={self.t} outside 1..{K}")
-        if self.b < 1:
-            raise ValueError(f"b={self.b} must be positive")
-        smax = K // (2 * self.t)
-        if smax < 1:
-            raise ValueError(f"t={self.t} leaves no valid window count for K={K}")
+        smax = _window_limit(K, self.t, self.b)
         if len(self.s) != L:
             raise ValueError(f"need {L} window counts, got {len(self.s)}")
         for i, si in enumerate(self.s):
             if not (1 <= si <= smax):
                 raise ValueError(f"s[{i}]={si} outside 1..{smax}")
+
+
+def _window_limit(K: int, t: int, b: int) -> int:
+    """The largest window count ``K // (2t)``; raises ValueError when t or b
+    is out of range or no window count is left."""
+    if t < 1 or t > K:
+        raise ValueError(f"t={t} outside 1..{K}")
+    if b < 1:
+        raise ValueError(f"b={b} must be positive")
+    smax = K // (2 * t)
+    if smax < 1:
+        raise ValueError(f"t={t} leaves no valid window count for K={K}")
+    return smax
 
 
 def _cut_sum(config: SystemConfig, t: int, b: int, s: tuple[int, ...]) -> tuple[int, int]:
@@ -90,9 +108,10 @@ def best_cut_sizes(config: SystemConfig, t: int, b: int) -> tuple[int, ...]:
     Each per-level term ``min{s*t*U, N/(s*b)}`` is ``s*t*U``, increasing, up
     to ``sqrt(N/(t*b*U))`` and ``N/(s*b)``, decreasing, beyond it, so the
     integer argmax is the floor of that root or the next count.  Ties
-    resolve to the smaller count.
+    resolve to the smaller count.  Raises ValueError, with the messages of
+    `MultiUserBoundParams.validate`, when t or b leaves no valid window.
     """
-    smax = config.caches // (2 * t)
+    smax = _window_limit(config.caches, t, b)
     out = []
     for lv in config.levels:
         denom = t * b * lv.users
@@ -111,31 +130,12 @@ def _candidate_b_values(config: SystemConfig, t: int) -> tuple[int, ...]:
 
     Depends only on (config, t), never on M, so the maximized bound is a
     max over a fixed family of lines in M (see `_bound_lines`).  The grid
-    combines small values, a geometric ladder (the per-level window counts
-    adapt to b, so ladder resolution costs at most a constant factor), and
-    the per-level crossing points ``N_i/(t*U_i*s^2)`` where the cut terms
-    switch sides.
+    combines the shared ladder of `_b_ladder` with the per-level crossing
+    points ``N_i/(t*U_i*s^2)`` where the cut terms switch sides.
     """
     b_max = _b_search_limit(config)
-    cands = set(range(1, min(16, b_max) + 1))
-    b = 1
-    while b <= b_max:
-        cands.add(b)
-        if 3 * b // 2 > b:
-            cands.add(3 * b // 2)
-        b *= 2
-    K = config.caches
-    smax = K // (2 * t)
-    for lv in config.levels:
-        for s in {1, 2, 3, 4, smax}:
-            denom = t * lv.users * s * s
-            q, r = divmod(lv.files, denom)
-            cands.add(q)
-            cands.add(q + 1)
-            if r:
-                cands.add(q + 2)
-    cands.add(b_max)
-    return tuple(sorted(c for c in cands if 1 <= c <= b_max))
+    levels = [(lv.files, lv.users) for lv in config.levels]
+    return tuple(sorted(_b_ladder(b_max) | _b_crossings(levels, t, config.caches, b_max)))
 
 
 def _b_search_limit(config: SystemConfig) -> int:
@@ -147,17 +147,35 @@ def _b_search_limit(config: SystemConfig) -> int:
     return max(1, -(-64 * total_files ** 2 // s_sq_int))
 
 
-def _strictly_below(left: tuple, mid: tuple, right: tuple) -> bool:
-    """Whether line `mid` is below the higher of `left` and `right` at every M.
+def _b_ladder(b_max: int) -> set[int]:
+    """The part of every t's grid that does not depend on t: the values
+    1..16, a geometric ladder of 2^k and 3*2^(k-1) (the per-level window
+    counts adapt to b, so ladder resolution costs at most a constant
+    factor), and `b_max`, all within 1..b_max."""
+    cands = set(range(1, min(16, b_max) + 1))
+    b = 1
+    while b <= b_max:
+        cands.add(b)
+        if 3 * b // 2 <= b_max:
+            cands.add(3 * b // 2)
+        b *= 2
+    cands.add(b_max)
+    return cands
 
-    Lines are ``(a, d, t, b, s)`` for ``a/d - (t/b)*M`` with ``d > 0``,
-    steepest first.  That holds iff `mid` meets `left` strictly right of
-    where it meets `right`: ``(A1-A2)/(m1-m2) > (A2-A3)/(m2-m3)``,
-    cross-multiplied in integers.
-    """
-    (a1, d1, t1, b1, _), (a2, d2, t2, b2, _), (a3, d3, t3, b3, _) = left, mid, right
-    return ((a1 * d2 - a2 * d1) * (t2 * b3 - t3 * b2) * d3 * b1
-            > (a2 * d3 - a3 * d2) * (t1 * b2 - t2 * b1) * d1 * b3)
+
+def _b_crossings(levels: list[tuple[int, int]], t: int, K: int, b_max: int) -> set[int]:
+    """The part of t's grid that depends on t: the floors and ceilings of the
+    crossing points ``N_i/(t*U_i*s^2)`` for s in 1..4 and ``K // (2t)``,
+    within 1..b_max."""
+    cands = set()
+    for files, users in levels:
+        for s in {1, 2, 3, 4, K // (2 * t)}:
+            q, r = divmod(files, t * users * s * s)
+            cands.add(q)
+            cands.add(q + 1)
+            if r:
+                cands.add(q + 2)
+    return {c for c in cands if 1 <= c <= b_max}
 
 
 @lru_cache(maxsize=16)
@@ -170,28 +188,66 @@ def _bound_lines(config: SystemConfig) -> tuple[tuple[Fraction, Fraction, tuple]
     largest A, then the smallest key, is kept.  A line is dropped only when
     its neighbours beat it strictly at every M, so every line that attains
     the maximum somewhere, exact ties included, stays.
+
+    A candidate (t, b) with g = gcd(t, b) > 1 is skipped when (t/g, b/g) is
+    in the grid of t/g: the window counts g*s are valid for (t/g, b/g)
+    whenever s is valid for (t, b), and give every cut term the same value,
+    so A(t, b) <= A(t/g, b/g), and the line of equal slope met first is
+    never replaced by one that is not strictly higher.  A and its window
+    counts are computed inline as in `best_cut_sizes` and `_cut_sum`; only
+    the lines left on the envelope get their s from `best_cut_sizes`.
     """
+    K = config.caches
+    levels = [(lv.files, lv.users) for lv in config.levels]
+    b_max = _b_search_limit(config)
+    ladder = _b_ladder(b_max)
+    crossings: list[set[int]] = [set()]  # t -> its grid values outside the ladder
     by_slope: dict[tuple[int, int], tuple] = {}  # reduced (t, b) -> line
-    for t in range(1, config.caches // 2 + 1):
-        for b in _candidate_b_values(config, t):
-            s = best_cut_sizes(config, t, b)
-            a, d = _cut_sum(config, t, b, s)
-            g = math.gcd(t, b)
-            slope = (t // g, b // g)
-            kept = by_slope.get(slope)
-            # Keys arrive in increasing order, so equal A keeps the first.
-            if kept is None or a * kept[1] > kept[0] * d:
-                by_slope[slope] = (a, d, t, b, s)
+    for t in range(1, K // 2 + 1):
+        smax = K // (2 * t)
+        extra = _b_crossings(levels, t, K, b_max) - ladder
+        crossings.append(extra)
+        for grid in (ladder, extra):
+            for b in grid:
+                g = math.gcd(t, b)
+                if g > 1 and (b // g in ladder or b // g in crossings[t // g]):
+                    continue
+                whole, num, den = 0, 0, 1
+                for files, users in levels:
+                    denom = t * b * users
+                    base = math.isqrt(files // denom)  # floor(sqrt(N/(t*b*U)))
+                    if base < 1:  # s = 1, term N/b
+                        num += files * den
+                    elif base >= smax:  # s = smax, term s*t*U
+                        whole += smax * t * users
+                    elif files > base * (base + 1) * denom:  # s = base + 1, N/(s*b)
+                        num, den = num * (base + 1) + files * den, den * (base + 1)
+                    else:  # s = base, term s*t*U
+                        whole += base * t * users
+                a, d = whole * den * b + num, den * b
+                slope = (t // g, b // g)
+                kept = by_slope.get(slope)
+                # Keys of one slope arrive in increasing t, so equal A keeps the first.
+                if kept is None or a * kept[1] > kept[0] * d:
+                    by_slope[slope] = (a, d, t, b)
     # Distinct reduced slopes differ by at least 1/P, so floor(t*P/b) orders
     # them strictly, in integers.
     P = max((b for _, b in by_slope), default=1) ** 2
     hull: list[tuple] = []
     for slope in sorted(by_slope, key=lambda tb: tb[0] * P // tb[1], reverse=True):
-        line = by_slope[slope]
-        while len(hull) >= 2 and _strictly_below(hull[-2], hull[-1], line):
+        line = a3, d3, t3, b3 = by_slope[slope]
+        # The last line is below the higher of its neighbours at every M iff
+        # it meets the one before it strictly right of where it meets this
+        # one: (A1-A2)/(m1-m2) > (A2-A3)/(m2-m3), cross-multiplied.
+        while len(hull) >= 2:
+            (a1, d1, t1, b1), (a2, d2, t2, b2) = hull[-2], hull[-1]
+            if ((a1 * d2 - a2 * d1) * (t2 * b3 - t3 * b2) * d3 * b1
+                    <= (a2 * d3 - a3 * d2) * (t1 * b2 - t2 * b1) * d1 * b3):
+                break
             hull.pop()
         hull.append(line)
-    return tuple((Fraction(a, d), Fraction(t, b), (t, b, s)) for a, d, t, b, s in hull)
+    return tuple((Fraction(a, d), Fraction(t, b), (t, b, best_cut_sizes(config, t, b)))
+                 for a, d, t, b in hull)
 
 
 def optimize_lower_bound_mu(config: SystemConfig, M: MemoryLike

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 from cachelab.bounds import (MultiUserBoundParams, _bound_lines, _candidate_b_values,
-                             best_cut_sizes)
+                             _cut_sum, best_cut_sizes)
 from cachelab.model import RateReport, Setup, check_memory, validate_multi_user
 from cachelab.multi_user import (MemoryAllocation, Partition, PartitionInfeasibleError,
                                  _sqrt_n_over_u, _sqrt_nu, _sums, refine_partition)
@@ -153,6 +153,39 @@ def grid_bound_mu(config, M):
             if best is None or value > best[0] or (value == best[0] and (t, b, s) < best[1]):
                 best = (value, (t, b, s))
     return max(best[0], Fraction(0)), MultiUserBoundParams(*best[1])
+
+
+def reference_bound_lines(config):
+    """The envelope of `_bound_lines`, built from a line for every grid candidate.
+
+    Each candidate (t, b) gets its window counts from `best_cut_sizes` and
+    its A from `_cut_sum`; one line per reduced slope is kept (the largest
+    A, the first met on ties), and the upper envelope keeps a line unless
+    its neighbours beat it strictly at every M.
+    """
+    def strictly_below(left, mid, right):
+        (a1, d1, t1, b1, _), (a2, d2, t2, b2, _), (a3, d3, t3, b3, _) = left, mid, right
+        return ((a1 * d2 - a2 * d1) * (t2 * b3 - t3 * b2) * d3 * b1
+                > (a2 * d3 - a3 * d2) * (t1 * b2 - t2 * b1) * d1 * b3)
+
+    by_slope = {}
+    for t in range(1, config.caches // 2 + 1):
+        for b in _candidate_b_values(config, t):
+            s = best_cut_sizes(config, t, b)
+            a, d = _cut_sum(config, t, b, s)
+            g = math.gcd(t, b)
+            slope = (t // g, b // g)
+            kept = by_slope.get(slope)
+            if kept is None or a * kept[1] > kept[0] * d:
+                by_slope[slope] = (a, d, t, b, s)
+    P = max((b for _, b in by_slope), default=1) ** 2
+    hull = []
+    for slope in sorted(by_slope, key=lambda tb: tb[0] * P // tb[1], reverse=True):
+        line = by_slope[slope]
+        while len(hull) >= 2 and strictly_below(hull[-2], hull[-1], line):
+            hull.pop()
+        hull.append(line)
+    return tuple((Fraction(a, d), Fraction(t, b), (t, b, s)) for a, d, t, b, s in hull)
 
 
 def conjugate_product_inverse(x):

@@ -1,12 +1,14 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from cachelab.bounds import (MAX_BOUND_CACHES, MultiUserBoundParams, _bound_lines,
-                             best_cut_sizes, gap_report, lower_bound_multi_user,
-                             lower_bound_single_user, optimize_lower_bound_mu)
+                             _candidate_b_values, best_cut_sizes, gap_report,
+                             lower_bound_multi_user, lower_bound_single_user,
+                             optimize_lower_bound_mu)
 from cachelab.experiments import (random_multi_user_config,
                                   random_single_user_config)
 from cachelab.model import Setup, SystemConfig
@@ -14,7 +16,7 @@ from cachelab.multi_user import rate_memory_sharing
 from cachelab.radicals import exact_sign
 from cachelab.single_user import rate_clustering
 from oracles import (CaseNotApplicable, grid_bound_mu, linear_envelope_scan,
-                     matched_bound_params)
+                     matched_bound_params, reference_bound_lines)
 
 
 def one_level():
@@ -140,6 +142,87 @@ def test_optimizer_refuses_more_caches_than_the_limit():
     K = MAX_BOUND_CACHES + 1
     with pytest.raises(ValueError, match="limited to 4096 caches"):
         optimize_lower_bound_mu(SystemConfig.multi_user(K, [(K, 1)]), 1)
+
+
+@pytest.mark.parametrize("t, b, message", [
+    (5, 3, "t=5 leaves no valid window count for K=8"),
+    (0, 3, "t=0 outside 1..8"),
+    (1, 0, "b=0 must be positive"),
+])
+def test_best_cut_sizes_rejects_windows_out_of_range(t, b, message):
+    cfg = SystemConfig.multi_user(8, [(16, 2), (64, 1)])
+    with pytest.raises(ValueError, match=message):
+        best_cut_sizes(cfg, t, b)
+    with pytest.raises(ValueError, match=message):
+        MultiUserBoundParams(t, b, (1, 1)).validate(cfg.caches, len(cfg.levels))
+
+
+_PRIMES = [p for p in range(2, 400) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+
+
+def _wide_levels_config(rng):
+    # Like perfbench's wide_levels: levels U*p*s^2 over distinct primes p.
+    K = rng.choice((4, 6, 8))
+    levels = []
+    for p in rng.sample(_PRIMES, rng.randint(2, 10)):
+        users = rng.randint(1, 4)
+        s = max(1, round(rng.uniform(6.0, 12.0) * rng.uniform(1.0, 1.4) / math.sqrt(p)))
+        levels.append((users * p * s * s, users))
+    return SystemConfig.multi_user(K, levels)
+
+
+def _envelope_configs():
+    rng = random.Random(67)
+    audit = [random_multi_user_config(rng) for _ in range(40)]
+    assert {96, 128} <= {cfg.caches for cfg in audit}
+    irregular = [SystemConfig.multi_user(rng.randint(2, 70),
+                                         [(rng.randint(1, 5000), rng.randint(1, 6))
+                                          for _ in range(rng.randint(1, 5))])
+                 for _ in range(100)]
+    wide = [_wide_levels_config(rng) for _ in range(20)]
+    return audit + irregular + wide + [
+        SystemConfig.multi_user(MAX_BOUND_CACHES, [(MAX_BOUND_CACHES, 1)])]
+
+
+def test_envelope_matches_reference_construction():
+    for cfg in _envelope_configs():
+        assert _bound_lines(cfg) == reference_bound_lines(cfg), cfg
+
+
+def test_reduced_slope_dominates_its_multiples():
+    # The envelope skips (t, b) when (t/g, b/g) is a candidate; that is exact
+    # because the reduced pair's best cut sum is never smaller.
+    rng = random.Random(71)
+    configs = [random_multi_user_config(rng, max_levels=3) for _ in range(6)]
+    configs += [SystemConfig.multi_user(rng.randint(4, 40),
+                                        [(rng.randint(1, 3000), rng.randint(1, 5))
+                                         for _ in range(rng.randint(1, 4))])
+                for _ in range(20)]
+    checked = 0
+    for cfg in configs:
+        for t in range(1, min(cfg.caches // 2, 24) + 1):
+            for b in _candidate_b_values(cfg, t):
+                g = math.gcd(t, b)
+                if g == 1:
+                    continue
+                cut = lower_bound_multi_user(
+                    cfg, 0, MultiUserBoundParams(t, b, best_cut_sizes(cfg, t, b)))
+                reduced = lower_bound_multi_user(
+                    cfg, 0, MultiUserBoundParams(t // g, b // g,
+                                                 best_cut_sizes(cfg, t // g, b // g)))
+                assert cut <= reduced, (cfg, t, b)
+                checked += 1
+    assert checked > 1000
+
+
+def test_envelope_keeps_a_line_whose_reduced_pair_is_off_grid():
+    # (3, 87) is on the envelope, and (1, 29) is no candidate of t = 1, so
+    # the line at (3, 87) has to be built.
+    cfg = SystemConfig.multi_user(6, [(1288, 6), (1506, 5), (2095, 2)])
+    assert 29 not in _candidate_b_values(cfg, 1)
+    assert 87 in _candidate_b_values(cfg, 3)
+    assert (3, 87, (1, 1, 1)) in [key for _, _, key in _bound_lines(cfg)]
+    assert _bound_lines(cfg) == reference_bound_lines(cfg)
 
 
 def _matched_case_config():

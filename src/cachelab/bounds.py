@@ -8,16 +8,31 @@ than the full (astronomically large) ``b`` range; the grid always contains
 the closed-form witness parameters used by the gap analysis, so the audited
 ratios stay within the published constants.  For each parameter choice the
 bound is a line in M, and the grid does not depend on M, so the optimizer
-builds the upper envelope of these lines once per config and finds each
-memory's maximum on it by bisection, exactly; no float takes part.
+builds the upper envelope of these lines once per config, together with
+its breakpoints, the memories where consecutive lines meet.  They do not
+decrease, so the maximum at M is the first line whose breakpoint is at
+least M (``bisect_left``), and the lines tied with it are the ones that
+follow while the breakpoint equals M.  A query costs one bisection over
+Fractions and one ``A - (t/b)*M``; no float takes part.
 
 The envelope is built in one integer pass.  The ``b`` ladder that every
 window size shares is built once per config, and each ``t`` adds only its
 crossing points.  A candidate ``(t, b)`` whose reduced pair
 ``(t/g, b/g)``, ``g = gcd(t, b) > 1``, is itself a candidate is skipped: the
 reduced pair has the same slope and a cut sum at least as large, so the
-skipped line could never be kept.  Window counts are recomputed only for
-the lines left on the envelope.
+skipped line could never be kept.  For each t a level's window count
+depends on b through ``floor(sqrt(hi/b))`` with ``hi = N//(t*U)``: it is 1
+for ``b > hi`` and the largest count ``smax`` for
+``b <= lo = N//(smax^2*t*U)``, so only the b in between take a square root.
+The t = 1 lines are built first; their upper envelope H1 then filters the
+lines of every larger t, which are met in increasing b and so in
+decreasing slope m.  A line is dropped when its A is strictly below
+``min_M (H1(M) + m*M)``, read off the vertex of H1 where H1's slope passes
+m.  Such a line is strictly below H1 at every M, hence strictly below the
+final envelope, which would have dropped it anyway; a line that touches
+H1 at a vertex, which can be an exact tie on the envelope, stays, and so
+does a line steeper or flatter than all of H1, which has no minimum.  Window
+counts are recomputed only for the lines left on the envelope.
 
 The single-user bound is a cut-set recipe keyed on the four-regime level
 partition, with one small-memory branch below M = 1/6.
@@ -25,6 +40,7 @@ partition, with one small-memory branch below M = 1/6.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,10 +56,10 @@ SINGLE_USER_GAP = 72
 SMALL_MEMORY_GAP = Fraction(6, 5)
 SMALL_MEMORY_THRESHOLD = Fraction(1, 6)
 # The envelope holds lines for every window size t up to K/2.  At this many
-# caches the first bound query takes 0.23-0.25 s on one level (N = 4096),
-# 0.33-0.35 s on four levels of 4096..16384 files and 1.5-1.6 s on four
-# regular levels 6400 times apart in popularity (2 vCPU, CPython 3.11.7);
-# above it the multi-user bound is refused.
+# caches the first bound query takes 0.10 s on one level (N = 4096, U = 1),
+# 0.16-0.17 s on four levels of 4096, 8192, 12288 and 16384 files and
+# 0.42-0.53 s on four regular levels 6400 times apart in popularity (best
+# of 3, 2 vCPU, CPython 3.11.7); above it the multi-user bound is refused.
 MAX_BOUND_CACHES = 4096
 
 
@@ -178,64 +194,17 @@ def _b_crossings(levels: list[tuple[int, int]], t: int, K: int, b_max: int) -> s
     return {c for c in cands if 1 <= c <= b_max}
 
 
-@lru_cache(maxsize=16)
-def _bound_lines(config: SystemConfig) -> tuple[tuple[Fraction, Fraction, tuple], ...]:
-    """Upper envelope of the bound lines ``A - (t/b)*M``.
+def _upper_hull(lines: list[tuple]) -> list[tuple]:
+    """Upper envelope of lines ``(a, d, t, b)``, meaning ``a/d - (t/b)*M``,
+    given steepest first with distinct slopes.
 
-    There is one line per grid candidate (t, b) with its best window counts
-    s, and A is the cut sum at M = 0.  Entries are ``(A, t/b, (t, b, s))``,
-    steepest line first.  Of lines with equal slope only the one with the
-    largest A, then the smallest key, is kept.  A line is dropped only when
-    its neighbours beat it strictly at every M, so every line that attains
-    the maximum somewhere, exact ties included, stays.
-
-    A candidate (t, b) with g = gcd(t, b) > 1 is skipped when (t/g, b/g) is
-    in the grid of t/g: the window counts g*s are valid for (t/g, b/g)
-    whenever s is valid for (t, b), and give every cut term the same value,
-    so A(t, b) <= A(t/g, b/g), and the line of equal slope met first is
-    never replaced by one that is not strictly higher.  A and its window
-    counts are computed inline as in `best_cut_sizes` and `_cut_sum`; only
-    the lines left on the envelope get their s from `best_cut_sizes`.
+    A line is dropped only when its neighbours beat it strictly at every M,
+    so every line that attains the maximum somewhere, exact ties included,
+    stays.
     """
-    K = config.caches
-    levels = [(lv.files, lv.users) for lv in config.levels]
-    b_max = _b_search_limit(config)
-    ladder = _b_ladder(b_max)
-    crossings: list[set[int]] = [set()]  # t -> its grid values outside the ladder
-    by_slope: dict[tuple[int, int], tuple] = {}  # reduced (t, b) -> line
-    for t in range(1, K // 2 + 1):
-        smax = K // (2 * t)
-        extra = _b_crossings(levels, t, K, b_max) - ladder
-        crossings.append(extra)
-        for grid in (ladder, extra):
-            for b in grid:
-                g = math.gcd(t, b)
-                if g > 1 and (b // g in ladder or b // g in crossings[t // g]):
-                    continue
-                whole, num, den = 0, 0, 1
-                for files, users in levels:
-                    denom = t * b * users
-                    base = math.isqrt(files // denom)  # floor(sqrt(N/(t*b*U)))
-                    if base < 1:  # s = 1, term N/b
-                        num += files * den
-                    elif base >= smax:  # s = smax, term s*t*U
-                        whole += smax * t * users
-                    elif files > base * (base + 1) * denom:  # s = base + 1, N/(s*b)
-                        num, den = num * (base + 1) + files * den, den * (base + 1)
-                    else:  # s = base, term s*t*U
-                        whole += base * t * users
-                a, d = whole * den * b + num, den * b
-                slope = (t // g, b // g)
-                kept = by_slope.get(slope)
-                # Keys of one slope arrive in increasing t, so equal A keeps the first.
-                if kept is None or a * kept[1] > kept[0] * d:
-                    by_slope[slope] = (a, d, t, b)
-    # Distinct reduced slopes differ by at least 1/P, so floor(t*P/b) orders
-    # them strictly, in integers.
-    P = max((b for _, b in by_slope), default=1) ** 2
     hull: list[tuple] = []
-    for slope in sorted(by_slope, key=lambda tb: tb[0] * P // tb[1], reverse=True):
-        line = a3, d3, t3, b3 = by_slope[slope]
+    for line in lines:
+        a3, d3, t3, b3 = line
         # The last line is below the higher of its neighbours at every M iff
         # it meets the one before it strictly right of where it meets this
         # one: (A1-A2)/(m1-m2) > (A2-A3)/(m2-m3), cross-multiplied.
@@ -246,8 +215,120 @@ def _bound_lines(config: SystemConfig) -> tuple[tuple[Fraction, Fraction, tuple]
                 break
             hull.pop()
         hull.append(line)
-    return tuple((Fraction(a, d), Fraction(t, b), (t, b, best_cut_sizes(config, t, b)))
-                 for a, d, t, b in hull)
+    return hull
+
+
+def _breakpoint(left: tuple, right: tuple) -> tuple[int, int]:
+    """Where two lines ``(a, d, t, b)`` meet, the left one steeper:
+    ``(A1 - A2)/(m1 - m2)`` as an unreduced numerator and positive
+    denominator."""
+    (a1, d1, t1, b1), (a2, d2, t2, b2) = left, right
+    return (a1 * d2 - a2 * d1) * b1 * b2, d1 * d2 * (t1 * b2 - t2 * b1)
+
+
+@lru_cache(maxsize=16)
+def _bound_lines(config: SystemConfig
+                 ) -> tuple[tuple[tuple[Fraction, Fraction, tuple], ...], tuple[Fraction, ...]]:
+    """Upper envelope of the bound lines ``A - (t/b)*M``, with its breakpoints.
+
+    There is one line per grid candidate (t, b) with its best window counts
+    s, and A is the cut sum at M = 0.  Lines are ``(A, t/b, (t, b, s))``,
+    steepest first.  Of lines with equal slope only the one with the
+    largest A, then the smallest key, is kept.  A line is dropped only when
+    its neighbours beat it strictly at every M, so every line that attains
+    the maximum somewhere, exact ties included, stays.  Breakpoint k is the
+    memory where lines k and k + 1 meet; the breakpoints do not decrease.
+
+    A candidate (t, b) with g = gcd(t, b) > 1 is skipped when (t/g, b/g) is
+    in the grid of t/g: the window counts g*s are valid for (t/g, b/g)
+    whenever s is valid for (t, b), and give every cut term the same value,
+    so A(t, b) <= A(t/g, b/g), and the line of equal slope met first is
+    never replaced by one that is not strictly higher.
+
+    The t = 1 lines come first, and their upper envelope H1 filters the
+    rest: a line ``A - m*M`` with ``m_i >= m > m_(i+1)`` for the slopes of
+    H1's lines i and i + 1, which meet at X_i, is dropped when
+    ``A < A_i + (m - m_i)*X_i``, the minimum of ``H1(M) + m*M``.  It is
+    then strictly below H1, hence strictly below the final envelope at
+    every M, and the hull would have dropped it; a line that only touches
+    H1 stays.  A and the window counts are computed inline as in
+    `best_cut_sizes` and `_cut_sum`; only the lines left on the envelope
+    get their s from `best_cut_sizes`.
+    """
+    K = config.caches
+    b_max = _b_search_limit(config)
+    levels = [(lv.files, lv.users) for lv in config.levels]
+    ladder = _b_ladder(b_max)
+    ladder_sorted = sorted(ladder)
+    crossings: list[set[int]] = [set()]  # t -> its grid values outside the ladder
+    by_slope: dict[tuple[int, int], tuple] = {}  # reduced (t, b) -> line
+    vertices: list[tuple] = []  # H1's lines but the last, with where each meets the next
+    b_last = 0  # b of H1's last line
+    for t in range(1, K // 2 + 1):
+        smax = K // (2 * t)
+        # Per level: b > hi gives s = 1 and b <= lo gives s = smax, since
+        # floor(sqrt(N/(t*b*U))) = isqrt(hi // b); only b in between needs the root.
+        zones = [(files, t * users, files // (t * users), files // (smax * smax * t * users))
+                 for files, users in levels]
+        extra = _b_crossings(levels, t, K, b_max) - ladder
+        crossings.append(extra)
+        h = 0  # H1's last line at least as steep as t/b; b only grows
+        for b in sorted(ladder_sorted + sorted(extra)):
+            g = math.gcd(t, b)
+            if g > 1 and (b // g in ladder or b // g in crossings[t // g]):
+                continue
+            whole, num, den = 0, 0, 1
+            for files, tu, hi, lo in zones:
+                if b > hi:  # s = 1, term N/b
+                    num += files * den
+                elif b <= lo:  # s = smax, term s*t*U
+                    whole += smax * tu
+                else:
+                    base = math.isqrt(hi // b)
+                    if files > base * (base + 1) * tu * b:  # s = base + 1, N/(s*b)
+                        num, den = num * (base + 1) + files * den, den * (base + 1)
+                    else:  # s = base, term s*t*U
+                        whole += base * tu
+            a, d = whole * den * b + num, den * b
+            if vertices and t * vertices[0][0] <= b < t * b_last:  # m_0 >= t/b > m_last
+                while h + 1 < len(vertices) and t * vertices[h + 1][0] <= b:
+                    h += 1
+                b1, p, q, r = vertices[h]
+                # a/d < A_i + (t/b - 1/b_i)*X_i, times d*b*d_i*b_i*x_d > 0
+                if a * b * p < d * (b * q + (t * b1 - b) * r):
+                    continue
+            slope = (t // g, b // g)
+            kept = by_slope.get(slope)
+            # Keys of one slope arrive in increasing t, so equal A keeps the first.
+            if kept is None or a * kept[1] > kept[0] * d:
+                by_slope[slope] = (a, d, t, b)
+        if t == 1:
+            hull = _upper_hull(list(by_slope.values()))  # increasing b: steepest first
+            by_slope = {(1, line[3]): line for line in hull}
+            b_last = hull[-1][3]
+            for left, right in zip(hull, hull[1:]):
+                a1, d1, _, b1 = left
+                x_n, x_d = _breakpoint(left, right)
+                vertices.append((b1, d1 * b1 * x_d, a1 * b1 * x_d, x_n * d1))
+    # Distinct reduced slopes differ by at least 1/P, so floor(t*P/b) orders
+    # them strictly, in integers.
+    P = max((b for _, b in by_slope), default=1) ** 2
+    hull = _upper_hull([by_slope[slope] for slope in
+                        sorted(by_slope, key=lambda tb: tb[0] * P // tb[1], reverse=True)])
+    lines = tuple((Fraction(a, d), Fraction(t, b), (t, b, best_cut_sizes(config, t, b)))
+                  for a, d, t, b in hull)
+    # Tied lines share a breakpoint: most of them are the t = 1 lines with
+    # every s_i = 1, which all meet at the total library size.  A breakpoint
+    # equal to the one before reuses its Fraction.
+    breakpoints: list[Fraction] = []
+    x_n = x_d = 0
+    for left, right in zip(hull, hull[1:]):
+        n, d = _breakpoint(left, right)
+        if n * x_d != x_n * d or not breakpoints:
+            x_n, x_d = n, d
+            x = Fraction(n, d)
+        breakpoints.append(x)
+    return lines, tuple(breakpoints)
 
 
 def optimize_lower_bound_mu(config: SystemConfig, M: MemoryLike
@@ -266,28 +347,17 @@ def optimize_lower_bound_mu(config: SystemConfig, M: MemoryLike
     if config.caches > MAX_BOUND_CACHES:
         raise ValueError(f"the multi-user lower bound is limited to {MAX_BOUND_CACHES} caches, "
                          f"got {config.caches}")
-    lines = _bound_lines(config)
-
-    def value(k: int) -> Fraction:
-        A, slope, _ = lines[k]
-        return A - slope * M
-
-    # Line k is not below line k + 1 exactly when M is at most their
-    # breakpoint, and the breakpoints of an envelope do not decrease, so
-    # the first such line (the maximum) is found by bisection.
-    lo, hi = 0, len(lines) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if value(mid) >= value(mid + 1):
-            hi = mid
-        else:
-            lo = mid + 1
-    best_val, best_key = value(lo), lines[lo][2]
-    for k in range(lo + 1, len(lines)):  # lines tied with the maximum follow it
-        if value(k) < best_val:
-            break
-        best_key = min(best_key, lines[k][2])
-    return max(best_val, Fraction(0)), MultiUserBoundParams(*best_key)
+    lines, breakpoints = _bound_lines(config)
+    # Line k is at least line k + 1 exactly when M is at most their
+    # breakpoint, so the maximum is the first line whose breakpoint is at
+    # least M, and the lines tied with it follow while the breakpoint is M.
+    k = bisect.bisect_left(breakpoints, M)
+    A, slope, key = lines[k]
+    while k < len(breakpoints) and breakpoints[k] == M:
+        k += 1
+        key = min(key, lines[k][2])
+    value = A - slope * M
+    return (value if value > 0 else Fraction(0)), MultiUserBoundParams(*key)
 
 
 @dataclass(frozen=True)

@@ -99,9 +99,9 @@ class SystemConfig:
 
 def check_memory(M: MemoryLike) -> Fraction:
     """Validate and normalize a cache memory value (in file units)."""
-    if not isinstance(M, Fraction):
+    if type(M) is not Fraction:
         M = Fraction(M)
-    if M < 0:
+    if M.numerator < 0:
         raise ValueError(f"memory must be nonnegative, got {M}")
     return M
 

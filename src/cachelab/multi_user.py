@@ -13,7 +13,12 @@ Everything that does not depend on M (the level order, the sums over each
 candidate I, the threshold constants with their enclosures, ``S_I^-1``)
 lives in a per-config `_SplitPlan`, cached for the last 16 configs and
 filled only as far as the queries reach; a memory then costs rational
-comparisons plus the M-dependent rates.
+comparisons plus the M-dependent rates.  A membership test forms
+``K*W = K*(M - T_J + V_I)`` as an unreduced integer numerator and
+denominator, from M's and from ``V_I - T_J``, which each block keeps as an
+integer pair per stored prefix J, and compares it with every threshold's
+enclosure by integer cross-multiplication; no Fraction is built unless M
+falls inside an enclosure.
 """
 
 from __future__ import annotations
@@ -123,7 +128,7 @@ class _Block:
     constant matters, but its inverse, square and shares are printed.
     """
 
-    __slots__ = ("I", "S_I", "V_I", "_levels", "_x", "_cuts", "_inverse",
+    __slots__ = ("I", "S_I", "V_I", "_levels", "_x", "_cuts", "_offsets", "_inverse",
                  "_square", "_shares")
 
     def __init__(self, config: SystemConfig, x: tuple[ExactValue, ...], I: frozenset[int]):
@@ -131,6 +136,7 @@ class _Block:
         self.S_I, _, self.V_I = _sums(config, I, ())
         self._levels, self._x = config.levels, x
         self._cuts: dict[int, Enclosure] = {}
+        self._offsets: dict[int, tuple[int, int]] = {}
         self._inverse: Optional[ExactValue] = None
         self._square: Optional[ExactValue] = None
         self._shares: dict[int, ExactValue] = {}
@@ -140,6 +146,15 @@ class _Block:
         if cut is None:
             cut = self._cuts[level] = Enclosure(self.S_I * self._x[level])
         return cut
+
+    def offset(self, j_end: int, T_J: Fraction) -> tuple[int, int]:
+        """``V_I - T_J`` for ``J = order[:j_end]``, as an integer numerator
+        and positive denominator."""
+        offset = self._offsets.get(j_end)
+        if offset is None:
+            c = self.V_I - T_J
+            offset = self._offsets[j_end] = (c.numerator, c.denominator)
+        return offset
 
     def inverse(self) -> ExactValue:
         if self._inverse is None:
@@ -195,8 +210,9 @@ class _SplitPlan:
         ``J = order[:j_end]``, ``I = order[j_end:h_start]`` (`block`),
         ``H = order[h_start:]``."""
         K = self.config.caches
-        KW = K * (M - self.T[j_end] + block.V_I)
-        num, den = KW.numerator, KW.denominator
+        c_num, c_den = block.offset(j_end, self.T[j_end])
+        m_den = M.denominator
+        num, den = K * (M.numerator * c_den + c_num * m_den), m_den * c_den  # K*W, unreduced
         # h in H:  M_tilde < (1/K)x_h        <=>  S_I*x_h > K*W
         for h in self.order[h_start:]:
             if block.cut(h).sign_minus(num, den) <= 0:

@@ -411,8 +411,8 @@ class RootSum:
             coeff = self._terms[kernel]
             if kernel == 1:
                 parts.append(_fraction_str(coeff))
-            elif coeff == 1:
-                parts.append(f"sqrt({_int_str(kernel)})")
+            elif coeff == 1 or coeff == -1:
+                parts.append(f"{'-' if coeff < 0 else ''}sqrt({_int_str(kernel)})")
             else:
                 parts.append(f"{_fraction_str(coeff)}*sqrt({_int_str(kernel)})")
         return " + ".join(parts).replace("+ -", "- ")

@@ -156,12 +156,14 @@ def grid_bound_mu(config, M):
 
 
 def reference_bound_lines(config):
-    """The envelope of `_bound_lines`, built from a line for every grid candidate.
+    """The envelope of `_bound_lines` and its breakpoints, built from a line
+    for every grid candidate.
 
     Each candidate (t, b) gets its window counts from `best_cut_sizes` and
     its A from `_cut_sum`; one line per reduced slope is kept (the largest
     A, the first met on ties), and the upper envelope keeps a line unless
-    its neighbours beat it strictly at every M.
+    its neighbours beat it strictly at every M.  Breakpoints are where
+    consecutive lines meet, as Fractions.
     """
     def strictly_below(left, mid, right):
         (a1, d1, t1, b1, _), (a2, d2, t2, b2, _), (a3, d3, t3, b3, _) = left, mid, right
@@ -185,7 +187,9 @@ def reference_bound_lines(config):
         while len(hull) >= 2 and strictly_below(hull[-2], hull[-1], line):
             hull.pop()
         hull.append(line)
-    return tuple((Fraction(a, d), Fraction(t, b), (t, b, s)) for a, d, t, b, s in hull)
+    lines = tuple((Fraction(a, d), Fraction(t, b), (t, b, s)) for a, d, t, b, s in hull)
+    return lines, tuple((A1 - A2) / (m1 - m2)
+                        for (A1, m1, _), (A2, m2, _) in zip(lines, lines[1:]))
 
 
 def conjugate_product_inverse(x):
@@ -232,7 +236,7 @@ def linear_envelope_scan(config, M):
     if config.caches < 2:
         return Fraction(0), None
     best_val = best_key = None
-    for A, slope, key in _bound_lines(config):
+    for A, slope, key in _bound_lines(config)[0]:
         value = A - slope * M
         if best_val is not None and value < best_val:
             break

@@ -9,7 +9,7 @@ from cachelab.bounds import (MAX_BOUND_CACHES, MultiUserBoundParams, _bound_line
                              _candidate_b_values, best_cut_sizes, gap_report,
                              lower_bound_multi_user, lower_bound_single_user,
                              optimize_lower_bound_mu)
-from cachelab.experiments import (random_multi_user_config,
+from cachelab.experiments import (audit_grid, random_multi_user_config,
                                   random_single_user_config)
 from cachelab.model import Setup, SystemConfig
 from cachelab.multi_user import rate_memory_sharing
@@ -103,9 +103,7 @@ def _oracle_configs():
 
 def _breakpoints(cfg):
     """Non-negative memories where consecutive envelope lines meet."""
-    lines = _bound_lines(cfg)
-    crossings = {(A1 - A2) / (m1 - m2) for (A1, m1, _), (A2, m2, _) in zip(lines, lines[1:])}
-    return sorted(M for M in crossings if M >= 0)
+    return sorted({M for M in _bound_lines(cfg)[1] if M >= 0})
 
 
 def test_optimizer_matches_grid_oracle():
@@ -120,11 +118,20 @@ def test_optimizer_matches_grid_oracle():
 def test_bisection_matches_linear_envelope_scan():
     # Every breakpoint ties two lines, so the tie rule is exercised there.
     for cfg in _oracle_configs():
-        slopes = [m for _, m, _ in _bound_lines(cfg)]
+        slopes = [m for _, m, _ in _bound_lines(cfg)[0]]
         assert all(m1 > m2 for m1, m2 in zip(slopes, slopes[1:]))  # steepest first
         points = [Fraction(0)] + _breakpoints(cfg)
         mids = [(a + b) / 2 for a, b in zip(points, points[1:])]
         for M in points + mids + [points[-1] + 1, 10 * cfg.total_files]:
+            assert optimize_lower_bound_mu(cfg, M) == linear_envelope_scan(cfg, M), (cfg, M)
+    # The audit-generator configs (K up to 128) on the audit grid: at
+    # M = total the t = 1 lines with every s_i = 1 meet at 0, a run of 13
+    # to 20 tied lines.  Large numerators and denominators take the same path.
+    big = 10 ** 30 + 7
+    for cfg in _envelope_configs()[:40]:
+        total = cfg.total_files
+        for M in audit_grid(cfg) + [Fraction(total + 1), Fraction(total * big - 1, big),
+                                    Fraction(total * big // 3, big)]:
             assert optimize_lower_bound_mu(cfg, M) == linear_envelope_scan(cfg, M), (cfg, M)
 
 
@@ -181,7 +188,12 @@ def _envelope_configs():
                  for _ in range(100)]
     wide = [_wide_levels_config(rng) for _ in range(20)]
     return audit + irregular + wide + [
-        SystemConfig.multi_user(MAX_BOUND_CACHES, [(MAX_BOUND_CACHES, 1)])]
+        SystemConfig.multi_user(MAX_BOUND_CACHES, [(MAX_BOUND_CACHES, 1)]),
+        # The t = 1 lines (1, 1) and (1, 2) meet at M = 4, and the line of
+        # (4, 5), 36/5 - (4/5)*M, touches them there and nowhere else: it
+        # stays on the envelope, so the t = 1 hull filter may drop only
+        # lines strictly below.
+        SystemConfig.multi_user(10, [(36, 2)])]
 
 
 def test_envelope_matches_reference_construction():
@@ -221,7 +233,7 @@ def test_envelope_keeps_a_line_whose_reduced_pair_is_off_grid():
     cfg = SystemConfig.multi_user(6, [(1288, 6), (1506, 5), (2095, 2)])
     assert 29 not in _candidate_b_values(cfg, 1)
     assert 87 in _candidate_b_values(cfg, 3)
-    assert (3, 87, (1, 1, 1)) in [key for _, _, key in _bound_lines(cfg)]
+    assert (3, 87, (1, 1, 1)) in [key for _, _, key in _bound_lines(cfg)[0]]
     assert _bound_lines(cfg) == reference_bound_lines(cfg)
 
 

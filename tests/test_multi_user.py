@@ -222,6 +222,9 @@ def test_rate_matches_per_memory_scan_oracle():
         prefix = [sum(lv.files for lv in order[:k]) for k in range(len(order) + 1)]
         mems = {Fraction(m) for m in prefix}
         mems |= {Fraction(rng.randint(0, 8 * total), 8) for _ in range(8)}
+        # 31-digit denominators, just past each exact threshold and inside a piece
+        big = 10 ** 30 + 7
+        mems |= {Fraction(m * big + 1, big) for m in prefix} | {Fraction(total * big // 3, big)}
         mems.add(Fraction(total + 1))
         for M in sorted(mems):
             assert _report_or_error(rate_memory_sharing, cfg, M) \

@@ -290,6 +290,11 @@ def test_float_and_strings():
     x = Fraction(3, 2) + Fraction(5, 4) * RootSum.sqrt(6)
     assert math.isclose(float(x), 1.5 + 1.25 * math.sqrt(6))
     assert "sqrt(6)" in as_exact_str(x)
+    # A coefficient of -1 prints as a bare sign, like +1 prints bare.
+    r2, r3 = RootSum.sqrt(2), RootSum.sqrt(3)
+    assert repr(-r2) == as_exact_str(-r2) == "-sqrt(2)"
+    assert as_exact_str(r3 - r2) == "-sqrt(2) + sqrt(3)"
+    assert as_exact_str(1 - r2 - 2 * r3) == "1 - sqrt(2) - 2*sqrt(3)"
     assert to_decimal(Fraction(1, 3)) == "0.333333333333"
 
 

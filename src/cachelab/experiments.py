@@ -243,6 +243,11 @@ def mixed_rate(config: SystemConfig, M: MemoryLike, gamma: Optional[Fraction] = 
     minimizer) plus the best gamma found on the grid.  No lower bound is
     emitted for the mixed setup.  The report's `regular` flag is
     ``validate(config).ok``; with `strict`, a violation raises.
+
+    The grid is scanned even when `gamma` is given, because the report
+    carries ``best_gamma`` and ``best_rate`` in either case; a given gamma
+    then costs one more evaluation.  Each grid memory ``g*M`` and
+    ``(1 - g)*M`` is built as one Fraction from the integers of g and M.
     """
     if config.setup is not Setup.MIXED:
         raise ValueError("mixed_rate needs a mixed-setup config")
@@ -254,12 +259,14 @@ def mixed_rate(config: SystemConfig, M: MemoryLike, gamma: Optional[Fraction] = 
     g_cfg = SystemConfig(Setup.SINGLE_USER, row_users, config.mixed_levels) \
         if config.mixed_levels else None
 
+    p, q = M.numerator, M.denominator
+
     def rate_at(g: Fraction) -> ExactValue:
-        total: ExactValue = Fraction(0)
-        if f_cfg is not None:
-            total = total + rate_memory_sharing(f_cfg, g * M).achievable
+        a, b = g.numerator, g.denominator
+        total: ExactValue = (Fraction(0) if f_cfg is None else
+                             rate_memory_sharing(f_cfg, Fraction(a * p, b * q)).achievable)
         if g_cfg is not None:
-            total = total + rate_clustering(g_cfg, (1 - g) * M).achievable
+            total = total + rate_clustering(g_cfg, Fraction((b - a) * p, b * q)).achievable
         return total
 
     if gamma is not None:

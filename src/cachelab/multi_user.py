@@ -18,7 +18,17 @@ comparisons plus the M-dependent rates.  A membership test forms
 denominator, from M's and from ``V_I - T_J``, which each block keeps as an
 integer pair per stored prefix J, and compares it with every threshold's
 enclosure by integer cross-multiplication; no Fraction is built unless M
-falls inside an enclosure.
+falls inside an enclosure.  The scan finds each block by the indices of
+its split, so it builds no set per split it tries.
+
+The rest of the rate path is fraction-free where its values are rational.
+A feasible split hands its W back as that integer pair, and ``M_tilde``
+is built from it; `allocate_memory` forms W from the integers of M, T_J
+and V_I, and a level with a rational share (every split with one partial
+level) gets its memory as one Fraction; `rate_memory_sharing` adds the
+rational per-level rates, and forms a rational ``approx_rate``, as integer
+pairs.  Irrational values keep the order of their RootSum operations: it
+decides which of two equivalent kernels a sum keeps, and so how it prints.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ from typing import Iterable, Optional
 
 from .model import (BETA, LevelSpec, MemoryLike, RateReport, Setup, SystemConfig,
                     check_memory, validate_multi_user)
-from .radicals import Enclosure, ExactValue, RootSum
+from .radicals import Enclosure, ExactValue, Rational, RootSum
 from .single_level import rate_single_level
 
 
@@ -177,8 +187,10 @@ class _SplitPlan:
     """Memory-independent state of a multi-user config's partition scan.
 
     Holds the level order, ``sqrt(N_i/U_i)``, the sums ``T_J`` of the
-    prefixes of the order, the validation report, and one `_Block` per
-    partial-memory set met so far (at most ``L*(L+1)/2`` from the scan).
+    prefixes of the order, each prefix J and suffix H as a frozenset, the
+    validation report, and one `_Block` per partial-memory set met so far
+    (at most ``L*(L+1)/2`` from the scan), found by its set I or by the
+    indices ``(j_end, h_start)`` of the split that makes it.
     """
 
     def __init__(self, config: SystemConfig):
@@ -191,7 +203,11 @@ class _SplitPlan:
         self.T = [Fraction(0)]
         for i in self.order:
             self.T.append(self.T[-1] + levels[i].files)
+        L = len(levels)
+        self.prefixes = tuple(frozenset(self.order[:j]) for j in range(L + 1))
+        self.suffixes = tuple(frozenset(self.order[h:]) for h in range(L + 1))
         self._blocks: dict[frozenset[int], _Block] = {}
+        self._splits: dict[tuple[int, int], _Block] = {}
         self._validation = None
 
     def validation(self):
@@ -205,28 +221,42 @@ class _SplitPlan:
             block = self._blocks[I] = _Block(self.config, self.x, I)
         return block
 
-    def admits(self, block: _Block, j_end: int, h_start: int, M: Fraction) -> bool:
+    def split_block(self, j_end: int, h_start: int) -> _Block:
+        """The block of ``I = order[j_end:h_start]``."""
+        block = self._splits.get((j_end, h_start))
+        if block is None:
+            I = frozenset(self.order[j_end:h_start])
+            block = self._splits[j_end, h_start] = self.block(I)
+        return block
+
+    def admits(self, block: _Block, j_end: int, h_start: int,
+               M: Fraction) -> Optional[tuple[int, int]]:
         """Exact check of the three membership conditions for the split
         ``J = order[:j_end]``, ``I = order[j_end:h_start]`` (`block`),
-        ``H = order[h_start:]``."""
+        ``H = order[h_start:]``.
+
+        Returns ``W = M - T_J + V_I`` as an unreduced integer numerator and
+        positive denominator if the split is feasible, else None.
+        """
         K = self.config.caches
         c_num, c_den = block.offset(j_end, self.T[j_end])
         m_den = M.denominator
-        num, den = K * (M.numerator * c_den + c_num * m_den), m_den * c_den  # K*W, unreduced
+        w_num, den = M.numerator * c_den + c_num * m_den, m_den * c_den
+        num = K * w_num  # K*W over den
         # h in H:  M_tilde < (1/K)x_h        <=>  S_I*x_h > K*W
         for h in self.order[h_start:]:
             if block.cut(h).sign_minus(num, den) <= 0:
-                return False
+                return None
         # i in I:  (1/K)x_i <= M_tilde <= (1+1/K)x_i
         for i in self.order[j_end:h_start]:
             cut = block.cut(i)
             if cut.sign_minus(num, den) > 0 or cut.sign_minus(num, den * (K + 1)) < 0:
-                return False
+                return None
         # j in J:  (1+1/K)x_j < M_tilde     <=>  S_I*x_j < K*W/(K+1)
         for j in self.order[:j_end]:
             if block.cut(j).sign_minus(num, den * (K + 1)) >= 0:
-                return False
-        return True
+                return None
+        return w_num, den
 
 
 @lru_cache(maxsize=16)
@@ -249,18 +279,17 @@ def find_m_feasible_partition(config: SystemConfig, M: MemoryLike) -> Partition:
     M = check_memory(M)
     plan = _split_plan(config)
     L = len(plan.order)
-    if M > plan.total:
+    if M.numerator > plan.total * M.denominator:
         return Partition(frozenset(), frozenset(), frozenset(range(L)), Fraction(0),
                          plan.T[L], Fraction(0), None)
     for j_end in range(L):
         for h_start in range(L, j_end, -1):
-            block = plan.block(frozenset(plan.order[j_end:h_start]))
-            if plan.admits(block, j_end, h_start, M):
-                T_J = plan.T[j_end]
-                W = M - T_J + block.V_I
-                return Partition(frozenset(plan.order[h_start:]), block.I,
-                                 frozenset(plan.order[:j_end]), block.S_I, T_J, block.V_I,
-                                 W * block.inverse())
+            block = plan.split_block(j_end, h_start)
+            W = plan.admits(block, j_end, h_start, M)
+            if W is not None:
+                return Partition(plan.suffixes[h_start], block.I, plan.prefixes[j_end],
+                                 block.S_I, plan.T[j_end], block.V_I,
+                                 block.inverse() * Fraction(*W))
     raise PartitionInfeasibleError(config, M)
 
 
@@ -269,22 +298,56 @@ def allocate_memory(partition: Partition, config: SystemConfig, M: MemoryLike) -
 
     A level i in I gets ``W*(sqrt(N_i*U_i)*S_I^-1) - N_i/K`` with
     ``W = M - T_J + V_I``, so M is the memory the partition was found for.
+    W is formed as an integer pair w/d; with a rational share a/b (every
+    split with one partial level) the amount is the one Fraction
+    ``(K*a*w - b*N_i*d) / (K*b*d)``.
     """
     M = check_memory(M)
     levels = config.levels
     K = config.caches
     if partition.I:
         block = _split_plan(config).block(partition.I)
-        W = M - partition.T_J + partition.V_I
+        w, d = _weight(M, partition.T_J, partition.V_I)
     amounts: list[ExactValue] = []
     for idx, lv in enumerate(levels):
         if idx in partition.J:
             amounts.append(Fraction(lv.files))
         elif idx in partition.I:
-            amounts.append(W * block.share(idx) - Fraction(lv.files, K))
+            share = block.share(idx)
+            if type(share) is Fraction:
+                a, b = share.numerator, share.denominator
+                amounts.append(Fraction(K * a * w - b * lv.files * d, K * b * d))
+            else:
+                amounts.append(share * Fraction(w, d) - Fraction(lv.files, K))
         else:
             amounts.append(Fraction(0))
     return MemoryAllocation(tuple(amounts), M)
+
+
+def _weight(M: Fraction, T_J: Fraction, V_I: Rational) -> tuple[int, int]:
+    """``W = M - T_J + V_I`` as an unreduced integer numerator and positive
+    denominator."""
+    t, v = T_J.denominator, V_I.denominator
+    return ((M.numerator * t - T_J.numerator * M.denominator) * v
+            + V_I.numerator * M.denominator * t), M.denominator * t * v
+
+
+def _exact_sum(values: list[ExactValue]) -> ExactValue:
+    """``sum(values)`` in order, as Fractions add.
+
+    The rational terms before the first irrational one are added as an
+    integer pair; from that term on every addition is the RootSum one, in
+    order, so equivalent kernels merge as they always have.
+    """
+    num, den = 0, 1
+    for k, value in enumerate(values):
+        if type(value) is not Fraction:
+            total = Fraction(num, den)
+            for value in values[k:]:
+                total = total + value
+            return total
+        num, den = num * value.denominator + value.numerator * den, den * value.denominator
+    return Fraction(num, den)
 
 
 def refine_partition(config: SystemConfig, M: MemoryLike,
@@ -319,22 +382,29 @@ def rate_memory_sharing(config: SystemConfig, M: MemoryLike, strict: bool = Fals
     closed-form display expression
     ``sum_H K*U_h + S_I^2/(M - T_J) - sum_I U_i`` is attached to the report
     as ``approx_rate``; it is a known approximation and is never used in
-    gap checks.
+    gap checks.  A rational ``S_I^2 = s/r`` (one partial level) makes it the
+    one Fraction ``(c*r*m + s*e) / (r*m)``, with ``M - T_J = m/e`` and c the
+    two user sums.
     """
     M = check_memory(M)
     plan = _split_plan(config)
     validation = plan.validation().raise_if_strict(strict)
     partition = find_m_feasible_partition(config, M)
     allocation = allocate_memory(partition, config, M)
-    K = config.caches
-    rate: ExactValue = Fraction(0)
-    for lv, amount in zip(config.levels, allocation.amounts):
-        rate = rate + rate_single_level(amount, K, lv.files, lv.users)
+    K, levels = config.caches, config.levels
+    rate = _exact_sum([rate_single_level(amount, K, lv.files, lv.users)
+                       for lv, amount in zip(levels, allocation.amounts)])
     approx = None
     if partition.I and M != partition.T_J:
-        approx = (sum(K * config.levels[h].users for h in partition.H)
-                  + plan.block(partition.I).square() / (M - partition.T_J)
-                  - sum(config.levels[i].users for i in partition.I))
+        users_H = sum(K * levels[h].users for h in partition.H)
+        users_I = sum(levels[i].users for i in partition.I)
+        square = plan.block(partition.I).square()
+        if type(square) is Fraction:
+            m, e = _weight(M, partition.T_J, 0)
+            s, r = square.numerator, square.denominator
+            approx = Fraction((users_H - users_I) * r * m + s * e, r * m)
+        else:
+            approx = users_H + square / (M - partition.T_J) - users_I
     return RateReport(
         setup=Setup.MULTI_USER,
         memory=M,

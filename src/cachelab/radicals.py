@@ -86,7 +86,7 @@ class RootSum:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, value: Rational = 0):
+    def __init__(self, value: Rational = Fraction(0)):
         if isinstance(value, RootSum):
             self._terms = dict(value._terms)
             return

@@ -5,7 +5,10 @@ envelope ``U * min{N/M, K} * (1 - M/N)``; ``scheme_rate`` is the exact rate
 of the concrete subset-placement scheme implemented by ``place``/``deliver``
 (``K(1-M/N)/(1+KM/N)`` at integer subset sizes, linearly interpolated in
 between).  The scheme never exceeds the envelope, which the test suite
-checks pointwise with exact rationals.
+checks pointwise with exact rationals.  At a rational memory M = p/q the
+envelope picks its branch by comparing ``N*q`` with ``K*p`` and builds one
+Fraction from integers; an irrational memory (a RootSum, from the
+memory-sharing allocation) goes through RootSum arithmetic.
 
 ``deliver`` produces an explicit broadcast transcript of XOR messages and
 ``verify_decode`` confirms decodability by an independent linear-span check
@@ -152,14 +155,19 @@ def rate_single_level(M: MemoryLike, K: int, N: int, U: int) -> ExactValue:
     if isinstance(M, RootSum):
         if M < 0 or M > N:
             raise ValueError(f"memory {M} outside [0, {N}]")
-    else:
-        M = check_memory(M)
-        if M > N:
-            raise ValueError(f"memory {M} exceeds library size {N}")
-    # min{N/M, K} = K  iff  N >= K*M, which includes M = 0
-    if N >= K * M:
-        return U * K * (1 - M / N)
-    return U * (N / M - 1)
+        # min{N/M, K} = K  iff  N >= K*M
+        if N >= K * M:
+            return U * K * (1 - M / N)
+        return U * (N / M - 1)
+    M = check_memory(M)
+    p, q = M.numerator, M.denominator
+    Nq = N * q
+    if p > Nq:
+        raise ValueError(f"memory {M} exceeds library size {N}")
+    # M = p/q: min{N/M, K} = K  iff  N*q >= K*p, which includes M = 0
+    if Nq >= K * p:
+        return Fraction(U * K * (Nq - p), Nq)
+    return Fraction(U * (Nq - p), p)
 
 
 def _layers(K: int, N: int, M: Fraction) -> tuple[Layer, ...]:

@@ -4,7 +4,10 @@ Levels whose per-user library share exceeds the cache memory are served by
 plain file transmissions; the rest are merged into one super-level that
 receives all of the memory and is delivered with the single-level engine
 over exactly the caches whose users request super-level files.  All
-threshold comparisons are exact rational arithmetic.
+threshold comparisons are exact: at M = p/q, level h is uncoded iff
+``p*K_h < N_h*q``, and the clustering rate, with its clamp at zero, is one
+integer numerator and denominator made into one Fraction.  The regularity
+report of a config is computed once, for the last 16 configs.
 """
 
 from __future__ import annotations
@@ -12,10 +15,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
-from .model import (MemoryLike, RateReport, Setup, SystemConfig, check_memory,
-                    validate_single_user)
+from .model import (MemoryLike, RateReport, Setup, SystemConfig, ValidationReport,
+                    check_memory, validate_single_user)
 from .single_level import (Transcript, deliver, place, span_contains, symbol_mask,
                            verify_decode)
 
@@ -46,23 +50,38 @@ class RefinedClusterPartition:
 
 
 def partition_su(config: SystemConfig, M: MemoryLike) -> ClusterPartition:
-    """Exact threshold split: h is uncoded iff M < N_h/K_h."""
+    """Exact threshold split: h is uncoded iff M < N_h/K_h, that is iff
+    ``p*K_h < N_h*q`` for M = p/q."""
     M = check_memory(M)
-    hp = frozenset(i for i, lv in enumerate(config.levels)
-                   if M < Fraction(lv.files, lv.users))
+    p, q = M.numerator, M.denominator
+    hp = frozenset(i for i, lv in enumerate(config.levels) if p * lv.users < lv.files * q)
     ip = frozenset(range(len(config.levels))) - hp
     return ClusterPartition(hp, ip)
 
 
+@lru_cache(maxsize=16)
+def _validation(config: SystemConfig) -> ValidationReport:
+    """`validate_single_user` of a config, computed once per config."""
+    return validate_single_user(config)
+
+
 def rate_clustering(config: SystemConfig, M: MemoryLike, strict: bool = False) -> RateReport:
-    """Clustering rate: uncoded users plus ``max{(sum_I' N_i)/M - 1, 0}``."""
+    """Clustering rate: uncoded users plus ``max{(sum_I' N_i)/M - 1, 0}``.
+
+    For M = p/q that is ``(u*p + max{n*q - p, 0})/p`` with u the uncoded
+    users and n the super-level library, one Fraction (just u at M = 0).
+    """
     M = check_memory(M)
-    validation = validate_single_user(config).raise_if_strict(strict)
+    validation = _validation(config).raise_if_strict(strict)
     part = partition_su(config, M)
-    rate = sum((Fraction(config.levels[h].users) for h in part.Hprime), Fraction(0))
-    n_super = sum(config.levels[i].files for i in part.Iprime)
-    if n_super and M > 0:
-        rate += max(Fraction(n_super) / M - 1, Fraction(0))
+    levels = config.levels
+    users = sum(levels[h].users for h in part.Hprime)
+    n_super = sum(levels[i].files for i in part.Iprime)
+    p = M.numerator
+    if n_super and p:
+        rate = Fraction(users * p + max(n_super * M.denominator - p, 0), p)
+    else:
+        rate = Fraction(users)
     return RateReport(
         setup=Setup.SINGLE_USER,
         memory=M,

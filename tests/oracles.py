@@ -16,7 +16,7 @@ from cachelab.multi_user import (MemoryAllocation, Partition, PartitionInfeasibl
                                  _sqrt_n_over_u, _sqrt_nu, _sums, refine_partition)
 from cachelab.radicals import RootSum
 from cachelab.single_level import (Message, PlacementState, SubfileId, Transcript, _layers,
-                                   _rows, rate_single_level, span_contains, symbol_mask)
+                                   _rows, span_contains, symbol_mask)
 from cachelab.single_user import DecentralizedRun, _super_level
 
 
@@ -98,7 +98,7 @@ def scan_rate_memory_sharing(config, M):
             amounts.append(Fraction(0))
     rate = Fraction(0)
     for lv, amount in zip(config.levels, amounts):
-        rate = rate + rate_single_level(amount, K, lv.files, lv.users)
+        rate = rate + fraction_rate_single_level(amount, K, lv.files, lv.users)
     approx = None
     if partition.I and M != partition.T_J:
         approx = (sum(K * config.levels[h].users for h in partition.H)
@@ -108,6 +108,42 @@ def scan_rate_memory_sharing(config, M):
                       regular=validation.ok, partition=partition,
                       allocation=MemoryAllocation(tuple(amounts), M),
                       extras={"approx_rate": approx})
+
+
+def fraction_rate_single_level(M, K, N, U):
+    """``U * min{N/M, K} * (1 - M/N)`` by arithmetic on M itself, Fraction
+    or RootSum, with the messages of `rate_single_level`."""
+    if isinstance(M, RootSum):
+        if M < 0 or M > N:
+            raise ValueError(f"memory {M} outside [0, {N}]")
+    else:
+        M = check_memory(M)
+        if M > N:
+            raise ValueError(f"memory {M} exceeds library size {N}")
+    if N >= K * M:
+        return U * K * (1 - M / N)
+    return U * (N / M - 1)
+
+
+def fraction_rate_clustering(config, M):
+    """The uncoded set and the rate of `rate_clustering`, by Fraction
+    comparisons and sums: uncoded users plus ``max{N_super/M - 1, 0}``."""
+    M = check_memory(M)
+    levels = config.levels
+    uncoded = frozenset(i for i, lv in enumerate(levels) if M < Fraction(lv.files, lv.users))
+    rate = sum((Fraction(levels[h].users) for h in uncoded), Fraction(0))
+    n_super = sum(lv.files for i, lv in enumerate(levels) if i not in uncoded)
+    if n_super and M > 0:
+        rate += max(Fraction(n_super) / M - 1, Fraction(0))
+    return uncoded, rate
+
+
+def fraction_allocation_amount(partition, config, M, i):
+    """The memory of partial level i, ``W*sqrt(N_i*U_i)*S_I^-1 - N_i/K`` with
+    ``W = M - T_J + V_I``, from the partition's exact values."""
+    lv = config.levels[i]
+    W = check_memory(M) - partition.T_J + partition.V_I
+    return W * (_sqrt_nu(lv) * (1 / partition.S_I)) - Fraction(lv.files, config.caches)
 
 
 def enumerate_feasible_partitions(config, M):

@@ -74,6 +74,26 @@ def test_rate_strict_exit_mixed(tmp_path, capsys):
     assert "files 3 < caches*users = 8" in captured.err and "files 1 < users 3" in captured.err
 
 
+def test_rate_strict_exit_single_user(tmp_path, capsys):
+    # The more popular level, level 0, has fewer files than users (SU-FILES),
+    # and the users do not fill the caches (SU-COUNT).  The report is computed once per config, so the
+    # permissive run before must not let the strict run pass.
+    path = tmp_path / "bad_su.json"
+    path.write_text(json.dumps({
+        "setup": "single-user", "caches": 6,
+        "levels": [{"files": 10, "users": 2}, {"files": 1, "users": 3}]}))
+    assert cli.main(["rate", str(path), "--mem", "1"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out[out.index("{"):])["regular"] is False
+    for _ in range(2):
+        assert cli.main(["rate", str(path), "--mem", "1", "--strict"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("regularity violation: instance violates regularity "
+                                "conditions: level 0: files 1 < users 3; "
+                                "total users 5 != caches 6\n")
+
+
 def test_rate_mixed(tmp_path, capsys):
     path = tmp_path / "mixed.json"
     path.write_text(json.dumps({

@@ -13,7 +13,8 @@ from cachelab.multi_user import (PartitionInfeasibleError, allocate_memory,
                                  rate_memory_sharing, refine_partition)
 from cachelab.radicals import exact_sign
 from cachelab.single_level import rate_single_level
-from oracles import enumerate_feasible_partitions, scan_rate_memory_sharing
+from oracles import (enumerate_feasible_partitions, fraction_allocation_amount,
+                     scan_rate_memory_sharing)
 
 
 def one_level():
@@ -229,6 +230,34 @@ def test_rate_matches_per_memory_scan_oracle():
         for M in sorted(mems):
             assert _report_or_error(rate_memory_sharing, cfg, M) \
                 == _report_or_error(scan_rate_memory_sharing, cfg, M), (cfg, M)
+
+
+def test_allocation_matches_fraction_formula_oracle():
+    # Random rational memories plus M = 0, K*M = N_i, M = N_i, the library size
+    # and above it, on regular, irregular and wide configs: every partial
+    # level's memory has the value and type of the Fraction formula, and is
+    # a Fraction when it is the only partial level.
+    rng = random.Random(139)
+    rational = 0
+    for cfg in _oracle_configs():
+        total = cfg.total_files
+        mems = {Fraction(0), Fraction(total), Fraction(total + 1)}
+        for lv in cfg.levels:
+            mems |= {Fraction(lv.files, cfg.caches), Fraction(lv.files)}
+        mems |= {Fraction(rng.randint(0, 8 * total), rng.randint(1, 8)) for _ in range(6)}
+        for M in sorted(mems):
+            try:
+                partition = find_m_feasible_partition(cfg, M)
+            except PartitionInfeasibleError:
+                continue
+            amounts = allocate_memory(partition, cfg, M).amounts
+            for i in partition.I:
+                expected = fraction_allocation_amount(partition, cfg, M, i)
+                assert type(amounts[i]) is type(expected) and amounts[i] == expected, (cfg, M)
+                if len(partition.I) == 1:
+                    assert type(amounts[i]) is Fraction
+                    rational += 1
+    assert rational >= 50
 
 
 @pytest.mark.parametrize("M", [0, 8])

@@ -25,6 +25,25 @@ def test_rate_examples():
         rate_single_level(-1, 4, 8, 1)
 
 
+def test_rate_matches_fraction_formula_oracle():
+    # Random rational memories plus M = 0, K*M = N and M = N: the same value
+    # as the Fraction formula, and a Fraction; above N and below 0, the same
+    # message.
+    rng = random.Random(131)
+    for _ in range(300):
+        K, N, U, q = rng.randint(1, 12), rng.randint(1, 40), rng.randint(1, 5), rng.randint(1, 30)
+        for M in (0, Fraction(N, K), N, Fraction(rng.randint(0, N * q), q), str(Fraction(N, q))):
+            value = rate_single_level(M, K, N, U)
+            assert type(value) is Fraction, (M, K, N, U)
+            assert value == oracles.fraction_rate_single_level(M, K, N, U), (M, K, N, U)
+        for M in (Fraction(N * q + 1, q), Fraction(-1, q), N + 1, -1):
+            with pytest.raises(ValueError) as got:
+                rate_single_level(M, K, N, U)
+            with pytest.raises(ValueError) as want:
+                oracles.fraction_rate_single_level(M, K, N, U)
+            assert str(got.value) == str(want.value)
+
+
 def test_rate_accepts_exact_irrational_memory():
     m = RootSum.sqrt(2)  # K*M < N branch
     value = rate_single_level(m, 4, 8, 1)

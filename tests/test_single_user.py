@@ -10,7 +10,7 @@ from cachelab.single_user import (cluster_place_deliver,
                                   cluster_place_deliver_decentralized,
                                   partition_su, rate_clustering,
                                   rate_upper_bound_su, refine_partition_su)
-from oracles import team_enumeration_decentralized
+from oracles import fraction_rate_clustering, team_enumeration_decentralized
 
 
 def two_levels():
@@ -49,6 +49,32 @@ def test_rate_examples():
     assert rate_clustering(two_levels(), 0).achievable == 5
     single = SystemConfig.single_user(3, [(6, 3)])
     assert rate_clustering(single, 6).achievable == 0
+
+
+def test_rate_matches_fraction_formula_oracle():
+    # Random rational memories plus M = 0, every threshold N_h/K_h exactly and
+    # just off it, the library size and above it, on regular configs and on
+    # configs that break both single-user rules: the same uncoded set and
+    # rate as the Fraction formula, and the rate is a Fraction.
+    rng = random.Random(137)
+    configs = [random_single_user_config(rng) for _ in range(10)]
+    for _ in range(10):
+        levels = [(rng.randint(1, 30), rng.randint(1, 8)) for _ in range(rng.randint(1, 4))]
+        levels.append((1, 2))                                   # SU-FILES
+        configs.append(SystemConfig.single_user(sum(k for _, k in levels) + 1, levels))
+    big = 10 ** 20 + 3
+    for cfg in configs:
+        total = cfg.total_files
+        mems = {Fraction(0), Fraction(total), Fraction(total + 1), Fraction(3 * total, 2)}
+        for lv in cfg.levels:
+            mems |= {Fraction(lv.files * big + d, lv.users * big) for d in (-1, 0, 1)}
+        mems |= {Fraction(rng.randint(0, 8 * total), rng.randint(1, 8)) for _ in range(8)}
+        for M in sorted(mems):
+            report = rate_clustering(cfg, M)
+            uncoded, rate = fraction_rate_clustering(cfg, M)
+            assert report.partition.Hprime == uncoded, (cfg, M)
+            assert type(report.achievable) is Fraction and report.achievable == rate, (cfg, M)
+    assert sum(not rate_clustering(cfg, 1).regular for cfg in configs) == 10
 
 
 def test_refine_examples():

@@ -141,19 +141,6 @@ def best_cut_sizes(config: SystemConfig, t: int, b: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _candidate_b_values(config: SystemConfig, t: int) -> tuple[int, ...]:
-    """Broadcast-count candidates for one window size t.
-
-    Depends only on (config, t), never on M, so the maximized bound is a
-    max over a fixed family of lines in M (see `_bound_lines`).  The grid
-    combines the shared ladder of `_b_ladder` with the per-level crossing
-    points ``N_i/(t*U_i*s^2)`` where the cut terms switch sides.
-    """
-    b_max = _b_search_limit(config)
-    levels = [(lv.files, lv.users) for lv in config.levels]
-    return tuple(sorted(_b_ladder(b_max) | _b_crossings(levels, t, config.caches, b_max)))
-
-
 def _b_search_limit(config: SystemConfig) -> int:
     """Upper end of the broadcast-count grid, from the closed-form scale
     ``64*(sum N_i)^2 / (sum sqrt(N_i*U_i))^2`` (over-approximated with the

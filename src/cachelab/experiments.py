@@ -218,7 +218,7 @@ def dichotomy_single_user(L: int, files: int = 16,
         raise ValueError("need at least 4 files per level for the default regime")
     config = SystemConfig.single_user(L * files, [(files, files)] * L)
     M = _family_memory(M, Fraction(L * files, 4), L * files)
-    s = RootSum(0)
+    s: ExactValue = Fraction(0)
     for _ in range(L):
         s = s + RootSum.sqrt(files)
     approx_ms = s * s / M
@@ -235,14 +235,17 @@ def dichotomy_single_user(L: int, files: int = 16,
 
 # -- mixed setup -------------------------------------------------------------
 
+GAMMA_GRID = 101  # gammas 0, 1/100, ..., 1 scanned by `mixed_rate`
+
+
 def mixed_rate(config: SystemConfig, M: MemoryLike, gamma: Optional[Fraction] = None,
-               gamma_grid: int = 101, strict: bool = False) -> RateReport:
+               strict: bool = False) -> RateReport:
     """Superposition rate: memory-sharing on the replicated class with a
     gamma fraction of the memory, clustering on the single-row class with
     the rest.  Reports the rate at the requested gamma (default: the grid
-    minimizer) plus the best gamma found on the grid.  No lower bound is
-    emitted for the mixed setup.  The report's `regular` flag is
-    ``validate(config).ok``; with `strict`, a violation raises.
+    minimizer) plus the best gamma found on the `GAMMA_GRID`-point grid.  No
+    lower bound is emitted for the mixed setup.  The report's `regular` flag
+    is ``validate(config).ok``; with `strict`, a violation raises.
 
     The grid is scanned even when `gamma` is given, because the report
     carries ``best_gamma`` and ``best_rate`` in either case; a given gamma
@@ -274,8 +277,8 @@ def mixed_rate(config: SystemConfig, M: MemoryLike, gamma: Optional[Fraction] = 
         if not (0 <= gamma <= 1):
             raise ValueError("gamma must lie in [0, 1]")
     best_g, best_rate = None, None
-    for k in range(gamma_grid):
-        g = Fraction(k, gamma_grid - 1) if gamma_grid > 1 else Fraction(0)
+    for k in range(GAMMA_GRID):
+        g = Fraction(k, GAMMA_GRID - 1)
         value = rate_at(g)
         if best_rate is None or value < best_rate:
             best_g, best_rate = g, value

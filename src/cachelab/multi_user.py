@@ -16,10 +16,11 @@ filled only as far as the queries reach; a memory then costs rational
 comparisons plus the M-dependent rates.  A membership test forms
 ``K*W = K*(M - T_J + V_I)`` as an unreduced integer numerator and
 denominator, from M's and from ``V_I - T_J``, which each block keeps as an
-integer pair per stored prefix J, and compares it with every threshold's
-enclosure by integer cross-multiplication; no Fraction is built unless M
-falls inside an enclosure.  The scan finds each block by the indices of
-its split, so it builds no set per split it tries.
+integer pair per stored prefix J, and compares it by integer
+cross-multiplication with the enclosures of the thresholds that bind, at
+the ends of H, I and J; no Fraction is built unless M falls inside an
+enclosure.  The scan finds each block by the indices of its split, so it
+builds no set per split it tries.
 
 The rest of the rate path is fraction-free where its values are rational.
 A feasible split hands its W back as that integer pair, and ``M_tilde``
@@ -120,7 +121,7 @@ def _sums(config: SystemConfig, I: Iterable[int],
     of ``S_I`` are represented.
     """
     levels = config.levels
-    S_I = RootSum(0)
+    S_I: ExactValue = Fraction(0)
     for i in I:
         S_I = S_I + _sqrt_nu(levels[i])
     T_J = sum((Fraction(levels[j].files) for j in J), Fraction(0))
@@ -235,27 +236,31 @@ class _SplitPlan:
         ``J = order[:j_end]``, ``I = order[j_end:h_start]`` (`block`),
         ``H = order[h_start:]``.
 
+        The order sorts ``x = sqrt(N/U)`` ascending and ``S_I > 0``, so the
+        cut constants ``S_I*x`` ascend along it too, and each condition binds
+        at one end of its set: H's first level, I's last and first levels,
+        and J's last level.  Only those four cuts are compared; levels with
+        tied ``N/U`` share a cut value, so any of them decides alike.
+
         Returns ``W = M - T_J + V_I`` as an unreduced integer numerator and
         positive denominator if the split is feasible, else None.
         """
         K = self.config.caches
+        order = self.order
         c_num, c_den = block.offset(j_end, self.T[j_end])
         m_den = M.denominator
         w_num, den = M.numerator * c_den + c_num * m_den, m_den * c_den
         num = K * w_num  # K*W over den
         # h in H:  M_tilde < (1/K)x_h        <=>  S_I*x_h > K*W
-        for h in self.order[h_start:]:
-            if block.cut(h).sign_minus(num, den) <= 0:
-                return None
+        if h_start < len(order) and block.cut(order[h_start]).sign_minus(num, den) <= 0:
+            return None
         # i in I:  (1/K)x_i <= M_tilde <= (1+1/K)x_i
-        for i in self.order[j_end:h_start]:
-            cut = block.cut(i)
-            if cut.sign_minus(num, den) > 0 or cut.sign_minus(num, den * (K + 1)) < 0:
-                return None
+        if (block.cut(order[h_start - 1]).sign_minus(num, den) > 0
+                or block.cut(order[j_end]).sign_minus(num, den * (K + 1)) < 0):
+            return None
         # j in J:  (1+1/K)x_j < M_tilde     <=>  S_I*x_j < K*W/(K+1)
-        for j in self.order[:j_end]:
-            if block.cut(j).sign_minus(num, den * (K + 1)) >= 0:
-                return None
+        if j_end and block.cut(order[j_end - 1]).sign_minus(num, den * (K + 1)) >= 0:
+            return None
         return w_num, den
 
 
@@ -431,7 +436,7 @@ def level_rate_bounds(config: SystemConfig, M: MemoryLike) -> list[ExactValue]:
     levels = config.levels
     inv_beta = 1 / BETA
     W = M - part.T_J + part.V_I
-    S_low = RootSum(0)
+    S_low: ExactValue = Fraction(0)
     for i in refined.I0 | refined.Iprime:
         S_low = S_low + _sqrt_nu(levels[i])
     bounds: list[ExactValue] = []

@@ -13,8 +13,10 @@ Every arithmetic result is canonical: a ``Fraction`` when its value is
 rational, an irrational ``RootSum`` otherwise.  That holds for ``+``, ``-``,
 ``*``, ``/``, negation, ``inverse`` and ``RootSum.sqrt`` (so
 ``RootSum.sqrt(4)`` is ``Fraction(2)``), and callers mix both types freely
-in arithmetic and comparisons, in either operand order.  Only the
-constructor ``RootSum(q)`` still makes a rational ``RootSum``.
+in arithmetic and comparisons, in either operand order.  They are the only
+ways to make a ``RootSum``, so every ``RootSum`` is irrational, hence
+nonzero, and a sum starts from ``Fraction(0)``.  ``math.floor`` and
+``math.ceil`` are not exact on a ``RootSum``: they fall back to ``float``.
 
 A product of two irrational sums adds its term products as integer
 numerators over the product of the two operands' common denominators and
@@ -53,6 +55,7 @@ Rational = Union[int, Fraction]
 
 _PRECISION_FLOOR = 256
 _PRECISION_CEILING = 1 << 20
+_DECIMAL_DIGITS = 12  # significant digits of `to_decimal`
 
 # Squares of small primes, used to shrink kernels opportunistically.
 _SMALL_SQUARES = [p * p for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)]
@@ -82,17 +85,13 @@ def _shrink_kernel(n: int) -> tuple[int, int]:
 
 
 class RootSum:
-    """Exact value of the form ``q_0 + sum c_k*sqrt(n_k)``; immutable."""
+    """Exact irrational value ``q_0 + sum c_k*sqrt(n_k)``; immutable, and
+    made only by `RootSum.sqrt` and arithmetic."""
 
     __slots__ = ("_terms",)
 
-    def __init__(self, value: Rational = Fraction(0)):
-        if isinstance(value, RootSum):
-            self._terms = dict(value._terms)
-            return
-        if not isinstance(value, Fraction):
-            value = Fraction(value)
-        self._terms: dict[int, Fraction] = {1: value} if value else {}
+    def __init__(self, *_):
+        raise TypeError("a RootSum comes from RootSum.sqrt or arithmetic")
 
     # -- construction ------------------------------------------------------
 
@@ -103,9 +102,9 @@ class RootSum:
         if value < 0:
             raise ValueError("square root of a negative rational")
         # sqrt(p/q) = sqrt(p*q)/q
-        out = RootSum()
-        out._insert(value.numerator * value.denominator, Fraction(1, value.denominator))
-        return _canonical(out)
+        kernel, mult = _shrink_kernel(value.numerator * value.denominator)
+        coeff = Fraction(mult, value.denominator)
+        return coeff if kernel == 1 else _from_terms({kernel: coeff})
 
     def _insert(self, kernel: int, coeff) -> None:
         """Add ``coeff * sqrt(kernel)``, keeping the kernels shrunk and pairwise
@@ -151,7 +150,8 @@ class RootSum:
     # -- ring operations ---------------------------------------------------
 
     def _rational(self) -> Fraction | None:
-        """The value if it is rational, else None."""
+        """The value if it is rational (only a raw sum inside an operation
+        can be), else None."""
         terms = self._terms
         if not terms:
             return Fraction(0)
@@ -161,55 +161,40 @@ class RootSum:
 
     def __add__(self, other) -> "ExactValue":
         if isinstance(other, RootSum):
-            q = other._rational()
-        elif isinstance(other, (int, Fraction)):
-            q = other
-        else:
-            return NotImplemented
-        # A rational operand only touches kernel 1.  Both fast paths leave
-        # the terms, and their order, as the _insert loop below would.
-        if q is not None:
-            out = RootSum(self)
-            if q:
-                total = out._terms.get(1, Fraction(0)) + q
-                if total:
-                    out._terms[1] = total
-                else:
-                    del out._terms[1]
-            return _canonical(out)
-        q = self._rational()
-        if q is not None:
-            out = RootSum(q)
+            out = _from_terms(dict(self._terms))
             for kernel, coeff in other._terms.items():
-                if kernel != 1:
-                    out._terms[kernel] = coeff
-                elif q + coeff:
-                    out._terms[1] = q + coeff
-                else:
-                    del out._terms[1]
-            return out  # keeps the irrational kernels of other
-        out = RootSum(self)
-        for kernel, coeff in other._terms.items():
-            out._insert(kernel, coeff)
-        return _canonical(out)
+                out._insert(kernel, coeff)
+            return _canonical(out)
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        # A rational operand only touches kernel 1, as the _insert route
+        # would, and leaves the irrational kernels of self.
+        terms = dict(self._terms)
+        terms[1] = terms.get(1, Fraction(0)) + other
+        if not terms[1]:
+            del terms[1]
+        return _from_terms(terms)
 
     __radd__ = __add__
 
-    def __neg__(self) -> "ExactValue":
-        out = RootSum()
-        out._terms = {k: -c for k, c in self._terms.items()}
-        return _canonical(out)
+    def __neg__(self) -> "RootSum":
+        return _from_terms({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, (RootSum, int, Fraction)):
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
+    def __rsub__(self, other) -> "RootSum":
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return other + (-self)
+        # A nonzero constant of other comes first, then the terms of -self.
+        terms = {1: Fraction(other)} if other else {}
+        for kernel, coeff in self._terms.items():
+            terms[kernel] = terms.get(kernel, 0) - coeff
+        if terms.get(1) == 0:
+            del terms[1]
+        return _from_terms(terms)
 
     def __mul__(self, other) -> "ExactValue":
         if not isinstance(other, (RootSum, int, Fraction)):
@@ -219,24 +204,18 @@ class RootSum:
     __rmul__ = __mul__
 
     def _product(self, other: "RootSum | Rational") -> "RootSum":
-        """``self * other`` as a RootSum, rational or not."""
+        """``self * other`` as a raw RootSum, rational or not; `other` may be a
+        raw rational RootSum from `_tower_inverse`."""
         q = other._rational() if isinstance(other, RootSum) else other
         # A rational operand only scales the coefficients: the kernels are
         # already shrunk and pairwise inequivalent, so _insert would keep
         # them, in order.
-        out = RootSum()
         if q is not None:
-            if q:
-                out._terms = {k: c * q for k, c in self._terms.items()}
-            return out
-        q = self._rational()
-        if q is not None:
-            if q:
-                out._terms = {k: q * c for k, c in other._terms.items()}
-            return out
+            return _from_terms({k: c * q for k, c in self._terms.items()} if q else {})
         # Term products are inserted as integer numerators over the product
         # of the two operands' common denominators, in the order and with
         # the merges and deletions of Fraction coefficients.
+        out = _from_terms({})
         den_a, a = _numerators(self._terms)
         den_b, b = _numerators(other._terms)
         for k1, n1 in a:
@@ -252,25 +231,18 @@ class RootSum:
 
     def __truediv__(self, other) -> "ExactValue":
         if isinstance(other, RootSum):
-            q = other._rational()
-            if q is None:
-                return self * other.inverse()
-        elif isinstance(other, (int, Fraction)):
-            q = other
-        else:
+            return self * other.inverse()
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return self * Fraction(1, q)
+        return self * Fraction(1, other)
 
     def __rtruediv__(self, other) -> "ExactValue":
-        other = _coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
         return other * self.inverse()
 
     def inverse(self) -> "ExactValue":
         """Exact multiplicative inverse, by a tower of quadratic conjugations."""
-        if not self._terms:
-            raise ZeroDivisionError("inverse of zero")
         return _canonical(self._tower_inverse(len(self._terms)))
 
     def _tower_inverse(self, rank: int) -> "RootSum":
@@ -280,9 +252,7 @@ class RootSum:
         # Private, so a traced inverse() is entered once per division.
         kernels = [k for k in self._terms if k != 1]
         if not kernels:
-            out = RootSum()
-            out._terms = {1: 1 / self._terms[1]}
-            return out
+            return _from_terms({1: 1 / self._terms[1]})
         gens: list[int] = []
         expo: dict[int, int] = {}
         for k in kernels:
@@ -294,9 +264,8 @@ class RootSum:
         if len(gens) > rank:
             raise ArithmeticError("a conjugation did not remove its generator")
         top = 1 << (len(gens) - 1)
-        conj = RootSum()
-        conj._terms = {k: (-c if k != 1 and expo[k] & top else c)
-                       for k, c in self._terms.items()}
+        conj = _from_terms({k: (-c if k != 1 and expo[k] & top else c)
+                            for k, c in self._terms.items()})
         return conj._product(self._product(conj)._tower_inverse(len(gens) - 1))
 
     @staticmethod
@@ -315,9 +284,7 @@ class RootSum:
     # -- comparisons -------------------------------------------------------
 
     def sign(self) -> int:
-        """Certified sign: -1, 0, or +1."""
-        if not self._terms:
-            return 0
+        """Certified sign: -1 or +1."""
         # Kernels are pairwise inequivalent, so the value is nonzero unless
         # every coefficient is zero (and zero coefficients are never stored).
         prec = _PRECISION_FLOOR
@@ -345,9 +312,6 @@ class RootSum:
     del _compare
 
     __hash__ = None
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
 
     # -- conversions -------------------------------------------------------
 
@@ -384,28 +348,7 @@ class RootSum:
         lo, hi = self.interval(64)
         return float((lo + hi) / 2)
 
-    def __floor__(self) -> int:
-        """Exact floor, for ``math.floor``."""
-        lo, hi = self.interval()
-        prec = _PRECISION_FLOOR
-        while math.floor(lo) != math.floor(hi):
-            # The value may be an exact integer sitting on the boundary.
-            n = math.floor(hi)
-            if self >= n:
-                return n
-            prec *= 2
-            if prec > _PRECISION_CEILING:
-                raise RuntimeError("precision ceiling reached in floor")
-            lo, hi = self.interval(prec)
-        return math.floor(lo)
-
-    def __ceil__(self) -> int:
-        """Exact ceiling, for ``math.ceil``."""
-        return -math.floor(-self)
-
     def __repr__(self) -> str:
-        if not self._terms:
-            return "0"
         parts = []
         for kernel in sorted(self._terms):
             coeff = self._terms[kernel]
@@ -452,18 +395,18 @@ def _numerators(terms: dict[int, Fraction]) -> tuple[int, list[tuple[int, int]]]
     return den, [(k, c.numerator * (den // c.denominator)) for k, c in terms.items()]
 
 
+def _from_terms(terms: dict[int, Fraction]) -> RootSum:
+    """A RootSum over `terms`, which it takes over; the only way to build one
+    besides `RootSum.sqrt`."""
+    out = object.__new__(RootSum)
+    out._terms = terms
+    return out
+
+
 def _canonical(value: RootSum) -> "ExactValue":
     """The value as a Fraction when it is rational, else the RootSum itself."""
     q = value._rational()
     return value if q is None else q
-
-
-def _coerce(value) -> "RootSum":
-    if isinstance(value, RootSum):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return RootSum(value)
-    return NotImplemented
 
 
 ExactValue = Union[Fraction, RootSum]
@@ -482,14 +425,19 @@ class Enclosure:
     ``sign_minus(num, den)`` is the sign of ``value - num/den`` (``den > 0``).
     It takes two integer cross-multiplications with the bounds of
     ``_scaled_interval`` at the starting precision, and the certified
-    ``sign`` of the difference only when num/den lies inside them.
+    ``sign`` of the difference only when num/den lies inside them.  A
+    rational value is its own lower and upper bound.
     """
 
     __slots__ = ("value", "_lo", "_hi", "_den")
 
     def __init__(self, value: ExactValue):
         self.value = value
-        self._lo, self._hi, self._den = _coerce(value)._scaled_interval(_PRECISION_FLOOR)
+        if isinstance(value, RootSum):
+            self._lo, self._hi, self._den = value._scaled_interval(_PRECISION_FLOOR)
+        else:
+            self._lo = self._hi = value.numerator
+            self._den = value.denominator
 
     def sign_minus(self, num: int, den: int) -> int:
         scaled = num * self._den
@@ -509,8 +457,8 @@ def as_exact_str(value) -> str:
     return _fraction_str(Fraction(value))
 
 
-def to_decimal(value, sig_digits: int = 12) -> str:
-    """Fixed significant-digit decimal rendering, for CSV output."""
+def to_decimal(value) -> str:
+    """Decimal rendering to 12 significant digits, for CSV output."""
     if value is None:
         return ""
-    return f"{float(value):.{sig_digits}g}"
+    return f"{float(value):.{_DECIMAL_DIGITS}g}"

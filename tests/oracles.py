@@ -9,12 +9,12 @@ import math
 import random
 from fractions import Fraction
 
-from cachelab.bounds import (MultiUserBoundParams, _bound_lines, _candidate_b_values,
-                             _cut_sum, best_cut_sizes)
+from cachelab.bounds import (MultiUserBoundParams, _b_crossings, _b_ladder, _b_search_limit,
+                             _bound_lines, _cut_sum, best_cut_sizes)
 from cachelab.model import RateReport, Setup, check_memory, validate_multi_user
 from cachelab.multi_user import (MemoryAllocation, Partition, PartitionInfeasibleError,
                                  _sqrt_n_over_u, _sqrt_nu, _sums, refine_partition)
-from cachelab.radicals import RootSum
+from cachelab.radicals import RootSum, _from_terms
 from cachelab.single_level import (Message, PlacementState, SubfileId, Transcript, _layers,
                                    _rows, span_contains, symbol_mask)
 from cachelab.single_user import DecentralizedRun, _super_level
@@ -168,6 +168,20 @@ def enumerate_feasible_partitions(config, M):
     return out
 
 
+def candidate_b_values(config, t):
+    """Broadcast-count candidates for one window size t, as a sorted tuple.
+
+    Depends only on (config, t), never on M, so the maximized bound is a
+    max over a fixed family of lines in M (see `_bound_lines`, which builds
+    the same grid inline).  The grid combines the shared ladder of
+    `_b_ladder` with the per-level crossing points ``N_i/(t*U_i*s^2)``
+    where the cut terms switch sides.
+    """
+    b_max = _b_search_limit(config)
+    levels = [(lv.files, lv.users) for lv in config.levels]
+    return tuple(sorted(_b_ladder(b_max) | _b_crossings(levels, t, config.caches, b_max)))
+
+
 def grid_bound_mu(config, M):
     """The multi-user bound as a plain maximum over the whole candidate grid.
 
@@ -181,7 +195,7 @@ def grid_bound_mu(config, M):
         return Fraction(0), None
     best = None
     for t in range(1, K // 2 + 1):
-        for b in _candidate_b_values(config, t):
+        for b in candidate_b_values(config, t):
             s = best_cut_sizes(config, t, b)
             value = sum((min(Fraction(si * t * lv.users), Fraction(lv.files, si * b))
                          for lv, si in zip(config.levels, s)), Fraction(0))
@@ -208,7 +222,7 @@ def reference_bound_lines(config):
 
     by_slope = {}
     for t in range(1, config.caches // 2 + 1):
-        for b in _candidate_b_values(config, t):
+        for b in candidate_b_values(config, t):
             s = best_cut_sizes(config, t, b)
             a, d = _cut_sum(config, t, b, s)
             g = math.gcd(t, b)
@@ -236,7 +250,7 @@ def conjugate_product_inverse(x):
     an odd number of them in a term's class, and divides by the rational
     norm, the product of all 2^g conjugates.
     """
-    x = RootSum(x)
+    x = raw(x)
     kernels = [k for k in x._terms if k != 1]
     if not kernels:
         return 1 / x._terms[1]
@@ -248,13 +262,12 @@ def conjugate_product_inverse(x):
             gens.append(k)
             mask = 1 << (len(gens) - 1)
         expo[k] = mask
-    product = RootSum(1)
+    product = Fraction(1)
     for sigma in range(1, 1 << len(gens)):
-        conj = RootSum()
-        conj._terms = {
+        conj = _from_terms({
             k: (-c if k != 1 and (expo[k] & sigma).bit_count() % 2 else c)
             for k, c in x._terms.items()
-        }
+        })
         product = product * conj
     norm = product * x
     if not isinstance(norm, Fraction):
@@ -281,14 +294,23 @@ def linear_envelope_scan(config, M):
     return max(best_val, Fraction(0)), MultiUserBoundParams(*best_key)
 
 
+def raw(x):
+    """The insert route's operand for x: a copy of a RootSum's terms, or a
+    rational as a raw sum with only kernel 1 (none for zero)."""
+    if isinstance(x, RootSum):
+        return _from_terms(dict(x._terms))
+    x = Fraction(x)
+    return _from_terms({1: x} if x else {})
+
+
 def insert_route_add(x, y):
     """x + y with every term of y inserted one by one through `_insert`.
 
-    Rational operands count as ``RootSum(q)``; the result is a RootSum
-    even when its value is rational.
+    Operands may be rational (see `raw`); the result is a raw RootSum, even
+    when its value is rational.
     """
-    out = RootSum(x)
-    for kernel, coeff in RootSum(y)._terms.items():
+    out = raw(x)
+    for kernel, coeff in raw(y)._terms.items():
         out._insert(kernel, coeff)
     return out
 
@@ -298,9 +320,9 @@ def insert_route_mul(x, y):
 
     Operands and result as in `insert_route_add`.
     """
-    out = RootSum()
-    for k1, c1 in RootSum(x)._terms.items():
-        for k2, c2 in RootSum(y)._terms.items():
+    out = _from_terms({})
+    for k1, c1 in raw(x)._terms.items():
+        for k2, c2 in raw(y)._terms.items():
             if k1 == 1 or k2 == 1:
                 out._insert(k1 * k2, c1 * c2)
             else:

@@ -6,17 +6,16 @@ from fractions import Fraction
 import pytest
 
 from cachelab.bounds import (MAX_BOUND_CACHES, MultiUserBoundParams, _bound_lines,
-                             _candidate_b_values, best_cut_sizes, gap_report,
-                             lower_bound_multi_user, lower_bound_single_user,
-                             optimize_lower_bound_mu)
+                             best_cut_sizes, gap_report, lower_bound_multi_user,
+                             lower_bound_single_user, optimize_lower_bound_mu)
 from cachelab.experiments import (audit_grid, random_multi_user_config,
                                   random_single_user_config)
 from cachelab.model import Setup, SystemConfig
 from cachelab.multi_user import rate_memory_sharing
 from cachelab.radicals import exact_sign
 from cachelab.single_user import rate_clustering
-from oracles import (CaseNotApplicable, grid_bound_mu, linear_envelope_scan,
-                     matched_bound_params, reference_bound_lines)
+from oracles import (CaseNotApplicable, candidate_b_values, grid_bound_mu,
+                     linear_envelope_scan, matched_bound_params, reference_bound_lines)
 
 
 def one_level():
@@ -213,7 +212,7 @@ def test_reduced_slope_dominates_its_multiples():
     checked = 0
     for cfg in configs:
         for t in range(1, min(cfg.caches // 2, 24) + 1):
-            for b in _candidate_b_values(cfg, t):
+            for b in candidate_b_values(cfg, t):
                 g = math.gcd(t, b)
                 if g == 1:
                     continue
@@ -231,8 +230,8 @@ def test_envelope_keeps_a_line_whose_reduced_pair_is_off_grid():
     # (3, 87) is on the envelope, and (1, 29) is no candidate of t = 1, so
     # the line at (3, 87) has to be built.
     cfg = SystemConfig.multi_user(6, [(1288, 6), (1506, 5), (2095, 2)])
-    assert 29 not in _candidate_b_values(cfg, 1)
-    assert 87 in _candidate_b_values(cfg, 3)
+    assert 29 not in candidate_b_values(cfg, 1)
+    assert 87 in candidate_b_values(cfg, 3)
     assert (3, 87, (1, 1, 1)) in [key for _, _, key in _bound_lines(cfg)[0]]
     assert _bound_lines(cfg) == reference_bound_lines(cfg)
 

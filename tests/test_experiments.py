@@ -70,7 +70,7 @@ def test_mixed_degenerate_cases():
 
 def test_mixed_optimum_dominates_endpoints():
     cfg = SystemConfig(Setup.MIXED, 4, (LevelSpec(8, 2),), (LevelSpec(12, 3), LevelSpec(50, 1)))
-    rep = mixed_rate(cfg, 6, gamma_grid=21)
+    rep = mixed_rate(cfg, 6)
     best = rep.extras["best_rate"]
     for endpoint in (Fraction(0), Fraction(1)):
         value = mixed_rate(cfg, 6, gamma=endpoint).achievable

@@ -8,13 +8,13 @@ import pytest
 from cachelab import radicals
 from cachelab.experiments import random_multi_user_config
 from cachelab.model import SystemConfig
-from cachelab.multi_user import (PartitionInfeasibleError, allocate_memory,
+from cachelab.multi_user import (PartitionInfeasibleError, _split_plan, allocate_memory,
                                  find_m_feasible_partition, level_rate_bounds,
                                  rate_memory_sharing, refine_partition)
 from cachelab.radicals import exact_sign
 from cachelab.single_level import rate_single_level
-from oracles import (enumerate_feasible_partitions, fraction_allocation_amount,
-                     scan_rate_memory_sharing)
+from oracles import (_split_conditions, enumerate_feasible_partitions,
+                     fraction_allocation_amount, scan_rate_memory_sharing)
 
 
 def one_level():
@@ -203,6 +203,11 @@ def _oracle_configs():
         yield SystemConfig.multi_user(K, levels)                    # irregular
     for partial in (2, 3, 4):
         yield _wide_config(rng, partial)                            # independent radicals
+    # Tied N/U ratios: the split checks only the levels at the ends of H, I
+    # and J, and tied levels share a cut constant.
+    for K in (2, 4):
+        yield SystemConfig.multi_user(K, [(4, 1), (8, 2), (12, 3)])
+    yield SystemConfig.multi_user(3, [(2, 1), (6, 3), (5, 1), (15, 3), (10, 5)])
 
 
 def _report_or_error(rate, cfg, M):
@@ -230,6 +235,27 @@ def test_rate_matches_per_memory_scan_oracle():
         for M in sorted(mems):
             assert _report_or_error(rate_memory_sharing, cfg, M) \
                 == _report_or_error(scan_rate_memory_sharing, cfg, M), (cfg, M)
+
+
+def test_split_check_matches_every_level_oracle():
+    # The scan's membership test compares only the thresholds at the ends of
+    # H, I and J; the oracle compares every level's.  They must agree on
+    # every contiguous split, at exact thresholds and between them.
+    rng = random.Random(151)
+    for cfg in _oracle_configs():
+        plan = _split_plan(cfg)
+        order, L, K = plan.order, len(plan.order), cfg.caches
+        mems = {Fraction(0)} | {Fraction(m) for m in plan.T}
+        mems |= {Fraction(lv.files, K) for lv in cfg.levels}
+        mems |= {Fraction(rng.randint(0, 8 * cfg.total_files), rng.randint(1, 8))
+                 for _ in range(6)}
+        for M in sorted(mems):
+            for j_end in range(L):
+                for h_start in range(j_end + 1, L + 1):
+                    got = plan.admits(plan.split_block(j_end, h_start), j_end, h_start, M)
+                    want = _split_conditions(cfg, M, order[h_start:], order[j_end:h_start],
+                                             order[:j_end])
+                    assert (got is not None) == want, (cfg, M, j_end, h_start)
 
 
 def test_allocation_matches_fraction_formula_oracle():

@@ -22,10 +22,9 @@ from .single_user import (ClusterPartition, ClusterRun, RefinedClusterPartition,
 from .bounds import (GapReport, MultiUserBoundParams, SingleUserBoundParams,
                      best_cut_sizes, gap_report, lower_bound_multi_user,
                      lower_bound_single_user, optimize_lower_bound_mu)
-from .experiments import (DichotomyResult, SweepRow, audit, default_grid,
-                          dichotomy_multi_user, dichotomy_single_user, evaluate,
-                          mixed_rate, random_multi_user_config,
-                          random_single_user_config, sweep, write_plot_data,
-                          write_sweep_csv, write_sweep_json)
+from .experiments import (DichotomyResult, SweepRow, audit, dichotomy_multi_user,
+                          dichotomy_single_user, evaluate, mixed_rate,
+                          random_multi_user_config, random_single_user_config,
+                          sweep, write_plot_data, write_sweep_csv, write_sweep_json)
 
 __version__ = "0.1.0"

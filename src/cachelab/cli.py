@@ -23,7 +23,6 @@ from .model import (ConfigSchemaError, RegularityError, Setup, describe,
 # rate_memory_sharing is unused here, but perfbench's tracer wraps it in every
 # module that binds it and its self-test reads it from this module.
 from .multi_user import PartitionInfeasibleError, rate_memory_sharing  # noqa: F401
-from .radicals import as_exact_str
 from . import experiments
 
 EXIT_SCHEMA = 2
@@ -45,17 +44,14 @@ def _emit(data: dict) -> None:
 
 def cmd_rate(args) -> int:
     config = load_config(args.config)
-    M = args.mem
-    report, _ = experiments.evaluate(config, M, strict=args.strict)
-    print(f"setup:      {config.setup.value}")
-    print(f"memory:     {as_exact_str(M)}")
-    print(f"achievable: {as_exact_str(report.achievable)} "
-          f"(~{float(report.achievable):.6g})")
-    if report.lower is not None:
-        print(f"lower:      {as_exact_str(report.lower)} (~{float(report.lower):.6g})")
-    if report.ratio is not None:
-        print(f"gap:        {as_exact_str(report.ratio)} (~{float(report.ratio):.6g})")
-    _emit(report.to_json_dict())
+    report, _ = experiments.evaluate(config, args.mem, strict=args.strict)
+    data = report.to_json_dict()
+    print(f"setup:      {data['setup']}")
+    print(f"memory:     {data['memory']}")
+    for label, key in (("achievable:", "achievable"), ("lower:", "lower"), ("gap:", "gap_ratio")):
+        if key in data:
+            print(f"{label:<11} {data[key]} (~{data[key + '_float']:.6g})")
+    _emit(data)
     return 0
 
 
@@ -113,9 +109,9 @@ def cmd_dichotomy(args) -> int:
 def cmd_mixed(args) -> int:
     config = load_config(args.config)
     report = experiments.mixed_rate(config, args.mem, gamma=args.gamma)
-    print(f"achievable: {as_exact_str(report.achievable)} "
-          f"(~{float(report.achievable):.6g})")
-    _emit(report.to_json_dict())
+    data = report.to_json_dict()
+    print(f"achievable: {data['achievable']} (~{data['achievable_float']:.6g})")
+    _emit(data)
     return 0
 
 

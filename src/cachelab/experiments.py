@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 from .bounds import (GapReport, gap_report, lower_bound_single_user,
                      optimize_lower_bound_mu)
 from .model import (BETA, MemoryLike, RateReport, Setup, SystemConfig, check_memory,
-                    config_to_dict, validate)
+                    config_to_dict, mixed_classes, validate)
 from .multi_user import rate_memory_sharing, refine_partition
 from .radicals import ExactValue, RootSum, as_exact_str, to_decimal
 from .single_level import rate_single_level
@@ -74,11 +74,6 @@ def linear_grid(start: MemoryLike, stop: MemoryLike, points: int) -> list[Fracti
     return sorted({start + (stop - start) * k / (points - 1) for k in range(points)})
 
 
-def default_grid(config: SystemConfig, points: int = 33) -> list[Fraction]:
-    """Evenly spaced memories from 0 to the total library size, inclusive."""
-    return linear_grid(0, config.total_files, points)
-
-
 @dataclass(frozen=True)
 class SweepRow:
     M: Fraction
@@ -90,11 +85,8 @@ class SweepRow:
     partition_J: tuple[int, ...]
 
 
-def sweep(config: SystemConfig, grid: Optional[Sequence[MemoryLike]] = None,
-          points: int = 33) -> list[SweepRow]:
+def sweep(config: SystemConfig, grid: Sequence[MemoryLike]) -> list[SweepRow]:
     """One row per memory point: achievable rate, lower bound, gap, partition."""
-    if grid is None:
-        grid = default_grid(config, points)
     grid = sorted({check_memory(M) for M in grid})
     rows = []
     for M in grid:
@@ -256,11 +248,7 @@ def mixed_rate(config: SystemConfig, M: MemoryLike, gamma: Optional[Fraction] = 
         raise ValueError("mixed_rate needs a mixed-setup config")
     M = check_memory(M)
     validation = validate(config).raise_if_strict(strict)
-    f_cfg = SystemConfig(Setup.MULTI_USER, config.caches, config.levels) \
-        if config.levels else None
-    row_users = sum(lv.users for lv in config.mixed_levels)
-    g_cfg = SystemConfig(Setup.SINGLE_USER, row_users, config.mixed_levels) \
-        if config.mixed_levels else None
+    f_cfg, g_cfg = mixed_classes(config)
 
     p, q = M.numerator, M.denominator
 

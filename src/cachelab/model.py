@@ -12,9 +12,10 @@ import enum
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
-from .radicals import ExactValue, as_exact_str
+from .radicals import ExactValue, RootSum, as_exact_str
 
 # Popularity-separation constant for the multi-user regularity condition:
 # adjacent levels must differ in popularity by at least 1/BETA**2.
@@ -134,6 +135,7 @@ class RegularityError(ValueError):
         super().__init__(f"instance violates regularity conditions: {lines}")
 
 
+@lru_cache(maxsize=16)
 def validate_multi_user(config: SystemConfig) -> ValidationReport:
     """Check the multi-user regularity conditions.
 
@@ -141,7 +143,8 @@ def validate_multi_user(config: SystemConfig) -> ValidationReport:
     total (files >= caches * users_per_cache).  MU-POP: popularities of any
     two levels must differ by a factor of at least 1/BETA**2; the check is
     applied to every pair, not just adjacent ones, which is the stricter
-    reading.  Exact rational arithmetic throughout.
+    reading.  Exact rational arithmetic throughout.  Cached for the last 16
+    configs; a config of another setup raises ValueError.
     """
     if config.setup is not Setup.MULTI_USER:
         raise ValueError(f"expected a multi-user config, got {config.setup.value}")
@@ -163,11 +166,13 @@ def validate_multi_user(config: SystemConfig) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
+@lru_cache(maxsize=16)
 def validate_single_user(config: SystemConfig) -> ValidationReport:
     """Check the single-user regularity conditions.
 
     SU-FILES: files >= users per level.  SU-COUNT: level user counts must
-    sum to the number of caches (one user per cache).
+    sum to the number of caches (one user per cache).  Cached for the last
+    16 configs; a config of another setup raises ValueError.
     """
     if config.setup is not Setup.SINGLE_USER:
         raise ValueError(f"expected a single-user config, got {config.setup.value}")
@@ -183,19 +188,25 @@ def validate_single_user(config: SystemConfig) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
+def mixed_classes(config: SystemConfig) -> tuple[Optional[SystemConfig], Optional[SystemConfig]]:
+    """A mixed config's replicated class as a multi-user config over all the
+    caches and its single-row class as a single-user config over its own
+    users, so it may occupy only part of the caches; None for an empty class."""
+    mu = SystemConfig(Setup.MULTI_USER, config.caches, config.levels) if config.levels else None
+    row = config.mixed_levels
+    su = SystemConfig(Setup.SINGLE_USER, sum(lv.users for lv in row), row) if row else None
+    return mu, su
+
+
 def validate(config: SystemConfig) -> ValidationReport:
     if config.setup is Setup.MULTI_USER:
         return validate_multi_user(config)
     if config.setup is Setup.SINGLE_USER:
         return validate_single_user(config)
-    # Mixed: each class checked against its own setup's rules, with the
-    # single-row class allowed to occupy only part of the caches.
-    mu = validate_multi_user(SystemConfig(Setup.MULTI_USER, config.caches, config.levels)) \
-        if config.levels else ValidationReport(())
-    row = sum(lv.users for lv in config.mixed_levels)
-    su = validate_single_user(SystemConfig(Setup.SINGLE_USER, max(row, 1), config.mixed_levels)) \
-        if config.mixed_levels else ValidationReport(())
-    return ValidationReport(mu.violations + su.violations)
+    # Mixed: each class checked against its own setup's rules.
+    mu, su = mixed_classes(config)
+    return ValidationReport((validate_multi_user(mu).violations if mu else ())
+                            + (validate_single_user(su).violations if su else ()))
 
 
 @dataclass
@@ -248,7 +259,6 @@ class RateReport:
 
 def describe(obj):
     """JSON-friendly rendering of witnesses (partitions, allocations, params)."""
-    from .radicals import RootSum
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):

@@ -9,18 +9,18 @@ decision goes through the certified exact comparisons of
 :mod:`cachelab.radicals`; boundary equalities assign a level to the
 partial-memory set.
 
-Everything that does not depend on M (the level order, the sums over each
-candidate I, the threshold constants with their enclosures, ``S_I^-1``)
-lives in a per-config `_SplitPlan`, cached for the last 16 configs and
-filled only as far as the queries reach; a memory then costs rational
-comparisons plus the M-dependent rates.  A membership test forms
+Everything that does not depend on M (the regularity report, the level
+order, the sums over each candidate I, the threshold constants with their
+enclosures, ``S_I^-1``) lives in a per-config `_SplitPlan`, cached for the
+last 16 configs and filled only as far as the queries reach; a memory then
+costs rational comparisons plus the M-dependent rates.  The plan keeps one
+block per split, keyed by the indices ``(j_end, h_start)`` of the split, so
+the scan builds no set per split it tries.  A membership test forms
 ``K*W = K*(M - T_J + V_I)`` as an unreduced integer numerator and
-denominator, from M's and from ``V_I - T_J``, which each block keeps as an
-integer pair per stored prefix J, and compares it by integer
-cross-multiplication with the enclosures of the thresholds that bind, at
-the ends of H, I and J; no Fraction is built unless M falls inside an
-enclosure.  The scan finds each block by the indices of its split, so it
-builds no set per split it tries.
+denominator, from M's and from ``V_I - T_J``, which the block keeps as an
+integer pair, and compares it by integer cross-multiplication with the
+enclosures of the thresholds that bind, at the ends of H, I and J; no
+Fraction is built unless M falls inside an enclosure.
 
 The rest of the rate path is fraction-free where its values are rational.
 A feasible split hands its W back as that integer pair, and ``M_tilde``
@@ -130,24 +130,28 @@ def _sums(config: SystemConfig, I: Iterable[int],
 
 
 class _Block:
-    """Memory-independent state of one partial-memory set I, filled lazily.
+    """Memory-independent state of the split ``J = order[:j_end]``,
+    ``I = order[j_end:h_start]``, ``H = order[h_start:]``, filled lazily.
 
     The membership conditions compare ``K*W = K*(M - T_J + V_I)`` with the
     cut constants ``S_I*sqrt(N_l/U_l)`` (`cut`), and the allocation scales
-    ``sqrt(N_i*U_i)*S_I^-1`` (`share`) by W.  S_I is summed in the order of
-    the frozenset I, as `Partition.S_I` is; only the value of a cut
+    ``sqrt(N_i*U_i)*S_I^-1`` (`share`) by W; `offset` is ``V_I - T_J`` as an
+    integer numerator and positive denominator.  S_I is summed in the order
+    of the frozenset I, as `Partition.S_I` is; only the value of a cut
     constant matters, but its inverse, square and shares are printed.
     """
 
-    __slots__ = ("I", "S_I", "V_I", "_levels", "_x", "_cuts", "_offsets", "_inverse",
+    __slots__ = ("I", "S_I", "V_I", "offset", "_levels", "_x", "_cuts", "_inverse",
                  "_square", "_shares")
 
-    def __init__(self, config: SystemConfig, x: tuple[ExactValue, ...], I: frozenset[int]):
+    def __init__(self, config: SystemConfig, x: tuple[ExactValue, ...], I: frozenset[int],
+                 T_J: Fraction):
         self.I = I
         self.S_I, _, self.V_I = _sums(config, I, ())
+        offset = self.V_I - T_J
+        self.offset = (offset.numerator, offset.denominator)
         self._levels, self._x = config.levels, x
         self._cuts: dict[int, Enclosure] = {}
-        self._offsets: dict[int, tuple[int, int]] = {}
         self._inverse: Optional[ExactValue] = None
         self._square: Optional[ExactValue] = None
         self._shares: dict[int, ExactValue] = {}
@@ -157,15 +161,6 @@ class _Block:
         if cut is None:
             cut = self._cuts[level] = Enclosure(self.S_I * self._x[level])
         return cut
-
-    def offset(self, j_end: int, T_J: Fraction) -> tuple[int, int]:
-        """``V_I - T_J`` for ``J = order[:j_end]``, as an integer numerator
-        and positive denominator."""
-        offset = self._offsets.get(j_end)
-        if offset is None:
-            c = self.V_I - T_J
-            offset = self._offsets[j_end] = (c.numerator, c.denominator)
-        return offset
 
     def inverse(self) -> ExactValue:
         if self._inverse is None:
@@ -187,14 +182,15 @@ class _Block:
 class _SplitPlan:
     """Memory-independent state of a multi-user config's partition scan.
 
-    Holds the level order, ``sqrt(N_i/U_i)``, the sums ``T_J`` of the
-    prefixes of the order, each prefix J and suffix H as a frozenset, the
-    validation report, and one `_Block` per partial-memory set met so far
-    (at most ``L*(L+1)/2`` from the scan), found by its set I or by the
-    indices ``(j_end, h_start)`` of the split that makes it.
+    Holds the validation report, the level order, ``sqrt(N_i/U_i)``, the
+    sums ``T_J`` of the prefixes of the order, each prefix J and suffix H as
+    a frozenset, and one `_Block` per split met so far, keyed by the indices
+    ``(j_end, h_start)`` of the split.  A nonempty I fixes its split, so a
+    partition's block is the one at ``(len(J), L - len(H))``.
     """
 
     def __init__(self, config: SystemConfig):
+        self.validation = validate_multi_user(config)
         levels = config.levels
         self.config = config
         self.order = tuple(sorted(range(len(levels)),
@@ -207,27 +203,23 @@ class _SplitPlan:
         L = len(levels)
         self.prefixes = tuple(frozenset(self.order[:j]) for j in range(L + 1))
         self.suffixes = tuple(frozenset(self.order[h:]) for h in range(L + 1))
-        self._blocks: dict[frozenset[int], _Block] = {}
-        self._splits: dict[tuple[int, int], _Block] = {}
-        self._validation = None
-
-    def validation(self):
-        if self._validation is None:
-            self._validation = validate_multi_user(self.config)
-        return self._validation
-
-    def block(self, I: frozenset[int]) -> _Block:
-        block = self._blocks.get(I)
-        if block is None:
-            block = self._blocks[I] = _Block(self.config, self.x, I)
-        return block
+        self._blocks: dict[tuple[int, int], _Block] = {}
 
     def split_block(self, j_end: int, h_start: int) -> _Block:
         """The block of ``I = order[j_end:h_start]``."""
-        block = self._splits.get((j_end, h_start))
+        block = self._blocks.get((j_end, h_start))
         if block is None:
-            I = frozenset(self.order[j_end:h_start])
-            block = self._splits[j_end, h_start] = self.block(I)
+            block = self._blocks[j_end, h_start] = _Block(
+                self.config, self.x, frozenset(self.order[j_end:h_start]), self.T[j_end])
+        return block
+
+    def partition_block(self, partition: Partition) -> _Block:
+        """The block of a partition's nonempty I, which must be the run of
+        the order between its J and its H."""
+        block = self.split_block(len(partition.J), len(self.order) - len(partition.H))
+        if block.I != partition.I:
+            raise ValueError(f"partial-memory set {sorted(partition.I)} is not the levels "
+                             f"between J and H in the sqrt(N/U) order")
         return block
 
     def admits(self, block: _Block, j_end: int, h_start: int,
@@ -247,7 +239,7 @@ class _SplitPlan:
         """
         K = self.config.caches
         order = self.order
-        c_num, c_den = block.offset(j_end, self.T[j_end])
+        c_num, c_den = block.offset
         m_den = M.denominator
         w_num, den = M.numerator * c_den + c_num * m_den, m_den * c_den
         num = K * w_num  # K*W over den
@@ -279,7 +271,8 @@ def find_m_feasible_partition(config: SystemConfig, M: MemoryLike) -> Partition:
     smallest no-memory set, is returned, so the scan stops at the first
     feasible split in that order.  If the memory exceeds the total library
     size, everything is fully stored.  Everything but the comparisons with
-    the memory comes from the config's cached `_SplitPlan`.
+    the memory comes from the config's cached `_SplitPlan`; a config that is
+    not multi-user raises `validate_multi_user`'s ValueError.
     """
     M = check_memory(M)
     plan = _split_plan(config)
@@ -305,13 +298,14 @@ def allocate_memory(partition: Partition, config: SystemConfig, M: MemoryLike) -
     ``W = M - T_J + V_I``, so M is the memory the partition was found for.
     W is formed as an integer pair w/d; with a rational share a/b (every
     split with one partial level) the amount is the one Fraction
-    ``(K*a*w - b*N_i*d) / (K*b*d)``.
+    ``(K*a*w - b*N_i*d) / (K*b*d)``.  An I that is not the run of the
+    ``sqrt(N_i/U_i)`` order between J and H raises ValueError.
     """
     M = check_memory(M)
     levels = config.levels
     K = config.caches
     if partition.I:
-        block = _split_plan(config).block(partition.I)
+        block = _split_plan(config).partition_block(partition)
         w, d = _weight(M, partition.T_J, partition.V_I)
     amounts: list[ExactValue] = []
     for idx, lv in enumerate(levels):
@@ -355,12 +349,10 @@ def _exact_sum(values: list[ExactValue]) -> ExactValue:
     return Fraction(num, den)
 
 
-def refine_partition(config: SystemConfig, M: MemoryLike,
-                     partition: Optional[Partition] = None) -> RefinedPartition:
+def refine_partition(config: SystemConfig, M: MemoryLike) -> RefinedPartition:
     """Split I by memory regime: low (I0), intermediate (I'), high (I1)."""
     M = check_memory(M)
-    if partition is None:
-        partition = find_m_feasible_partition(config, M)
+    partition = find_m_feasible_partition(config, M)
     K = config.caches
     plan = _split_plan(config)
     I0, I1, Iprime = set(), set(), set()
@@ -374,7 +366,7 @@ def refine_partition(config: SystemConfig, M: MemoryLike,
             Iprime.add(i)
     refined = RefinedPartition(partition.H, frozenset(I0), frozenset(Iprime),
                                frozenset(I1), partition.J, partition)
-    if len(I1) > 1 and plan.validation().ok:
+    if len(I1) > 1 and plan.validation.ok:
         raise RuntimeError(f"regular instance produced {len(I1)} high-memory levels; "
                            "expected at most one")
     return refined
@@ -393,7 +385,7 @@ def rate_memory_sharing(config: SystemConfig, M: MemoryLike, strict: bool = Fals
     """
     M = check_memory(M)
     plan = _split_plan(config)
-    validation = plan.validation().raise_if_strict(strict)
+    validation = plan.validation.raise_if_strict(strict)
     partition = find_m_feasible_partition(config, M)
     allocation = allocate_memory(partition, config, M)
     K, levels = config.caches, config.levels
@@ -403,7 +395,7 @@ def rate_memory_sharing(config: SystemConfig, M: MemoryLike, strict: bool = Fals
     if partition.I and M != partition.T_J:
         users_H = sum(K * levels[h].users for h in partition.H)
         users_I = sum(levels[i].users for i in partition.I)
-        square = plan.block(partition.I).square()
+        square = plan.partition_block(partition).square()
         if type(square) is Fraction:
             m, e = _weight(M, partition.T_J, 0)
             s, r = square.numerator, square.denominator

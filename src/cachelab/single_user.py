@@ -6,8 +6,7 @@ receives all of the memory and is delivered with the single-level engine
 over exactly the caches whose users request super-level files.  All
 threshold comparisons are exact: at M = p/q, level h is uncoded iff
 ``p*K_h < N_h*q``, and the clustering rate, with its clamp at zero, is one
-integer numerator and denominator made into one Fraction.  The regularity
-report of a config is computed once, for the last 16 configs.
+integer numerator and denominator made into one Fraction.
 """
 
 from __future__ import annotations
@@ -15,11 +14,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
-from .model import (MemoryLike, RateReport, Setup, SystemConfig, ValidationReport,
-                    check_memory, validate_single_user)
+from .model import (MemoryLike, RateReport, Setup, SystemConfig, check_memory,
+                    validate_single_user)
 from .single_level import (Transcript, deliver, place, span_contains, symbol_mask,
                            verify_decode)
 
@@ -59,12 +57,6 @@ def partition_su(config: SystemConfig, M: MemoryLike) -> ClusterPartition:
     return ClusterPartition(hp, ip)
 
 
-@lru_cache(maxsize=16)
-def _validation(config: SystemConfig) -> ValidationReport:
-    """`validate_single_user` of a config, computed once per config."""
-    return validate_single_user(config)
-
-
 def rate_clustering(config: SystemConfig, M: MemoryLike, strict: bool = False) -> RateReport:
     """Clustering rate: uncoded users plus ``max{(sum_I' N_i)/M - 1, 0}``.
 
@@ -72,7 +64,7 @@ def rate_clustering(config: SystemConfig, M: MemoryLike, strict: bool = False) -
     users and n the super-level library, one Fraction (just u at M = 0).
     """
     M = check_memory(M)
-    validation = _validation(config).raise_if_strict(strict)
+    validation = validate_single_user(config).raise_if_strict(strict)
     part = partition_su(config, M)
     levels = config.levels
     users = sum(levels[h].users for h in part.Hprime)

@@ -4,11 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from cachelab.experiments import (AuditSummary, audit, audit_grid, default_grid,
-                                  dichotomy_multi_user, dichotomy_single_user,
-                                  mixed_rate, random_multi_user_config,
-                                  random_single_user_config, sweep,
-                                  write_plot_data, write_sweep_csv,
+from cachelab.experiments import (AuditSummary, audit, audit_grid, dichotomy_multi_user,
+                                  dichotomy_single_user, linear_grid, mixed_rate,
+                                  random_multi_user_config, random_single_user_config,
+                                  sweep, write_plot_data, write_sweep_csv,
                                   write_sweep_json)
 from cachelab.model import (LevelSpec, Setup, SystemConfig, validate_multi_user,
                             validate_single_user)
@@ -19,7 +18,7 @@ from cachelab.single_user import rate_clustering
 
 def test_default_grid():
     cfg = SystemConfig.multi_user(4, [(8, 2)])
-    grid = default_grid(cfg, 33)
+    grid = linear_grid(0, cfg.total_files, 33)
     assert grid[0] == 0 and grid[-1] == 8 and len(grid) == 33
     assert grid == sorted(set(grid))
 
@@ -158,3 +157,13 @@ def test_audit_summary_keeps_the_exact_maximum():
     ratio, _, M = summary.max_ratio["192"][:3]
     assert (ratio, M) == (1.5, "2")
     assert summary.to_json_dict()["max_ratio"]["192"]["ratio"] == 1.5
+
+
+def test_mixed_rate_validates_each_class_once():
+    # 101 gammas, each a memory-sharing and a clustering rate on the classes.
+    cfg = SystemConfig(Setup.MIXED, 4, (LevelSpec(8, 2),), (LevelSpec(9, 3),))
+    validate_multi_user.cache_clear()
+    validate_single_user.cache_clear()
+    mixed_rate(cfg, 3)
+    assert validate_multi_user.cache_info().misses == 1
+    assert validate_single_user.cache_info().misses == 1

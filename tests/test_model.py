@@ -151,3 +151,17 @@ def test_validate_dispatch_mixed():
     cfg_bad = SystemConfig(Setup.MIXED, 4, (LevelSpec(7, 2),), (LevelSpec(2, 3),))
     rules = {v.rule for v in validate(cfg_bad).violations}
     assert "MU-FILES" in rules and "SU-FILES" in rules
+    # An empty class adds nothing; the row class is checked over its own users.
+    no_replicated = SystemConfig(Setup.MIXED, 4, (), (LevelSpec(2, 3),))
+    assert [(v.rule, v.levels, v.message) for v in validate(no_replicated).violations] == [
+        ("SU-FILES", (0,), "level 0: files 2 < users 3")]
+    no_row = SystemConfig(Setup.MIXED, 4, (LevelSpec(7, 2),), ())
+    assert [(v.rule, v.levels, v.message) for v in validate(no_row).violations] == [
+        ("MU-FILES", (0,), "level 0: files 7 < caches*users = 8")]
+    both = SystemConfig(Setup.MIXED, 3, (LevelSpec(5, 2), LevelSpec(40, 1)),
+                        (LevelSpec(2, 3), LevelSpec(1, 2)))
+    assert [(v.rule, v.levels, v.message) for v in validate(both).violations] == [
+        ("MU-FILES", (0,), "level 0: files 5 < caches*users = 6"),
+        ("MU-POP", (0, 1), "levels 0,1: popularity ratio 16 < 6400 (pairwise check)"),
+        ("SU-FILES", (0,), "level 0: files 1 < users 2"),
+        ("SU-FILES", (1,), "level 1: files 2 < users 3")]

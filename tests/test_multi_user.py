@@ -7,10 +7,10 @@ import pytest
 
 from cachelab import radicals
 from cachelab.experiments import random_multi_user_config
-from cachelab.model import SystemConfig
-from cachelab.multi_user import (PartitionInfeasibleError, _split_plan, allocate_memory,
-                                 find_m_feasible_partition, level_rate_bounds,
-                                 rate_memory_sharing, refine_partition)
+from cachelab.model import SystemConfig, validate_multi_user
+from cachelab.multi_user import (Partition, PartitionInfeasibleError, _split_plan, _sums,
+                                 allocate_memory, find_m_feasible_partition,
+                                 level_rate_bounds, rate_memory_sharing, refine_partition)
 from cachelab.radicals import exact_sign
 from cachelab.single_level import rate_single_level
 from oracles import (_split_conditions, enumerate_feasible_partitions,
@@ -296,3 +296,32 @@ def test_exact_threshold_takes_the_certified_fallback(monkeypatch, M):
     report = rate_memory_sharing(one_level(), M)
     assert any(not x for x in signs)  # a difference that is exactly zero
     assert report.to_json_dict() == scan_rate_memory_sharing(one_level(), M).to_json_dict()
+
+
+def test_allocation_rejects_an_I_that_is_not_a_run_of_the_order():
+    # I holds the first and last levels of the sqrt(N/U) order and J the
+    # middle one, so no split of the scan has this I.
+    cfg = SystemConfig.multi_user(2, [(4, 1), (400, 1), (40000, 1)])
+    order = _split_plan(cfg).order
+    I, J = frozenset((order[0], order[2])), frozenset((order[1],))
+    S_I, T_J, V_I = _sums(cfg, I, J)
+    partition = Partition(frozenset(), I, J, S_I, T_J, V_I, None)
+    with pytest.raises(ValueError, match="is not the levels between J and H"):
+        allocate_memory(partition, cfg, 500)
+
+
+def test_partition_scan_rejects_a_single_user_config():
+    with pytest.raises(ValueError, match="expected a multi-user config, got single-user"):
+        find_m_feasible_partition(SystemConfig.single_user(4, [(8, 4)]), 1)
+
+
+def test_rate_memory_sharing_validates_a_config_once():
+    # The split plan reads the report when it is built and keeps it, so
+    # later calls do not even look the config up in the validator's cache.
+    cfg = SystemConfig.multi_user(4, [(8, 2), (25600, 1)])
+    _split_plan.cache_clear()
+    validate_multi_user.cache_clear()
+    for M in range(8):
+        rate_memory_sharing(cfg, M)
+    info = validate_multi_user.cache_info()
+    assert (info.misses, info.hits) == (1, 0)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cachelab.experiments import random_single_user_config
-from cachelab.model import SystemConfig
+from cachelab.model import SystemConfig, validate_single_user
 from cachelab.single_user import (cluster_place_deliver,
                                   cluster_place_deliver_decentralized,
                                   partition_su, rate_clustering,
@@ -224,3 +224,10 @@ def test_decentralized_run_matches_team_enumeration():
         assert run.decodable
         kinds.add("coded" if run.message_sizes else "uncoded only")
     assert kinds == {"coded", "uncoded only"}
+
+
+def test_rate_clustering_validates_a_config_once():
+    validate_single_user.cache_clear()
+    for M in range(8):
+        rate_clustering(two_levels(), M)
+    assert validate_single_user.cache_info().misses == 1

@@ -2,12 +2,14 @@
 
 Memory allocations and rate expressions in this package involve terms like
 ``sqrt(N*U)``, which are irrational for most inputs.  A ``RootSum`` stores a
-value of the form ``sum_k c_k * sqrt(n_k)`` with rational coefficients
-``c_k`` and positive integer kernels ``n_k``, kept pairwise inequivalent
-(no two kernels whose product is a perfect square).  In that form the value
-is zero iff every coefficient is zero, which makes comparisons decidable:
-an exact zero test first, then interval refinement that is guaranteed to
-terminate for nonzero values.
+value of the form ``sum_k n_k * sqrt(k) / den`` with integer numerators
+``n_k``, one denominator ``den > 0`` and positive integer kernels ``k``
+(kernel 1 holds the rational part), kept pairwise inequivalent (no two
+kernels whose product is a perfect square).  In that form the value is zero
+iff every numerator is zero, which makes comparisons decidable: an exact
+zero test first, then interval refinement that is guaranteed to terminate
+for nonzero values.  No numerator is zero, ``gcd(den, *nums)`` is 1, and
+the terms keep the order in which a sum first met their kernels.
 
 Every arithmetic result is canonical: a ``Fraction`` when its value is
 rational, an irrational ``RootSum`` otherwise.  That holds for ``+``, ``-``,
@@ -18,9 +20,13 @@ ways to make a ``RootSum``, so every ``RootSum`` is irrational, hence
 nonzero, and a sum starts from ``Fraction(0)``.  ``math.floor`` and
 ``math.ceil`` are not exact on a ``RootSum``: they fall back to ``float``.
 
-A product of two irrational sums adds its term products as integer
-numerators over the product of the two operands' common denominators and
-makes one Fraction per surviving term at the end.
+Arithmetic stays on integers.  Scaling by ``a/b`` multiplies the numerators
+by ``a`` and the denominator by ``b``; a sum brings both operands over the
+lcm of their denominators; a product of two irrational sums adds its term
+products as integer numerators over the product of the two denominators.
+Each result then divides out one content gcd.  The only Fractions are the
+values that leave the class: a rational result, a rational square root, and
+``interval``.
 
 The interval refinement starts at 256 bits and doubles the precision until
 the answer is certain; the starting precision only sets how soon that is.
@@ -85,10 +91,11 @@ def _shrink_kernel(n: int) -> tuple[int, int]:
 
 
 class RootSum:
-    """Exact irrational value ``q_0 + sum c_k*sqrt(n_k)``; immutable, and
-    made only by `RootSum.sqrt` and arithmetic."""
+    """Exact irrational value ``sum_k n_k*sqrt(k) / den``, with integer
+    numerators ``n_k`` over one denominator (kernel 1 holds the rational
+    part); immutable, and made only by `RootSum.sqrt` and arithmetic."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_den", "_nums")
 
     def __init__(self, *_):
         raise TypeError("a RootSum comes from RootSum.sqrt or arithmetic")
@@ -103,82 +110,51 @@ class RootSum:
             raise ValueError("square root of a negative rational")
         # sqrt(p/q) = sqrt(p*q)/q
         kernel, mult = _shrink_kernel(value.numerator * value.denominator)
-        coeff = Fraction(mult, value.denominator)
-        return coeff if kernel == 1 else _from_terms({kernel: coeff})
-
-    def _insert(self, kernel: int, coeff) -> None:
-        """Add ``coeff * sqrt(kernel)``, keeping the kernels shrunk and pairwise
-        inequivalent and no zero coefficient.
-
-        The coefficients are Fractions, or (inside a product) integer
-        numerators over one denominator common to all terms; a merge into a
-        kernel with a larger square part then leaves a Fraction numerator.
-        """
-        if not coeff:
-            return
-        terms = self._terms
-        if kernel in terms:
-            # Stored kernels are already shrunk and pairwise inequivalent, so
-            # the merge scan below would land on this same key.
-            terms[kernel] += coeff
-            if not terms[kernel]:
-                del terms[kernel]
-            return
-        if kernel != 1:
-            kernel, mult = _shrink_kernel(kernel)
-            if mult != 1:
-                coeff = coeff * mult
         if kernel == 1:
-            terms[1] = terms.get(1, 0) + coeff
-            if not terms[1]:
-                del terms[1]
-            return
-        # Merge with an equivalent kernel if one exists: sqrt(n) is a rational
-        # multiple of sqrt(k) exactly when n*k is a perfect square.
-        for k in terms:
-            if k == 1:
-                continue
-            prod = k * kernel
-            r = math.isqrt(prod)
-            if r * r == prod:
-                terms[k] += coeff * Fraction(r, k)
-                if not terms[k]:
-                    del terms[k]
-                return
-        terms[kernel] = coeff
+            return Fraction(mult, value.denominator)
+        g = math.gcd(mult, value.denominator)
+        return _make(value.denominator // g, {kernel: mult // g})
 
     # -- ring operations ---------------------------------------------------
 
     def _rational(self) -> Fraction | None:
         """The value if it is rational (only a raw sum inside an operation
         can be), else None."""
-        terms = self._terms
-        if not terms:
+        nums = self._nums
+        if not nums:
             return Fraction(0)
-        if len(terms) == 1 and 1 in terms:
-            return terms[1]
+        if len(nums) == 1 and 1 in nums:
+            return Fraction(nums[1], self._den)
         return None
 
     def __add__(self, other) -> "ExactValue":
         if isinstance(other, RootSum):
-            out = _from_terms(dict(self._terms))
-            for kernel, coeff in other._terms.items():
-                out._insert(kernel, coeff)
-            return _canonical(out)
+            # Both operands over the lcm of their denominators; the terms of
+            # other are inserted one by one.
+            g = math.gcd(self._den, other._den)
+            nums = _times(self._nums, other._den // g)
+            scale = self._den // g
+            for kernel, n in other._nums.items():
+                _insert(nums, kernel, n * scale)
+            return _canonical(_reduced(self._den // g * other._den, nums))
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
         # A rational operand only touches kernel 1, as the _insert route
         # would, and leaves the irrational kernels of self.
-        terms = dict(self._terms)
-        terms[1] = terms.get(1, Fraction(0)) + other
-        if not terms[1]:
-            del terms[1]
-        return _from_terms(terms)
+        p, q = other.numerator, other.denominator
+        g = math.gcd(self._den, q)
+        nums = _times(self._nums, q // g)
+        constant = nums.get(1, 0) + p * (self._den // g)
+        if constant:
+            nums[1] = constant
+        else:
+            nums.pop(1, None)
+        return _reduced(self._den // g * q, nums)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RootSum":
-        return _from_terms({k: -c for k, c in self._terms.items()})
+        return _make(self._den, {k: -n for k, n in self._nums.items()})
 
     def __sub__(self, other):
         if not isinstance(other, (RootSum, int, Fraction)):
@@ -189,12 +165,15 @@ class RootSum:
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
         # A nonzero constant of other comes first, then the terms of -self.
-        terms = {1: Fraction(other)} if other else {}
-        for kernel, coeff in self._terms.items():
-            terms[kernel] = terms.get(kernel, 0) - coeff
-        if terms.get(1) == 0:
-            del terms[1]
-        return _from_terms(terms)
+        p, q = other.numerator, other.denominator
+        g = math.gcd(self._den, q)
+        scale = q // g
+        nums = {1: p * (self._den // g)} if p else {}
+        for kernel, n in self._nums.items():
+            nums[kernel] = nums.get(kernel, 0) - n * scale
+        if nums.get(1) == 0:
+            del nums[1]
+        return _reduced(self._den // g * q, nums)
 
     def __mul__(self, other) -> "ExactValue":
         if not isinstance(other, (RootSum, int, Fraction)):
@@ -207,27 +186,34 @@ class RootSum:
         """``self * other`` as a raw RootSum, rational or not; `other` may be a
         raw rational RootSum from `_tower_inverse`."""
         q = other._rational() if isinstance(other, RootSum) else other
-        # A rational operand only scales the coefficients: the kernels are
-        # already shrunk and pairwise inequivalent, so _insert would keep
-        # them, in order.
+        # A rational operand only scales the numerators and the denominator:
+        # the kernels are already shrunk and pairwise inequivalent, so
+        # _insert would keep them, in order.
         if q is not None:
-            return _from_terms({k: c * q for k, c in self._terms.items()} if q else {})
+            if not q:
+                return _make(1, {})
+            return _reduced(self._den * q.denominator, _times(self._nums, q.numerator))
         # Term products are inserted as integer numerators over the product
-        # of the two operands' common denominators, in the order and with
-        # the merges and deletions of Fraction coefficients.
-        out = _from_terms({})
-        den_a, a = _numerators(self._terms)
-        den_b, b = _numerators(other._terms)
-        for k1, n1 in a:
+        # of the two denominators, in the order and with the merges and
+        # deletions of the term-by-term sum.
+        nums: dict[int, int] = {}
+        b = list(other._nums.items())
+        for k1, n1 in self._nums.items():
             for k2, n2 in b:
                 if k1 == 1 or k2 == 1:
-                    out._insert(k1 * k2, n1 * n2)
+                    kernel, n = k1 * k2, n1 * n2
                 else:
                     g = math.gcd(k1, k2)
-                    out._insert((k1 // g) * (k2 // g), n1 * n2 * g)
-        den = den_a * den_b
-        out._terms = {k: Fraction(n, den) for k, n in out._terms.items()}
-        return out
+                    kernel, n = (k1 // g) * (k2 // g), n1 * n2 * g
+                if kernel in nums:
+                    n += nums[kernel]
+                    if n:
+                        nums[kernel] = n
+                    else:
+                        del nums[kernel]
+                else:
+                    _insert(nums, kernel, n)
+        return _reduced(self._den * other._den, nums)
 
     def __truediv__(self, other) -> "ExactValue":
         if isinstance(other, RootSum):
@@ -243,16 +229,18 @@ class RootSum:
 
     def inverse(self) -> "ExactValue":
         """Exact multiplicative inverse, by a tower of quadratic conjugations."""
-        return _canonical(self._tower_inverse(len(self._terms)))
+        return _canonical(self._tower_inverse(len(self._nums)))
 
     def _tower_inverse(self, rank: int) -> "RootSum":
         # self = a + b*sqrt(g_m) and conj = a - b*sqrt(g_m) over a greedy
         # generator basis g_1..g_m; self * conj = a^2 - b^2*g_m needs only
         # g_1..g_{m-1}.  `rank` bounds m, so the recursion cannot loop.
         # Private, so a traced inverse() is entered once per division.
-        kernels = [k for k in self._terms if k != 1]
+        nums = self._nums
+        kernels = [k for k in nums if k != 1]
         if not kernels:
-            return _from_terms({1: 1 / self._terms[1]})
+            n = nums[1]
+            return _make(abs(n), {1: self._den if n > 0 else -self._den})
         gens: list[int] = []
         expo: dict[int, int] = {}
         for k in kernels:
@@ -264,8 +252,8 @@ class RootSum:
         if len(gens) > rank:
             raise ArithmeticError("a conjugation did not remove its generator")
         top = 1 << (len(gens) - 1)
-        conj = _from_terms({k: (-c if k != 1 and expo[k] & top else c)
-                            for k, c in self._terms.items()})
+        conj = _make(self._den, {k: (-n if k != 1 and expo[k] & top else n)
+                                 for k, n in nums.items()})
         return conj._product(self._product(conj)._tower_inverse(len(gens) - 1))
 
     @staticmethod
@@ -286,7 +274,7 @@ class RootSum:
     def sign(self) -> int:
         """Certified sign: -1 or +1."""
         # Kernels are pairwise inequivalent, so the value is nonzero unless
-        # every coefficient is zero (and zero coefficients are never stored).
+        # every numerator is zero (and zero numerators are never stored).
         prec = _PRECISION_FLOOR
         while prec <= _PRECISION_CEILING:
             lo, hi, _ = self._scaled_interval(prec)
@@ -325,12 +313,11 @@ class RootSum:
 
         Each ``sqrt(n)`` lies in ``[a, a + 1] / 2^prec`` with
         ``a = isqrt(n * 4^prec)``; the bounds are summed as integers over the
-        common denominator ``lcm(coefficient denominators) * 2^prec``.
+        common denominator ``self._den * 2^prec``.
         """
         one = 1 << prec
-        den, nums = _numerators(self._terms)
         lo = hi = 0
-        for kernel, num in nums:
+        for kernel, num in self._nums.items():
             if kernel == 1:
                 lo += num * one
                 hi += num * one
@@ -342,7 +329,7 @@ class RootSum:
             else:
                 lo += num * (a + 1)
                 hi += num * a
-        return lo, hi, den * one
+        return lo, hi, self._den * one
 
     def __float__(self) -> float:
         lo, hi = self.interval(64)
@@ -350,14 +337,16 @@ class RootSum:
 
     def __repr__(self) -> str:
         parts = []
-        for kernel in sorted(self._terms):
-            coeff = self._terms[kernel]
+        for kernel in sorted(self._nums):
+            n = self._nums[kernel]
+            g = math.gcd(n, self._den)
+            num, den = n // g, self._den // g
             if kernel == 1:
-                parts.append(_fraction_str(coeff))
-            elif coeff == 1 or coeff == -1:
-                parts.append(f"{'-' if coeff < 0 else ''}sqrt({_int_str(kernel)})")
+                parts.append(_ratio_str(num, den))
+            elif den == 1 and (num == 1 or num == -1):
+                parts.append(f"{'-' if num < 0 else ''}sqrt({_int_str(kernel)})")
             else:
-                parts.append(f"{_fraction_str(coeff)}*sqrt({_int_str(kernel)})")
+                parts.append(f"{_ratio_str(num, den)}*sqrt({_int_str(kernel)})")
         return " + ".join(parts).replace("+ -", "- ")
 
 
@@ -382,24 +371,82 @@ def _int_str(n: int) -> str:
     return _int_str(high) + _int_str(low).zfill(digits)
 
 
-def _fraction_str(q: Fraction) -> str:
-    """``str(q)`` for a Fraction of any size."""
-    if q.denominator == 1:
-        return _int_str(q.numerator)
-    return f"{_int_str(q.numerator)}/{_int_str(q.denominator)}"
+def _ratio_str(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for a reduced ratio of any size (``den > 0``)."""
+    if den == 1:
+        return _int_str(num)
+    return f"{_int_str(num)}/{_int_str(den)}"
 
 
-def _numerators(terms: dict[int, Fraction]) -> tuple[int, list[tuple[int, int]]]:
-    """``(den, [(kernel, numerator), ...])`` over the lcm of the denominators."""
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    return den, [(k, c.numerator * (den // c.denominator)) for k, c in terms.items()]
+def _insert(nums: dict, kernel: int, coeff: int) -> None:
+    """Add ``coeff * sqrt(kernel)`` to the numerators `nums`, keeping the
+    kernels shrunk and pairwise inequivalent and no zero numerator.
+
+    A merge into a kernel with a larger square part can leave a Fraction
+    numerator; `_reduced` rescales it away.
+    """
+    if kernel in nums:
+        # Stored kernels are already shrunk and pairwise inequivalent, so
+        # the merge scan below would land on this same key.
+        coeff += nums[kernel]
+        if coeff:
+            nums[kernel] = coeff
+        else:
+            del nums[kernel]
+        return
+    if kernel != 1:
+        kernel, mult = _shrink_kernel(kernel)
+        coeff *= mult
+    if kernel != 1:
+        # Merge with an equivalent kernel if one exists: sqrt(n) is a
+        # rational multiple of sqrt(k), namely r/k, exactly when n*k = r^2.
+        for k in nums:
+            if k == 1:
+                continue
+            prod = k * kernel
+            r = math.isqrt(prod)
+            if r * r == prod:
+                kernel = k
+                coeff *= r
+                coeff = coeff // k if coeff % k == 0 else Fraction(coeff, k)
+                break
+    coeff += nums.get(kernel, 0)
+    if coeff:
+        nums[kernel] = coeff
+    else:
+        del nums[kernel]
 
 
-def _from_terms(terms: dict[int, Fraction]) -> RootSum:
-    """A RootSum over `terms`, which it takes over; the only way to build one
-    besides `RootSum.sqrt`."""
+def _times(nums: dict[int, int], factor: int) -> dict[int, int]:
+    """A copy of `nums` with every numerator multiplied by `factor`."""
+    if factor == 1:
+        return dict(nums)
+    return {k: n * factor for k, n in nums.items()}
+
+
+def _reduced(den: int, nums: dict) -> RootSum:
+    """A raw RootSum over `nums` (which it takes over) and ``den > 0``, with
+    the content gcd divided out."""
+    try:
+        g = math.gcd(den, *nums.values())
+    except TypeError:
+        # A merge left Fraction numerators: rescale once to integers.
+        scale = math.lcm(*(n.denominator for n in nums.values()))
+        nums = {k: (n * scale).numerator for k, n in nums.items()}
+        den *= scale
+        g = math.gcd(den, *nums.values())
+    if g != 1:
+        nums = {k: n // g for k, n in nums.items()}
+        den //= g
+    return _make(den, nums)
+
+
+def _make(den: int, nums: dict[int, int]) -> RootSum:
+    """A RootSum worth ``sum n*sqrt(k) / den`` over `nums`, which it takes
+    over; the only way to build one besides `RootSum.sqrt`."""
     out = object.__new__(RootSum)
-    out._terms = terms
+    out._den = den
+    out._nums = nums
     return out
 
 
@@ -454,7 +501,8 @@ def as_exact_str(value) -> str:
         return repr(value)
     if value is None:
         return ""
-    return _fraction_str(Fraction(value))
+    value = Fraction(value)
+    return _ratio_str(value.numerator, value.denominator)
 
 
 def to_decimal(value) -> str:

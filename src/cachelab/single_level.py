@@ -33,7 +33,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .model import MemoryLike, check_memory
-from .radicals import ExactValue, RootSum
+from .radicals import Enclosure, ExactValue, RootSum
 
 
 class SubfileId(NamedTuple):
@@ -153,10 +153,12 @@ def rate_single_level(M: MemoryLike, K: int, N: int, U: int) -> ExactValue:
     memory-sharing allocation; the result is then exact as well.
     """
     if isinstance(M, RootSum):
-        if M < 0 or M > N:
+        # One enclosure of M for its three comparisons with rationals.
+        bounds = Enclosure(M)
+        if bounds.sign_minus(0, 1) < 0 or bounds.sign_minus(N, 1) > 0:
             raise ValueError(f"memory {M} outside [0, {N}]")
-        # min{N/M, K} = K  iff  N >= K*M
-        if N >= K * M:
+        # min{N/M, K} = K  iff  M <= N/K
+        if bounds.sign_minus(N, K) <= 0:
             return U * K * (1 - M / N)
         return U * (N / M - 1)
     M = check_memory(M)

@@ -14,7 +14,7 @@ from cachelab.bounds import (MultiUserBoundParams, _b_crossings, _b_ladder, _b_s
 from cachelab.model import RateReport, Setup, check_memory, validate_multi_user
 from cachelab.multi_user import (MemoryAllocation, Partition, PartitionInfeasibleError,
                                  _sqrt_n_over_u, _sqrt_nu, _sums, refine_partition)
-from cachelab.radicals import RootSum, _from_terms
+from cachelab.radicals import RootSum
 from cachelab.single_level import (Message, PlacementState, SubfileId, Transcript, _layers,
                                    _rows, span_contains, symbol_mask)
 from cachelab.single_user import DecentralizedRun, _super_level
@@ -248,12 +248,13 @@ def conjugate_product_inverse(x):
     Rewrites the kernels over a greedy generator basis of the square-class
     group (g generators), multiplies every conjugate that flips the sign of
     an odd number of them in a term's class, and divides by the rational
-    norm, the product of all 2^g conjugates.
+    norm, the product of all 2^g conjugates.  The conjugates are built from
+    `RootSum.sqrt` and multiplied by the package's public arithmetic.
     """
     x = raw(x)
-    kernels = [k for k in x._terms if k != 1]
+    kernels = [k for k in x.terms if k != 1]
     if not kernels:
-        return 1 / x._terms[1]
+        return 1 / x.terms[1]
     gens: list[int] = []
     expo: dict[int, int] = {}
     for k in kernels:
@@ -264,12 +265,10 @@ def conjugate_product_inverse(x):
         expo[k] = mask
     product = Fraction(1)
     for sigma in range(1, 1 << len(gens)):
-        conj = _from_terms({
-            k: (-c if k != 1 and (expo[k] & sigma).bit_count() % 2 else c)
-            for k, c in x._terms.items()
-        })
-        product = product * conj
-    norm = product * x
+        product = product * _value(
+            (k, -c if k != 1 and (expo[k] & sigma).bit_count() % 2 else c)
+            for k, c in x.terms.items())
+    norm = product * _value(x.terms.items())
     if not isinstance(norm, Fraction):
         raise ArithmeticError("norm of a radical sum was not rational")
     return product / norm
@@ -294,40 +293,107 @@ def linear_envelope_scan(config, M):
     return max(best_val, Fraction(0)), MultiUserBoundParams(*best_key)
 
 
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def _shrink(n):
+    """``(kernel, mult)`` with ``sqrt(n) = mult * sqrt(kernel)``: the squares
+    of the primes up to 47 come out, and a square remainder leaves kernel 1."""
+    mult = 1
+    for p in _SMALL_PRIMES:
+        while n % (p * p) == 0:
+            n //= p * p
+            mult *= p
+    r = math.isqrt(n)
+    return (1, mult * r) if r * r == n else (n, mult)
+
+
+class RawSum:
+    """``sum c_k * sqrt(k)`` with Fraction coefficients, built term by term.
+
+    The reference for the terms, their order and the printed form of a
+    `RootSum`: `insert` keeps the kernels shrunk and pairwise inequivalent
+    and no zero coefficient, and a kernel first met keeps its place.  Unlike
+    a RootSum, a raw sum may be rational or zero.
+    """
+
+    def __init__(self, terms=()):
+        self.terms = dict(terms)
+
+    def insert(self, kernel, coeff):
+        """Add ``coeff * sqrt(kernel)``; an equivalent kernel already stored
+        (their product a perfect square) takes the term."""
+        if not coeff:
+            return
+        kernel, mult = _shrink(kernel)
+        coeff = Fraction(coeff) * mult
+        if kernel != 1:
+            for k in self.terms:
+                r = math.isqrt(k * kernel)
+                if k != 1 and r * r == k * kernel:
+                    kernel, coeff = k, coeff * Fraction(r, k)
+                    break
+        total = self.terms.get(kernel, Fraction(0)) + coeff
+        if total:
+            self.terms[kernel] = total
+        else:
+            self.terms.pop(kernel, None)
+
+    def __repr__(self):
+        parts = []
+        for kernel in sorted(self.terms):
+            coeff = self.terms[kernel]
+            if kernel == 1:
+                parts.append(str(coeff))
+            elif coeff == 1 or coeff == -1:
+                parts.append(f"{'-' if coeff < 0 else ''}sqrt({kernel})")
+            else:
+                parts.append(f"{coeff}*sqrt({kernel})")
+        return " + ".join(parts).replace("+ -", "- ")
+
+
 def raw(x):
-    """The insert route's operand for x: a copy of a RootSum's terms, or a
-    rational as a raw sum with only kernel 1 (none for zero)."""
+    """The insert route's operand for x: a copy of a raw sum, a RootSum's
+    terms as Fractions, or a rational with only kernel 1 (none for zero)."""
+    if isinstance(x, RawSum):
+        return RawSum(x.terms)
     if isinstance(x, RootSum):
-        return _from_terms(dict(x._terms))
+        return RawSum((k, Fraction(n, x._den)) for k, n in x._nums.items())
     x = Fraction(x)
-    return _from_terms({1: x} if x else {})
+    return RawSum({1: x} if x else {})
+
+
+def _value(terms):
+    """The package value of ``sum c * sqrt(k)`` over the pairs ``(k, c)``,
+    from `RootSum.sqrt` and public arithmetic."""
+    return sum((c * RootSum.sqrt(k) for k, c in terms), Fraction(0))
 
 
 def insert_route_add(x, y):
-    """x + y with every term of y inserted one by one through `_insert`.
+    """x + y with every term of y inserted one by one.
 
-    Operands may be rational (see `raw`); the result is a raw RootSum, even
+    Operands may be rational (see `raw`); the result is a `RawSum`, even
     when its value is rational.
     """
     out = raw(x)
-    for kernel, coeff in raw(y)._terms.items():
-        out._insert(kernel, coeff)
+    for kernel, coeff in raw(y).terms.items():
+        out.insert(kernel, coeff)
     return out
 
 
 def insert_route_mul(x, y):
-    """x * y with every product of two terms inserted through `_insert`.
+    """x * y with every product of two terms inserted one by one.
 
     Operands and result as in `insert_route_add`.
     """
-    out = _from_terms({})
-    for k1, c1 in raw(x)._terms.items():
-        for k2, c2 in raw(y)._terms.items():
+    out = RawSum()
+    for k1, c1 in raw(x).terms.items():
+        for k2, c2 in raw(y).terms.items():
             if k1 == 1 or k2 == 1:
-                out._insert(k1 * k2, c1 * c2)
+                out.insert(k1 * k2, c1 * c2)
             else:
                 g = math.gcd(k1, k2)
-                out._insert((k1 // g) * (k2 // g), c1 * c2 * g)
+                out.insert((k1 // g) * (k2 // g), c1 * c2 * g)
     return out
 
 

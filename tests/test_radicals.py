@@ -11,13 +11,21 @@ from oracles import conjugate_product_inverse, insert_route_add, insert_route_mu
 
 
 def _is_rational_route(value):
-    """A raw RootSum from an oracle is rational iff its only kernel is 1."""
-    return set(value._terms) <= {1}
+    """A value, or a raw sum from an oracle, is rational iff its only kernel is 1."""
+    return set(raw(value).terms) <= {1}
 
 
 def _same_value(got, value):
     """Exact equality by the insert route: ``got - value`` keeps no term."""
-    return not insert_route_add(got, insert_route_mul(value, -1))._terms
+    return not insert_route_add(got, insert_route_mul(value, -1)).terms
+
+
+def _assert_reduced(x):
+    """The integer form of a RootSum: a positive denominator, no common
+    factor with the numerators, and no zero numerator."""
+    assert type(x._den) is int and x._den > 0, x._den
+    assert all(type(n) is int and n for n in x._nums.values()), x._nums
+    assert math.gcd(x._den, *x._nums.values()) == 1, (x._den, x._nums)
 
 
 def _assert_canonical(got, value):
@@ -28,14 +36,15 @@ def _assert_canonical(got, value):
 
 
 def assert_canonical_route(got, want):
-    """`got` is the canonical form of the raw RootSum `want`, and an
-    irrational `got` keeps the terms of `want`, in order, with nonzero
-    Fraction coefficients."""
+    """`got` is the canonical form of the raw sum `want`, and an irrational
+    `got` keeps the terms of `want` (``Fraction(n, den)`` per kernel), in
+    order, and prints as `want`."""
     _assert_canonical(got, want)
     if type(got) is RootSum:
-        assert list(got._terms.items()) == list(want._terms.items())
+        _assert_reduced(got)
+        assert [(k, Fraction(n, got._den)) for k, n in got._nums.items()] \
+            == list(want.terms.items())
         assert repr(got) == repr(want)
-        assert all(type(c) is Fraction and c for c in got._terms.values())
 
 
 def test_sqrt_merges_equivalent_kernels():
@@ -149,7 +158,7 @@ def test_rational_fast_paths_match_insert_route():
         x = _random_root_sum(rng)
         q = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
         # The last one cancels the constant term of x.
-        constant = x if isinstance(x, Fraction) else x._terms.get(1, q)
+        constant = x if isinstance(x, Fraction) else raw(x).terms.get(1, q)
         rationals = (q, rng.randint(-3, 3), 0, -constant)
         for r in rationals:
             # r + x and r * x run x.__radd__ and x.__rmul__, that is x + r
@@ -269,6 +278,60 @@ def test_int_str_is_str_beyond_the_digit_limit():
 def test_division_operator():
     assert RootSum.sqrt(8) / RootSum.sqrt(2) == 2
     assert 1 / RootSum.sqrt(4) == Fraction(1, 2)
+
+
+def test_scaling_divides_out_the_common_factor():
+    x = (RootSum.sqrt(2) / 6) * 3
+    assert repr(x) == "1/2*sqrt(2)"
+    assert (x._den, x._nums) == (2, {2: 1})
+    y = (Fraction(4, 3) + 2 * RootSum.sqrt(2)) * Fraction(3, 4)
+    assert repr(y) == "1 + 3/2*sqrt(2)"
+    assert (y._den, y._nums) == (2, {1: 2, 2: 3})
+
+
+def test_merge_into_a_larger_square_part_rescales():
+    # sqrt(2*53^2) keeps its square, so sqrt(2) merges into it as
+    # sqrt(2*53^2)/53 and leaves a numerator of 1/53 before the rescale.
+    big = 53 * 53
+    got = RootSum.sqrt(2 * big) + RootSum.sqrt(2)
+    assert got == Fraction(54, 53) * RootSum.sqrt(2 * big)
+    assert repr(got) == "54/53*sqrt(5618)"
+    assert (got._den, got._nums) == (53, {5618: 54})
+    assert_canonical_route(got, insert_route_add(RootSum.sqrt(2 * big), RootSum.sqrt(2)))
+    # In a product: sqrt(3) merges into sqrt(3*53^2) and 3*sqrt(2) into
+    # sqrt(2*53^2), each scaled by 1/53.
+    x, y = RootSum.sqrt(2 * big) + RootSum.sqrt(3), 1 + RootSum.sqrt(6)
+    got = x * y
+    assert got == Fraction(56, 53) * RootSum.sqrt(2 * big) \
+        + Fraction(107, 53) * RootSum.sqrt(3 * big)
+    assert repr(got) == "56/53*sqrt(5618) + 107/53*sqrt(8427)"
+    assert_canonical_route(got, insert_route_mul(x, y))
+
+
+radical_sums = st.lists(
+    st.tuples(st.fractions(min_value=-20, max_value=20, max_denominator=12),
+              st.integers(min_value=1, max_value=60), st.booleans()),
+    min_size=1, max_size=4,
+).map(lambda terms: sum((Fraction(c) * RootSum.sqrt(k * (53 * 53 if big else 1))
+                         for c, k, big in terms), Fraction(0)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(radical_sums, radical_sums, st.fractions(min_value=0, max_value=50, max_denominator=30))
+def test_results_keep_integer_form(x, y, q):
+    # Every irrational result of an operation is in reduced integer form.
+    results = [x + y, x - y, x * y, -x, RootSum.sqrt(q)]
+    if y:
+        results.append(x / y)
+    if x:
+        results.append(1 / x)
+    if isinstance(x, RootSum):
+        results.append(x.inverse())
+    for value in results:
+        if isinstance(value, RootSum):
+            _assert_reduced(value)
+        else:
+            assert type(value) is Fraction
 
 
 def test_float_and_strings():

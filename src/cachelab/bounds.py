@@ -44,7 +44,6 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
 from .model import MemoryLike, Setup, SystemConfig, check_memory
@@ -213,7 +212,6 @@ def _breakpoint(left: tuple, right: tuple) -> tuple[int, int]:
     return (a1 * d2 - a2 * d1) * b1 * b2, d1 * d2 * (t1 * b2 - t2 * b1)
 
 
-@lru_cache(maxsize=16)
 def _bound_lines(config: SystemConfig
                  ) -> tuple[tuple[tuple[Fraction, Fraction, tuple], ...], tuple[Fraction, ...]]:
     """Upper envelope of the bound lines ``A - (t/b)*M``, with its breakpoints.
@@ -324,9 +322,9 @@ def optimize_lower_bound_mu(config: SystemConfig, M: MemoryLike
 
     Every parameter choice in range yields a valid bound, so maximizing
     over the candidate grid is sound by construction.  The maximum is read
-    off the config's cached envelope of lines (`_bound_lines`), exactly;
-    ties keep the lexicographically smallest (t, b, s).  Raises ValueError
-    for more than ``MAX_BOUND_CACHES`` caches.
+    off the config's envelope of lines, ``config.fact(_bound_lines)``,
+    exactly; ties keep the lexicographically smallest (t, b, s).  Raises
+    ValueError for more than ``MAX_BOUND_CACHES`` caches.
     """
     M = check_memory(M)
     if config.caches < 2:
@@ -334,7 +332,7 @@ def optimize_lower_bound_mu(config: SystemConfig, M: MemoryLike
     if config.caches > MAX_BOUND_CACHES:
         raise ValueError(f"the multi-user lower bound is limited to {MAX_BOUND_CACHES} caches, "
                          f"got {config.caches}")
-    lines, breakpoints = _bound_lines(config)
+    lines, breakpoints = config.fact(_bound_lines)
     # Line k is at least line k + 1 exactly when M is at most their
     # breakpoint, so the maximum is the first line whose breakpoint is at
     # least M, and the lines tied with it follow while the breakpoint is M.

@@ -248,7 +248,7 @@ def mixed_rate(config: SystemConfig, M: MemoryLike, gamma: Optional[Fraction] = 
         raise ValueError("mixed_rate needs a mixed-setup config")
     M = check_memory(M)
     validation = validate(config).raise_if_strict(strict)
-    f_cfg, g_cfg = mixed_classes(config)
+    f_cfg, g_cfg = config.fact(mixed_classes)
 
     p, q = M.numerator, M.denominator
 

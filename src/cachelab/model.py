@@ -12,8 +12,7 @@ import enum
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, TypeVar, Union
 
 from .radicals import ExactValue, RootSum, as_exact_str
 
@@ -22,6 +21,7 @@ from .radicals import ExactValue, RootSum, as_exact_str
 BETA = Fraction(1, 80)
 
 MemoryLike = Union[int, str, Fraction]
+Fact = TypeVar("Fact")
 
 
 class Setup(enum.Enum):
@@ -82,6 +82,16 @@ class SystemConfig:
             raise ValueError("mixed_levels requires the mixed setup")
         object.__setattr__(self, "levels", _canonical(self.levels))
         object.__setattr__(self, "mixed_levels", _canonical(self.mixed_levels))
+        object.__setattr__(self, "_facts", {})
+
+    def fact(self, build: Callable[["SystemConfig"], Fact]) -> Fact:
+        """``build(self)``, built once per config object and kept on it, for
+        facts that do not depend on the memory.  The store is no dataclass
+        field, so ``==``, ``hash`` and ``repr`` ignore it; no fact may refer
+        to its config, so that reference counting alone frees both."""
+        if build not in self._facts:
+            self._facts[build] = build(self)
+        return self._facts[build]
 
     @property
     def total_files(self) -> int:
@@ -135,7 +145,6 @@ class RegularityError(ValueError):
         super().__init__(f"instance violates regularity conditions: {lines}")
 
 
-@lru_cache(maxsize=16)
 def validate_multi_user(config: SystemConfig) -> ValidationReport:
     """Check the multi-user regularity conditions.
 
@@ -143,8 +152,8 @@ def validate_multi_user(config: SystemConfig) -> ValidationReport:
     total (files >= caches * users_per_cache).  MU-POP: popularities of any
     two levels must differ by a factor of at least 1/BETA**2; the check is
     applied to every pair, not just adjacent ones, which is the stricter
-    reading.  Exact rational arithmetic throughout.  Cached for the last 16
-    configs; a config of another setup raises ValueError.
+    reading.  Exact rational arithmetic throughout; callers read it through
+    `SystemConfig.fact`.  A config of another setup raises ValueError.
     """
     if config.setup is not Setup.MULTI_USER:
         raise ValueError(f"expected a multi-user config, got {config.setup.value}")
@@ -166,13 +175,12 @@ def validate_multi_user(config: SystemConfig) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
-@lru_cache(maxsize=16)
 def validate_single_user(config: SystemConfig) -> ValidationReport:
     """Check the single-user regularity conditions.
 
     SU-FILES: files >= users per level.  SU-COUNT: level user counts must
-    sum to the number of caches (one user per cache).  Cached for the last
-    16 configs; a config of another setup raises ValueError.
+    sum to the number of caches (one user per cache).  Callers read it
+    through `SystemConfig.fact`; a config of another setup raises ValueError.
     """
     if config.setup is not Setup.SINGLE_USER:
         raise ValueError(f"expected a single-user config, got {config.setup.value}")
@@ -191,7 +199,8 @@ def validate_single_user(config: SystemConfig) -> ValidationReport:
 def mixed_classes(config: SystemConfig) -> tuple[Optional[SystemConfig], Optional[SystemConfig]]:
     """A mixed config's replicated class as a multi-user config over all the
     caches and its single-row class as a single-user config over its own
-    users, so it may occupy only part of the caches; None for an empty class."""
+    users, so it may occupy only part of the caches; None for an empty class.
+    `validate` and `mixed_rate` share them through `SystemConfig.fact`."""
     mu = SystemConfig(Setup.MULTI_USER, config.caches, config.levels) if config.levels else None
     row = config.mixed_levels
     su = SystemConfig(Setup.SINGLE_USER, sum(lv.users for lv in row), row) if row else None
@@ -200,13 +209,13 @@ def mixed_classes(config: SystemConfig) -> tuple[Optional[SystemConfig], Optiona
 
 def validate(config: SystemConfig) -> ValidationReport:
     if config.setup is Setup.MULTI_USER:
-        return validate_multi_user(config)
+        return config.fact(validate_multi_user)
     if config.setup is Setup.SINGLE_USER:
-        return validate_single_user(config)
+        return config.fact(validate_single_user)
     # Mixed: each class checked against its own setup's rules.
-    mu, su = mixed_classes(config)
-    return ValidationReport((validate_multi_user(mu).violations if mu else ())
-                            + (validate_single_user(su).violations if su else ()))
+    mu, su = config.fact(mixed_classes)
+    return ValidationReport((mu.fact(validate_multi_user).violations if mu else ())
+                            + (su.fact(validate_single_user).violations if su else ()))
 
 
 @dataclass

@@ -11,16 +11,16 @@ partial-memory set.
 
 Everything that does not depend on M (the regularity report, the level
 order, the sums over each candidate I, the threshold constants with their
-enclosures, ``S_I^-1``) lives in a per-config `_SplitPlan`, cached for the
-last 16 configs and filled only as far as the queries reach; a memory then
-costs rational comparisons plus the M-dependent rates.  The plan keeps one
-block per split, keyed by the indices ``(j_end, h_start)`` of the split, so
-the scan builds no set per split it tries.  A membership test forms
-``K*W = K*(M - T_J + V_I)`` as an unreduced integer numerator and
-denominator, from M's and from ``V_I - T_J``, which the block keeps as an
-integer pair, and compares it by integer cross-multiplication with the
-enclosures of the thresholds that bind, at the ends of H, I and J; no
-Fraction is built unless M falls inside an enclosure.
+enclosures, ``S_I^-1``) lives in a `_SplitPlan` that each config object
+keeps as ``config.fact(_SplitPlan)``, filled only as far as the queries
+reach; a memory then costs rational comparisons plus the M-dependent rates.
+The plan keeps one block per split, keyed by the indices ``(j_end,
+h_start)`` of the split, so the scan builds no set per split it tries.  A
+membership test forms ``K*W = K*(M - T_J + V_I)`` as an unreduced integer
+numerator and denominator, from M's and from ``V_I - T_J``, which the block
+keeps as an integer pair, and compares it by integer cross-multiplication
+with the enclosures of the thresholds that bind, at the ends of H, I and J;
+no Fraction is built unless M falls inside an enclosure.
 
 The rest of the rate path is fraction-free where its values are rational.
 A feasible split hands its W back as that integer pair, and ``M_tilde``
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Optional
 
 from .model import (BETA, LevelSpec, MemoryLike, RateReport, Setup, SystemConfig,
@@ -113,19 +112,18 @@ class MemoryAllocation:
         return tuple(a / self.M for a in self.amounts)
 
 
-def _sums(config: SystemConfig, I: Iterable[int],
+def _sums(levels: tuple[LevelSpec, ...], K: int, I: Iterable[int],
           J: Iterable[int]) -> tuple[ExactValue, Fraction, Fraction]:
     """``S_I``, ``T_J`` and ``V_I`` of a split, as defined on `Partition`.
 
     I is summed in the caller's order, which fixes how equivalent kernels
     of ``S_I`` are represented.
     """
-    levels = config.levels
     S_I: ExactValue = Fraction(0)
     for i in I:
         S_I = S_I + _sqrt_nu(levels[i])
     T_J = sum((Fraction(levels[j].files) for j in J), Fraction(0))
-    V_I = sum((Fraction(levels[i].files, config.caches) for i in I), Fraction(0))
+    V_I = sum((Fraction(levels[i].files, K) for i in I), Fraction(0))
     return S_I, T_J, V_I
 
 
@@ -144,13 +142,12 @@ class _Block:
     __slots__ = ("I", "S_I", "V_I", "offset", "_levels", "_x", "_cuts", "_inverse",
                  "_square", "_shares")
 
-    def __init__(self, config: SystemConfig, x: tuple[ExactValue, ...], I: frozenset[int],
-                 T_J: Fraction):
+    def __init__(self, plan: _SplitPlan, I: frozenset[int], T_J: Fraction):
         self.I = I
-        self.S_I, _, self.V_I = _sums(config, I, ())
+        self.S_I, _, self.V_I = _sums(plan.levels, plan.caches, I, ())
         offset = self.V_I - T_J
         self.offset = (offset.numerator, offset.denominator)
-        self._levels, self._x = config.levels, x
+        self._levels, self._x = plan.levels, plan.x
         self._cuts: dict[int, Enclosure] = {}
         self._inverse: Optional[ExactValue] = None
         self._square: Optional[ExactValue] = None
@@ -182,17 +179,18 @@ class _Block:
 class _SplitPlan:
     """Memory-independent state of a multi-user config's partition scan.
 
-    Holds the validation report, the level order, ``sqrt(N_i/U_i)``, the
-    sums ``T_J`` of the prefixes of the order, each prefix J and suffix H as
-    a frozenset, and one `_Block` per split met so far, keyed by the indices
+    Holds the validation report, the levels and cache count (not the config,
+    which keeps the plan), the level order, ``sqrt(N_i/U_i)``, the sums
+    ``T_J`` of the prefixes of the order, each prefix J and suffix H as a
+    frozenset, and one `_Block` per split met so far, keyed by the indices
     ``(j_end, h_start)`` of the split.  A nonempty I fixes its split, so a
     partition's block is the one at ``(len(J), L - len(H))``.
     """
 
     def __init__(self, config: SystemConfig):
-        self.validation = validate_multi_user(config)
-        levels = config.levels
-        self.config = config
+        self.validation = config.fact(validate_multi_user)
+        self.levels = levels = config.levels
+        self.caches = config.caches
         self.order = tuple(sorted(range(len(levels)),
                                   key=lambda i: (Fraction(levels[i].files, levels[i].users), i)))
         self.total = sum(lv.files for lv in levels)
@@ -210,7 +208,7 @@ class _SplitPlan:
         block = self._blocks.get((j_end, h_start))
         if block is None:
             block = self._blocks[j_end, h_start] = _Block(
-                self.config, self.x, frozenset(self.order[j_end:h_start]), self.T[j_end])
+                self, frozenset(self.order[j_end:h_start]), self.T[j_end])
         return block
 
     def partition_block(self, partition: Partition) -> _Block:
@@ -237,7 +235,7 @@ class _SplitPlan:
         Returns ``W = M - T_J + V_I`` as an unreduced integer numerator and
         positive denominator if the split is feasible, else None.
         """
-        K = self.config.caches
+        K = self.caches
         order = self.order
         c_num, c_den = block.offset
         m_den = M.denominator
@@ -256,11 +254,6 @@ class _SplitPlan:
         return w_num, den
 
 
-@lru_cache(maxsize=16)
-def _split_plan(config: SystemConfig) -> _SplitPlan:
-    return _SplitPlan(config)
-
-
 def find_m_feasible_partition(config: SystemConfig, M: MemoryLike) -> Partition:
     """Find a partition satisfying the membership conditions at memory M.
 
@@ -271,11 +264,11 @@ def find_m_feasible_partition(config: SystemConfig, M: MemoryLike) -> Partition:
     smallest no-memory set, is returned, so the scan stops at the first
     feasible split in that order.  If the memory exceeds the total library
     size, everything is fully stored.  Everything but the comparisons with
-    the memory comes from the config's cached `_SplitPlan`; a config that is
+    the memory comes from the config's `_SplitPlan`; a config that is
     not multi-user raises `validate_multi_user`'s ValueError.
     """
     M = check_memory(M)
-    plan = _split_plan(config)
+    plan = config.fact(_SplitPlan)
     L = len(plan.order)
     if M.numerator > plan.total * M.denominator:
         return Partition(frozenset(), frozenset(), frozenset(range(L)), Fraction(0),
@@ -305,7 +298,7 @@ def allocate_memory(partition: Partition, config: SystemConfig, M: MemoryLike) -
     levels = config.levels
     K = config.caches
     if partition.I:
-        block = _split_plan(config).partition_block(partition)
+        block = config.fact(_SplitPlan).partition_block(partition)
         w, d = _weight(M, partition.T_J, partition.V_I)
     amounts: list[ExactValue] = []
     for idx, lv in enumerate(levels):
@@ -354,7 +347,7 @@ def refine_partition(config: SystemConfig, M: MemoryLike) -> RefinedPartition:
     M = check_memory(M)
     partition = find_m_feasible_partition(config, M)
     K = config.caches
-    plan = _split_plan(config)
+    plan = config.fact(_SplitPlan)
     I0, I1, Iprime = set(), set(), set()
     for i in partition.I:
         x = plan.x[i]
@@ -384,7 +377,7 @@ def rate_memory_sharing(config: SystemConfig, M: MemoryLike, strict: bool = Fals
     two user sums.
     """
     M = check_memory(M)
-    plan = _split_plan(config)
+    plan = config.fact(_SplitPlan)
     validation = plan.validation.raise_if_strict(strict)
     partition = find_m_feasible_partition(config, M)
     allocation = allocate_memory(partition, config, M)

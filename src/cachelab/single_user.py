@@ -64,7 +64,7 @@ def rate_clustering(config: SystemConfig, M: MemoryLike, strict: bool = False) -
     users and n the super-level library, one Fraction (just u at M = 0).
     """
     M = check_memory(M)
-    validation = validate_single_user(config).raise_if_strict(strict)
+    validation = config.fact(validate_single_user).raise_if_strict(strict)
     part = partition_su(config, M)
     levels = config.levels
     users = sum(levels[h].users for h in part.Hprime)

@@ -26,7 +26,7 @@ def _split_conditions(config, M, H, I, J):
     levels = config.levels
     if not I:
         return False
-    S_I, T_J, V_I = _sums(config, I, J)
+    S_I, T_J, V_I = _sums(levels, K, I, J)
     KW = K * (M - T_J + V_I)
     # h in H:  M_tilde < (1/K)sqrt(N_h/U_h)    <=>  K*W < S_I*sqrt(N_h/U_h)
     for h in H:
@@ -46,7 +46,7 @@ def _split_conditions(config, M, H, I, J):
 
 
 def _build_partition(config, M, H, I, J):
-    S_I, T_J, V_I = _sums(config, I, J)
+    S_I, T_J, V_I = _sums(config.levels, config.caches, I, J)
     M_tilde = None
     if I:
         M_tilde = (M - T_J + V_I) / S_I

@@ -1,16 +1,19 @@
+import gc
 import json
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
+from cachelab import multi_user
 from cachelab.experiments import (AuditSummary, audit, audit_grid, dichotomy_multi_user,
-                                  dichotomy_single_user, linear_grid, mixed_rate,
+                                  dichotomy_single_user, evaluate, linear_grid, mixed_rate,
                                   random_multi_user_config, random_single_user_config,
                                   sweep, write_plot_data, write_sweep_csv,
                                   write_sweep_json)
-from cachelab.model import (LevelSpec, Setup, SystemConfig, validate_multi_user,
-                            validate_single_user)
+from cachelab.model import (LevelSpec, Setup, SystemConfig, config_from_dict, mixed_classes,
+                            validate, validate_multi_user, validate_single_user)
 from cachelab.multi_user import rate_memory_sharing
 from cachelab.radicals import exact_sign
 from cachelab.single_user import rate_clustering
@@ -159,11 +162,72 @@ def test_audit_summary_keeps_the_exact_maximum():
     assert summary.to_json_dict()["max_ratio"]["192"]["ratio"] == 1.5
 
 
-def test_mixed_rate_validates_each_class_once():
+def test_mixed_rate_validates_each_class_once(count_calls):
     # 101 gammas, each a memory-sharing and a clustering rate on the classes.
     cfg = SystemConfig(Setup.MIXED, 4, (LevelSpec(8, 2),), (LevelSpec(9, 3),))
-    validate_multi_user.cache_clear()
-    validate_single_user.cache_clear()
+    mu_calls = count_calls(validate_multi_user)
+    su_calls = count_calls(validate_single_user)
     mixed_rate(cfg, 3)
-    assert validate_multi_user.cache_info().misses == 1
-    assert validate_single_user.cache_info().misses == 1
+    mu, su = cfg.fact(mixed_classes)
+    assert len(mu_calls) == len(su_calls) == 1
+    assert mu_calls[0] is mu and su_calls[0] is su
+
+
+def test_sweep_builds_each_class_fact_once(count_calls, monkeypatch):
+    # The golden sweep_mixed_grid case: every grid point's gamma scan and
+    # `validate` read one pair of class configs, each planned and validated once.
+    cfg = config_from_dict({"setup": "mixed", "caches": 4,
+                            "levels": [{"files": 8, "users": 2}],
+                            "mixed_levels": [{"files": 6, "users": 2}]})
+    mu_calls = count_calls(validate_multi_user)
+    su_calls = count_calls(validate_single_user)
+    plans = []
+    build_plan = multi_user._SplitPlan.__init__
+
+    def counted_plan(plan, config):
+        plans.append(config)
+        build_plan(plan, config)
+
+    monkeypatch.setattr(multi_user._SplitPlan, "__init__", counted_plan)
+    assert len(sweep(cfg, linear_grid(1, 3, 2))) == 2
+    report = validate(cfg)
+    mu, su = cfg.fact(mixed_classes)
+    assert len(plans) == len(mu_calls) == len(su_calls) == 1
+    assert plans[0] is mu and mu_calls[0] is mu and su_calls[0] is su
+    assert report.violations == (mu.fact(validate_multi_user).violations
+                                 + su.fact(validate_single_user).violations)
+
+
+def test_warm_evaluate_never_hashes_the_config(monkeypatch):
+    # Per-config facts are looked up on the config object, not by its value.
+    cfg = SystemConfig.multi_user(4, [(8, 2), (25600, 1)])
+    evaluate(cfg, 0)
+    hashes = []
+    config_hash = SystemConfig.__hash__
+
+    def counted_hash(config):
+        hashes.append(config)
+        return config_hash(config)
+
+    monkeypatch.setattr(SystemConfig, "__hash__", counted_hash)
+    for M in range(1, 8):
+        evaluate(cfg, M)
+    assert hashes == []
+
+
+def test_an_evaluated_config_is_freed_without_the_cycle_collector():
+    # No fact refers to its config, so reference counting alone frees a
+    # config and everything it keeps.  Each config here is built by no
+    # other test.
+    refs = []
+    gc.disable()
+    try:
+        for cfg in (SystemConfig.multi_user(5, [(15, 1), (97000, 1)]),
+                    SystemConfig.single_user(7, [(11, 3), (43, 4)]),
+                    SystemConfig(Setup.MIXED, 5, (LevelSpec(15, 3),), (LevelSpec(13, 2),))):
+            evaluate(cfg, Fraction(7, 3))
+            refs.append(weakref.ref(cfg))
+        del cfg
+        assert [ref() for ref in refs] == [None, None, None]
+    finally:
+        gc.enable()

@@ -8,7 +8,7 @@ import pytest
 from cachelab import radicals
 from cachelab.experiments import random_multi_user_config
 from cachelab.model import SystemConfig, validate_multi_user
-from cachelab.multi_user import (Partition, PartitionInfeasibleError, _split_plan, _sums,
+from cachelab.multi_user import (Partition, PartitionInfeasibleError, _SplitPlan, _sums,
                                  allocate_memory, find_m_feasible_partition,
                                  level_rate_bounds, rate_memory_sharing, refine_partition)
 from cachelab.radicals import exact_sign
@@ -243,7 +243,7 @@ def test_split_check_matches_every_level_oracle():
     # every contiguous split, at exact thresholds and between them.
     rng = random.Random(151)
     for cfg in _oracle_configs():
-        plan = _split_plan(cfg)
+        plan = cfg.fact(_SplitPlan)
         order, L, K = plan.order, len(plan.order), cfg.caches
         mems = {Fraction(0)} | {Fraction(m) for m in plan.T}
         mems |= {Fraction(lv.files, K) for lv in cfg.levels}
@@ -302,9 +302,9 @@ def test_allocation_rejects_an_I_that_is_not_a_run_of_the_order():
     # I holds the first and last levels of the sqrt(N/U) order and J the
     # middle one, so no split of the scan has this I.
     cfg = SystemConfig.multi_user(2, [(4, 1), (400, 1), (40000, 1)])
-    order = _split_plan(cfg).order
+    order = cfg.fact(_SplitPlan).order
     I, J = frozenset((order[0], order[2])), frozenset((order[1],))
-    S_I, T_J, V_I = _sums(cfg, I, J)
+    S_I, T_J, V_I = _sums(cfg.levels, cfg.caches, I, J)
     partition = Partition(frozenset(), I, J, S_I, T_J, V_I, None)
     with pytest.raises(ValueError, match="is not the levels between J and H"):
         allocate_memory(partition, cfg, 500)
@@ -315,13 +315,10 @@ def test_partition_scan_rejects_a_single_user_config():
         find_m_feasible_partition(SystemConfig.single_user(4, [(8, 4)]), 1)
 
 
-def test_rate_memory_sharing_validates_a_config_once():
-    # The split plan reads the report when it is built and keeps it, so
-    # later calls do not even look the config up in the validator's cache.
+def test_rate_memory_sharing_validates_a_config_once(count_calls):
+    # The split plan reads the report once, when the config builds the plan.
     cfg = SystemConfig.multi_user(4, [(8, 2), (25600, 1)])
-    _split_plan.cache_clear()
-    validate_multi_user.cache_clear()
+    calls = count_calls(validate_multi_user)
     for M in range(8):
         rate_memory_sharing(cfg, M)
-    info = validate_multi_user.cache_info()
-    assert (info.misses, info.hits) == (1, 0)
+    assert len(calls) == 1 and calls[0] is cfg

@@ -226,8 +226,9 @@ def test_decentralized_run_matches_team_enumeration():
     assert kinds == {"coded", "uncoded only"}
 
 
-def test_rate_clustering_validates_a_config_once():
-    validate_single_user.cache_clear()
+def test_rate_clustering_validates_a_config_once(count_calls):
+    cfg = two_levels()
+    calls = count_calls(validate_single_user)
     for M in range(8):
-        rate_clustering(two_levels(), M)
-    assert validate_single_user.cache_info().misses == 1
+        rate_clustering(cfg, M)
+    assert len(calls) == 1 and calls[0] is cfg

@@ -267,21 +267,17 @@ class RateReport:
 
 
 def describe(obj):
-    """JSON-friendly rendering of witnesses (partitions, allocations, params)."""
+    """JSON-friendly rendering of witnesses (partitions, allocations, params),
+    report extras and dichotomy results; anything else reaching the last line
+    is a dataclass."""
     if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
         return obj
     if isinstance(obj, (Fraction, RootSum)):
         return as_exact_str(obj)
-    if isinstance(obj, dict):
-        return {str(k): describe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, set, frozenset)):
         items = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
         return [describe(v) for v in items]
-    if hasattr(obj, "__dataclass_fields__"):
-        return {name: describe(getattr(obj, name)) for name in obj.__dataclass_fields__}
-    return str(obj)
+    return {name: describe(getattr(obj, name)) for name in obj.__dataclass_fields__}
 
 
 # -- JSON config schema ------------------------------------------------------

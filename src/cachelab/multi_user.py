@@ -52,19 +52,6 @@ def _sqrt_n_over_u(level: LevelSpec) -> ExactValue:
     return RootSum.sqrt(Fraction(level.files, level.users))
 
 
-class PartitionInfeasibleError(RuntimeError):
-    """No contiguous split satisfies the partition conditions.
-
-    Not expected for instances passing the regularity validation; irregular
-    instances can land in memory ranges with no feasible split.
-    """
-
-    def __init__(self, config: SystemConfig, M: Fraction):
-        self.config = config
-        self.M = M
-        super().__init__(f"no feasible level partition at M={M}")
-
-
 @dataclass(frozen=True)
 class Partition:
     """(H, I, J) split with its derived quantities.
@@ -266,6 +253,25 @@ def find_m_feasible_partition(config: SystemConfig, M: MemoryLike) -> Partition:
     size, everything is fully stored.  Everything but the comparisons with
     the memory comes from the config's `_SplitPlan`; a config that is
     not multi-user raises `validate_multi_user`'s ValueError.
+
+    A feasible split exists at every memory ``0 <= M <= sum N_i``, on any
+    config, regular or not; the split is a water-filling.  Write
+    ``a_i = sqrt(N_i*U_i)``, ``x_i = sqrt(N_i/U_i)`` (so ``a_i*x_i = N_i``)
+    and ``g(λ) = sum_i min(max(λ*a_i - N_i/K, 0), N_i)``.  g is continuous
+    and nondecreasing, ``g(0) = 0``, and ``g = sum N_i`` for large λ.  For
+    M > 0 take the smallest λ with ``g(λ) = M``; for M = 0 take
+    ``λ = min x_i / K``.  At that λ put ``H = {h: λ < x_h/K}`` and
+    ``J = {j: λ > (1+1/K)x_j}`` (both strict), and I the rest, where
+    ``0 <= λ*a_i - N_i/K <= N_i``.  I is nonempty: at M = 0 it holds the
+    levels of least x; for M > 0, with I empty every term of g would be
+    constant near λ > 0, so a smaller λ would give M too.  H is a suffix and
+    J a prefix of the order (levels with tied N/U fall alike), so I is a
+    run of it.  Summing the terms, ``sum_I (λ*a_i - N_i/K) = M - T_J``, so
+    ``λ = (M - T_J + V_I)/S_I = M_tilde`` and the split meets every
+    membership condition.  `_SplitPlan.admits` decides those conditions
+    exactly (the tests check it against every level's), and the scan tries
+    every contiguous split with a nonempty I, so it returns; its final
+    raise is an internal check.
     """
     M = check_memory(M)
     plan = config.fact(_SplitPlan)
@@ -281,7 +287,7 @@ def find_m_feasible_partition(config: SystemConfig, M: MemoryLike) -> Partition:
                 return Partition(plan.suffixes[h_start], block.I, plan.prefixes[j_end],
                                  block.S_I, plan.T[j_end], block.V_I,
                                  block.inverse() * Fraction(*W))
-    raise PartitionInfeasibleError(config, M)
+    raise AssertionError(f"no feasible level partition at M={M}")
 
 
 def allocate_memory(partition: Partition, config: SystemConfig, M: MemoryLike) -> MemoryAllocation:

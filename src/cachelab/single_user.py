@@ -86,8 +86,9 @@ def rate_clustering(config: SystemConfig, M: MemoryLike, strict: bool = False) -
 def refine_partition_su(config: SystemConfig, M: MemoryLike) -> RefinedClusterPartition:
     """Membership exactly per the four regime predicates.
 
-    Raises if some level matches no predicate (cannot happen for the
-    predicates as stated, but the coverage is audited rather than assumed).
+    The first three cover every level with ``M <= N_i/6`` (uncoded with at
+    most five users, uncoded with six or more, or not uncoded), so J takes
+    the rest, ``M > N_i/6``.
     """
     M = check_memory(M)
     G, H, I, J = set(), set(), set(), set()
@@ -101,13 +102,10 @@ def refine_partition_su(config: SystemConfig, M: MemoryLike) -> RefinedClusterPa
             H.add(idx)
         elif n / k <= M <= n / 6:
             I.add(idx)
-        elif M > n / 6:
+        else:
             J.add(idx)
             if uncoded:
                 anomalies.append(idx)
-        else:
-            raise RuntimeError(
-                f"level {idx} (files={lv.files}, users={k}) matches no regime at M={M}")
     return RefinedClusterPartition(frozenset(G), frozenset(H), frozenset(I), frozenset(J),
                                    tuple(anomalies))
 

@@ -12,8 +12,8 @@ from fractions import Fraction
 from cachelab.bounds import (MultiUserBoundParams, _b_crossings, _b_ladder, _b_search_limit,
                              _bound_lines, _cut_sum, best_cut_sizes)
 from cachelab.model import RateReport, Setup, check_memory, validate_multi_user
-from cachelab.multi_user import (MemoryAllocation, Partition, PartitionInfeasibleError,
-                                 _sqrt_n_over_u, _sqrt_nu, _sums, refine_partition)
+from cachelab.multi_user import (MemoryAllocation, Partition, _sqrt_n_over_u, _sqrt_nu,
+                                 _sums, refine_partition)
 from cachelab.radicals import RootSum
 from cachelab.single_level import (Message, PlacementState, SubfileId, Transcript, _layers,
                                    _rows, span_contains, symbol_mask)
@@ -76,7 +76,7 @@ def scan_partition(config, M):
             if _split_conditions(config, M, H, I, J):
                 feasible.append((len(J), len(H), frozenset(H), frozenset(I), frozenset(J)))
     if not feasible:
-        raise PartitionInfeasibleError(config, M)
+        raise AssertionError(f"no feasible level partition at M={M}")
     feasible.sort(key=lambda item: (item[0], item[1]))
     _, _, H, I, J = feasible[0]
     return _build_partition(config, M, H, I, J)

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from cachelab.bounds import (MAX_BOUND_CACHES, MultiUserBoundParams, _bound_lines,
-                             best_cut_sizes, gap_report, lower_bound_multi_user,
-                             lower_bound_single_user, optimize_lower_bound_mu)
+from cachelab.bounds import (MAX_BOUND_CACHES, MultiUserBoundParams, SingleUserBoundParams,
+                             _bound_lines, best_cut_sizes, gap_report,
+                             lower_bound_multi_user, lower_bound_single_user,
+                             optimize_lower_bound_mu)
 from cachelab.experiments import (audit_grid, random_multi_user_config,
                                   random_single_user_config)
 from cachelab.model import Setup, SystemConfig
@@ -322,6 +323,16 @@ def test_single_user_bound_collective_cut():
     assert params.s_J >= 1
     assert params.n_J == 12  # all files decodable: b >= every N_j
     assert value == Fraction(12 - params.s_J * 3, params.b)
+
+
+def test_single_user_bound_repairs_an_over_budget_cut():
+    # An irregular config with two users on one cache: the recipe asks for a
+    # collective cut of s_J = ceil(120/66) = 2 > K, and the repair cuts it to 1.
+    cfg = SystemConfig.single_user(1, [(60, 1), (60, 1)])
+    value, params = lower_bound_single_user(cfg, 11)
+    assert params == SingleUserBoundParams(b=66, s=(0, 0), s_J=1, n_J=66)
+    assert value == Fraction(5, 6)
+    assert value <= rate_clustering(cfg, 11).achievable == 2
 
 
 def test_single_user_bound_budget():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from cachelab import multi_user
+from cachelab import experiments, multi_user
 from cachelab.experiments import (AuditSummary, audit, audit_grid, dichotomy_multi_user,
                                   dichotomy_single_user, evaluate, linear_grid, mixed_rate,
                                   random_multi_user_config, random_single_user_config,
@@ -160,6 +160,38 @@ def test_audit_summary_keeps_the_exact_maximum():
     ratio, _, M = summary.max_ratio["192"][:3]
     assert (ratio, M) == (1.5, "2")
     assert summary.to_json_dict()["max_ratio"]["192"]["ratio"] == 1.5
+
+
+def _planted_audit(monkeypatch, plant):
+    bound = experiments.optimize_lower_bound_mu
+    monkeypatch.setattr(experiments, "optimize_lower_bound_mu",
+                        lambda config, M: plant(*bound(config, M)))
+    return audit(Setup.MULTI_USER, 2, seed=1, grid_points=5)
+
+
+def test_audit_records_a_planted_inversion(monkeypatch):
+    summary = _planted_audit(monkeypatch, lambda lower, params: (1000 * lower, params))
+    assert summary.inversions and not summary.ok
+    for record in summary.inversions:
+        assert set(record) == {"config", "M", "achievable", "lower"}
+        assert Fraction(record["lower"]) > Fraction(record["achievable"])
+
+
+def test_audit_records_a_planted_gap_violation(monkeypatch):
+    summary = _planted_audit(monkeypatch, lambda lower, params: (lower / 1000, params))
+    assert summary.gap_violations and not summary.inversions and not summary.ok
+    for record in summary.gap_violations:
+        assert set(record) == {"config", "M", "ratio", "constant"}
+        assert record["ratio"] > 192 and record["constant"] == "192"
+
+
+def test_audit_tallies_a_planted_zero_bound(monkeypatch):
+    # A zero bound under a positive rate says nothing about the ratio: it is
+    # tallied, and fails nothing.
+    summary = _planted_audit(monkeypatch, lambda lower, params: (Fraction(0), None))
+    assert 0 < summary.uninformative_points < summary.points
+    assert not summary.inversions and not summary.gap_violations and summary.ok
+    assert not summary.max_ratio
 
 
 def test_mixed_rate_validates_each_class_once(count_calls):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from cachelab import cli
 from cachelab.model import ConfigSchemaError, SystemConfig, config_from_dict
 
-EXIT_CODES = {0, 1, cli.EXIT_SCHEMA, cli.EXIT_REGULARITY, cli.EXIT_UNWRITABLE, cli.EXIT_AUDIT}
+EXIT_CODES = {0, cli.EXIT_SCHEMA, cli.EXIT_REGULARITY, cli.EXIT_UNWRITABLE, cli.EXIT_AUDIT}
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 40) | st.floats(-5, 50)

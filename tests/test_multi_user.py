@@ -8,9 +8,9 @@ import pytest
 from cachelab import radicals
 from cachelab.experiments import random_multi_user_config
 from cachelab.model import SystemConfig, validate_multi_user
-from cachelab.multi_user import (Partition, PartitionInfeasibleError, _SplitPlan, _sums,
-                                 allocate_memory, find_m_feasible_partition,
-                                 level_rate_bounds, rate_memory_sharing, refine_partition)
+from cachelab.multi_user import (Partition, _SplitPlan, _sums, allocate_memory,
+                                 find_m_feasible_partition, level_rate_bounds,
+                                 rate_memory_sharing, refine_partition)
 from cachelab.radicals import exact_sign
 from cachelab.single_level import rate_single_level
 from oracles import (_split_conditions, enumerate_feasible_partitions,
@@ -58,6 +58,50 @@ def test_partition_covers_irregular_instances_too():
             M = Fraction(total) * k / 24
             partition = find_m_feasible_partition(cfg, M)
             assert partition.key() in enumerate_feasible_partitions(cfg, M)
+
+
+def _totality_configs(rng, count):
+    # Irregular configs, half of them with a level whose N/U ties another's;
+    # K = 1 is forced every fourth config.
+    for n in range(count):
+        K = 1 if n % 4 == 0 else rng.randint(2, 8)
+        levels = [(rng.randint(1, 60), rng.randint(1, 5)) for _ in range(rng.randint(1, 4))]
+        if n % 2:
+            files, users = rng.choice(levels)
+            scale = rng.randint(2, 3)
+            levels.insert(rng.randint(0, len(levels)), (scale * files, scale * users))
+        yield SystemConfig.multi_user(K, levels)
+
+
+def test_memory_sharing_is_total_on_any_config():
+    # The split is a water-filling, so a feasible one exists at every memory
+    # in [0, sum N_i].  The boundary memories are every prefix sum T_J of
+    # the sqrt(N/U) order and T_J + N_i/K and T_J + N_i for each level i.
+    rng = random.Random(181)
+    big = 10 ** 29 + 7  # a 30-digit denominator
+    configs = tied = single_cache = 0
+    for cfg in _totality_configs(rng, 120):
+        K, total = cfg.caches, cfg.total_files
+        plan = cfg.fact(_SplitPlan)
+        mems = {Fraction(0), Fraction(total)}
+        for T_J in plan.T:
+            for lv in cfg.levels:
+                mems |= {T_J, T_J + Fraction(lv.files, K), T_J + lv.files}
+        mems |= {Fraction(rng.randint(0, total * big), big) for _ in range(8)}
+        mems = sorted(M for M in mems if M <= total)
+        assert len(mems) >= 10
+        for M in mems:
+            amounts = rate_memory_sharing(cfg, M).allocation.amounts
+            used = Fraction(0)
+            for amount, lv in zip(amounts, cfg.levels):
+                assert 0 <= amount <= lv.files, (cfg, M)
+                used = used + amount
+            assert type(used) is Fraction and used == M, (cfg, M)
+        configs += 1
+        ratios = [Fraction(lv.files, lv.users) for lv in cfg.levels]
+        tied += len(set(ratios)) < len(ratios)
+        single_cache += K == 1
+    assert configs == 120 and tied >= 60 and single_cache >= 30
 
 
 def test_allocation_examples():
@@ -210,11 +254,8 @@ def _oracle_configs():
     yield SystemConfig.multi_user(3, [(2, 1), (6, 3), (5, 1), (15, 3), (10, 5)])
 
 
-def _report_or_error(rate, cfg, M):
-    try:
-        return json.dumps(rate(cfg, M).to_json_dict())
-    except PartitionInfeasibleError:
-        return "infeasible"
+def _report_json(rate, cfg, M):
+    return json.dumps(rate(cfg, M).to_json_dict())
 
 
 def test_rate_matches_per_memory_scan_oracle():
@@ -233,8 +274,8 @@ def test_rate_matches_per_memory_scan_oracle():
         mems |= {Fraction(m * big + 1, big) for m in prefix} | {Fraction(total * big // 3, big)}
         mems.add(Fraction(total + 1))
         for M in sorted(mems):
-            assert _report_or_error(rate_memory_sharing, cfg, M) \
-                == _report_or_error(scan_rate_memory_sharing, cfg, M), (cfg, M)
+            assert _report_json(rate_memory_sharing, cfg, M) \
+                == _report_json(scan_rate_memory_sharing, cfg, M), (cfg, M)
 
 
 def test_split_check_matches_every_level_oracle():
@@ -272,10 +313,7 @@ def test_allocation_matches_fraction_formula_oracle():
             mems |= {Fraction(lv.files, cfg.caches), Fraction(lv.files)}
         mems |= {Fraction(rng.randint(0, 8 * total), rng.randint(1, 8)) for _ in range(6)}
         for M in sorted(mems):
-            try:
-                partition = find_m_feasible_partition(cfg, M)
-            except PartitionInfeasibleError:
-                continue
+            partition = find_m_feasible_partition(cfg, M)
             amounts = allocate_memory(partition, cfg, M).amounts
             for i in partition.I:
                 expected = fraction_allocation_amount(partition, cfg, M, i)

@@ -380,22 +380,19 @@ def lower_bound_single_user(config: SystemConfig, M: MemoryLike
 
     b = math.ceil(6 * M)
     refined = refine_partition_su(config, M)
+    # Each cut is within its levels' users: 1 for G, ceil(K_h/6) for H; for
+    # I, N_i/K_i <= M gives ceil(N_i/(6M)) <= ceil(K_i/6) <= K_i; for J,
+    # every N_j < 6M gives ceil(N_J/(6M)) <= |J| <= K_J.  So the repair loop
+    # runs only when the level user counts sum to more than K.
     s = [0] * len(levels)
     for g in refined.G:
-        s[g] = min(1, levels[g].users)
+        s[g] = 1
     for h in refined.H:
-        s[h] = min(-(-levels[h].users // 6), levels[h].users)
+        s[h] = -(-levels[h].users // 6)
     for i in refined.I:
-        s[i] = min(math.ceil(Fraction(levels[i].files) / (6 * M)), levels[i].users)
+        s[i] = math.ceil(Fraction(levels[i].files) / (6 * M))
     n_total_j = sum(levels[j].files for j in refined.J)
-    k_total_j = sum(levels[j].users for j in refined.J)
-    if refined.J and M < n_total_j:
-        s_j = min(math.ceil(Fraction(n_total_j) / (6 * M)), k_total_j)
-    else:
-        s_j = 0
-
-    # Cut budget repair: the recipes respect per-level budgets, but clamp
-    # and shrink defensively so the cut never exceeds the cache count.
+    s_j = math.ceil(Fraction(n_total_j) / (6 * M)) if refined.J and M < n_total_j else 0
     while sum(s) + s_j > K:
         if s_j >= max(s):
             s_j -= 1

@@ -45,16 +45,20 @@ def evaluate(config: SystemConfig, M: MemoryLike,
     The report carries the lower bound, gap ratio and bound parameters, plus
     the `gap_constant` and `within_constant` extras.  The mixed setup has no
     lower bound: its report says so in a note and the gap report is None.
+    With `strict`, a config that `validate` rejects raises RegularityError,
+    after a bad memory's ValueError.
     """
+    M = check_memory(M)
+    validate(config).raise_if_strict(strict)
     if config.setup is Setup.MIXED:
-        report = mixed_rate(config, M, strict=strict)
+        report = mixed_rate(config, M)
         report.notes = report.notes + ("no lower bound is emitted for the mixed setup",)
         return report, None
     if config.setup is Setup.MULTI_USER:
-        report = rate_memory_sharing(config, M, strict=strict)
+        report = rate_memory_sharing(config, M)
         lower, params = optimize_lower_bound_mu(config, M)
     else:
-        report = rate_clustering(config, M, strict=strict)
+        report = rate_clustering(config, M)
         lower, params = lower_bound_single_user(config, M)
     gap = gap_report(config.setup, report.achievable, lower, M, config)
     report.lower, report.ratio, report.bound_params = lower, gap.ratio, params
@@ -230,14 +234,14 @@ def dichotomy_single_user(L: int, files: int = 16,
 GAMMA_GRID = 101  # gammas 0, 1/100, ..., 1 scanned by `mixed_rate`
 
 
-def mixed_rate(config: SystemConfig, M: MemoryLike, gamma: Optional[Fraction] = None,
-               strict: bool = False) -> RateReport:
+def mixed_rate(config: SystemConfig, M: MemoryLike,
+               gamma: Optional[Fraction] = None) -> RateReport:
     """Superposition rate: memory-sharing on the replicated class with a
     gamma fraction of the memory, clustering on the single-row class with
     the rest.  Reports the rate at the requested gamma (default: the grid
     minimizer) plus the best gamma found on the `GAMMA_GRID`-point grid.  No
     lower bound is emitted for the mixed setup.  The report's `regular` flag
-    is ``validate(config).ok``; with `strict`, a violation raises.
+    is ``validate(config).ok``.
 
     The grid is scanned even when `gamma` is given, because the report
     carries ``best_gamma`` and ``best_rate`` in either case; a given gamma
@@ -247,7 +251,6 @@ def mixed_rate(config: SystemConfig, M: MemoryLike, gamma: Optional[Fraction] = 
     if config.setup is not Setup.MIXED:
         raise ValueError("mixed_rate needs a mixed-setup config")
     M = check_memory(M)
-    validation = validate(config).raise_if_strict(strict)
     f_cfg, g_cfg = config.fact(mixed_classes)
 
     p, q = M.numerator, M.denominator
@@ -276,7 +279,7 @@ def mixed_rate(config: SystemConfig, M: MemoryLike, gamma: Optional[Fraction] = 
         setup=Setup.MIXED,
         memory=M,
         achievable=achieved,
-        regular=validation.ok,
+        regular=validate(config).ok,
         extras={"gamma": chosen, "best_gamma": best_g, "best_rate": best_rate},
     )
 
@@ -340,7 +343,9 @@ class AuditSummary:
 
     @property
     def ok(self) -> bool:
-        return not self.inversions and not self.gap_violations
+        # An audit that checked no gap (every lower bound zero) shows nothing.
+        return (not self.inversions and not self.gap_violations
+                and (self.points == 0 or bool(self.max_ratio)))
 
     def record(self, constant: Fraction, ratio: ExactValue, config: SystemConfig,
                M: Fraction) -> None:

@@ -150,10 +150,12 @@ def validate_multi_user(config: SystemConfig) -> ValidationReport:
 
     MU-FILES: every level needs at least as many files as it has users in
     total (files >= caches * users_per_cache).  MU-POP: popularities of any
-    two levels must differ by a factor of at least 1/BETA**2; the check is
-    applied to every pair, not just adjacent ones, which is the stricter
-    reading.  Exact rational arithmetic throughout; callers read it through
-    `SystemConfig.fact`.  A config of another setup raises ValueError.
+    two levels must differ by a factor of at least 1/BETA**2.  In canonical
+    order each pair's ratio is a product of adjacent ratios, so checking
+    every pair accepts the same configs as checking adjacent ones; it only
+    lists every offending pair.  Exact rational arithmetic throughout;
+    callers read it through `SystemConfig.fact`.  A config of another setup
+    raises ValueError.
     """
     if config.setup is not Setup.MULTI_USER:
         raise ValueError(f"expected a multi-user config, got {config.setup.value}")

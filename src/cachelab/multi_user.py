@@ -9,18 +9,19 @@ decision goes through the certified exact comparisons of
 :mod:`cachelab.radicals`; boundary equalities assign a level to the
 partial-memory set.
 
-Everything that does not depend on M (the regularity report, the level
-order, the sums over each candidate I, the threshold constants with their
-enclosures, ``S_I^-1``) lives in a `_SplitPlan` that each config object
-keeps as ``config.fact(_SplitPlan)``, filled only as far as the queries
-reach; a memory then costs rational comparisons plus the M-dependent rates.
-The plan keeps one block per split, keyed by the indices ``(j_end,
-h_start)`` of the split, so the scan builds no set per split it tries.  A
-membership test forms ``K*W = K*(M - T_J + V_I)`` as an unreduced integer
-numerator and denominator, from M's and from ``V_I - T_J``, which the block
-keeps as an integer pair, and compares it by integer cross-multiplication
-with the enclosures of the thresholds that bind, at the ends of H, I and J;
-no Fraction is built unless M falls inside an enclosure.
+Levels are scanned in the canonical order of `SystemConfig` (``N_i/U_i``
+ascending, input order on ties), and a split is the index pair
+``(j_end, h_start)``: J = ``range(j_end)``, I = ``range(j_end, h_start)``
+and H = ``range(h_start, L)``.  Everything that does not depend on M (the
+prefix sums ``T_J``, the sums over each candidate I, the threshold
+constants with their enclosures, ``S_I^-1``) lives in a `_SplitPlan` that
+each config object keeps as ``config.fact(_SplitPlan)``, one block per
+split, filled only as far as the queries reach.  A membership test forms
+``K*W = K*(M - T_J + V_I)`` as an unreduced integer numerator and
+denominator, from M's and from ``V_I - T_J``, which the block keeps as an
+integer pair, and compares it by integer cross-multiplication with the
+enclosures of the thresholds that bind, at the ends of H, I and J; no
+Fraction is built unless M falls inside an enclosure.
 
 The rest of the rate path is fraction-free where its values are rational.
 A feasible split hands its W back as that integer pair, and ``M_tilde``
@@ -115,8 +116,7 @@ def _sums(levels: tuple[LevelSpec, ...], K: int, I: Iterable[int],
 
 
 class _Block:
-    """Memory-independent state of the split ``J = order[:j_end]``,
-    ``I = order[j_end:h_start]``, ``H = order[h_start:]``, filled lazily.
+    """Memory-independent state of the split ``(j_end, h_start)``, filled lazily.
 
     The membership conditions compare ``K*W = K*(M - T_J + V_I)`` with the
     cut constants ``S_I*sqrt(N_l/U_l)`` (`cut`), and the allocation scales
@@ -166,52 +166,45 @@ class _Block:
 class _SplitPlan:
     """Memory-independent state of a multi-user config's partition scan.
 
-    Holds the validation report, the levels and cache count (not the config,
-    which keeps the plan), the level order, ``sqrt(N_i/U_i)``, the sums
-    ``T_J`` of the prefixes of the order, each prefix J and suffix H as a
-    frozenset, and one `_Block` per split met so far, keyed by the indices
-    ``(j_end, h_start)`` of the split.  A nonempty I fixes its split, so a
-    partition's block is the one at ``(len(J), L - len(H))``.
+    Holds the levels and cache count (not the config, which keeps the plan),
+    ``sqrt(N_i/U_i)``, the prefix sums ``T[j] = sum_{l<j} N_l``, and one
+    `_Block` per split met so far, keyed by its index pair
+    ``(j_end, h_start)``.  A nonempty I fixes its split, so a partition's
+    block is the one at ``(len(J), L - len(H))``.  A config that is not
+    multi-user is refused with `validate_multi_user`'s ValueError.
     """
 
     def __init__(self, config: SystemConfig):
-        self.validation = config.fact(validate_multi_user)
-        self.levels = levels = config.levels
+        config.fact(validate_multi_user)  # refuses a config of another setup
+        self.levels = config.levels
         self.caches = config.caches
-        self.order = tuple(sorted(range(len(levels)),
-                                  key=lambda i: (Fraction(levels[i].files, levels[i].users), i)))
-        self.total = sum(lv.files for lv in levels)
-        self.x = tuple(_sqrt_n_over_u(lv) for lv in levels)
+        self.x = tuple(_sqrt_n_over_u(lv) for lv in self.levels)
         self.T = [Fraction(0)]
-        for i in self.order:
-            self.T.append(self.T[-1] + levels[i].files)
-        L = len(levels)
-        self.prefixes = tuple(frozenset(self.order[:j]) for j in range(L + 1))
-        self.suffixes = tuple(frozenset(self.order[h:]) for h in range(L + 1))
+        for lv in self.levels:
+            self.T.append(self.T[-1] + lv.files)
         self._blocks: dict[tuple[int, int], _Block] = {}
 
     def split_block(self, j_end: int, h_start: int) -> _Block:
-        """The block of ``I = order[j_end:h_start]``."""
+        """The block of ``I = range(j_end, h_start)``."""
         block = self._blocks.get((j_end, h_start))
         if block is None:
             block = self._blocks[j_end, h_start] = _Block(
-                self, frozenset(self.order[j_end:h_start]), self.T[j_end])
+                self, frozenset(range(j_end, h_start)), self.T[j_end])
         return block
 
     def partition_block(self, partition: Partition) -> _Block:
         """The block of a partition's nonempty I, which must be the run of
-        the order between its J and its H."""
-        block = self.split_block(len(partition.J), len(self.order) - len(partition.H))
+        levels between its J and its H."""
+        block = self.split_block(len(partition.J), len(self.levels) - len(partition.H))
         if block.I != partition.I:
             raise ValueError(f"partial-memory set {sorted(partition.I)} is not the levels "
-                             f"between J and H in the sqrt(N/U) order")
+                             f"between J and H in the canonical level order")
         return block
 
     def admits(self, block: _Block, j_end: int, h_start: int,
                M: Fraction) -> Optional[tuple[int, int]]:
         """Exact check of the three membership conditions for the split
-        ``J = order[:j_end]``, ``I = order[j_end:h_start]`` (`block`),
-        ``H = order[h_start:]``.
+        ``(j_end, h_start)`` of `block`.
 
         The order sorts ``x = sqrt(N/U)`` ascending and ``S_I > 0``, so the
         cut constants ``S_I*x`` ascend along it too, and each condition binds
@@ -223,20 +216,19 @@ class _SplitPlan:
         positive denominator if the split is feasible, else None.
         """
         K = self.caches
-        order = self.order
         c_num, c_den = block.offset
         m_den = M.denominator
         w_num, den = M.numerator * c_den + c_num * m_den, m_den * c_den
         num = K * w_num  # K*W over den
         # h in H:  M_tilde < (1/K)x_h        <=>  S_I*x_h > K*W
-        if h_start < len(order) and block.cut(order[h_start]).sign_minus(num, den) <= 0:
+        if h_start < len(self.levels) and block.cut(h_start).sign_minus(num, den) <= 0:
             return None
         # i in I:  (1/K)x_i <= M_tilde <= (1+1/K)x_i
-        if (block.cut(order[h_start - 1]).sign_minus(num, den) > 0
-                or block.cut(order[j_end]).sign_minus(num, den * (K + 1)) < 0):
+        if (block.cut(h_start - 1).sign_minus(num, den) > 0
+                or block.cut(j_end).sign_minus(num, den * (K + 1)) < 0):
             return None
         # j in J:  (1+1/K)x_j < M_tilde     <=>  S_I*x_j < K*W/(K+1)
-        if j_end and block.cut(order[j_end - 1]).sign_minus(num, den * (K + 1)) >= 0:
+        if j_end and block.cut(j_end - 1).sign_minus(num, den * (K + 1)) >= 0:
             return None
         return w_num, den
 
@@ -244,15 +236,15 @@ class _SplitPlan:
 def find_m_feasible_partition(config: SystemConfig, M: MemoryLike) -> Partition:
     """Find a partition satisfying the membership conditions at memory M.
 
-    Levels are scanned in ascending ``sqrt(N_i/U_i)`` order; the
-    full-storage set must be a prefix and the no-memory set a suffix of
-    that order, which the threshold structure makes exhaustive.  Among
-    feasible splits the one with the smallest full-storage set, then the
-    smallest no-memory set, is returned, so the scan stops at the first
-    feasible split in that order.  If the memory exceeds the total library
-    size, everything is fully stored.  Everything but the comparisons with
-    the memory comes from the config's `_SplitPlan`; a config that is
-    not multi-user raises `validate_multi_user`'s ValueError.
+    Levels are scanned in the canonical level order; the full-storage set
+    must be a prefix and the no-memory set a suffix of that order, which the
+    threshold structure makes exhaustive.  Among feasible splits the one with
+    the smallest full-storage set, then the smallest no-memory set, is
+    returned, so the scan stops at the first feasible split in that order.
+    If the memory exceeds the total library size, everything is fully
+    stored.  Everything but the comparisons with the memory comes from the
+    config's `_SplitPlan`; a config that is not multi-user raises
+    `validate_multi_user`'s ValueError.
 
     A feasible split exists at every memory ``0 <= M <= sum N_i``, on any
     config, regular or not; the split is a water-filling.  Write
@@ -275,8 +267,8 @@ def find_m_feasible_partition(config: SystemConfig, M: MemoryLike) -> Partition:
     """
     M = check_memory(M)
     plan = config.fact(_SplitPlan)
-    L = len(plan.order)
-    if M.numerator > plan.total * M.denominator:
+    L = len(plan.levels)
+    if M.numerator > plan.T[L].numerator * M.denominator:
         return Partition(frozenset(), frozenset(), frozenset(range(L)), Fraction(0),
                          plan.T[L], Fraction(0), None)
     for j_end in range(L):
@@ -284,7 +276,7 @@ def find_m_feasible_partition(config: SystemConfig, M: MemoryLike) -> Partition:
             block = plan.split_block(j_end, h_start)
             W = plan.admits(block, j_end, h_start, M)
             if W is not None:
-                return Partition(plan.suffixes[h_start], block.I, plan.prefixes[j_end],
+                return Partition(frozenset(range(h_start, L)), block.I, frozenset(range(j_end)),
                                  block.S_I, plan.T[j_end], block.V_I,
                                  block.inverse() * Fraction(*W))
     raise AssertionError(f"no feasible level partition at M={M}")
@@ -298,7 +290,7 @@ def allocate_memory(partition: Partition, config: SystemConfig, M: MemoryLike) -
     W is formed as an integer pair w/d; with a rational share a/b (every
     split with one partial level) the amount is the one Fraction
     ``(K*a*w - b*N_i*d) / (K*b*d)``.  An I that is not the run of the
-    ``sqrt(N_i/U_i)`` order between J and H raises ValueError.
+    canonical level order between J and H raises ValueError.
     """
     M = check_memory(M)
     levels = config.levels
@@ -349,7 +341,8 @@ def _exact_sum(values: list[ExactValue]) -> ExactValue:
 
 
 def refine_partition(config: SystemConfig, M: MemoryLike) -> RefinedPartition:
-    """Split I by memory regime: low (I0), intermediate (I'), high (I1)."""
+    """Split I by memory regime: low (I0), intermediate (I'), high (I1).
+    I1 may hold several levels (see `level_rate_bounds`)."""
     M = check_memory(M)
     partition = find_m_feasible_partition(config, M)
     K = config.caches
@@ -363,15 +356,11 @@ def refine_partition(config: SystemConfig, M: MemoryLike) -> RefinedPartition:
             I1.add(i)
         else:
             Iprime.add(i)
-    refined = RefinedPartition(partition.H, frozenset(I0), frozenset(Iprime),
-                               frozenset(I1), partition.J, partition)
-    if len(I1) > 1 and plan.validation.ok:
-        raise RuntimeError(f"regular instance produced {len(I1)} high-memory levels; "
-                           "expected at most one")
-    return refined
+    return RefinedPartition(partition.H, frozenset(I0), frozenset(Iprime),
+                            frozenset(I1), partition.J, partition)
 
 
-def rate_memory_sharing(config: SystemConfig, M: MemoryLike, strict: bool = False) -> RateReport:
+def rate_memory_sharing(config: SystemConfig, M: MemoryLike) -> RateReport:
     """Total memory-sharing rate: sum of per-level single-level rates.
 
     The exact rate sums ``rate_single_level`` over the allocation.  The
@@ -383,8 +372,6 @@ def rate_memory_sharing(config: SystemConfig, M: MemoryLike, strict: bool = Fals
     two user sums.
     """
     M = check_memory(M)
-    plan = config.fact(_SplitPlan)
-    validation = plan.validation.raise_if_strict(strict)
     partition = find_m_feasible_partition(config, M)
     allocation = allocate_memory(partition, config, M)
     K, levels = config.caches, config.levels
@@ -394,7 +381,7 @@ def rate_memory_sharing(config: SystemConfig, M: MemoryLike, strict: bool = Fals
     if partition.I and M != partition.T_J:
         users_H = sum(K * levels[h].users for h in partition.H)
         users_I = sum(levels[i].users for i in partition.I)
-        square = plan.partition_block(partition).square()
+        square = config.fact(_SplitPlan).partition_block(partition).square()
         if type(square) is Fraction:
             m, e = _weight(M, partition.T_J, 0)
             s, r = square.numerator, square.denominator
@@ -405,7 +392,7 @@ def rate_memory_sharing(config: SystemConfig, M: MemoryLike, strict: bool = Fals
         setup=Setup.MULTI_USER,
         memory=M,
         achievable=rate,
-        regular=validation.ok,
+        regular=config.fact(validate_multi_user).ok,
         partition=partition,
         allocation=allocation,
         extras={"approx_rate": approx},
@@ -419,9 +406,16 @@ def level_rate_bounds(config: SystemConfig, M: MemoryLike) -> list[ExactValue]:
     at ``2*S_I*sqrt(N_i*U_i)/(M - T_J + V_I)``; high-memory levels at
     ``(1/beta)*U_i*(1 - (M-T_J)/N_i) + (1/beta)*U_i*(S_I0+S_I')/sqrt(N_i*U_i)``
     with the separation constant beta = ``BETA``; fully stored levels at 0.
+
+    They presume at most one high-memory level; more raise ValueError.  Two
+    partial levels i < j need ``x_j <= (K+1)*x_i`` and regularity gives
+    ``x_j >= 80*x_i``, so a regular config with K <= 78 always meets it.
     """
     M = check_memory(M)
     refined = refine_partition(config, M)
+    if len(refined.I1) > 1:
+        raise ValueError(f"the per-level caps presume at most one high-memory level, "
+                         f"got {len(refined.I1)} at M={M}")
     part = refined.base
     K = config.caches
     levels = config.levels

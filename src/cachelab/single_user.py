@@ -57,14 +57,13 @@ def partition_su(config: SystemConfig, M: MemoryLike) -> ClusterPartition:
     return ClusterPartition(hp, ip)
 
 
-def rate_clustering(config: SystemConfig, M: MemoryLike, strict: bool = False) -> RateReport:
+def rate_clustering(config: SystemConfig, M: MemoryLike) -> RateReport:
     """Clustering rate: uncoded users plus ``max{(sum_I' N_i)/M - 1, 0}``.
 
     For M = p/q that is ``(u*p + max{n*q - p, 0})/p`` with u the uncoded
     users and n the super-level library, one Fraction (just u at M = 0).
     """
     M = check_memory(M)
-    validation = config.fact(validate_single_user).raise_if_strict(strict)
     part = partition_su(config, M)
     levels = config.levels
     users = sum(levels[h].users for h in part.Hprime)
@@ -78,7 +77,7 @@ def rate_clustering(config: SystemConfig, M: MemoryLike, strict: bool = False) -
         setup=Setup.SINGLE_USER,
         memory=M,
         achievable=rate,
-        regular=validation.ok,
+        regular=config.fact(validate_single_user).ok,
         partition=part,
     )
 

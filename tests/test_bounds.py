@@ -14,7 +14,7 @@ from cachelab.experiments import (audit_grid, random_multi_user_config,
 from cachelab.model import Setup, SystemConfig
 from cachelab.multi_user import rate_memory_sharing
 from cachelab.radicals import exact_sign
-from cachelab.single_user import rate_clustering
+from cachelab.single_user import rate_clustering, refine_partition_su
 from oracles import (CaseNotApplicable, candidate_b_values, grid_bound_mu,
                      linear_envelope_scan, matched_bound_params, reference_bound_lines)
 
@@ -335,17 +335,37 @@ def test_single_user_bound_repairs_an_over_budget_cut():
     assert value <= rate_clustering(cfg, 11).achievable == 2
 
 
+def _irregular_single_user_configs(rng, count):
+    # Files below users and user counts off the cache count, either way.
+    for _ in range(count):
+        levels = [(rng.randint(1, 40), rng.randint(1, 8)) for _ in range(rng.randint(1, 4))]
+        yield SystemConfig.single_user(rng.randint(1, 10), levels)
+
+
 def test_single_user_bound_budget():
+    # Every cut stays within its levels' users, s_J within K_J, on any
+    # config.  The cut budget holds on every config from M = 1/6 on, where
+    # the repair loop runs; below it every user is cut, which fits the
+    # caches when the user counts do.
     rng = random.Random(13)
-    for _ in range(25):
-        cfg = random_single_user_config(rng)
-        total = cfg.total_files
-        for k in range(6):
-            M = Fraction(total) * k / 5
+    configs = [random_single_user_config(rng) for _ in range(25)]
+    configs += _irregular_single_user_configs(rng, 40)
+    over = 0
+    for cfg in configs:
+        total, K = cfg.total_files, cfg.caches
+        users = sum(lv.users for lv in cfg.levels)
+        mems = {Fraction(total) * k / 5 for k in range(6)} | {Fraction(1, 12), Fraction(1, 6)}
+        mems |= {Fraction(lv.files, d) for lv in cfg.levels for d in (lv.users, 6)}
+        for M in sorted(mems):
             _, params = lower_bound_single_user(cfg, M)
-            assert sum(params.s) + params.s_J <= cfg.caches
+            J = refine_partition_su(cfg, M).J
+            assert 0 <= params.s_J <= sum(cfg.levels[j].users for j in J)
             for s_i, lv in zip(params.s, cfg.levels):
                 assert 0 <= s_i <= lv.users
+            if M >= Fraction(1, 6) or users <= K:
+                assert sum(params.s) + params.s_J <= K, (cfg, M)
+        over += users > K
+    assert over >= 10
 
 
 def test_bounds_sound_on_random_instances():

@@ -94,6 +94,23 @@ def test_rate_strict_exit_single_user(tmp_path, capsys):
                                 "total users 5 != caches 6\n")
 
 
+@pytest.mark.parametrize("config", [
+    {"setup": "multi-user", "caches": 4, "levels": [{"files": 7, "users": 2}]},
+    {"setup": "single-user", "caches": 6, "levels": [{"files": 1, "users": 3}]},
+    {"setup": "mixed", "caches": 4, "levels": [{"files": 3, "users": 2}],
+     "mixed_levels": [{"files": 9, "users": 3}]},
+])
+def test_rate_strict_checks_the_memory_first(tmp_path, capsys, config):
+    # `evaluate` alone enforces --strict, after the memory: a negative memory
+    # is an invalid input (2) on an irregular config, a valid one a violation (3).
+    path = tmp_path / "irregular.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["rate", str(path), "--mem=-1", "--strict"]) == 2
+    assert capsys.readouterr().err.startswith("invalid input: memory must be nonnegative")
+    assert cli.main(["rate", str(path), "--mem", "1", "--strict"]) == 3
+    assert capsys.readouterr().err.startswith("regularity violation: ")
+
+
 def test_rate_mixed(tmp_path, capsys):
     path = tmp_path / "mixed.json"
     path.write_text(json.dumps({

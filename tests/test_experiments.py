@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from cachelab import experiments, multi_user
+from cachelab import cli, experiments, multi_user
 from cachelab.experiments import (AuditSummary, audit, audit_grid, dichotomy_multi_user,
                                   dichotomy_single_user, evaluate, linear_grid, mixed_rate,
                                   random_multi_user_config, random_single_user_config,
@@ -185,13 +185,16 @@ def test_audit_records_a_planted_gap_violation(monkeypatch):
         assert record["ratio"] > 192 and record["constant"] == "192"
 
 
-def test_audit_tallies_a_planted_zero_bound(monkeypatch):
+def test_audit_tallies_a_planted_zero_bound(monkeypatch, capsys):
     # A zero bound under a positive rate says nothing about the ratio: it is
-    # tallied, and fails nothing.
+    # tallied, and an audit that checked no gap at all fails, as does the CLI.
     summary = _planted_audit(monkeypatch, lambda lower, params: (Fraction(0), None))
     assert 0 < summary.uninformative_points < summary.points
-    assert not summary.inversions and not summary.gap_violations and summary.ok
-    assert not summary.max_ratio
+    assert not summary.inversions and not summary.gap_violations and not summary.ok
+    assert not summary.max_ratio and summary.to_json_dict()["ok"] is False
+    assert cli.main(["audit", "--setup", "mu", "--count", "2", "--seed", "1",
+                     "--grid-points", "5"]) == 5
+    assert json.loads(capsys.readouterr().out)["ok"] is False
 
 
 def test_mixed_rate_validates_each_class_once(count_calls):

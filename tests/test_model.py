@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,25 @@ def test_canonical_ordering():
     assert [lv.files for lv in cfg.levels] == [32, 25600]
     pops = [popularity(lv) for lv in cfg.levels]
     assert all(pops[i] >= pops[i + 1] for i in range(len(pops) - 1))
+
+
+def test_canonical_order_sorts_n_over_u_and_keeps_ties_in_input_order():
+    # The multi-user split scan indexes this order directly: N/U ascending,
+    # levels with tied N/U in the order they were given.
+    rng = random.Random(97)
+    tied = 0
+    for _ in range(200):
+        levels = [(rng.randint(1, 30), rng.randint(1, 5)) for _ in range(rng.randint(1, 5))]
+        for _ in range(rng.randint(0, 2)):
+            files, users = rng.choice(levels)
+            scale = rng.randint(2, 4)
+            levels.insert(rng.randint(0, len(levels)), (scale * files, scale * users))
+        cfg = mu(rng.randint(1, 8), levels)
+        want = sorted(levels, key=lambda lv: Fraction(*lv))  # a stable sort
+        assert [(lv.files, lv.users) for lv in cfg.levels] == want
+        ratios = [Fraction(*lv) for lv in levels]
+        tied += len(set(ratios)) < len(ratios)
+    assert tied >= 100
 
 
 def test_validate_multi_user_examples():

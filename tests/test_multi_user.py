@@ -14,7 +14,7 @@ from cachelab.multi_user import (Partition, _SplitPlan, _sums, allocate_memory,
 from cachelab.radicals import exact_sign
 from cachelab.single_level import rate_single_level
 from oracles import (_split_conditions, enumerate_feasible_partitions,
-                     fraction_allocation_amount, scan_rate_memory_sharing)
+                     fraction_allocation_amount, scan_partition, scan_rate_memory_sharing)
 
 
 def one_level():
@@ -215,6 +215,19 @@ def test_per_level_rate_below_bound():
                 assert exact_sign(cap - achieved) >= 0
 
 
+@pytest.mark.parametrize("cfg, M", [
+    # Regular, but with K = 128 > 78 both levels are partial and high-memory.
+    (SystemConfig.multi_user(128, [(1536, 4), (2457600, 1)]), Fraction(960)),
+    # Irregular: all three levels are high-memory; level 0's cap was negative.
+    (SystemConfig.multi_user(64, [(757, 4), (1851, 2), (2580, 2)]), Fraction(10376, 11)),
+])
+def test_level_bounds_refuse_several_high_memory_levels(cfg, M):
+    refined = refine_partition(cfg, M)
+    assert len(refined.I1) >= 2 and refined.I1 == refined.base.I
+    with pytest.raises(ValueError, match="at most one high-memory level"):
+        level_rate_bounds(cfg, M)
+
+
 def test_refined_high_memory_set_is_small_for_regular_instances():
     rng = random.Random(19)
     for _ in range(10):
@@ -223,6 +236,47 @@ def test_refined_high_memory_set_is_small_for_regular_instances():
         for M in (Fraction(total, 5), Fraction(total, 2)):
             refined = refine_partition(cfg, M)
             assert len(refined.I1) <= 1
+
+
+def _coincident_configs(rng, count):
+    # Level h enters I at the water level x_h/K at which level j fills up,
+    # (1 + 1/K)*x_j, when N_h/U_h = (K+1)^2 * N_j/U_j.  K = 1 every third
+    # config; every other config adds a level tied in N/U with j or h, and
+    # some a third, unrelated level.
+    for n in range(count):
+        K = 1 if n % 3 == 0 else rng.randint(2, 6)
+        ratio = rng.randint(1, 12)
+        u_j, u_h = rng.randint(1, 4), rng.randint(1, 4)
+        levels = [(u_j * ratio, u_j), (u_h * (K + 1) ** 2 * ratio, u_h)]
+        if n % 2:
+            files, users = rng.choice(levels)
+            scale = rng.randint(2, 3)
+            levels.insert(rng.randint(0, len(levels)), (scale * files, scale * users))
+        if n % 5 == 1:
+            levels.append((rng.randint(1, 200), rng.randint(1, 4)))
+        yield SystemConfig.multi_user(K, levels)
+
+
+def test_coincident_thresholds_match_the_scan_oracle():
+    # At every boundary memory (T_J, T_J + N_i/K and T_J + N_i), the scan
+    # returns the oracle scan's split, which the 3^L enumeration finds feasible.
+    rng = random.Random(199)
+    checked = single_cache = tied = 0
+    for cfg in _coincident_configs(rng, 60):
+        K, total = cfg.caches, cfg.total_files
+        mems = set()
+        for T_J in cfg.fact(_SplitPlan).T:
+            for lv in cfg.levels:
+                mems |= {T_J, T_J + Fraction(lv.files, K), T_J + lv.files}
+        for M in sorted(M for M in mems if M <= total):
+            chosen = find_m_feasible_partition(cfg, M)
+            assert chosen.key() == scan_partition(cfg, M).key(), (cfg, M)
+            assert chosen.key() in enumerate_feasible_partitions(cfg, M), (cfg, M)
+            checked += 1
+        ratios = [Fraction(lv.files, lv.users) for lv in cfg.levels]
+        single_cache += K == 1
+        tied += len(set(ratios)) < len(ratios)
+    assert checked >= 700 and single_cache == 20 and tied >= 30
 
 
 def _wide_config(rng, partial):
@@ -285,7 +339,7 @@ def test_split_check_matches_every_level_oracle():
     rng = random.Random(151)
     for cfg in _oracle_configs():
         plan = cfg.fact(_SplitPlan)
-        order, L, K = plan.order, len(plan.order), cfg.caches
+        L, K = len(cfg.levels), cfg.caches
         mems = {Fraction(0)} | {Fraction(m) for m in plan.T}
         mems |= {Fraction(lv.files, K) for lv in cfg.levels}
         mems |= {Fraction(rng.randint(0, 8 * cfg.total_files), rng.randint(1, 8))
@@ -294,8 +348,8 @@ def test_split_check_matches_every_level_oracle():
             for j_end in range(L):
                 for h_start in range(j_end + 1, L + 1):
                     got = plan.admits(plan.split_block(j_end, h_start), j_end, h_start, M)
-                    want = _split_conditions(cfg, M, order[h_start:], order[j_end:h_start],
-                                             order[:j_end])
+                    want = _split_conditions(cfg, M, range(h_start, L),
+                                             range(j_end, h_start), range(j_end))
                     assert (got is not None) == want, (cfg, M, j_end, h_start)
 
 
@@ -337,11 +391,10 @@ def test_exact_threshold_takes_the_certified_fallback(monkeypatch, M):
 
 
 def test_allocation_rejects_an_I_that_is_not_a_run_of_the_order():
-    # I holds the first and last levels of the sqrt(N/U) order and J the
+    # I holds the first and last levels of the canonical order and J the
     # middle one, so no split of the scan has this I.
     cfg = SystemConfig.multi_user(2, [(4, 1), (400, 1), (40000, 1)])
-    order = cfg.fact(_SplitPlan).order
-    I, J = frozenset((order[0], order[2])), frozenset((order[1],))
+    I, J = frozenset((0, 2)), frozenset((1,))
     S_I, T_J, V_I = _sums(cfg.levels, cfg.caches, I, J)
     partition = Partition(frozenset(), I, J, S_I, T_J, V_I, None)
     with pytest.raises(ValueError, match="is not the levels between J and H"):

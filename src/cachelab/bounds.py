@@ -355,26 +355,41 @@ class SingleUserBoundParams:
     n_J: int
 
 
+def _fit_cut_budget(s: list[int], s_j: int, K: int) -> tuple[list[int], int]:
+    """Shrink the cuts, largest first, until ``sum s + s_j <= K``.
+
+    Each cut then spans at most K caches; a bound over fewer caches is still
+    a bound.  Ties go to `s_j`, then to the first level.
+    """
+    while sum(s) + s_j > K:
+        if s_j >= max(s):
+            s_j -= 1
+        else:
+            s[s.index(max(s))] -= 1
+    return s, s_j
+
+
 def lower_bound_single_user(config: SystemConfig, M: MemoryLike
                             ) -> tuple[Fraction, SingleUserBoundParams]:
     """Cut-set bound for the single-user setup, clamped at zero.
 
-    Below M = 1/6 a single broadcast with every cache cut gives
-    ``sum K_i*(min{1, N_i/K_i} - M)``.  Otherwise ``b = ceil(6M)`` and the
-    cut sizes follow the four-regime recipe, the full-storage-regime levels
-    being decoded collectively.  The total cut budget ``sum s_i + s_J <= K``
-    is audited and repaired greedily (largest cut first) if violated; a
-    bound over fewer caches is still a bound.
+    Below M = 1/6 a single broadcast with s_i users of each level cut gives
+    ``sum s_i*(min{1, N_i/s_i} - M)``, every user cut when they fit the
+    caches.  Otherwise ``b = ceil(6M)`` and the cut sizes follow the
+    four-regime recipe, the full-storage-regime levels being decoded
+    collectively.  In both branches the total cut budget
+    ``sum s_i + s_J <= K`` is repaired greedily (largest cut first) if
+    violated; a bound over fewer caches is still a bound.
     """
     M = check_memory(M)
     levels = config.levels
     K = config.caches
     if M < SMALL_MEMORY_THRESHOLD:
+        s, _ = _fit_cut_budget([lv.users for lv in levels], 0, K)
         value = Fraction(0)
-        s = []
-        for lv in levels:
-            s.append(lv.users)
-            value += lv.users * (min(Fraction(1), Fraction(lv.files, lv.users)) - M)
+        for s_i, lv in zip(s, levels):
+            if s_i:
+                value += s_i * (min(Fraction(1), Fraction(lv.files, s_i)) - M)
         params = SingleUserBoundParams(1, tuple(s), 0, 0)
         return max(value, Fraction(0)), params
 
@@ -393,11 +408,7 @@ def lower_bound_single_user(config: SystemConfig, M: MemoryLike
         s[i] = math.ceil(Fraction(levels[i].files) / (6 * M))
     n_total_j = sum(levels[j].files for j in refined.J)
     s_j = math.ceil(Fraction(n_total_j) / (6 * M)) if refined.J and M < n_total_j else 0
-    while sum(s) + s_j > K:
-        if s_j >= max(s):
-            s_j -= 1
-        else:
-            s[s.index(max(s))] -= 1
+    s, s_j = _fit_cut_budget(s, s_j, K)
 
     value = Fraction(0)
     for idx, lv in enumerate(levels):

@@ -18,13 +18,21 @@ Symbol numbering.  A placement numbers its subfiles, the GF(2) symbols,
 layer by layer, then by subset in ``itertools.combinations`` order, then by
 file: the s-th subset over all layers holds symbols ``s*N .. s*N + N - 1``.
 That numbering is the placement's data format.  Each cache is one integer
-bit mask over it, a file's symbols are one stride-N pattern shifted by the
-file index, and ``verify_decode`` reads both masks straight from the
-placement; only the parts of the broadcast messages are looked up.
+bit mask over it, and a file's symbols are one stride-N pattern shifted by
+the file index, so ``verify_decode`` reads both masks straight from the
+placement.  The subsets themselves come from one table per (K, t), kept
+in a bounded memo keyed by (K, t) alone: the t-subsets with their numbers,
+and each (t+1)-subset's drop-one pairs ``(c, S - c)``.  ``deliver`` walks
+the pairs and builds a ``SubfileId`` for each message part only;
+``verify_decode`` turns a part into its bit
+``(layer offset + subset number)*N + file`` through the numbers alone, so
+its check never reads how the transcript was built.  No table of all
+N*sum C(K, t) subfiles is built on that path.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -55,11 +63,22 @@ class Layer:
     subfile_size: Fraction    # part / C(K, t)
 
 
-class _Numbering(NamedTuple):
-    symbols: tuple[SubfileId, ...]          # symbol number -> subfile
-    index: dict[SubfileId, int]             # subfile -> symbol number
-    subsets: dict[tuple[int, ...], int]     # sorted subset -> subset number; the
-                                            # layers' subset sizes differ, so no clash
+class _SubsetTable(NamedTuple):
+    """The subsets of one (K, t); shared by every caller, so never mutated."""
+
+    number: dict[frozenset[int], int]    # t-subset -> its number, in combinations order
+    drops: tuple[tuple[tuple[int, frozenset[int]], ...], ...]
+    # one entry per (t+1)-subset S, in combinations order: (c, S - c) for c in S
+
+
+@functools.lru_cache(maxsize=64)
+def _subset_table(K: int, t: int) -> _SubsetTable:
+    """The t-subsets of K caches and the drop-one pairs of each (t+1)-subset,
+    keyed by (K, t) only; every S - c is the very frozenset of `number`."""
+    subsets = {s: frozenset(s) for s in itertools.combinations(range(K), t)}
+    drops = tuple(tuple((c, subsets[S[:i] + S[i + 1:]]) for i, c in enumerate(S))
+                  for S in itertools.combinations(range(K), t + 1))
+    return _SubsetTable({members: n for n, members in enumerate(subsets.values())}, drops)
 
 
 @dataclass(frozen=True)
@@ -88,20 +107,11 @@ class PlacementState:
         return sum(math.comb(self.K, layer.t) for layer in self.layers) * self.N
 
     @cached_property
-    def _numbering(self) -> _Numbering:
-        symbols: list[SubfileId] = []
-        subsets: dict[tuple[int, ...], int] = {}
-        for li, layer in enumerate(self.layers):
-            for subset in itertools.combinations(range(self.K), layer.t):
-                subsets[subset] = len(subsets)
-                members = frozenset(subset)
-                symbols.extend(SubfileId(f, members, li) for f in range(self.N))
-        return _Numbering(tuple(symbols), {sf: i for i, sf in enumerate(symbols)}, subsets)
-
-    @property
     def symbols(self) -> tuple[SubfileId, ...]:
         """Every subfile of the placement, indexed by its symbol number."""
-        return self._numbering.symbols
+        return tuple(SubfileId(f, members, li) for li, layer in enumerate(self.layers)
+                     for members in _subset_table(self.K, layer.t).number
+                     for f in range(self.N))
 
     @cached_property
     def caches(self) -> tuple[frozenset[SubfileId], ...]:
@@ -217,7 +227,7 @@ def place(K: int, N: int, M: MemoryLike) -> PlacementState:
     starts = [0] * K
     s = 0
     for layer in layers:
-        for subset in itertools.combinations(range(K), layer.t):
+        for subset in _subset_table(K, layer.t).number:
             for c in subset:
                 starts[c] |= 1 << s
             s += N
@@ -249,22 +259,20 @@ def deliver(placement: PlacementState, demands: Sequence[tuple[int, int]]) -> Tr
     identical side information.
     """
     K, N = placement.K, placement.N
-    symbols, _, subsets = placement._numbering
     messages = []
     for row in _rows(demands, K, N):
-        for layer in placement.layers:
+        for li, layer in enumerate(placement.layers):
             if layer.t >= K:
                 continue  # fully stored sublayer
-            for subset in itertools.combinations(range(K), layer.t + 1):
-                hit = [i for i, c in enumerate(subset) if c in row]
+            size = layer.subfile_size
+            for pairs in _subset_table(K, layer.t).drops:
+                hit = [(c, rest) for c, rest in pairs if c in row]
                 if not hit:
                     continue
                 # The parts sit on distinct subsets S minus c, so they are
                 # pairwise distinct and their XOR keeps every one of them.
-                parts = frozenset(symbols[subsets[subset[:i] + subset[i + 1:]] * N
-                                          + row[subset[i]]] for i in hit)
-                targets = tuple((subset[i], row[subset[i]]) for i in hit)
-                messages.append(Message(targets, parts, layer.subfile_size))
+                parts = frozenset(SubfileId(row[c], rest, li) for c, rest in hit)
+                messages.append(Message(tuple((c, row[c]) for c, _ in hit), parts, size))
     return Transcript(tuple(messages))
 
 
@@ -287,13 +295,33 @@ def span_contains(rows: Iterable[int], known: int, wanted: int) -> bool:
     """Is every symbol of `wanted` in the GF(2) span of `rows` and `known`?
 
     Rows and symbol sets are bit masks, one bit per symbol.  The `known`
-    symbols are unit vectors, so they are cleared from every row before the
-    rows are eliminated into an echelon basis; each wanted symbol that is
-    not known must then reduce to zero against that basis.
+    symbols are unit vectors, so they are cleared from every row first.  A
+    row left with exactly one unknown symbol reveals it, which joins
+    `known`; this peeling repeats until no row reveals a new symbol, and
+    stops with True once every wanted symbol is known.  Peeling is
+    elimination that takes the one-symbol rows first, so the verdict is that
+    of eliminating every row.  The rows left over are eliminated into an
+    echelon basis, and each wanted symbol that is not known must then
+    reduce to zero against it.
     """
+    if not wanted & ~known:
+        return True
+    while True:
+        revealed, rest = 0, []
+        for mask in rows:
+            mask &= ~known
+            if mask & (mask - 1):
+                rest.append(mask)
+            else:
+                revealed |= mask  # one unknown symbol, or none
+        if not revealed:
+            break
+        known |= revealed
+        if not wanted & ~known:
+            return True
+        rows = rest
     basis: dict[int, int] = {}  # pivot bit -> row mask
-    for mask in rows:
-        mask &= ~known
+    for mask in rest:
         while mask:
             pivot = mask.bit_length() - 1
             if pivot not in basis:
@@ -321,14 +349,37 @@ def verify_decode(placement: PlacementState,
     its cache's symbols plus every broadcast message (each message being the
     sum of its parts).  The demanded file is decodable iff each of its
     subfile symbols lies in the span, which is decided by Gaussian
-    elimination, independently of how `deliver` built the transcript.
+    elimination, independently of how `deliver` built the transcript: a part
+    gets its bit from the subset numbers alone (see the module docstring).
     """
+    K, N = placement.K, placement.N
     try:
-        rows = _rows(demands, placement.K, placement.N)
+        rows = _rows(demands, K, N)
     except ValueError:
         return False
-    # A part outside the placement's numbering gets a fresh bit of its own.
-    index = dict(placement._numbering.index)
-    messages = [symbol_mask(index, msg.parts) for msg in transcript.messages]
-    return all(span_contains(messages, placement.masks[cache], placement.file_mask(file))
+    # A part is the subfile it equals, as in a dict lookup, so no value of a
+    # field can raise; a part that is no subfile gets a fresh bit.
+    files = {f: f for f in range(N)}
+    layers = {}  # layer index -> (its first subset number, subset -> number)
+    first = 0
+    for li, layer in enumerate(placement.layers):
+        number = _subset_table(K, layer.t).number
+        layers[li] = (first, number)
+        first += len(number)
+    width, fresh = first * N, {}
+    messages = []
+    for msg in transcript.messages:
+        mask = 0
+        for part in msg.parts:
+            file, subset, li = part
+            entry = layers.get(li)
+            s = None if entry is None else entry[1].get(subset)
+            f = files.get(file)
+            if s is None or f is None:
+                mask ^= 1 << fresh.setdefault(part, width + len(fresh))
+            else:
+                mask ^= 1 << ((entry[0] + s) * N + f)
+        messages.append(mask)
+    ones = placement.file_mask(0)
+    return all(span_contains(messages, placement.masks[cache], ones << file)
                for row in rows for cache, file in row.items())

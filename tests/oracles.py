@@ -16,7 +16,7 @@ from cachelab.multi_user import (MemoryAllocation, Partition, _sqrt_n_over_u, _s
                                  _sums, refine_partition)
 from cachelab.radicals import RootSum
 from cachelab.single_level import (Message, PlacementState, SubfileId, Transcript, _layers,
-                                   _rows, span_contains, symbol_mask)
+                                   _rows, symbol_mask)
 from cachelab.single_user import DecentralizedRun, _super_level
 
 
@@ -471,10 +471,10 @@ def team_enumeration_decentralized(config, M, assignment, demands, seed, segment
             for k in range(width):
                 rows.append(symbol_mask(index, ((f, segs[k]) for f, segs in lists
                                                 if k < len(segs))))
-    ok = all(span_contains(rows,
-                           symbol_mask(index, ((f, s) for f, segs in stored[slot].items()
-                                               for s in segs)),
-                           symbol_mask(index, ((file, s) for s in range(segments))))
+    ok = all(span_contains_reference(
+                 rows,
+                 symbol_mask(index, ((f, s) for f, segs in stored[slot].items() for s in segs)),
+                 symbol_mask(index, ((file, s) for s in range(segments))))
              for slot, file in enumerate(wants))
     return DecentralizedRun(uncoded, tuple(sizes), ok)
 
@@ -526,6 +526,57 @@ def deliver(placement, demands):
     return Transcript(tuple(messages))
 
 
+def deliver_reference(placement, demands):
+    """XOR delivery that takes every part from the placement's table of all
+    N*sum C(K, t) subfiles, at its sorted subset's number times N plus the
+    file."""
+    K, N = placement.K, placement.N
+    symbols = placement.symbols
+    subsets = {}
+    for layer in placement.layers:
+        for subset in itertools.combinations(range(K), layer.t):
+            subsets[subset] = len(subsets)
+    messages = []
+    for row in _rows(demands, K, N):
+        for layer in placement.layers:
+            if layer.t >= K:
+                continue
+            for subset in itertools.combinations(range(K), layer.t + 1):
+                hit = [i for i, c in enumerate(subset) if c in row]
+                if not hit:
+                    continue
+                parts = frozenset(symbols[subsets[subset[:i] + subset[i + 1:]] * N
+                                          + row[subset[i]]] for i in hit)
+                targets = tuple((subset[i], row[subset[i]]) for i in hit)
+                messages.append(Message(targets, parts, layer.subfile_size))
+    return Transcript(tuple(messages))
+
+
+def span_contains_reference(rows, known, wanted):
+    """The span check by plain elimination: every row, cleared of the known
+    symbols, goes into an echelon basis; each unknown wanted symbol must
+    reduce to zero against it."""
+    basis = {}
+    for mask in rows:
+        mask &= ~known
+        while mask:
+            pivot = mask.bit_length() - 1
+            if pivot not in basis:
+                basis[pivot] = mask
+                break
+            mask ^= basis[pivot]
+    wanted &= ~known
+    while wanted:
+        vec = wanted & -wanted
+        wanted ^= vec
+        while vec:
+            pivot = vec.bit_length() - 1
+            if pivot not in basis:
+                return False
+            vec ^= basis[pivot]
+    return True
+
+
 def verify_decode(placement, transcript, demands):
     """Span check that numbers every symbol on sight, from the cache sets and
     a fresh list of each demanded file's subfiles, for every user."""
@@ -540,6 +591,6 @@ def verify_decode(placement, transcript, demands):
         rows = _rows(demands, placement.K, placement.N)
     except ValueError:
         return False
-    return all(span_contains(messages, symbol_mask(index, placement.caches[cache]),
-                             symbol_mask(index, subfiles_of(file)))
+    return all(span_contains_reference(messages, symbol_mask(index, placement.caches[cache]),
+                                       symbol_mask(index, subfiles_of(file)))
                for row in rows for cache, file in row.items())

@@ -65,3 +65,23 @@ def test_bench_file_rejects_mixed_seeds(tmp_path):
     _write_run(folder / "0-change.out", 62, _e2e(1200, 0.45))
     with pytest.raises(ValueError, match="not one seed"):
         bench_file.bench_file(str(tmp_path), "x", 18, "abc123")
+
+
+def test_bench_file_records_a_held_out_seed(tmp_path):
+    runs, held = tmp_path / "runs", tmp_path / "held"
+    for root, seed, pairs in ((runs, 61, 3), (held, 97, 2)):
+        folder = root / "decode-sim"
+        folder.mkdir(parents=True)
+        for k in range(pairs):
+            _write_run(folder / f"{k}-parent.out", seed, _e2e(740, 0.70))
+            _write_run(folder / f"{k}-change.out", seed, _e2e(1100 + k, 0.45))
+    data = bench_file.bench_file(str(runs), "x", 18, "abc123", str(held))
+    assert data["command"].startswith("python3 perfbench/run.py --workload W --seed 61 ")
+    holdout = data["holdout"]
+    assert set(holdout) == {"command", "method", "end_to_end"}
+    assert holdout["command"] == (
+        "python3 perfbench/run.py --workload W --seed 97 --seconds 18 --trace 0")
+    entry = holdout["end_to_end"]["decode-sim"]
+    assert entry["seed"] == 97 and entry["pairs"] == 2
+    assert entry["change_wins_of_pairs"]["ops_per_s"] == 2
+    assert "holdout" not in bench_file.bench_file(str(runs), "x", 18, "abc123")

@@ -333,6 +333,13 @@ def test_single_user_bound_repairs_an_over_budget_cut():
     assert params == SingleUserBoundParams(b=66, s=(0, 0), s_J=1, n_J=66)
     assert value == Fraction(5, 6)
     assert value <= rate_clustering(cfg, 11).achievable == 2
+    # Below M = 1/6 every user would be cut, two over one cache; the repair
+    # cuts the first level away.
+    M = Fraction(1, 12)
+    value, params = lower_bound_single_user(cfg, M)
+    assert params == SingleUserBoundParams(b=1, s=(0, 1), s_J=0, n_J=0)
+    assert value == Fraction(11, 12)
+    assert value <= rate_clustering(cfg, M).achievable == 2
 
 
 def _irregular_single_user_configs(rng, count):
@@ -343,10 +350,8 @@ def _irregular_single_user_configs(rng, count):
 
 
 def test_single_user_bound_budget():
-    # Every cut stays within its levels' users, s_J within K_J, on any
-    # config.  The cut budget holds on every config from M = 1/6 on, where
-    # the repair loop runs; below it every user is cut, which fits the
-    # caches when the user counts do.
+    # Every cut stays within its levels' users, s_J within K_J, and the cut
+    # budget holds, on any config and at any memory: both branches repair it.
     rng = random.Random(13)
     configs = [random_single_user_config(rng) for _ in range(25)]
     configs += _irregular_single_user_configs(rng, 40)
@@ -362,8 +367,7 @@ def test_single_user_bound_budget():
             assert 0 <= params.s_J <= sum(cfg.levels[j].users for j in J)
             for s_i, lv in zip(params.s, cfg.levels):
                 assert 0 <= s_i <= lv.users
-            if M >= Fraction(1, 6) or users <= K:
-                assert sum(params.s) + params.s_J <= K, (cfg, M)
+            assert sum(params.s) + params.s_J <= K, (cfg, M)
         over += users > K
     assert over >= 10
 

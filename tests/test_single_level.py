@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import oracles
 from cachelab.radicals import RootSum
-from cachelab.single_level import (Message, SubfileId, Transcript, deliver, place,
-                                   rate_single_level, scheme_rate, span_contains,
+from cachelab.single_level import (Message, SubfileId, Transcript, _subset_table, deliver,
+                                   place, rate_single_level, scheme_rate, span_contains,
                                    verify_decode, worst_case_demands)
 
 
@@ -126,9 +126,23 @@ def _differential_cases(rng):
                             for _ in range(rng.randint(1, 2 * K))]
 
 
+def _forged_parts(pl):
+    """Parts that are no subfile of `pl`, each near one that is."""
+    K, N, L = pl.K, pl.N, len(pl.layers)
+    t = pl.layers[0].t
+    subset = frozenset(range(t))  # a subset of layer 0
+    other = pl.layers[1].t if L == 2 else t + 1
+    yield SubfileId(0, frozenset(), 7)               # in no placement's numbering
+    yield SubfileId(0, subset, L)                    # a layer index past the last
+    yield SubfileId(0, subset, -1)                   # a negative layer index
+    yield SubfileId(N, subset, 0)                    # file N
+    yield SubfileId(N - 1, frozenset(range(other)), 0)  # the other layer's subset size
+    yield SubfileId(0, frozenset(range(t - 1)) | {K}, 0)  # a cache K, size t (1 at t = 0)
+
+
 def test_place_deliver_verify_match_the_set_building_oracles():
     rng = random.Random(8)
-    foreign = SubfileId(0, frozenset(), 7)  # in no placement's numbering
+    forged_kinds = 0
     for K, N, M, demands in _differential_cases(rng):
         pl = place(K, N, M)
         old_pl = oracles.place(K, N, M)
@@ -143,13 +157,107 @@ def test_place_deliver_verify_match_the_set_building_oracles():
                     for k in rng.sample(range(len(messages)), min(3, len(messages)))]
         if messages:
             first = messages[0]
-            controls.append(Transcript((Message(first.targets, first.parts | {foreign},
-                                                first.size),) + messages[1:]))
-            controls.append(Transcript(messages + (Message((), frozenset({foreign}),
-                                                           first.size),)))
+            forged = list(_forged_parts(pl))
+            assert not set(forged) & set(pl.symbols)
+            forged_kinds = max(forged_kinds, len(forged))
+            for part in forged:
+                # The part on its own bit: it spoils the first message, a
+                # broadcast of the part alone is useless, and both together
+                # cancel it.
+                spoiled = Message(first.targets, first.parts | {part}, first.size)
+                alone = Message((), frozenset({part}), first.size)
+                controls.append(Transcript((spoiled,) + messages[1:]))
+                controls.append(Transcript(messages + (alone,)))
+                controls.append(Transcript((spoiled,) + messages[1:] + (alone,)))
+                assert verify_decode(pl, controls[-1], demands)
         for control in controls:
             assert (verify_decode(pl, control, demands)
                     == oracles.verify_decode(old_pl, control, demands))
+    assert forged_kinds == 6
+
+
+def test_deliver_matches_the_symbol_table_reference():
+    # The transcript, message for message, equals the delivery that takes
+    # every part from the placement's table of all subfiles: on the
+    # criterion-3 grid, then with several users per cache, repeated demands,
+    # and M = 0 and M = N on more caches.
+    cases = 0
+    for K in (1, 2, 3, 4):
+        for N in (1, 2, 3, 4, 5):
+            grid = {Fraction(t * N, K) for t in range(K + 1)}
+            grid.update(Fraction((2 * t + 1) * N, 2 * K) for t in range(K))
+            for M in sorted(grid):
+                pl = place(K, N, M)
+                for demand_vec in itertools.product(range(N), repeat=K):
+                    demands = list(enumerate(demand_vec))
+                    assert (deliver(pl, demands).messages
+                            == oracles.deliver_reference(pl, demands).messages)
+                    cases += 1
+    rng = random.Random(2020)
+    for _ in range(300):
+        K, N = rng.randint(1, 7), rng.randint(1, 7)
+        M = rng.choice([Fraction(0), Fraction(N), Fraction(rng.randint(0, 4 * N), 4)])
+        pl = place(K, N, M)
+        users = rng.randint(1, 3 * K)
+        demands = [(rng.randrange(K), rng.randrange(min(N, 2))) for _ in range(users)]
+        tr = deliver(pl, demands)
+        assert tr.messages == oracles.deliver_reference(pl, demands).messages
+        assert verify_decode(pl, tr, demands)
+        cases += 1
+    assert cases > 10000
+
+
+def _peel_chain(rng, width):
+    """Rows s0, s0+s1, s1+s2, ...: each reveals its last symbol only after
+    the row before it is peeled.  Returns the rows, shuffled, and the chain."""
+    chain = rng.sample(range(width), rng.randint(2, width))
+    rows = [1 << chain[0]] + [1 << a | 1 << b for a, b in zip(chain, chain[1:])]
+    rng.shuffle(rows)
+    return rows, chain
+
+
+def test_span_contains_matches_plain_elimination():
+    rng = random.Random(19)
+    verdicts = {True: 0, False: 0}
+    for i in range(3000):
+        width = rng.randint(2, 14)
+        if i % 2:
+            rows = [rng.getrandbits(width) for _ in range(rng.randint(0, 12))]
+            chain = []
+        else:
+            rows, chain = _peel_chain(rng, width)
+            rows += [rng.getrandbits(width) for _ in range(rng.randint(0, 4))]
+            if i % 4 == 2:
+                del rows[rng.randrange(len(rows))]
+        known = rng.getrandbits(width) & rng.getrandbits(width)
+        wanted = rng.getrandbits(width)
+        if chain and i % 3:
+            wanted |= 1 << chain[-1]
+        got = span_contains(iter(rows), known, wanted)
+        assert got == oracles.span_contains_reference(rows, known, wanted), (rows, known, wanted)
+        verdicts[got] += 1
+    assert min(verdicts.values()) > 500
+    # A whole chain reveals its last symbol; any row missing breaks it.
+    rng = random.Random(20)
+    for _ in range(200):
+        rows, chain = _peel_chain(rng, 20)
+        assert span_contains(rows, 0, 1 << chain[-1])
+        k = rng.randrange(len(rows))
+        assert not span_contains(rows[:k] + rows[k + 1:], 0, 1 << chain[-1])
+
+
+def test_deliver_and_verify_build_no_table_of_every_subfile():
+    # The subset tables are keyed by (K, t) alone: the same K and layers at
+    # other library sizes and memories add no table, and the placement's
+    # table of all N*sum C(K, t) subfiles is never built.
+    _subset_table.cache_clear()
+    for N in (2, 3, 5, 8):
+        for t in (Fraction(1), Fraction(3, 2), Fraction(2)):
+            pl = place(4, N, t * N / 4)
+            demands = [(c, c % N) for c in range(4)] + [(1, 0)]
+            assert verify_decode(pl, deliver(pl, demands), demands)
+            assert "symbols" not in vars(pl) and "caches" not in vars(pl)
+    assert _subset_table.cache_info().currsize == 2  # (4, 1) and (4, 2)
 
 
 def test_verify_reads_cache_content():

@@ -21,6 +21,10 @@ with each metric's better direction taken from BENCHMARK.json; for the
 traced runs, every per-layer metric that is non-zero on either side.  The
 parent's git sha is the checkout's HEAD, the parent of the change about to
 be committed.
+
+A claimed gain must also hold on a seed that was not used while the change
+was written.  ``--holdout DIR`` reads paired runs on that seed, laid out as
+above, and records them under ``holdout`` the same way.
 """
 
 from __future__ import annotations
@@ -113,7 +117,8 @@ def _one(values: set, what: str):
     return values.pop()
 
 
-def bench_file(runs_dir: str, change: str, seconds: float, parent_sha: str) -> dict:
+def bench_file(runs_dir: str, change: str, seconds: float, parent_sha: str,
+               holdout_dir: str | None = None) -> dict:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
     e2e, layers, seeds, trace_seeds, pair_counts = {}, {}, set(), set(), set()
@@ -153,6 +158,9 @@ def bench_file(runs_dir: str, change: str, seconds: float, parent_sha: str) -> d
                         f"--seed {_one(trace_seeds, 'traced')} --seconds {seconds:g} "
                         f"--trace 1, one run per side"),
             **layers}
+    if holdout_dir:
+        held = bench_file(holdout_dir, change, seconds, parent_sha)
+        out["holdout"] = {key: held[key] for key in ("command", "method", "end_to_end")}
     return out
 
 
@@ -163,9 +171,10 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True, help="one-line description of the change")
     parser.add_argument("--seconds", type=float, required=True,
                         help="the --seconds every run used")
+    parser.add_argument("--holdout", help="directory of paired runs on a held-out seed")
     args = parser.parse_args(argv)
     try:
-        data = bench_file(args.runs, args.change, args.seconds, git_head())
+        data = bench_file(args.runs, args.change, args.seconds, git_head(), args.holdout)
     except (OSError, ValueError, KeyError, subprocess.CalledProcessError) as exc:
         print(f"bench_file: {exc}", file=sys.stderr)
         return 1

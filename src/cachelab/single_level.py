@@ -23,8 +23,11 @@ the file index, so ``verify_decode`` reads both masks straight from the
 placement.  The subsets themselves come from one table per (K, t), kept
 in a bounded memo keyed by (K, t) alone: the t-subsets with their numbers,
 and each (t+1)-subset's drop-one pairs ``(c, S - c)``.  ``deliver`` walks
-the pairs and builds a ``SubfileId`` for each message part only;
-``verify_decode`` turns a part into its bit
+the pairs, takes a pair list as it is when every cache demands in the row,
+and builds a ``SubfileId`` for each message part only.  A ``Message`` is a
+NamedTuple, so it unpacks and equals the plain tuple of its fields.
+``verify_decode`` reads only a message's parts: it maps each subset to its
+layer index and first symbol once per call, and turns a part into its bit
 ``(layer offset + subset number)*N + file`` through the numbers alone, so
 its check never reads how the transcript was built.  No table of all
 N*sum C(K, t) subfiles is built on that path.
@@ -98,10 +101,11 @@ class PlacementState:
     M: Fraction
 
     def __post_init__(self):
-        if len(self.masks) != self.K or any(m < 0 or m >> self._width for m in self.masks):
-            raise ValueError(f"need {self.K} cache masks over {self._width} symbols")
+        width = self._width
+        if len(self.masks) != self.K or any(m < 0 or m >> width for m in self.masks):
+            raise ValueError(f"need {self.K} cache masks over {width} symbols")
 
-    @property
+    @cached_property
     def _width(self) -> int:
         """The number of symbols."""
         return sum(math.comb(self.K, layer.t) for layer in self.layers) * self.N
@@ -138,9 +142,12 @@ class PlacementState:
         return ((1 << self._width) - 1) // ((1 << self.N) - 1) << file
 
 
-@dataclass(frozen=True)
-class Message:
-    """One broadcast: XOR of `parts`, useful to the users in `targets`."""
+class Message(NamedTuple):
+    """One broadcast: XOR of `parts`, useful to the users in `targets`.
+
+    A NamedTuple, so it unpacks and compares equal to the plain tuple
+    ``(targets, parts, size)``.  ``verify_decode`` reads only `parts`.
+    """
 
     targets: tuple[tuple[int, int], ...]   # (cache, file) pairs at distinct caches
     parts: frozenset[SubfileId]
@@ -261,18 +268,20 @@ def deliver(placement: PlacementState, demands: Sequence[tuple[int, int]]) -> Tr
     K, N = placement.K, placement.N
     messages = []
     for row in _rows(demands, K, N):
+        full = len(row) == K  # every cache demands: every pair is hit
         for li, layer in enumerate(placement.layers):
             if layer.t >= K:
                 continue  # fully stored sublayer
             size = layer.subfile_size
-            for pairs in _subset_table(K, layer.t).drops:
-                hit = [(c, rest) for c, rest in pairs if c in row]
-                if not hit:
-                    continue
+            for hit in _subset_table(K, layer.t).drops:
+                if not full:
+                    hit = [(c, rest) for c, rest in hit if c in row]
+                    if not hit:
+                        continue
                 # The parts sit on distinct subsets S minus c, so they are
                 # pairwise distinct and their XOR keeps every one of them.
-                parts = frozenset(SubfileId(row[c], rest, li) for c, rest in hit)
-                messages.append(Message(tuple((c, row[c]) for c, _ in hit), parts, size))
+                parts = frozenset([SubfileId(row[c], rest, li) for c, rest in hit])
+                messages.append(Message(tuple([(c, row[c]) for c, _ in hit]), parts, size))
     return Transcript(tuple(messages))
 
 
@@ -307,9 +316,9 @@ def span_contains(rows: Iterable[int], known: int, wanted: int) -> bool:
     if not wanted & ~known:
         return True
     while True:
-        revealed, rest = 0, []
+        revealed, rest, unknown = 0, [], ~known
         for mask in rows:
-            mask &= ~known
+            mask &= unknown
             if mask & (mask - 1):
                 rest.append(mask)
             else:
@@ -358,13 +367,15 @@ def verify_decode(placement: PlacementState,
     except ValueError:
         return False
     # A part is the subfile it equals, as in a dict lookup, so no value of a
-    # field can raise; a part that is no subfile gets a fresh bit.
+    # field can raise; a part that is no subfile gets a fresh bit.  The
+    # layers' subset sizes differ, so a subset names its layer, and each
+    # subset maps to (its layer index, its first symbol).
     files = {f: f for f in range(N)}
-    layers = {}  # layer index -> (its first subset number, subset -> number)
+    slots = {}
     first = 0
     for li, layer in enumerate(placement.layers):
         number = _subset_table(K, layer.t).number
-        layers[li] = (first, number)
+        slots.update({subset: (li, (first + n) * N) for subset, n in number.items()})
         first += len(number)
     width, fresh = first * N, {}
     messages = []
@@ -372,13 +383,12 @@ def verify_decode(placement: PlacementState,
         mask = 0
         for part in msg.parts:
             file, subset, li = part
-            entry = layers.get(li)
-            s = None if entry is None else entry[1].get(subset)
+            slot = slots.get(subset)
             f = files.get(file)
-            if s is None or f is None:
+            if slot is None or f is None or slot[0] != li:
                 mask ^= 1 << fresh.setdefault(part, width + len(fresh))
             else:
-                mask ^= 1 << ((entry[0] + s) * N + f)
+                mask ^= 1 << (slot[1] + f)
         messages.append(mask)
     ones = placement.file_mask(0)
     return all(span_contains(messages, placement.masks[cache], ones << file)

@@ -207,6 +207,90 @@ def test_deliver_matches_the_symbol_table_reference():
     assert cases > 10000
 
 
+def _sole_demand_message(messages, demands):
+    """Index of a message aimed at a user whose file nobody else demands.
+
+    That user's part of the message is in no other message, so the
+    transcript without it cannot decode."""
+    counts = {}
+    for _, f in demands:
+        counts[f] = counts.get(f, 0) + 1
+    return next(k for k, msg in enumerate(messages)
+                if any(counts[f] == 1 for _, f in msg.targets))
+
+
+def test_largest_decode_sim_stratum_matches_the_references():
+    # decode-sim runs K = N = 9: worst-case demands, one random user per
+    # cache, and a second row on three caches, which is not full and so
+    # takes the filtered path of deliver.
+    K = N = 9
+    rng = random.Random(9)
+    demand_vectors = [worst_case_demands(K, N), [(c, rng.randrange(N)) for c in range(K)],
+                      [(c, rng.randrange(N)) for c in range(K)]
+                      + [(c, rng.randrange(N)) for c in rng.sample(range(K), 3)]]
+    for t in (Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(3)):
+        pl = place(K, N, t * N / K)
+        for demands in demand_vectors:
+            tr = deliver(pl, demands)
+            assert tr.messages == oracles.deliver_reference(pl, demands).messages
+            assert verify_decode(pl, tr, demands)
+            assert oracles.verify_decode(pl, tr, demands)
+            k = _sole_demand_message(tr.messages, demands)
+            control = Transcript(tr.messages[:k] + tr.messages[k + 1:])
+            assert not verify_decode(pl, control, demands)
+            assert not oracles.verify_decode(pl, control, demands)
+
+
+def test_message_is_a_named_tuple_of_its_fields():
+    part = SubfileId(1, frozenset({0}), 0)
+    msg = Message(((1, 1),), frozenset({part}), Fraction(1, 2))
+    assert (msg.targets, msg.parts, msg.size) == (((1, 1),), frozenset({part}), Fraction(1, 2))
+    targets, parts, size = msg
+    assert msg == (targets, parts, size) and tuple(msg) == (targets, parts, size)
+    twin = Message(((1, 1),), frozenset({SubfileId(1, frozenset({0}))}), Fraction(2, 4))
+    assert twin == msg and hash(twin) == hash(msg) and len({msg, twin}) == 1
+    assert msg._replace(size=Fraction(1)) != msg
+
+
+def test_verdict_reads_only_the_parts():
+    # Rewriting every message's targets and size changes no verdict: of the
+    # delivered transcript, of drop-one controls, or of forged parts.
+    rng = random.Random(31)
+    verdicts = set()
+    for K, N, M, demands in _differential_cases(rng):
+        pl = place(K, N, M)
+        messages = deliver(pl, demands).messages
+        transcripts = [messages] + [messages[:k] + messages[k + 1:]
+                                    for k in range(min(3, len(messages)))]
+        if messages:
+            transcripts += [(messages[0]._replace(parts=messages[0].parts | {part}),)
+                            + messages[1:] for part in _forged_parts(pl)]
+        for msgs in transcripts:
+            verdict = verify_decode(pl, Transcript(msgs), demands)
+            rewritten = tuple(m._replace(targets=((K, N), (-1, 0)), size=Fraction(-7))
+                              for m in msgs)
+            assert verify_decode(pl, Transcript(rewritten), demands) == verdict
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_layer_index_is_matched_not_indexed():
+    # A layer index that names a layer only as a list index would (-1 for
+    # the last, L for none) is a foreign part: it gets a fresh bit, so a
+    # transcript whose parts carry it decodes nothing it could not before.
+    for K, N, M in [(4, 4, Fraction(3, 2)), (5, 3, Fraction(9, 10)), (4, 4, Fraction(1))]:
+        pl = place(K, N, M)
+        L = len(pl.layers)
+        demands = worst_case_demands(K, N)
+        messages = deliver(pl, demands).messages
+        for shift in (-L, L):
+            aliased = Transcript(tuple(
+                m._replace(parts=frozenset(sf._replace(layer=sf.layer + shift) for sf in m.parts))
+                for m in messages))
+            assert not verify_decode(pl, aliased, demands)
+            assert not oracles.verify_decode(pl, aliased, demands)
+
+
 def _peel_chain(rng, width):
     """Rows s0, s0+s1, s1+s2, ...: each reveals its last symbol only after
     the row before it is peeled.  Returns the rows, shuffled, and the chain."""

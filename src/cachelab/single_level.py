@@ -26,8 +26,7 @@ and each (t+1)-subset's drop-one pairs ``(c, S - c)``.  ``deliver`` walks
 the pairs, takes a pair list as it is when every cache demands in the row,
 and builds a ``SubfileId`` for each message part only.  A ``Message`` is a
 NamedTuple, so it unpacks and equals the plain tuple of its fields.
-``verify_decode`` reads only a message's parts: it maps each subset to its
-layer index and first symbol once per call, and turns a part into its bit
+``verify_decode`` reads only a message's parts and turns a part into its bit
 ``(layer offset + subset number)*N + file`` through the numbers alone, so
 its check never reads how the transcript was built.  No table of all
 N*sum C(K, t) subfiles is built on that path.
@@ -367,15 +366,13 @@ def verify_decode(placement: PlacementState,
     except ValueError:
         return False
     # A part is the subfile it equals, as in a dict lookup, so no value of a
-    # field can raise; a part that is no subfile gets a fresh bit.  The
-    # layers' subset sizes differ, so a subset names its layer, and each
-    # subset maps to (its layer index, its first symbol).
+    # field can raise; a part that is no subfile gets a fresh bit.
     files = {f: f for f in range(N)}
-    slots = {}
+    layers = {}  # layer index -> (its first subset number, subset -> number)
     first = 0
     for li, layer in enumerate(placement.layers):
         number = _subset_table(K, layer.t).number
-        slots.update({subset: (li, (first + n) * N) for subset, n in number.items()})
+        layers[li] = (first, number)
         first += len(number)
     width, fresh = first * N, {}
     messages = []
@@ -383,12 +380,13 @@ def verify_decode(placement: PlacementState,
         mask = 0
         for part in msg.parts:
             file, subset, li = part
-            slot = slots.get(subset)
+            entry = layers.get(li)
+            s = None if entry is None else entry[1].get(subset)
             f = files.get(file)
-            if slot is None or f is None or slot[0] != li:
+            if s is None or f is None:
                 mask ^= 1 << fresh.setdefault(part, width + len(fresh))
             else:
-                mask ^= 1 << (slot[1] + f)
+                mask ^= 1 << ((entry[0] + s) * N + f)
         messages.append(mask)
     ones = placement.file_mask(0)
     return all(span_contains(messages, placement.masks[cache], ones << file)

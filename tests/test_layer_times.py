@@ -1,7 +1,7 @@
+import gc
 import os
 import sys
-
-import pytest
+from fractions import Fraction
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "tools"))
@@ -9,23 +9,11 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 import layer_times  # noqa: E402
 
 
-def test_layer_times_prints_one_row_per_size(tmp_path, monkeypatch, capsys):
+def test_layer_times_reports_each_layer_and_writes_nothing(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    assert layer_times.main(["--caches", "2,3", "--mem", "1", "--repeat", "2"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "best of 2, M = 1, worst-case demands, times in ms"
-    assert lines[1].split() == ["K", "=", "N", *layer_times.COLUMNS]
-    for line, K in zip(lines[2:], (2, 3)):
-        fields = line.split()
-        assert int(fields[0]) == K
-        place, deliver, verify, total = map(float, fields[1:])
-        assert min(place, deliver, verify) >= 0 and total >= max(place, deliver, verify)
-    assert len(lines) == 4
-    assert not list(tmp_path.iterdir())  # it writes nothing
-
-
-def test_layer_times_rejects_a_memory_above_the_library(capsys):
-    assert layer_times.main(["--caches", "2", "--mem", "3", "--repeat", "1"]) == 2
-    assert "exceeds library size" in capsys.readouterr().err
-    with pytest.raises(SystemExit):
-        layer_times.main(["--repeat", "0"])
+    best = layer_times.layer_times(2, Fraction(1), 2)
+    assert list(best) == list(layer_times.COLUMNS)
+    assert min(best.values()) >= 0
+    assert best["sum"] >= max(best["place"], best["deliver"], best["verify_decode"])
+    assert gc.isenabled()
+    assert not list(tmp_path.iterdir()) and not capsys.readouterr().out

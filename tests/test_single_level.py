@@ -274,23 +274,6 @@ def test_verdict_reads_only_the_parts():
     assert verdicts == {True, False}
 
 
-def test_layer_index_is_matched_not_indexed():
-    # A layer index that names a layer only as a list index would (-1 for
-    # the last, L for none) is a foreign part: it gets a fresh bit, so a
-    # transcript whose parts carry it decodes nothing it could not before.
-    for K, N, M in [(4, 4, Fraction(3, 2)), (5, 3, Fraction(9, 10)), (4, 4, Fraction(1))]:
-        pl = place(K, N, M)
-        L = len(pl.layers)
-        demands = worst_case_demands(K, N)
-        messages = deliver(pl, demands).messages
-        for shift in (-L, L):
-            aliased = Transcript(tuple(
-                m._replace(parts=frozenset(sf._replace(layer=sf.layer + shift) for sf in m.parts))
-                for m in messages))
-            assert not verify_decode(pl, aliased, demands)
-            assert not oracles.verify_decode(pl, aliased, demands)
-
-
 def _peel_chain(rng, width):
     """Rows s0, s0+s1, s1+s2, ...: each reveals its last symbol only after
     the row before it is peeled.  Returns the rows, shuffled, and the chain."""

@@ -1,22 +1,20 @@
 #!/usr/bin/env python3
 """Best-of-N times of place, deliver and verify_decode on worst-case demands.
 
-For each K in ``--caches`` (default 8 and 10) it places a library of N = K
-files on K caches at memory ``--mem`` (default 2), delivers the worst-case
-demand vector and checks the transcript, ``--repeat`` times (default 300),
-with the garbage collector off as ``timeit`` does.  It prints the best time
-of each of the three and the best total of one repetition, in ms.  It uses
-the standard library only and writes nothing.  From the root of a checkout:
+For K = 8 and 10 it places a library of N = K files on K caches at memory
+M = 2, delivers the worst-case demand vector and checks the transcript, 300
+times, with the garbage collector off as ``timeit`` does.  It prints the
+best time of each of the three and the best total of one repetition, in ms.
+It uses the standard library only and writes nothing.  From the root of a
+checkout:
 
     python3 tools/layer_times.py
-    python3 tools/layer_times.py --caches 8,10 --mem 2 --repeat 300
 
 Run two checkouts one after the other, more than once, to compare them.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
@@ -28,6 +26,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 from cachelab.single_level import deliver, place, verify_decode, worst_case_demands  # noqa: E402
 
+CACHES = (8, 10)
+MEMORY = Fraction(2)
+REPEAT = 300
 COLUMNS = ("place", "deliver", "verify_decode", "sum")
 
 
@@ -56,34 +57,13 @@ def layer_times(K: int, M: Fraction, repeat: int) -> dict[str, float]:
     return best
 
 
-def _sizes(text: str) -> list[int]:
-    sizes = [int(k) for k in text.split(",")]
-    if any(k < 1 for k in sizes):
-        raise ValueError(text)
-    return sizes
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--caches", type=_sizes, default=[8, 10],
-                        help="comma-separated K values, each run with N = K (default 8,10)")
-    parser.add_argument("--mem", type=Fraction, default=Fraction(2),
-                        help="memory per cache, at most K (default 2)")
-    parser.add_argument("--repeat", type=int, default=300, help="repetitions (default 300)")
-    args = parser.parse_args(argv)
-    if args.repeat < 1:
-        parser.error("--repeat must be at least 1")
-    print(f"best of {args.repeat}, M = {args.mem}, worst-case demands, times in ms")
+def main() -> None:
+    print(f"best of {REPEAT}, M = {MEMORY}, worst-case demands, times in ms")
     print(f"{'K = N':>5}" + "".join(f"{name:>15}" for name in COLUMNS))
-    for K in args.caches:
-        try:
-            best = layer_times(K, args.mem, args.repeat)
-        except ValueError as exc:
-            print(f"layer_times: K = {K}: {exc}", file=sys.stderr)
-            return 2
+    for K in CACHES:
+        best = layer_times(K, MEMORY, REPEAT)
         print(f"{K:>5}" + "".join(f"{best[name] * 1e3:>15.3f}" for name in COLUMNS))
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

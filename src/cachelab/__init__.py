@@ -19,8 +19,8 @@ from .single_user import (ClusterPartition, ClusterRun, RefinedClusterPartition,
                           partition_su, rate_clustering, rate_upper_bound_su,
                           refine_partition_su)
 from .bounds import (GapReport, MultiUserBoundParams, SingleUserBoundParams,
-                     best_cut_sizes, gap_report, lower_bound_multi_user,
-                     lower_bound_single_user, optimize_lower_bound_mu)
+                     best_cut_sizes, gap_report, lower_bound_single_user,
+                     optimize_lower_bound_mu)
 from .experiments import (DichotomyResult, SweepRow, audit, dichotomy_multi_user,
                           dichotomy_single_user, evaluate, mixed_rate,
                           random_multi_user_config, random_single_user_config,

@@ -34,6 +34,16 @@ H1 at a vertex, which can be an exact tie on the envelope, stays, and so
 does a line steeper or flatter than all of H1, which has no minimum.  Window
 counts are recomputed only for the lines left on the envelope.
 
+Along each t's grid, every level keeps its window count and its side of the
+min over runs of consecutive b, which end at per-level integer
+thresholds.  Inside a run the cut sum is ``alpha + beta/b`` (alpha the s*t*U
+terms, beta the sum of the other levels' N_i/s_i), so all of the run's lines
+pass through the pivot ``(beta/t, alpha)``, and at any other M each line
+strictly inside the run is strictly below the run's first or last line.  When
+H1 is strictly above alpha at the pivot, the inner lines are strictly below
+the final envelope and are skipped without a cut sum; otherwise each inner
+line's cut sum is read off alpha and beta.
+
 The single-user bound is a cut-set recipe keyed on the four-regime level
 partition, with one small-memory branch below M = 1/6.
 """
@@ -55,10 +65,12 @@ SINGLE_USER_GAP = 72
 SMALL_MEMORY_GAP = Fraction(6, 5)
 SMALL_MEMORY_THRESHOLD = Fraction(1, 6)
 # The envelope holds lines for every window size t up to K/2.  At this many
-# caches the first bound query takes 0.10 s on one level (N = 4096, U = 1),
-# 0.16-0.17 s on four levels of 4096, 8192, 12288 and 16384 files and
-# 0.42-0.53 s on four regular levels 6400 times apart in popularity (best
-# of 3, 2 vCPU, CPython 3.11.7); above it the multi-user bound is refused.
+# caches the first bound query takes 0.06-0.07 s on one level (N = 4096,
+# U = 1), 0.14-0.19 s on four levels of 4096, 8192, 12288 and 16384 files
+# and 0.27-0.29 s on four regular levels 6400 times apart in popularity
+# (8192, 78643200, 671088640000 and 4294967296000000 files, 2 to 4 users
+# per cache; best of 3, 2 vCPU, CPython 3.11.7); above it the multi-user
+# bound is refused.
 MAX_BOUND_CACHES = 4096
 
 
@@ -69,14 +81,6 @@ class MultiUserBoundParams:
     t: int
     b: int
     s: tuple[int, ...]
-
-    def validate(self, K: int, L: int) -> None:
-        smax = _window_limit(K, self.t, self.b)
-        if len(self.s) != L:
-            raise ValueError(f"need {L} window counts, got {len(self.s)}")
-        for i, si in enumerate(self.s):
-            if not (1 <= si <= smax):
-                raise ValueError(f"s[{i}]={si} outside 1..{smax}")
 
 
 def _window_limit(K: int, t: int, b: int) -> int:
@@ -92,39 +96,14 @@ def _window_limit(K: int, t: int, b: int) -> int:
     return smax
 
 
-def _cut_sum(config: SystemConfig, t: int, b: int, s: tuple[int, ...]) -> tuple[int, int]:
-    """Sum of the cut terms ``min{s_i*t*U_i, N_i/(s_i*b)}``: the bound at M = 0.
-
-    Each term's side is chosen by integer cross-multiplication, and the
-    fractional terms are summed as one integer numerator and denominator,
-    returned unreduced as ``(numerator, denominator)``.
-    """
-    whole, num, den = 0, 0, 1
-    for lv, si in zip(config.levels, s):
-        if si * si * t * b * lv.users <= lv.files:
-            whole += si * t * lv.users
-        else:  # N_i/(s_i*b); the common factor 1/b is applied at the end
-            num, den = num * si + lv.files * den, den * si
-    return whole * den * b + num, den * b
-
-
-def lower_bound_multi_user(config: SystemConfig, M: MemoryLike,
-                           params: MultiUserBoundParams) -> Fraction:
-    """Exact bound value for one parameter choice; may be negative."""
-    M = check_memory(M)
-    params.validate(config.caches, len(config.levels))
-    return (Fraction(*_cut_sum(config, params.t, params.b, params.s))
-            - Fraction(params.t, params.b) * M)
-
-
 def best_cut_sizes(config: SystemConfig, t: int, b: int) -> tuple[int, ...]:
     """Separable per-level choice of the window counts for fixed (t, b).
 
     Each per-level term ``min{s*t*U, N/(s*b)}`` is ``s*t*U``, increasing, up
     to ``sqrt(N/(t*b*U))`` and ``N/(s*b)``, decreasing, beyond it, so the
     integer argmax is the floor of that root or the next count.  Ties
-    resolve to the smaller count.  Raises ValueError, with the messages of
-    `MultiUserBoundParams.validate`, when t or b leaves no valid window.
+    resolve to the smaller count.  Raises ValueError when t or b leaves no
+    valid window.
     """
     smax = _window_limit(config.caches, t, b)
     out = []
@@ -212,6 +191,64 @@ def _breakpoint(left: tuple, right: tuple) -> tuple[int, int]:
     return (a1 * d2 - a2 * d1) * b1 * b2, d1 * d2 * (t1 * b2 - t2 * b1)
 
 
+def _cut_run(zones: list[tuple], smax: int, b: int, last: int) -> tuple[int, int, int, int]:
+    """The cut sum at b as ``whole + num/(den*b)``, and the last b it keeps that form for.
+
+    ``zones`` holds ``(N, t*U, hi, lo)`` per level, with ``hi = N // (t*U)``
+    and ``lo = N // (smax^2*t*U)``.  A level takes s = 1 and the term N/b
+    for b > hi and s = smax and the term s*t*U for b <= lo.  In between,
+    ``base = isqrt(hi // b)`` is ``floor(sqrt(N/(t*b*U)))``, and the level
+    takes s = base + 1 and the term N/(s*b) while ``N > base*(base+1)*t*U*b``,
+    else s = base and the term s*t*U, as in `best_cut_sizes`.  Returns
+    ``(whole, num, den, end)``: whole sums the s*t*U terms and num/den the
+    N/s of the others.  Every level keeps its s and its side for all b'
+    from b to end, the least of `last` and the levels' last b in their
+    state: lo in the smax zone, ``hi // base^2`` (the last b with the same
+    base) on the s*t*U side and ``(N - 1) // (base*(base+1)*t*U)`` on the N
+    side, which is below it; a level with b > hi never changes again.
+    """
+    whole, num, den, end = 0, 0, 1, last
+    for files, tu, hi, lo in zones:
+        if b > hi:  # s = 1, term N/b, and so for every larger b
+            num += files * den
+            continue
+        if b <= lo:  # s = smax, term s*t*U
+            whole += smax * tu
+            stop = lo
+        else:
+            base = math.isqrt(hi // b)
+            if files > base * (base + 1) * tu * b:  # s = base + 1, N/(s*b)
+                num, den = num * (base + 1) + files * den, den * (base + 1)
+                stop = (files - 1) // (base * (base + 1) * tu)
+            else:  # s = base, term s*t*U
+                whole += base * tu
+                stop = hi // (base * base)
+        if stop < end:
+            end = stop
+    return whole, num, den, end
+
+
+def _above_h1(vertices: list[tuple], whole: int, num: int, dt: int) -> bool:
+    """Whether H1 is strictly above ``whole`` at ``M* = num/dt``, dt > 0.
+
+    ``vertices`` holds H1's lines ``(b_k, p_k, q_k, r_k)``, steepest first:
+    line k is ``q_k/p_k - M/b_k`` with p_k > 0, and it meets line k + 1 at
+    ``X_k = r_k*b_k/p_k``.  H1 at M* is line k for the first k with
+    ``M* <= X_k``, or the last line, found by bisection in integers.
+    """
+    lo, hi = 0, len(vertices) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        b1, p, _, r = vertices[mid]
+        if num * p <= r * b1 * dt:
+            hi = mid
+        else:
+            lo = mid + 1
+    b1, p, q, _ = vertices[lo]
+    # q/p - num/(dt*b1) > whole, times p*dt*b1 > 0
+    return (q - whole * p) * dt * b1 > num * p
+
+
 def _bound_lines(config: SystemConfig
                  ) -> tuple[tuple[tuple[Fraction, Fraction, tuple], ...], tuple[Fraction, ...]]:
     """Upper envelope of the bound lines ``A - (t/b)*M``, with its breakpoints.
@@ -236,9 +273,30 @@ def _bound_lines(config: SystemConfig
     ``A < A_i + (m - m_i)*X_i``, the minimum of ``H1(M) + m*M``.  It is
     then strictly below H1, hence strictly below the final envelope at
     every M, and the hull would have dropped it; a line that only touches
-    H1 stays.  A and the window counts are computed inline as in
-    `best_cut_sizes` and `_cut_sum`; only the lines left on the envelope
-    get their s from `best_cut_sizes`.
+    H1 stays.
+
+    Each t's sorted grid splits into runs of consecutive b over which every
+    level keeps its window count and its side of the min; `_cut_run` gives a
+    run's last b from per-level integer thresholds, and one bisection of the
+    grid finds the run.  Inside a run the cut sum is ``alpha + beta/b``,
+    alpha the s*t*U terms and beta the sum of the other levels' N_i/s_i, so
+    the run's line at b is ``alpha + (beta - t*M)/b``.  All of them pass
+    through the pivot ``(M*, alpha)`` with ``M* = beta/t``, and at any other
+    M their value is strictly monotone in b: a line strictly inside the run
+    is strictly below the run's first line left of M* and below its last
+    line right of it.  Those two are at most the final envelope at every M,
+    as every candidate's line is.  So when H1, hence the final envelope, is
+    strictly above alpha at M*, the inner lines are strictly below the final
+    envelope at every M and are skipped: the hull would have dropped them,
+    and a line of equal slope on the envelope is strictly higher, so it is
+    kept either way.  `_above_h1` decides this in integers from H1's
+    vertices.  The test costs a bisection over H1's lines, so it is made only
+    when the run has more inner candidates than that bisection has steps;
+    otherwise, and when H1 at M* is not strictly above alpha, every
+    candidate is visited, its cut sum read off alpha and beta.  t = 1, which
+    builds H1, visits every candidate.  The window counts are computed inline
+    as in `best_cut_sizes`; only the lines left on the envelope get their s
+    from it.
     """
     K = config.caches
     b_max = _b_search_limit(config)
@@ -247,54 +305,53 @@ def _bound_lines(config: SystemConfig
     ladder_sorted = sorted(ladder)
     crossings: list[set[int]] = [set()]  # t -> its grid values outside the ladder
     by_slope: dict[tuple[int, int], tuple] = {}  # reduced (t, b) -> line
-    vertices: list[tuple] = []  # H1's lines but the last, with where each meets the next
-    b_last = 0  # b of H1's last line
+    vertices: list[tuple] = []  # H1's lines, each with where it meets the next
+    steps = 0  # of _above_h1's bisection
     for t in range(1, K // 2 + 1):
         smax = K // (2 * t)
-        # Per level: b > hi gives s = 1 and b <= lo gives s = smax, since
-        # floor(sqrt(N/(t*b*U))) = isqrt(hi // b); only b in between needs the root.
         zones = [(files, t * users, files // (t * users), files // (smax * smax * t * users))
                  for files, users in levels]
         extra = _b_crossings(levels, t, K, b_max) - ladder
         crossings.append(extra)
+        grid = sorted(ladder_sorted + sorted(extra))
         h = 0  # H1's last line at least as steep as t/b; b only grows
-        for b in sorted(ladder_sorted + sorted(extra)):
-            g = math.gcd(t, b)
-            if g > 1 and (b // g in ladder or b // g in crossings[t // g]):
-                continue
-            whole, num, den = 0, 0, 1
-            for files, tu, hi, lo in zones:
-                if b > hi:  # s = 1, term N/b
-                    num += files * den
-                elif b <= lo:  # s = smax, term s*t*U
-                    whole += smax * tu
-                else:
-                    base = math.isqrt(hi // b)
-                    if files > base * (base + 1) * tu * b:  # s = base + 1, N/(s*b)
-                        num, den = num * (base + 1) + files * den, den * (base + 1)
-                    else:  # s = base, term s*t*U
-                        whole += base * tu
-            a, d = whole * den * b + num, den * b
-            if vertices and t * vertices[0][0] <= b < t * b_last:  # m_0 >= t/b > m_last
-                while h + 1 < len(vertices) and t * vertices[h + 1][0] <= b:
-                    h += 1
-                b1, p, q, r = vertices[h]
-                # a/d < A_i + (t/b - 1/b_i)*X_i, times d*b*d_i*b_i*x_d > 0
-                if a * b * p < d * (b * q + (t * b1 - b) * r):
+        # H1 filters the b with m_0 >= t/b > m_last.
+        filter_lo, filter_hi = (t * vertices[0][0], t * vertices[-1][0]) if vertices else (0, 0)
+        i = 0
+        while i < len(grid):
+            whole, num, den, end = _cut_run(zones, smax, grid[i], b_max)
+            j = bisect.bisect_right(grid, end, i) - 1  # the run is grid[i..j]
+            run = grid[i:j + 1]
+            if t > 1 and j - i - 1 > steps and _above_h1(vertices, whole, num, den * t):
+                run = [grid[i], grid[j]]
+            i = j + 1
+            for b in run:
+                g = math.gcd(t, b)
+                if g > 1 and (b // g in ladder or b // g in crossings[t // g]):
                     continue
-            slope = (t // g, b // g)
-            kept = by_slope.get(slope)
-            # Keys of one slope arrive in increasing t, so equal A keeps the first.
-            if kept is None or a * kept[1] > kept[0] * d:
-                by_slope[slope] = (a, d, t, b)
+                a, d = whole * den * b + num, den * b
+                if filter_lo <= b < filter_hi:
+                    while t * vertices[h + 1][0] <= b:
+                        h += 1
+                    b1, p, q, r = vertices[h]
+                    # a/d < A_i + (t/b - 1/b_i)*X_i, times d*b*d_i*b_i*x_d > 0
+                    if a * b * p < d * (b * q + (t * b1 - b) * r):
+                        continue
+                slope = (t // g, b // g)
+                kept = by_slope.get(slope)
+                # Keys of one slope arrive in increasing t, so equal A keeps the first.
+                if kept is None or a * kept[1] > kept[0] * d:
+                    by_slope[slope] = (a, d, t, b)
         if t == 1:
             hull = _upper_hull(list(by_slope.values()))  # increasing b: steepest first
             by_slope = {(1, line[3]): line for line in hull}
-            b_last = hull[-1][3]
             for left, right in zip(hull, hull[1:]):
                 a1, d1, _, b1 = left
                 x_n, x_d = _breakpoint(left, right)
                 vertices.append((b1, d1 * b1 * x_d, a1 * b1 * x_d, x_n * d1))
+            a1, d1, _, b1 = hull[-1]
+            vertices.append((b1, d1 * b1, a1 * b1, 0))  # meets no line
+            steps = len(vertices).bit_length()
     # Distinct reduced slopes differ by at least 1/P, so floor(t*P/b) orders
     # them strictly, in integers.
     P = max((b for _, b in by_slope), default=1) ** 2

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 from cachelab.bounds import (MultiUserBoundParams, _b_crossings, _b_ladder, _b_search_limit,
-                             _bound_lines, _cut_sum, best_cut_sizes)
+                             _bound_lines, _window_limit, best_cut_sizes)
 from cachelab.model import RateReport, Setup, check_memory, validate_multi_user
 from cachelab.multi_user import (MemoryAllocation, Partition, _sqrt_n_over_u, _sqrt_nu,
                                  _sums, refine_partition)
@@ -182,6 +182,41 @@ def candidate_b_values(config, t):
     return tuple(sorted(_b_ladder(b_max) | _b_crossings(levels, t, config.caches, b_max)))
 
 
+def validate_bound_params(params, K, L):
+    """Raise ValueError unless `params` has L window counts in 1..K // (2t),
+    with t and b in range."""
+    smax = _window_limit(K, params.t, params.b)
+    if len(params.s) != L:
+        raise ValueError(f"need {L} window counts, got {len(params.s)}")
+    for i, si in enumerate(params.s):
+        if not (1 <= si <= smax):
+            raise ValueError(f"s[{i}]={si} outside 1..{smax}")
+
+
+def cut_sum(config, t, b, s):
+    """Sum of the cut terms ``min{s_i*t*U_i, N_i/(s_i*b)}``: the bound at M = 0.
+
+    Each term's side is chosen by integer cross-multiplication, and the
+    fractional terms are summed as one integer numerator and denominator,
+    returned unreduced as ``(numerator, denominator)``.
+    """
+    whole, num, den = 0, 0, 1
+    for lv, si in zip(config.levels, s):
+        if si * si * t * b * lv.users <= lv.files:
+            whole += si * t * lv.users
+        else:  # N_i/(s_i*b); the common factor 1/b is applied at the end
+            num, den = num * si + lv.files * den, den * si
+    return whole * den * b + num, den * b
+
+
+def lower_bound_multi_user(config, M, params):
+    """Exact bound value for one parameter choice; may be negative."""
+    M = check_memory(M)
+    validate_bound_params(params, config.caches, len(config.levels))
+    return (Fraction(*cut_sum(config, params.t, params.b, params.s))
+            - Fraction(params.t, params.b) * M)
+
+
 def grid_bound_mu(config, M):
     """The multi-user bound as a plain maximum over the whole candidate grid.
 
@@ -210,7 +245,7 @@ def reference_bound_lines(config):
     for every grid candidate.
 
     Each candidate (t, b) gets its window counts from `best_cut_sizes` and
-    its A from `_cut_sum`; one line per reduced slope is kept (the largest
+    its A from `cut_sum`; one line per reduced slope is kept (the largest
     A, the first met on ties), and the upper envelope keeps a line unless
     its neighbours beat it strictly at every M.  Breakpoints are where
     consecutive lines meet, as Fractions.
@@ -224,7 +259,7 @@ def reference_bound_lines(config):
     for t in range(1, config.caches // 2 + 1):
         for b in candidate_b_values(config, t):
             s = best_cut_sizes(config, t, b)
-            a, d = _cut_sum(config, t, b, s)
+            a, d = cut_sum(config, t, b, s)
             g = math.gcd(t, b)
             slope = (t // g, b // g)
             kept = by_slope.get(slope)

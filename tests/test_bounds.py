@@ -5,18 +5,19 @@ from fractions import Fraction
 
 import pytest
 
+from cachelab import bounds
 from cachelab.bounds import (MAX_BOUND_CACHES, MultiUserBoundParams, SingleUserBoundParams,
-                             _bound_lines, best_cut_sizes, gap_report,
-                             lower_bound_multi_user, lower_bound_single_user,
-                             optimize_lower_bound_mu)
+                             _b_search_limit, _bound_lines, _cut_run, best_cut_sizes, gap_report,
+                             lower_bound_single_user, optimize_lower_bound_mu)
 from cachelab.experiments import (audit_grid, random_multi_user_config,
                                   random_single_user_config)
 from cachelab.model import Setup, SystemConfig
 from cachelab.multi_user import rate_memory_sharing
 from cachelab.radicals import exact_sign
 from cachelab.single_user import rate_clustering, refine_partition_su
-from oracles import (CaseNotApplicable, candidate_b_values, grid_bound_mu,
-                     linear_envelope_scan, matched_bound_params, reference_bound_lines)
+from oracles import (CaseNotApplicable, candidate_b_values, cut_sum, grid_bound_mu,
+                     linear_envelope_scan, lower_bound_multi_user, matched_bound_params,
+                     reference_bound_lines, validate_bound_params)
 
 
 def one_level():
@@ -66,7 +67,7 @@ def test_optimizer_never_negative_and_monotone():
             value, params = optimize_lower_bound_mu(cfg, M)
             assert value >= 0
             if params is not None:
-                params.validate(cfg.caches, len(cfg.levels))
+                validate_bound_params(params, cfg.caches, len(cfg.levels))
             values.append(value)
         for lo, hi in zip(values[1:], values[:-1]):
             assert hi >= lo
@@ -161,7 +162,7 @@ def test_best_cut_sizes_rejects_windows_out_of_range(t, b, message):
     with pytest.raises(ValueError, match=message):
         best_cut_sizes(cfg, t, b)
     with pytest.raises(ValueError, match=message):
-        MultiUserBoundParams(t, b, (1, 1)).validate(cfg.caches, len(cfg.levels))
+        validate_bound_params(MultiUserBoundParams(t, b, (1, 1)), cfg.caches, len(cfg.levels))
 
 
 _PRIMES = [p for p in range(2, 400) if all(p % q for q in range(2, math.isqrt(p) + 1))]
@@ -178,7 +179,8 @@ def _wide_levels_config(rng):
     return SystemConfig.multi_user(K, levels)
 
 
-def _envelope_configs():
+def _grid_configs():
+    """Audit-generator, irregular and wide-levels configs."""
     rng = random.Random(67)
     audit = [random_multi_user_config(rng) for _ in range(40)]
     assert {96, 128} <= {cfg.caches for cfg in audit}
@@ -187,7 +189,11 @@ def _envelope_configs():
                                           for _ in range(rng.randint(1, 5))])
                  for _ in range(100)]
     wide = [_wide_levels_config(rng) for _ in range(20)]
-    return audit + irregular + wide + [
+    return audit + irregular + wide
+
+
+def _envelope_configs():
+    return _grid_configs() + [
         SystemConfig.multi_user(MAX_BOUND_CACHES, [(MAX_BOUND_CACHES, 1)]),
         # The t = 1 lines (1, 1) and (1, 2) meet at M = 4, and the line of
         # (4, 5), 36/5 - (4/5)*M, touches them there and nowhere else: it
@@ -199,6 +205,74 @@ def _envelope_configs():
 def test_envelope_matches_reference_construction():
     for cfg in _envelope_configs():
         assert _bound_lines(cfg) == reference_bound_lines(cfg), cfg
+
+
+def _level_states(cfg, t, b):
+    """The window counts at (t, b), and per level whether its term is s*t*U."""
+    s = best_cut_sizes(cfg, t, b)
+    return s, tuple(si * si * t * b * lv.users <= lv.files for si, lv in zip(s, cfg.levels))
+
+
+def test_cut_runs_keep_every_level_state():
+    # Every grid b of a run has the run's window counts and sides, and so
+    # its cut sum; the first grid b past the run's end has another state.
+    runs = longest = 0
+    for cfg in _grid_configs():
+        b_max = _b_search_limit(cfg)
+        for t in range(2, cfg.caches // 2 + 1):
+            smax = cfg.caches // (2 * t)
+            zones = [(lv.files, t * lv.users, lv.files // (t * lv.users),
+                      lv.files // (smax * smax * t * lv.users)) for lv in cfg.levels]
+            grid = candidate_b_values(cfg, t)
+            i = 0
+            while i < len(grid):
+                whole, num, den, end = _cut_run(zones, smax, grid[i], b_max)
+                state = _level_states(cfg, t, grid[i])
+                j = i
+                while j < len(grid) and grid[j] <= end:
+                    b = grid[j]
+                    assert _level_states(cfg, t, b) == state, (cfg, t, grid[i], b)
+                    assert (whole * den * b + num, den * b) == cut_sum(cfg, t, b, state[0])
+                    j += 1
+                assert j > i
+                if j < len(grid):
+                    assert _level_states(cfg, t, grid[j]) != state, (cfg, t, grid[i], end)
+                runs += 1
+                longest = max(longest, j - i)
+                i = j
+    assert runs > 10000 and longest > 20
+
+
+def _pivot_tests(monkeypatch, cfg):
+    """The envelope of cfg, and each pivot test its build makes: the
+    decision, and the sign of H1(M*) - alpha, with H1 the maximum of every
+    t = 1 grid line, in Fractions."""
+    ones = [(Fraction(*cut_sum(cfg, 1, b, best_cut_sizes(cfg, 1, b))), Fraction(1, b))
+            for b in candidate_b_values(cfg, 1)]
+    tests = []
+    above_h1 = bounds._above_h1
+
+    def recorded(vertices, whole, num, dt):
+        decision = above_h1(vertices, whole, num, dt)
+        h1 = max(A - m * Fraction(num, dt) for A, m in ones)
+        tests.append((decision, (h1 > whole) - (h1 < whole)))
+        return decision
+
+    monkeypatch.setattr(bounds, "_above_h1", recorded)
+    return _bound_lines(cfg), tests
+
+
+@pytest.mark.parametrize("caches, levels, sign", [
+    (8, [(17, 1)], 1),  # H1 above alpha at the pivot: the inner lines are skipped
+    (32, [(128, 1)], -1),  # H1 below alpha: every line of the run is visited
+    (5, [(22, 1)], 0),  # H1 meets alpha at the pivot: not strictly above, so visited
+])
+def test_pivot_decides_in_integers(monkeypatch, caches, levels, sign):
+    cfg = SystemConfig.multi_user(caches, levels)
+    lines, tests = _pivot_tests(monkeypatch, cfg)
+    assert lines == reference_bound_lines(cfg)
+    assert all(decision == (h1_sign > 0) for decision, h1_sign in tests)
+    assert (sign > 0, sign) in tests
 
 
 def test_reduced_slope_dominates_its_multiples():
@@ -270,7 +344,7 @@ def test_matched_params_examples():
     params = matched_bound_params(cfg, M)
     assert params.t == 1
     assert params.b >= 1  # guaranteed while the full-storage set is nonempty
-    params.validate(cfg.caches, len(cfg.levels))
+    validate_bound_params(params, cfg.caches, len(cfg.levels))
     # the cut bound at the matched parameters is sound
     value = lower_bound_multi_user(cfg, M, params)
     achievable = rate_memory_sharing(cfg, M).achievable
@@ -298,7 +372,7 @@ def test_matched_params_h_cut_size():
         assert params.s[h] == K // 8 == 12
     for j in refined.J:
         assert params.s[j] == 1
-    params.validate(cfg.caches, len(cfg.levels))
+    validate_bound_params(params, cfg.caches, len(cfg.levels))
     assert optimize_lower_bound_mu(cfg, M)[0] >= lower_bound_multi_user(cfg, M, params)
 
 

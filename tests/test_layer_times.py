@@ -7,6 +7,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
                                 "tools"))
 
 import layer_times  # noqa: E402
+from cachelab.model import SystemConfig, validate_multi_user  # noqa: E402
 
 
 def test_layer_times_reports_each_layer_and_writes_nothing(tmp_path, monkeypatch, capsys):
@@ -15,5 +16,29 @@ def test_layer_times_reports_each_layer_and_writes_nothing(tmp_path, monkeypatch
     assert list(best) == list(layer_times.COLUMNS)
     assert min(best.values()) >= 0
     assert best["sum"] >= max(best["place"], best["deliver"], best["verify_decode"])
+    assert gc.isenabled()
+    assert not list(tmp_path.iterdir()) and not capsys.readouterr().out
+
+
+def test_envelope_rows_time_a_fresh_build_and_write_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    shapes = [(K, len(levels)) for K, levels in layer_times.ENVELOPES.values()]
+    assert shapes == [(128, 1), (128, 4), (8, 4)]
+    for K, levels in list(layer_times.ENVELOPES.values())[:2]:
+        assert validate_multi_user(SystemConfig.multi_user(K, levels)).ok
+    built = []
+    build = layer_times._bound_lines
+
+    def recorded(config):
+        built.append(config)
+        return build(config)
+
+    monkeypatch.setattr(layer_times, "_bound_lines", recorded)
+    for K, levels in layer_times.ENVELOPES.values():
+        built.clear()
+        assert layer_times.envelope_time(K, levels, 3) >= 0
+        # A fresh config per repetition, whose fact store the build never fills.
+        assert len({id(config) for config in built}) == len(built) == 3
+        assert not any(config._facts for config in built)
     assert gc.isenabled()
     assert not list(tmp_path.iterdir()) and not capsys.readouterr().out

@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""Best-of-N times of place, deliver and verify_decode on worst-case demands.
+"""Best-of-N times of the simulator's layers and of the bound optimizer.
 
 For K = 8 and 10 it places a library of N = K files on K caches at memory
 M = 2, delivers the worst-case demand vector and checks the transcript, 300
 times, with the garbage collector off as ``timeit`` does.  It prints the
 best time of each of the three and the best total of one repetition, in ms.
+It then builds the multi-user bound's envelope of lines
+(``bounds._bound_lines``) on three fixed configs, each time on a fresh
+config object so that nothing is cached, and prints the best build time.
 It uses the standard library only and writes nothing.  From the root of a
 checkout:
 
@@ -24,12 +27,25 @@ from fractions import Fraction
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "src"))
 
+from cachelab.bounds import _bound_lines  # noqa: E402
+from cachelab.model import SystemConfig  # noqa: E402
 from cachelab.single_level import deliver, place, verify_decode, worst_case_demands  # noqa: E402
 
 CACHES = (8, 10)
 MEMORY = Fraction(2)
 REPEAT = 300
 COLUMNS = ("place", "deliver", "verify_decode", "sum")
+# (caches, levels as (files, users)) of the envelope rows: one regular level;
+# four regular levels 6400 times apart in popularity, as perfbench's
+# regular_levels draws them; and the first K = 8 draw of perfbench's
+# wide_levels(random.Random(1), 4, 2).
+ENVELOPES = {
+    "K = 128, 1 level": (128, [(256, 2)]),
+    "K = 128, 4 levels": (128, [(256, 2), (2457600, 3), (20971520000, 4),
+                                (134217728000000, 4)]),
+    "K = 8, wide": (8, [(396, 4), (393, 3), (239, 1), (879, 3)]),
+}
+ENVELOPE_REPEAT = 100
 
 
 def layer_times(K: int, M: Fraction, repeat: int) -> dict[str, float]:
@@ -57,12 +73,33 @@ def layer_times(K: int, M: Fraction, repeat: int) -> dict[str, float]:
     return best
 
 
+def envelope_time(K: int, levels: list[tuple[int, int]], repeat: int) -> float:
+    """Best seconds of one envelope build on a fresh multi-user config."""
+    best = float("inf")
+    clock = time.perf_counter
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(repeat):
+            config = SystemConfig.multi_user(K, levels)
+            t0 = clock()
+            _bound_lines(config)
+            best = min(best, clock() - t0)
+    finally:
+        if enabled:
+            gc.enable()
+    return best
+
+
 def main() -> None:
     print(f"best of {REPEAT}, M = {MEMORY}, worst-case demands, times in ms")
     print(f"{'K = N':>5}" + "".join(f"{name:>15}" for name in COLUMNS))
     for K in CACHES:
         best = layer_times(K, MEMORY, REPEAT)
         print(f"{K:>5}" + "".join(f"{best[name] * 1e3:>15.3f}" for name in COLUMNS))
+    print(f"\nbound envelope build, best of {ENVELOPE_REPEAT}, times in ms")
+    for name, (K, levels) in ENVELOPES.items():
+        print(f"{name:>20}{envelope_time(K, levels, ENVELOPE_REPEAT) * 1e3:>15.3f}")
 
 
 if __name__ == "__main__":

@@ -16,8 +16,7 @@ from .multi_user import (MemoryAllocation, Partition, RefinedPartition,
                          level_rate_bounds, rate_memory_sharing, refine_partition)
 from .single_user import (ClusterPartition, ClusterRun, RefinedClusterPartition,
                           cluster_place_deliver, cluster_place_deliver_decentralized,
-                          partition_su, rate_clustering, rate_upper_bound_su,
-                          refine_partition_su)
+                          partition_su, rate_clustering, refine_partition_su)
 from .bounds import (GapReport, MultiUserBoundParams, SingleUserBoundParams,
                      best_cut_sizes, gap_report, lower_bound_single_user,
                      optimize_lower_bound_mu)

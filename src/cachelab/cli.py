@@ -4,10 +4,10 @@ Subcommands: ``rate`` (one memory point), ``sweep`` (memory grid to
 CSV/JSON/plot data), ``dichotomy`` (the two strategy-separation families),
 ``mixed`` (superposition rate), ``audit`` (randomized gap audit).
 
-Exit codes: 0 success, 2 config/schema problem, an invalid argument value or
-a rejected argument vector (``usage error:``), 3 regularity violation in
-strict mode, 4 unwritable output path, 5 audit failure.  Every failure prints
-one line to stderr.
+Exit codes: 0 success, 2 config/schema problem, an invalid argument value,
+a value past the float range of a decimal rendering or a rejected argument
+vector (``usage error:``), 3 regularity violation in strict mode, 4 unwritable
+output path, 5 audit failure.  Every failure prints one line to stderr.
 """
 
 from __future__ import annotations
@@ -202,7 +202,7 @@ def main(argv=None) -> int:
     except RegularityError as exc:
         print(f"regularity violation: {exc}", file=sys.stderr)
         return EXIT_REGULARITY
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
 

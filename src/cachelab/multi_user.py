@@ -70,9 +70,6 @@ class Partition:
     V_I: Fraction
     M_tilde: Optional[ExactValue]
 
-    def key(self) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
-        return (self.H, self.I, self.J)
-
 
 @dataclass(frozen=True)
 class RefinedPartition:
@@ -92,12 +89,6 @@ class MemoryAllocation:
 
     amounts: tuple[ExactValue, ...]
     M: Fraction
-
-    @property
-    def alphas(self) -> Optional[tuple[ExactValue, ...]]:
-        if self.M == 0:
-            return None
-        return tuple(a / self.M for a in self.amounts)
 
 
 def _sums(levels: tuple[LevelSpec, ...], K: int, I: Iterable[int],

@@ -77,6 +77,7 @@ def _shrink_kernel(n: int) -> tuple[int, int]:
     r = math.isqrt(n)
     if r * r == n:
         return 1, r
+    # n is not a square, so no n / mult^2 below is one: the loop only divides.
     mult = 1
     for q in _SMALL_SQUARES:
         if q > n:
@@ -84,9 +85,6 @@ def _shrink_kernel(n: int) -> tuple[int, int]:
         while n % q == 0:
             n //= q
             mult *= math.isqrt(q)
-            r = math.isqrt(n)
-            if r * r == n:
-                return 1, mult * r
     return n, mult
 
 
@@ -507,6 +505,4 @@ def as_exact_str(value) -> str:
 
 def to_decimal(value) -> str:
     """Decimal rendering to 12 significant digits, for CSV output."""
-    if value is None:
-        return ""
     return f"{float(value):.{_DECIMAL_DIGITS}g}"

@@ -32,19 +32,12 @@ class ClusterPartition:
 
 @dataclass(frozen=True)
 class RefinedClusterPartition:
-    """Four-regime split of the levels for the bound recipes.
-
-    `anomalies` lists levels that the predicates assign to J although the
-    achievability still serves them uncoded (few users, memory between a
-    sixth of the level and its per-user share); they are surfaced rather
-    than reclassified.
-    """
+    """Four-regime split of the levels for the bound recipes."""
 
     G: frozenset[int]
     H: frozenset[int]
     I: frozenset[int]
     J: frozenset[int]
-    anomalies: tuple[int, ...] = ()
 
 
 def partition_su(config: SystemConfig, M: MemoryLike) -> ClusterPartition:
@@ -91,7 +84,6 @@ def refine_partition_su(config: SystemConfig, M: MemoryLike) -> RefinedClusterPa
     """
     M = check_memory(M)
     G, H, I, J = set(), set(), set(), set()
-    anomalies = []
     for idx, lv in enumerate(config.levels):
         n, k = Fraction(lv.files), lv.users
         uncoded = M < n / k
@@ -103,34 +95,7 @@ def refine_partition_su(config: SystemConfig, M: MemoryLike) -> RefinedClusterPa
             I.add(idx)
         else:
             J.add(idx)
-            if uncoded:
-                anomalies.append(idx)
-    return RefinedClusterPartition(frozenset(G), frozenset(H), frozenset(I), frozenset(J),
-                                   tuple(anomalies))
-
-
-def rate_upper_bound_su(config: SystemConfig, M: MemoryLike) -> Fraction:
-    """Regime-wise closed-form cap on the clustering rate.
-
-    ``sum_G K_g + sum_H K_h + (sum_I N_i)/M`` plus a branch on the total
-    full-storage-regime library N_J: ``N_J/M`` below ``N_J/6``,
-    ``6(1 - M/N_J)`` up to ``N_J``, and 0 beyond.
-    """
-    M = check_memory(M)
-    if M == 0:
-        raise ValueError("the closed-form cap requires M > 0")
-    refined = refine_partition_su(config, M)
-    levels = config.levels
-    out = sum((Fraction(levels[g].users) for g in refined.G), Fraction(0))
-    out += sum(levels[h].users for h in refined.H)
-    out += sum(Fraction(levels[i].files) for i in refined.I) / M
-    n_j = sum(levels[j].files for j in refined.J)
-    if n_j:
-        if M < Fraction(n_j, 6):
-            out += Fraction(n_j) / M
-        elif M < n_j:
-            out += 6 * (1 - M / n_j)
-    return out
+    return RefinedClusterPartition(frozenset(G), frozenset(H), frozenset(I), frozenset(J))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from cachelab.multi_user import (MemoryAllocation, Partition, _sqrt_n_over_u, _s
 from cachelab.radicals import RootSum
 from cachelab.single_level import (Message, PlacementState, SubfileId, Transcript, _layers,
                                    _rows, symbol_mask)
-from cachelab.single_user import DecentralizedRun, _super_level
+from cachelab.single_user import DecentralizedRun, _super_level, refine_partition_su
 
 
 def _split_conditions(config, M, H, I, J):
@@ -51,6 +51,11 @@ def _build_partition(config, M, H, I, J):
     if I:
         M_tilde = (M - T_J + V_I) / S_I
     return Partition(H, I, J, S_I, T_J, V_I, M_tilde)
+
+
+def partition_key(partition):
+    """The split ``(H, I, J)`` of a `Partition`, as the enumeration reports it."""
+    return (partition.H, partition.I, partition.J)
 
 
 def scan_partition(config, M):
@@ -138,12 +143,54 @@ def fraction_rate_clustering(config, M):
     return uncoded, rate
 
 
+def su_anomalies(config, M):
+    """Levels that `refine_partition_su` puts in J although the clustering
+    still serves them uncoded: ``M < N/K``, at most five users and
+    ``M > N/6``."""
+    M = check_memory(M)
+    return tuple(idx for idx, lv in enumerate(config.levels)
+                 if M < Fraction(lv.files, lv.users) and lv.users <= 5
+                 and M > Fraction(lv.files, 6))
+
+
+def rate_upper_bound_su(config, M):
+    """Regime-wise closed-form cap on the clustering rate.
+
+    ``sum_G K_g + sum_H K_h + (sum_I N_i)/M`` plus a branch on the total
+    full-storage-regime library N_J: ``N_J/M`` below ``N_J/6``,
+    ``6(1 - M/N_J)`` up to ``N_J``, and 0 beyond.  The paper uses it to
+    prove the gap constant; nothing prints it.
+    """
+    M = check_memory(M)
+    if M == 0:
+        raise ValueError("the closed-form cap requires M > 0")
+    refined = refine_partition_su(config, M)
+    levels = config.levels
+    out = sum((Fraction(levels[g].users) for g in refined.G), Fraction(0))
+    out += sum(levels[h].users for h in refined.H)
+    out += sum(Fraction(levels[i].files) for i in refined.I) / M
+    n_j = sum(levels[j].files for j in refined.J)
+    if n_j:
+        if M < Fraction(n_j, 6):
+            out += Fraction(n_j) / M
+        elif M < n_j:
+            out += 6 * (1 - M / n_j)
+    return out
+
+
 def fraction_allocation_amount(partition, config, M, i):
     """The memory of partial level i, ``W*sqrt(N_i*U_i)*S_I^-1 - N_i/K`` with
     ``W = M - T_J + V_I``, from the partition's exact values."""
     lv = config.levels[i]
     W = check_memory(M) - partition.T_J + partition.V_I
     return W * (_sqrt_nu(lv) * (1 / partition.S_I)) - Fraction(lv.files, config.caches)
+
+
+def allocation_alphas(allocation):
+    """Each level's share of the memory, ``amount / M``; None at M = 0."""
+    if allocation.M == 0:
+        return None
+    return tuple(a / allocation.M for a in allocation.amounts)
 
 
 def enumerate_feasible_partitions(config, M):

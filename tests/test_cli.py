@@ -218,12 +218,21 @@ def test_directory_config_is_config_error(tmp_path, capsys):
     ["dichotomy", "mu", "--r", "1", "--mem", "0"],
     ["dichotomy", "mu", "--r", "1", "--mem", "288"],
     ["dichotomy", "su", "--levels", "2", "--files", "4", "--mem", "8"],
+    # exact values past the float range overflow where a decimal is printed
+    ["rate", "{huge_users}", "--mem", "0"],
+    ["sweep", "{huge_files}", "--points", "2", "--out", "{out}"],
 ])
 def test_bad_input_exits_2_with_one_line(mu_config, tmp_path, capsys, argv):
     zero_beta = tmp_path / "zero_beta.json"
     zero_beta.write_text(json.dumps({"setup": "multi-user", "caches": 4, "beta": "1/0",
                                      "levels": [{"files": 8, "users": 2}]}))
-    argv = [a.format(mu=mu_config, zero_beta=zero_beta) for a in argv]
+    huge_users, huge_files = tmp_path / "huge_users.json", tmp_path / "huge_files.json"
+    huge_users.write_text(json.dumps({"setup": "multi-user", "caches": 2, "levels": [
+        {"files": 10 ** 401, "users": 10 ** 400}]}))
+    huge_files.write_text(json.dumps({"setup": "multi-user", "caches": 2, "levels": [
+        {"files": 10 ** 400, "users": 1}]}))
+    argv = [a.format(mu=mu_config, zero_beta=zero_beta, huge_users=huge_users,
+                     huge_files=huge_files, out=tmp_path / "rows.csv") for a in argv]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err

@@ -27,6 +27,8 @@ def test_level_spec_invariants():
         SystemConfig(Setup.MULTI_USER, 0, (LevelSpec(1, 1),))
     with pytest.raises(ValueError):
         SystemConfig(Setup.MULTI_USER, 1, ())
+    with pytest.raises(ValueError, match="mixed_levels requires the mixed setup"):
+        SystemConfig(Setup.MULTI_USER, 2, (LevelSpec(4, 2),), mixed_levels=(LevelSpec(4, 1),))
 
 
 def test_popularity():

@@ -13,8 +13,9 @@ from cachelab.multi_user import (Partition, _SplitPlan, _sums, allocate_memory,
                                  rate_memory_sharing, refine_partition)
 from cachelab.radicals import exact_sign
 from cachelab.single_level import rate_single_level
-from oracles import (_split_conditions, enumerate_feasible_partitions,
-                     fraction_allocation_amount, scan_partition, scan_rate_memory_sharing)
+from oracles import (_split_conditions, allocation_alphas, enumerate_feasible_partitions,
+                     fraction_allocation_amount, partition_key, scan_partition,
+                     scan_rate_memory_sharing)
 
 
 def one_level():
@@ -43,7 +44,7 @@ def test_partition_matches_exhaustive_oracle():
         for M in (Fraction(0), Fraction(total, 7), Fraction(total, 2), Fraction(total)):
             oracle = enumerate_feasible_partitions(cfg, M)
             chosen = find_m_feasible_partition(cfg, M)
-            assert chosen.key() in oracle
+            assert partition_key(chosen) in oracle
 
 
 def test_partition_covers_irregular_instances_too():
@@ -57,7 +58,7 @@ def test_partition_covers_irregular_instances_too():
         for k in range(25):
             M = Fraction(total) * k / 24
             partition = find_m_feasible_partition(cfg, M)
-            assert partition.key() in enumerate_feasible_partitions(cfg, M)
+            assert partition_key(partition) in enumerate_feasible_partitions(cfg, M)
 
 
 def _totality_configs(rng, count):
@@ -109,7 +110,7 @@ def test_allocation_examples():
     p = find_m_feasible_partition(cfg, 2)
     a = allocate_memory(p, cfg, 2)
     assert a.amounts == (Fraction(2),)
-    assert a.alphas == (Fraction(1),)
+    assert allocation_alphas(a) == (Fraction(1),)
 
     p8 = find_m_feasible_partition(cfg, 8)
     a8 = allocate_memory(p8, cfg, 8)
@@ -270,8 +271,8 @@ def test_coincident_thresholds_match_the_scan_oracle():
                 mems |= {T_J, T_J + Fraction(lv.files, K), T_J + lv.files}
         for M in sorted(M for M in mems if M <= total):
             chosen = find_m_feasible_partition(cfg, M)
-            assert chosen.key() == scan_partition(cfg, M).key(), (cfg, M)
-            assert chosen.key() in enumerate_feasible_partitions(cfg, M), (cfg, M)
+            assert partition_key(chosen) == partition_key(scan_partition(cfg, M)), (cfg, M)
+            assert partition_key(chosen) in enumerate_feasible_partitions(cfg, M), (cfg, M)
             checked += 1
         ratios = [Fraction(lv.files, lv.users) for lv in cfg.levels]
         single_cache += K == 1

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cachelab.radicals import RootSum, _int_str, as_exact_str, exact_sign, to_decimal
+from cachelab.radicals import (RootSum, _int_str, _shrink_kernel, as_exact_str, exact_sign,
+                               to_decimal)
 from oracles import conjugate_product_inverse, insert_route_add, insert_route_mul, raw
 
 
@@ -86,6 +87,25 @@ def test_tight_comparison_against_convergent():
     # below 1e-7, far inside one interval-refinement round.
     assert RootSum.sqrt(2) < Fraction(3363, 2378)
     assert RootSum.sqrt(2) > Fraction(2378, 1682)
+
+
+def test_sign_refines_past_the_floor_precision():
+    # sqrt(4^300 + 1) - 2^300 is about 2^-301, inside the 256-bit enclosure
+    # that sign() starts from, so it has to double its precision.
+    x = RootSum.sqrt(2 ** 600 + 1) - 2 ** 300
+    lo, hi = x.interval(256)
+    assert lo <= 0 <= hi
+    assert x.sign() == 1
+    assert (-x).sign() == -1
+
+
+def test_shrink_kernel_splits_off_a_square_factor():
+    # n = mult^2 * kernel, with kernel 1 exactly for perfect squares: a
+    # non-square n leaves no square quotient, so one test on entry suffices.
+    for n in range(10 ** 5):
+        kernel, mult = _shrink_kernel(n)
+        assert mult * mult * kernel == n, n
+        assert (kernel == 1) == (math.isqrt(n) ** 2 == n), n
 
 
 def test_interval_encloses_value():

@@ -386,6 +386,7 @@ def test_deliver_rejects_bad_demands():
         deliver(pl, [(2, 0)])
     with pytest.raises(ValueError):
         deliver(pl, [(0, 5)])
+    assert not verify_decode(pl, deliver(pl, [(0, 0), (1, 1)]), [(0, 0), (2, 1)])
 
 
 def test_verify_detects_missing_message():

@@ -9,8 +9,9 @@ from cachelab.model import SystemConfig, validate_single_user
 from cachelab.single_user import (cluster_place_deliver,
                                   cluster_place_deliver_decentralized,
                                   partition_su, rate_clustering,
-                                  rate_upper_bound_su, refine_partition_su)
-from oracles import fraction_rate_clustering, team_enumeration_decentralized
+                                  refine_partition_su)
+from oracles import (fraction_rate_clustering, rate_upper_bound_su, su_anomalies,
+                     team_enumeration_decentralized)
 
 
 def two_levels():
@@ -80,7 +81,7 @@ def test_rate_matches_fraction_formula_oracle():
 def test_refine_examples():
     r = refine_partition_su(two_levels(), 10)
     assert (set(r.G), set(r.J)) == ({1}, {0})
-    assert not r.anomalies
+    assert not su_anomalies(two_levels(), 10)
     r_all_j = refine_partition_su(two_levels(), 101)
     assert set(r_all_j.J) == {0, 1}
     cfg = SystemConfig.single_user(6, [(60, 6)])
@@ -92,7 +93,7 @@ def test_refine_surfaces_anomalies():
     cfg = SystemConfig.single_user(1, [(100, 1)])
     r = refine_partition_su(cfg, 50)
     assert set(r.J) == {0}
-    assert r.anomalies == (0,)
+    assert su_anomalies(cfg, 50) == (0,)
 
 
 def test_upper_bound_examples():
@@ -118,8 +119,7 @@ def test_upper_bound_dominates_rate_without_anomalies():
         total = cfg.total_files
         for k in range(1, 8):
             M = Fraction(total) * k / 7
-            refined = refine_partition_su(cfg, M)
-            if refined.anomalies:
+            if su_anomalies(cfg, M):
                 continue
             checked += 1
             assert rate_clustering(cfg, M).achievable <= rate_upper_bound_su(cfg, M)
@@ -146,6 +146,12 @@ def test_cluster_run_rejects_bad_input():
         cluster_place_deliver(cfg, 1, [0, 1], [0, 0])
     with pytest.raises(ValueError):
         cluster_place_deliver(cfg, 1, [0, 0], [0, 9])
+    two = SystemConfig.single_user(2, [(4, 1), (4, 1)])
+    assert cluster_place_deliver(two, 1, [0, 1], [0, 0]).total_size > 0
+    with pytest.raises(ValueError, match="level counts"):
+        cluster_place_deliver(two, 1, [0, 0], [0, 0])
+    with pytest.raises(ValueError, match="one demand per cache"):
+        cluster_place_deliver(two, 1, [0, 1], [0])
 
 
 def _assignments(config):

@@ -44,8 +44,11 @@ H1 is strictly above alpha at the pivot, the inner lines are strictly below
 the final envelope and are skipped without a cut sum; otherwise each inner
 line's cut sum is read off alpha and beta.
 
-The single-user bound is a cut-set recipe keyed on the four-regime level
-partition, with one small-memory branch below M = 1/6.
+The single-user bound is one cut-set recipe in one pass over the levels:
+the levels with ``6M > N_j`` share a collective cut, the levels that the
+clustering partition leaves uncoded cut a sixth of their users, and the
+rest cut ``ceil(N_i/(6M))``; below M = 1/6 every user is cut in one
+broadcast.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from typing import Optional
 
 from .model import MemoryLike, Setup, SystemConfig, check_memory
 from .radicals import ExactValue
-from .single_user import refine_partition_su
+from .single_user import partition_su
 
 MULTI_USER_GAP = 192
 SINGLE_USER_GAP = 72
@@ -430,52 +433,41 @@ def lower_bound_single_user(config: SystemConfig, M: MemoryLike
                             ) -> tuple[Fraction, SingleUserBoundParams]:
     """Cut-set bound for the single-user setup, clamped at zero.
 
-    Below M = 1/6 a single broadcast with s_i users of each level cut gives
-    ``sum s_i*(min{1, N_i/s_i} - M)``, every user cut when they fit the
-    caches.  Otherwise ``b = ceil(6M)`` and the cut sizes follow the
-    four-regime recipe, the full-storage-regime levels being decoded
-    collectively.  In both branches the total cut budget
-    ``sum s_i + s_J <= K`` is repaired greedily (largest cut first) if
-    violated; a bound over fewer caches is still a bound.
+    Each level gets a cut of s_i users over b broadcasts, worth
+    ``s_i*(min{1, N_i/(s_i*b)} - M/b)``, and the levels J with ``6M > N_j``
+    are decoded collectively.  Below M = 1/6 one broadcast cuts every user
+    and J is empty.  Otherwise ``b = ceil(6M)``: a level the clustering
+    leaves uncoded (`partition_su`) cuts ``ceil(K_h/6)`` users, 1 when it
+    has at most five, and every other level ``ceil(N_i/(6M))``.  The total
+    cut budget ``sum s_i + s_J <= K`` is repaired greedily (largest cut
+    first) if violated; a bound over fewer caches is still a bound.
     """
     M = check_memory(M)
     levels = config.levels
-    K = config.caches
     if M < SMALL_MEMORY_THRESHOLD:
-        s, _ = _fit_cut_budget([lv.users for lv in levels], 0, K)
-        value = Fraction(0)
-        for s_i, lv in zip(s, levels):
-            if s_i:
-                value += s_i * (min(Fraction(1), Fraction(lv.files, s_i)) - M)
-        params = SingleUserBoundParams(1, tuple(s), 0, 0)
-        return max(value, Fraction(0)), params
-
-    b = math.ceil(6 * M)
-    refined = refine_partition_su(config, M)
-    # Each cut is within its levels' users: 1 for G, ceil(K_h/6) for H; for
-    # I, N_i/K_i <= M gives ceil(N_i/(6M)) <= ceil(K_i/6) <= K_i; for J,
-    # every N_j < 6M gives ceil(N_J/(6M)) <= |J| <= K_J.  So the repair loop
-    # runs only when the level user counts sum to more than K.
-    s = [0] * len(levels)
-    for g in refined.G:
-        s[g] = 1
-    for h in refined.H:
-        s[h] = -(-levels[h].users // 6)
-    for i in refined.I:
-        s[i] = math.ceil(Fraction(levels[i].files) / (6 * M))
-    n_total_j = sum(levels[j].files for j in refined.J)
-    s_j = math.ceil(Fraction(n_total_j) / (6 * M)) if refined.J and M < n_total_j else 0
-    s, s_j = _fit_cut_budget(s, s_j, K)
+        b, s, J = 1, [lv.users for lv in levels], ()
+    else:
+        # Each cut is within its levels' users: ceil(K_h/6) <= K_h; for the
+        # other levels outside J, N_i/K_i <= M gives ceil(N_i/(6M)) <=
+        # ceil(K_i/6) <= K_i; for J, every N_j < 6M gives ceil(N_J/(6M)) <=
+        # |J| <= K_J.  So the repair runs only when the level user counts
+        # sum to more than K.
+        b = math.ceil(6 * M)
+        uncoded = partition_su(config, M).Hprime
+        J = tuple(j for j, lv in enumerate(levels) if 6 * M > lv.files)
+        s = [0 if idx in J else -(-lv.users // 6) if idx in uncoded
+             else math.ceil(lv.files / (6 * M)) for idx, lv in enumerate(levels)]
+    n_total_j = sum(levels[j].files for j in J)
+    s_j = math.ceil(n_total_j / (6 * M)) if J and M < n_total_j else 0
+    s, s_j = _fit_cut_budget(s, s_j, config.caches)
 
     value = Fraction(0)
-    for idx, lv in enumerate(levels):
-        if idx in refined.J or s[idx] == 0:
-            continue
-        value += s[idx] * (min(Fraction(1), Fraction(lv.files, s[idx] * b)) - Fraction(M, b))
+    for s_i, lv in zip(s, levels):
+        if s_i:
+            value += s_i * (min(Fraction(1), Fraction(lv.files, s_i * b)) - Fraction(M, b))
     n_j = 0
     if s_j > 0:
-        per_broadcast = sum(min(b, levels[j].files) for j in refined.J)
-        n_j = min(n_total_j, s_j * b, per_broadcast)
+        n_j = min(n_total_j, s_j * b, sum(min(b, levels[j].files) for j in J))
         value += Fraction(n_j - s_j * M, b)
     params = SingleUserBoundParams(b, tuple(s), s_j, n_j)
     return max(value, Fraction(0)), params

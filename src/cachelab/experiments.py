@@ -18,10 +18,10 @@ from .bounds import (GapReport, gap_report, lower_bound_single_user,
                      optimize_lower_bound_mu)
 from .model import (BETA, MemoryLike, RateReport, Setup, SystemConfig, check_memory,
                     config_to_dict, mixed_classes, validate)
-from .multi_user import rate_memory_sharing, refine_partition
+from .multi_user import rate_memory_sharing
 from .radicals import ExactValue, RootSum, as_exact_str, to_decimal
 from .single_level import rate_single_level
-from .single_user import partition_su, rate_clustering
+from .single_user import rate_clustering
 
 
 def _ratio(a: ExactValue, b: ExactValue) -> ExactValue:
@@ -112,19 +112,21 @@ SWEEP_HEADER = ["M", "rate_achievable", "rate_lower", "gap_ratio",
 
 
 def write_sweep_csv(rows: Sequence[SweepRow], path: str) -> None:
+    """Decimal CSV of the rows; every row is rendered before the file is
+    opened, so a value that cannot be rendered leaves no file."""
+    cells = [[
+        to_decimal(row.M),
+        to_decimal(row.achievable),
+        to_decimal(row.lower) if row.lower is not None else "",
+        to_decimal(row.ratio) if row.ratio is not None else "",
+        ";".join(str(i) for i in row.partition_H),
+        ";".join(str(i) for i in row.partition_I),
+        ";".join(str(i) for i in row.partition_J),
+    ] for row in rows]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_HEADER)
-        for row in rows:
-            writer.writerow([
-                to_decimal(row.M),
-                to_decimal(row.achievable),
-                to_decimal(row.lower) if row.lower is not None else "",
-                to_decimal(row.ratio) if row.ratio is not None else "",
-                ";".join(str(i) for i in row.partition_H),
-                ";".join(str(i) for i in row.partition_I),
-                ";".join(str(i) for i in row.partition_J),
-            ])
+        writer.writerows(cells)
 
 
 def write_sweep_json(rows: Sequence[SweepRow], path: str) -> None:
@@ -144,12 +146,13 @@ def write_sweep_json(rows: Sequence[SweepRow], path: str) -> None:
 
 
 def write_plot_data(rows: Sequence[SweepRow], path: str) -> None:
-    """gnuplot-friendly whitespace-delimited columns: M, achievable, lower."""
+    """gnuplot-friendly whitespace-delimited columns: M, achievable, lower;
+    rendered before the file is opened, like `write_sweep_csv`."""
+    lines = [f"{to_decimal(row.M)} {to_decimal(row.achievable)} "
+             f"{to_decimal(row.lower) if row.lower is not None else 'nan'}\n" for row in rows]
     with open(path, "w") as fh:
         fh.write("# M rate_achievable rate_lower\n")
-        for row in rows:
-            lower = to_decimal(row.lower) if row.lower is not None else "nan"
-            fh.write(f"{to_decimal(row.M)} {to_decimal(row.achievable)} {lower}\n")
+        fh.writelines(lines)
 
 
 # -- strategy dichotomy ------------------------------------------------------
@@ -192,10 +195,10 @@ def dichotomy_multi_user(r: int, M: Optional[MemoryLike] = None) -> DichotomyRes
     s = RootSum.sqrt(n1 * u1) + RootSum.sqrt(n2 * u2)
     approx_ms = s * s / M
     approx_cl = Fraction((n1 + n2) * (u1 + u2)) / M
-    exact_ms = rate_memory_sharing(config, M).achievable
+    report = rate_memory_sharing(config, M)
+    exact_ms = report.achievable
     exact_cl = rate_single_level(M, K, n1 + n2, u1 + u2)
-    refined = refine_partition(config, M)
-    in_regime = (refined.I0 | refined.Iprime | refined.I1) == frozenset(range(2))
+    in_regime = report.partition.I == frozenset(range(2))
     return DichotomyResult(r, M, approx_ms, approx_cl, _ratio(approx_cl, approx_ms),
                            exact_ms, exact_cl, _ratio(exact_cl, exact_ms), in_regime)
 
@@ -219,12 +222,12 @@ def dichotomy_single_user(L: int, files: int = 16,
         s = s + RootSum.sqrt(files)
     approx_ms = s * s / M
     approx_cl = Fraction(L * files) / M
-    exact_cl = rate_clustering(config, M).achievable
+    report = rate_clustering(config, M)
+    exact_cl = report.achievable
     share = M / L
     lone_level = SystemConfig.single_user(files, [(files, files)])
     exact_ms = L * rate_clustering(lone_level, share).achievable
-    part = partition_su(config, M)
-    in_regime = not part.Hprime and share >= 1
+    in_regime = not report.partition.Hprime and share >= 1
     return DichotomyResult(L, M, approx_ms, approx_cl, _ratio(approx_ms, approx_cl),
                            exact_ms, exact_cl, _ratio(exact_ms, exact_cl), in_regime)
 

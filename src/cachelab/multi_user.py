@@ -72,18 +72,6 @@ class Partition:
 
 
 @dataclass(frozen=True)
-class RefinedPartition:
-    """I subdivided into low/intermediate/high memory regimes."""
-
-    H: frozenset[int]
-    I0: frozenset[int]
-    Iprime: frozenset[int]
-    I1: frozenset[int]
-    J: frozenset[int]
-    base: Partition
-
-
-@dataclass(frozen=True)
 class MemoryAllocation:
     """Per-level memory amounts (exact, possibly irrational) and fractions."""
 
@@ -331,26 +319,6 @@ def _exact_sum(values: list[ExactValue]) -> ExactValue:
     return Fraction(num, den)
 
 
-def refine_partition(config: SystemConfig, M: MemoryLike) -> RefinedPartition:
-    """Split I by memory regime: low (I0), intermediate (I'), high (I1).
-    I1 may hold several levels (see `level_rate_bounds`)."""
-    M = check_memory(M)
-    partition = find_m_feasible_partition(config, M)
-    K = config.caches
-    plan = config.fact(_SplitPlan)
-    I0, I1, Iprime = set(), set(), set()
-    for i in partition.I:
-        x = plan.x[i]
-        if M < Fraction(2, K) * x:
-            I0.add(i)
-        elif M > (BETA + Fraction(1, K)) * x:
-            I1.add(i)
-        else:
-            Iprime.add(i)
-    return RefinedPartition(partition.H, frozenset(I0), frozenset(Iprime),
-                            frozenset(I1), partition.J, partition)
-
-
 def rate_memory_sharing(config: SystemConfig, M: MemoryLike) -> RateReport:
     """Total memory-sharing rate: sum of per-level single-level rates.
 
@@ -391,41 +359,46 @@ def rate_memory_sharing(config: SystemConfig, M: MemoryLike) -> RateReport:
 
 
 def level_rate_bounds(config: SystemConfig, M: MemoryLike) -> list[ExactValue]:
-    """Per-level caps on the memory-sharing rates, by refined regime.
+    """Per-level caps on the memory-sharing rates, by memory regime.
 
     No-memory levels are capped at ``K*U_h`` exactly; partial-memory levels
-    at ``2*S_I*sqrt(N_i*U_i)/(M - T_J + V_I)``; high-memory levels at
-    ``(1/beta)*U_i*(1 - (M-T_J)/N_i) + (1/beta)*U_i*(S_I0+S_I')/sqrt(N_i*U_i)``
-    with the separation constant beta = ``BETA``; fully stored levels at 0.
+    at ``2*S_I*sqrt(N_i*U_i)/(M - T_J + V_I)``; fully stored levels at 0.
+    A partial level is in high memory when ``M >= (2/K)*x_i`` and
+    ``M > (beta + 1/K)*x_i``, with ``x_i = sqrt(N_i/U_i)`` and the
+    separation constant beta = ``BETA``, and is capped instead at
+    ``(1/beta)*U_i*(1 - (M-T_J)/N_i) + (1/beta)*U_i*S_low/sqrt(N_i*U_i)``,
+    S_low the sum of ``sqrt(N_l*U_l)`` over the other partial levels.
 
     They presume at most one high-memory level; more raise ValueError.  Two
     partial levels i < j need ``x_j <= (K+1)*x_i`` and regularity gives
     ``x_j >= 80*x_i``, so a regular config with K <= 78 always meets it.
     """
     M = check_memory(M)
-    refined = refine_partition(config, M)
-    if len(refined.I1) > 1:
-        raise ValueError(f"the per-level caps presume at most one high-memory level, "
-                         f"got {len(refined.I1)} at M={M}")
-    part = refined.base
+    part = find_m_feasible_partition(config, M)
     K = config.caches
+    x = config.fact(_SplitPlan).x
+    high = frozenset(i for i in part.I
+                     if not M < Fraction(2, K) * x[i] and M > (BETA + Fraction(1, K)) * x[i])
+    if len(high) > 1:
+        raise ValueError(f"the per-level caps presume at most one high-memory level, "
+                         f"got {len(high)} at M={M}")
     levels = config.levels
     inv_beta = 1 / BETA
     W = M - part.T_J + part.V_I
     S_low: ExactValue = Fraction(0)
-    for i in refined.I0 | refined.Iprime:
+    for i in part.I - high:
         S_low = S_low + _sqrt_nu(levels[i])
     bounds: list[ExactValue] = []
     for idx, lv in enumerate(levels):
-        if idx in refined.H:
+        if idx in part.H:
             bounds.append(Fraction(K * lv.users))
-        elif idx in refined.I0 or idx in refined.Iprime:
-            bounds.append(2 * part.S_I * _sqrt_nu(lv) / W)
-        elif idx in refined.I1:
+        elif idx in high:
             nu = lv.files * lv.users
             term1 = inv_beta * lv.users * (1 - Fraction(M - part.T_J, lv.files))
             term2 = inv_beta * lv.users * (S_low * _sqrt_nu(lv)) * Fraction(1, nu)
             bounds.append(term1 + term2)
+        elif idx in part.I:
+            bounds.append(2 * part.S_I * _sqrt_nu(lv) / W)
         else:
             bounds.append(Fraction(0))
     return bounds

@@ -30,16 +30,6 @@ class ClusterPartition:
     Iprime: frozenset[int]
 
 
-@dataclass(frozen=True)
-class RefinedClusterPartition:
-    """Four-regime split of the levels for the bound recipes."""
-
-    G: frozenset[int]
-    H: frozenset[int]
-    I: frozenset[int]
-    J: frozenset[int]
-
-
 def partition_su(config: SystemConfig, M: MemoryLike) -> ClusterPartition:
     """Exact threshold split: h is uncoded iff M < N_h/K_h, that is iff
     ``p*K_h < N_h*q`` for M = p/q."""
@@ -73,29 +63,6 @@ def rate_clustering(config: SystemConfig, M: MemoryLike) -> RateReport:
         regular=config.fact(validate_single_user).ok,
         partition=part,
     )
-
-
-def refine_partition_su(config: SystemConfig, M: MemoryLike) -> RefinedClusterPartition:
-    """Membership exactly per the four regime predicates.
-
-    The first three cover every level with ``M <= N_i/6`` (uncoded with at
-    most five users, uncoded with six or more, or not uncoded), so J takes
-    the rest, ``M > N_i/6``.
-    """
-    M = check_memory(M)
-    G, H, I, J = set(), set(), set(), set()
-    for idx, lv in enumerate(config.levels):
-        n, k = Fraction(lv.files), lv.users
-        uncoded = M < n / k
-        if uncoded and k <= 5 and M <= n / 6:
-            G.add(idx)
-        elif uncoded and k >= 6:
-            H.add(idx)
-        elif n / k <= M <= n / 6:
-            I.add(idx)
-        else:
-            J.add(idx)
-    return RefinedClusterPartition(frozenset(G), frozenset(H), frozenset(I), frozenset(J))
 
 
 @dataclass(frozen=True)

@@ -9,15 +9,19 @@ import math
 import random
 from fractions import Fraction
 
-from cachelab.bounds import (MultiUserBoundParams, _b_crossings, _b_ladder, _b_search_limit,
-                             _bound_lines, _window_limit, best_cut_sizes)
-from cachelab.model import RateReport, Setup, check_memory, validate_multi_user
+from dataclasses import dataclass
+
+from cachelab.bounds import (SMALL_MEMORY_THRESHOLD, MultiUserBoundParams,
+                             SingleUserBoundParams, _b_crossings, _b_ladder, _b_search_limit,
+                             _bound_lines, _fit_cut_budget, _window_limit, best_cut_sizes)
+from cachelab.experiments import audit_grid
+from cachelab.model import BETA, RateReport, Setup, check_memory, validate_multi_user
 from cachelab.multi_user import (MemoryAllocation, Partition, _sqrt_n_over_u, _sqrt_nu,
-                                 _sums, refine_partition)
+                                 _sums)
 from cachelab.radicals import RootSum
 from cachelab.single_level import (Message, PlacementState, SubfileId, Transcript, _layers,
                                    _rows, symbol_mask)
-from cachelab.single_user import DecentralizedRun, _super_level, refine_partition_su
+from cachelab.single_user import DecentralizedRun, _super_level
 
 
 def _split_conditions(config, M, H, I, J):
@@ -141,6 +145,92 @@ def fraction_rate_clustering(config, M):
     if n_super and M > 0:
         rate += max(Fraction(n_super) / M - 1, Fraction(0))
     return uncoded, rate
+
+
+def regime_memories(config):
+    """The memories where a regime test can flip, 0, 1/12, 1/6 and every
+    ``N_i/6`` and ``N_i/K_i``, with the config's audit grid."""
+    mems = {Fraction(0), Fraction(1, 12), Fraction(1, 6)}
+    for lv in config.levels:
+        mems |= {Fraction(lv.files, 6), Fraction(lv.files, lv.users)}
+    return sorted(mems | set(audit_grid(config)))
+
+
+@dataclass(frozen=True)
+class RefinedClusterPartition:
+    """Four-regime split of the single-user levels for the bound recipes."""
+
+    G: frozenset[int]
+    H: frozenset[int]
+    I: frozenset[int]
+    J: frozenset[int]
+
+
+def refine_partition_su(config, M):
+    """Membership exactly per the four regime predicates.
+
+    The first three cover every level with ``M <= N_i/6`` (uncoded with at
+    most five users, uncoded with six or more, or not uncoded), so J takes
+    the rest, ``M > N_i/6``.
+    """
+    M = check_memory(M)
+    G, H, I, J = set(), set(), set(), set()
+    for idx, lv in enumerate(config.levels):
+        n, k = Fraction(lv.files), lv.users
+        uncoded = M < n / k
+        if uncoded and k <= 5 and M <= n / 6:
+            G.add(idx)
+        elif uncoded and k >= 6:
+            H.add(idx)
+        elif n / k <= M <= n / 6:
+            I.add(idx)
+        else:
+            J.add(idx)
+    return RefinedClusterPartition(frozenset(G), frozenset(H), frozenset(I), frozenset(J))
+
+
+def regime_lower_bound_su(config, M):
+    """The single-user cut-set bound with one branch per regime of
+    `refine_partition_su`: below M = 1/6 every user in one broadcast;
+    otherwise ``b = ceil(6M)``, 1 user for G, ``ceil(K_h/6)`` for H,
+    ``ceil(N_i/(6M))`` for I and a collective cut over J."""
+    M = check_memory(M)
+    levels = config.levels
+    K = config.caches
+    if M < SMALL_MEMORY_THRESHOLD:
+        s, _ = _fit_cut_budget([lv.users for lv in levels], 0, K)
+        value = Fraction(0)
+        for s_i, lv in zip(s, levels):
+            if s_i:
+                value += s_i * (min(Fraction(1), Fraction(lv.files, s_i)) - M)
+        params = SingleUserBoundParams(1, tuple(s), 0, 0)
+        return max(value, Fraction(0)), params
+
+    b = math.ceil(6 * M)
+    refined = refine_partition_su(config, M)
+    s = [0] * len(levels)
+    for g in refined.G:
+        s[g] = 1
+    for h in refined.H:
+        s[h] = -(-levels[h].users // 6)
+    for i in refined.I:
+        s[i] = math.ceil(Fraction(levels[i].files) / (6 * M))
+    n_total_j = sum(levels[j].files for j in refined.J)
+    s_j = math.ceil(Fraction(n_total_j) / (6 * M)) if refined.J and M < n_total_j else 0
+    s, s_j = _fit_cut_budget(s, s_j, K)
+
+    value = Fraction(0)
+    for idx, lv in enumerate(levels):
+        if idx in refined.J or s[idx] == 0:
+            continue
+        value += s[idx] * (min(Fraction(1), Fraction(lv.files, s[idx] * b)) - Fraction(M, b))
+    n_j = 0
+    if s_j > 0:
+        per_broadcast = sum(min(b, levels[j].files) for j in refined.J)
+        n_j = min(n_total_j, s_j * b, per_broadcast)
+        value += Fraction(n_j - s_j * M, b)
+    params = SingleUserBoundParams(b, tuple(s), s_j, n_j)
+    return max(value, Fraction(0)), params
 
 
 def su_anomalies(config, M):
@@ -477,6 +567,71 @@ def insert_route_mul(x, y):
                 g = math.gcd(k1, k2)
                 out.insert((k1 // g) * (k2 // g), c1 * c2 * g)
     return out
+
+
+@dataclass(frozen=True)
+class RefinedPartition:
+    """The partial-memory set I of a multi-user partition subdivided into
+    low (I0), intermediate (I') and high (I1) memory regimes."""
+
+    H: frozenset[int]
+    I0: frozenset[int]
+    Iprime: frozenset[int]
+    I1: frozenset[int]
+    J: frozenset[int]
+    base: Partition
+
+
+def refine_partition(config, M):
+    """Split the I of `scan_partition` by memory regime, with
+    ``x_i = sqrt(N_i/U_i)``: low when ``M < (2/K)*x_i``, else high when
+    ``M > (beta + 1/K)*x_i``, else intermediate.  I1 may hold several levels."""
+    M = check_memory(M)
+    partition = scan_partition(config, M)
+    K = config.caches
+    I0, I1, Iprime = set(), set(), set()
+    for i in partition.I:
+        x = _sqrt_n_over_u(config.levels[i])
+        if M < Fraction(2, K) * x:
+            I0.add(i)
+        elif M > (BETA + Fraction(1, K)) * x:
+            I1.add(i)
+        else:
+            Iprime.add(i)
+    return RefinedPartition(partition.H, frozenset(I0), frozenset(Iprime),
+                            frozenset(I1), partition.J, partition)
+
+
+def regime_level_rate_bounds(config, M):
+    """The per-level caps of `level_rate_bounds`, one branch per regime of
+    `refine_partition`; more than one high-memory level raises ValueError."""
+    M = check_memory(M)
+    refined = refine_partition(config, M)
+    if len(refined.I1) > 1:
+        raise ValueError(f"the per-level caps presume at most one high-memory level, "
+                         f"got {len(refined.I1)} at M={M}")
+    part = refined.base
+    K = config.caches
+    levels = config.levels
+    inv_beta = 1 / BETA
+    W = M - part.T_J + part.V_I
+    S_low = Fraction(0)
+    for i in refined.I0 | refined.Iprime:
+        S_low = S_low + _sqrt_nu(levels[i])
+    bounds = []
+    for idx, lv in enumerate(levels):
+        if idx in refined.H:
+            bounds.append(Fraction(K * lv.users))
+        elif idx in refined.I0 or idx in refined.Iprime:
+            bounds.append(2 * part.S_I * _sqrt_nu(lv) / W)
+        elif idx in refined.I1:
+            nu = lv.files * lv.users
+            term1 = inv_beta * lv.users * (1 - Fraction(M - part.T_J, lv.files))
+            term2 = inv_beta * lv.users * (S_low * _sqrt_nu(lv)) * Fraction(1, nu)
+            bounds.append(term1 + term2)
+        else:
+            bounds.append(Fraction(0))
+    return bounds
 
 
 class CaseNotApplicable(RuntimeError):

@@ -14,10 +14,11 @@ from cachelab.experiments import (audit_grid, random_multi_user_config,
 from cachelab.model import Setup, SystemConfig
 from cachelab.multi_user import rate_memory_sharing
 from cachelab.radicals import exact_sign
-from cachelab.single_user import rate_clustering, refine_partition_su
+from cachelab.single_user import rate_clustering
 from oracles import (CaseNotApplicable, candidate_b_values, cut_sum, grid_bound_mu,
                      linear_envelope_scan, lower_bound_multi_user, matched_bound_params,
-                     reference_bound_lines, validate_bound_params)
+                     reference_bound_lines, refine_partition, refine_partition_su,
+                     regime_lower_bound_su, regime_memories, validate_bound_params)
 
 
 def one_level():
@@ -365,7 +366,6 @@ def test_matched_params_h_cut_size():
         K, [(K, 1), (K * 6400 * 50, 1), (K * 6400 * 50 * 6400, 1)])
     M = Fraction(120)
     params = matched_bound_params(cfg, M)
-    from cachelab.multi_user import refine_partition
     refined = refine_partition(cfg, M)
     assert refined.H and refined.J and refined.Iprime
     for h in refined.H:
@@ -444,6 +444,20 @@ def test_single_user_bound_budget():
             assert sum(params.s) + params.s_J <= K, (cfg, M)
         over += users > K
     assert over >= 10
+
+
+def test_single_user_bound_matches_the_regime_oracle():
+    # One pass over the clustering partition gives the value and the cuts of
+    # the recipe with one branch per regime G, H, I and J.
+    rng = random.Random(29)
+    configs = [random_single_user_config(rng) for _ in range(30)]
+    configs += _irregular_single_user_configs(rng, 60)
+    for _ in range(20):  # wide: up to 40 caches and 8 levels
+        levels = [(rng.randint(1, 400), rng.randint(1, 12)) for _ in range(rng.randint(4, 8))]
+        configs.append(SystemConfig.single_user(rng.randint(1, 40), levels))
+    for cfg in configs:
+        for M in regime_memories(cfg):
+            assert lower_bound_single_user(cfg, M) == regime_lower_bound_su(cfg, M), (cfg, M)
 
 
 def test_bounds_sound_on_random_instances():

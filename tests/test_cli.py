@@ -236,6 +236,8 @@ def test_bad_input_exits_2_with_one_line(mu_config, tmp_path, capsys, argv):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
+    # a sweep renders every row before it opens its output
+    assert not (tmp_path / "rows.csv").exists()
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -10,11 +10,12 @@ from cachelab.experiments import random_multi_user_config
 from cachelab.model import SystemConfig, validate_multi_user
 from cachelab.multi_user import (Partition, _SplitPlan, _sums, allocate_memory,
                                  find_m_feasible_partition, level_rate_bounds,
-                                 rate_memory_sharing, refine_partition)
+                                 rate_memory_sharing)
 from cachelab.radicals import exact_sign
 from cachelab.single_level import rate_single_level
 from oracles import (_split_conditions, allocation_alphas, enumerate_feasible_partitions,
-                     fraction_allocation_amount, partition_key, scan_partition,
+                     fraction_allocation_amount, partition_key, refine_partition,
+                     regime_level_rate_bounds, regime_memories, scan_partition,
                      scan_rate_memory_sharing)
 
 
@@ -307,6 +308,28 @@ def _oracle_configs():
     for K in (2, 4):
         yield SystemConfig.multi_user(K, [(4, 1), (8, 2), (12, 3)])
     yield SystemConfig.multi_user(3, [(2, 1), (6, 3), (5, 1), (15, 3), (10, 5)])
+
+
+def _caps(caps, cfg, M):
+    try:
+        return [repr(cap) for cap in caps(cfg, M)]
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_level_bounds_match_the_regime_oracle():
+    # The caps test high memory inline; the oracle first splits I into the
+    # low, intermediate and high sets of `refine_partition`.
+    configs = list(_oracle_configs())
+    configs += [SystemConfig.multi_user(128, [(1536, 4), (2457600, 1)]),
+                SystemConfig.multi_user(64, [(757, 4), (1851, 2), (2580, 2)])]
+    refused = 0
+    for cfg in configs:
+        for M in regime_memories(cfg) + [Fraction(960), Fraction(10376, 11)]:
+            want = _caps(regime_level_rate_bounds, cfg, M)
+            assert _caps(level_rate_bounds, cfg, M) == want, (cfg, M)
+            refused += isinstance(want, str)
+    assert refused >= 2
 
 
 def _report_json(rate, cfg, M):

@@ -8,10 +8,9 @@ from cachelab.experiments import random_single_user_config
 from cachelab.model import SystemConfig, validate_single_user
 from cachelab.single_user import (cluster_place_deliver,
                                   cluster_place_deliver_decentralized,
-                                  partition_su, rate_clustering,
-                                  refine_partition_su)
-from oracles import (fraction_rate_clustering, rate_upper_bound_su, su_anomalies,
-                     team_enumeration_decentralized)
+                                  partition_su, rate_clustering)
+from oracles import (fraction_rate_clustering, rate_upper_bound_su, refine_partition_su,
+                     su_anomalies, team_enumeration_decentralized)
 
 
 def two_levels():

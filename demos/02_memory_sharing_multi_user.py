@@ -8,8 +8,8 @@ per-level rates against their closed-form caps.
 
 from fractions import Fraction
 
-from cachelab import (SystemConfig, allocate_memory, find_m_feasible_partition,
-                      level_rate_bounds, rate_memory_sharing, rate_single_level)
+from cachelab import (SystemConfig, level_rate_bounds, rate_memory_sharing,
+                      rate_single_level)
 
 # Three levels, popularities separated by the regularity factor 6400.
 config = SystemConfig.multi_user(8, [(16, 2), (204800, 2), (1310720000, 1)])
@@ -27,8 +27,7 @@ for k in (0, 1, 2, 4, 8, 12, 15, 16):
           f"{str(sorted(part.J)):>6} {float(report.achievable):>14.6g}")
 
 M = Fraction(total, 64)
-partition = find_m_feasible_partition(config, M)
-allocation = allocate_memory(partition, config, M)
+allocation = rate_memory_sharing(config, M).allocation
 print(f"\nallocation at M = {float(M):g}:")
 for idx, (lv, amount) in enumerate(zip(config.levels, allocation.amounts)):
     share = float(amount) / float(M) if M else 0.0

@@ -11,9 +11,8 @@ from .radicals import RootSum
 from .single_level import (PlacementState, SubfileId, Transcript, deliver,
                            place, rate_single_level, scheme_rate, verify_decode,
                            worst_case_demands)
-from .multi_user import (MemoryAllocation, Partition, allocate_memory,
-                         find_m_feasible_partition, level_rate_bounds,
-                         rate_memory_sharing)
+from .multi_user import (MemoryAllocation, Partition, find_m_feasible_partition,
+                         level_rate_bounds, rate_memory_sharing)
 from .single_user import (ClusterPartition, ClusterRun, cluster_place_deliver,
                           cluster_place_deliver_decentralized, partition_su,
                           rate_clustering)

@@ -403,6 +403,5 @@ def audit(setup: Setup, count: int, seed: int, grid_points: int = 20) -> AuditSu
                 summary.gap_violations.append({
                     "config": config_to_dict(config), "M": as_exact_str(M),
                     "ratio": float(gap.ratio), "constant": str(gap.constant)})
-            if gap.ratio is not None:
-                summary.record(gap.constant, gap.ratio, config, M)
+            summary.record(gap.constant, gap.ratio, config, M)
     return summary

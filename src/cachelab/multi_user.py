@@ -25,12 +25,13 @@ Fraction is built unless M falls inside an enclosure.
 
 The rest of the rate path is fraction-free where its values are rational.
 A feasible split hands its W back as that integer pair, and ``M_tilde``
-is built from it; `allocate_memory` forms W from the integers of M, T_J
-and V_I, and a level with a rational share (every split with one partial
-level) gets its memory as one Fraction; `rate_memory_sharing` adds the
-rational per-level rates, and forms a rational ``approx_rate``, as integer
-pairs.  Irrational values keep the order of their RootSum operations: it
-decides which of two equivalent kernels a sum keeps, and so how it prints.
+is built from it; `rate_memory_sharing` allocates from the block of the
+split the scan found, with W as the same pair from `_Block.weight`, so a
+level with a rational share (every split with one partial level) gets its
+memory as one Fraction; it adds the rational per-level rates, and forms a
+rational ``approx_rate``, as integer pairs.  Irrational values keep the
+order of their RootSum operations: it decides which of two equivalent
+kernels a sum keeps, and so how it prints.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import Iterable, Optional
 
 from .model import (BETA, LevelSpec, MemoryLike, RateReport, Setup, SystemConfig,
                     check_memory, validate_multi_user)
-from .radicals import Enclosure, ExactValue, Rational, RootSum
+from .radicals import Enclosure, ExactValue, RootSum
 from .single_level import rate_single_level
 
 
@@ -79,9 +80,9 @@ class MemoryAllocation:
     M: Fraction
 
 
-def _sums(levels: tuple[LevelSpec, ...], K: int, I: Iterable[int],
-          J: Iterable[int]) -> tuple[ExactValue, Fraction, Fraction]:
-    """``S_I``, ``T_J`` and ``V_I`` of a split, as defined on `Partition`.
+def _sums(levels: tuple[LevelSpec, ...], K: int,
+          I: Iterable[int]) -> tuple[ExactValue, Fraction]:
+    """``S_I`` and ``V_I`` of a partial-memory set, as defined on `Partition`.
 
     I is summed in the caller's order, which fixes how equivalent kernels
     of ``S_I`` are represented.
@@ -89,9 +90,8 @@ def _sums(levels: tuple[LevelSpec, ...], K: int, I: Iterable[int],
     S_I: ExactValue = Fraction(0)
     for i in I:
         S_I = S_I + _sqrt_nu(levels[i])
-    T_J = sum((Fraction(levels[j].files) for j in J), Fraction(0))
     V_I = sum((Fraction(levels[i].files, K) for i in I), Fraction(0))
-    return S_I, T_J, V_I
+    return S_I, V_I
 
 
 class _Block:
@@ -110,7 +110,7 @@ class _Block:
 
     def __init__(self, plan: _SplitPlan, I: frozenset[int], T_J: Fraction):
         self.I = I
-        self.S_I, _, self.V_I = _sums(plan.levels, plan.caches, I, ())
+        self.S_I, self.V_I = _sums(plan.levels, plan.caches, I)
         offset = self.V_I - T_J
         self.offset = (offset.numerator, offset.denominator)
         self._levels, self._x = plan.levels, plan.x
@@ -118,6 +118,13 @@ class _Block:
         self._inverse: Optional[ExactValue] = None
         self._square: Optional[ExactValue] = None
         self._shares: dict[int, ExactValue] = {}
+
+    def weight(self, M: Fraction) -> tuple[int, int]:
+        """``W = M - T_J + V_I`` as an unreduced integer numerator and
+        positive denominator."""
+        c_num, c_den = self.offset
+        m_den = M.denominator
+        return M.numerator * c_den + c_num * m_den, m_den * c_den
 
     def cut(self, level: int) -> Enclosure:
         cut = self._cuts.get(level)
@@ -171,15 +178,6 @@ class _SplitPlan:
                 self, frozenset(range(j_end, h_start)), self.T[j_end])
         return block
 
-    def partition_block(self, partition: Partition) -> _Block:
-        """The block of a partition's nonempty I, which must be the run of
-        levels between its J and its H."""
-        block = self.split_block(len(partition.J), len(self.levels) - len(partition.H))
-        if block.I != partition.I:
-            raise ValueError(f"partial-memory set {sorted(partition.I)} is not the levels "
-                             f"between J and H in the canonical level order")
-        return block
-
     def admits(self, block: _Block, j_end: int, h_start: int,
                M: Fraction) -> Optional[tuple[int, int]]:
         """Exact check of the three membership conditions for the split
@@ -191,13 +189,11 @@ class _SplitPlan:
         and J's last level.  Only those four cuts are compared; levels with
         tied ``N/U`` share a cut value, so any of them decides alike.
 
-        Returns ``W = M - T_J + V_I`` as an unreduced integer numerator and
-        positive denominator if the split is feasible, else None.
+        Returns ``W = M - T_J + V_I`` as `_Block.weight` gives it if the
+        split is feasible, else None.
         """
         K = self.caches
-        c_num, c_den = block.offset
-        m_den = M.denominator
-        w_num, den = M.numerator * c_den + c_num * m_den, m_den * c_den
+        w_num, den = block.weight(M)
         num = K * w_num  # K*W over den
         # h in H:  M_tilde < (1/K)x_h        <=>  S_I*x_h > K*W
         if h_start < len(self.levels) and block.cut(h_start).sign_minus(num, den) <= 0:
@@ -261,46 +257,6 @@ def find_m_feasible_partition(config: SystemConfig, M: MemoryLike) -> Partition:
     raise AssertionError(f"no feasible level partition at M={M}")
 
 
-def allocate_memory(partition: Partition, config: SystemConfig, M: MemoryLike) -> MemoryAllocation:
-    """Per-level memory: none for H, everything for J, threshold-matched for I.
-
-    A level i in I gets ``W*(sqrt(N_i*U_i)*S_I^-1) - N_i/K`` with
-    ``W = M - T_J + V_I``, so M is the memory the partition was found for.
-    W is formed as an integer pair w/d; with a rational share a/b (every
-    split with one partial level) the amount is the one Fraction
-    ``(K*a*w - b*N_i*d) / (K*b*d)``.  An I that is not the run of the
-    canonical level order between J and H raises ValueError.
-    """
-    M = check_memory(M)
-    levels = config.levels
-    K = config.caches
-    if partition.I:
-        block = config.fact(_SplitPlan).partition_block(partition)
-        w, d = _weight(M, partition.T_J, partition.V_I)
-    amounts: list[ExactValue] = []
-    for idx, lv in enumerate(levels):
-        if idx in partition.J:
-            amounts.append(Fraction(lv.files))
-        elif idx in partition.I:
-            share = block.share(idx)
-            if type(share) is Fraction:
-                a, b = share.numerator, share.denominator
-                amounts.append(Fraction(K * a * w - b * lv.files * d, K * b * d))
-            else:
-                amounts.append(share * Fraction(w, d) - Fraction(lv.files, K))
-        else:
-            amounts.append(Fraction(0))
-    return MemoryAllocation(tuple(amounts), M)
-
-
-def _weight(M: Fraction, T_J: Fraction, V_I: Rational) -> tuple[int, int]:
-    """``W = M - T_J + V_I`` as an unreduced integer numerator and positive
-    denominator."""
-    t, v = T_J.denominator, V_I.denominator
-    return ((M.numerator * t - T_J.numerator * M.denominator) * v
-            + V_I.numerator * M.denominator * t), M.denominator * t * v
-
-
 def _exact_sum(values: list[ExactValue]) -> ExactValue:
     """``sum(values)`` in order, as Fractions add.
 
@@ -322,6 +278,13 @@ def _exact_sum(values: list[ExactValue]) -> ExactValue:
 def rate_memory_sharing(config: SystemConfig, M: MemoryLike) -> RateReport:
     """Total memory-sharing rate: sum of per-level single-level rates.
 
+    The allocation gives each level none of the memory in H, its whole
+    library in J, and in I ``W*(sqrt(N_i*U_i)*S_I^-1) - N_i/K`` with
+    ``W = M - T_J + V_I``, read from the block of the split the scan found.
+    W is the integer pair w/d of `_Block.weight`; with a rational share a/b
+    (every split with one partial level) the amount is the one Fraction
+    ``(K*a*w - b*N_i*d) / (K*b*d)``.
+
     The exact rate sums ``rate_single_level`` over the allocation.  The
     closed-form display expression
     ``sum_H K*U_h + S_I^2/(M - T_J) - sum_I U_i`` is attached to the report
@@ -332,17 +295,30 @@ def rate_memory_sharing(config: SystemConfig, M: MemoryLike) -> RateReport:
     """
     M = check_memory(M)
     partition = find_m_feasible_partition(config, M)
-    allocation = allocate_memory(partition, config, M)
     K, levels = config.caches, config.levels
+    j_end, h_start = len(partition.J), len(levels) - len(partition.H)
+    amounts: list[ExactValue] = [Fraction(lv.files) for lv in levels[:j_end]]
+    if partition.I:
+        block = config.fact(_SplitPlan).split_block(j_end, h_start)
+        w, d = block.weight(M)
+        for i in range(j_end, h_start):
+            share, files = block.share(i), levels[i].files
+            if type(share) is Fraction:
+                a, b = share.numerator, share.denominator
+                amounts.append(Fraction(K * a * w - b * files * d, K * b * d))
+            else:
+                amounts.append(share * Fraction(w, d) - Fraction(files, K))
+    amounts += [Fraction(0)] * (len(levels) - h_start)
     rate = _exact_sum([rate_single_level(amount, K, lv.files, lv.users)
-                       for lv, amount in zip(levels, allocation.amounts)])
+                       for lv, amount in zip(levels, amounts)])
     approx = None
     if partition.I and M != partition.T_J:
         users_H = sum(K * levels[h].users for h in partition.H)
         users_I = sum(levels[i].users for i in partition.I)
-        square = config.fact(_SplitPlan).partition_block(partition).square()
+        square = block.square()
         if type(square) is Fraction:
-            m, e = _weight(M, partition.T_J, 0)
+            # T_J is a whole number, so M - T_J = (p - T_J*q)/q at M = p/q
+            m, e = M.numerator - partition.T_J.numerator * M.denominator, M.denominator
             s, r = square.numerator, square.denominator
             approx = Fraction((users_H - users_I) * r * m + s * e, r * m)
         else:
@@ -353,7 +329,7 @@ def rate_memory_sharing(config: SystemConfig, M: MemoryLike) -> RateReport:
         achievable=rate,
         regular=config.fact(validate_multi_user).ok,
         partition=partition,
-        allocation=allocation,
+        allocation=MemoryAllocation(tuple(amounts), M),
         extras={"approx_rate": approx},
     )
 

@@ -30,7 +30,8 @@ def _split_conditions(config, M, H, I, J):
     levels = config.levels
     if not I:
         return False
-    S_I, T_J, V_I = _sums(levels, K, I, J)
+    S_I, V_I = _sums(levels, K, I)
+    T_J = sum((Fraction(levels[j].files) for j in J), Fraction(0))
     KW = K * (M - T_J + V_I)
     # h in H:  M_tilde < (1/K)sqrt(N_h/U_h)    <=>  K*W < S_I*sqrt(N_h/U_h)
     for h in H:
@@ -50,7 +51,8 @@ def _split_conditions(config, M, H, I, J):
 
 
 def _build_partition(config, M, H, I, J):
-    S_I, T_J, V_I = _sums(config.levels, config.caches, I, J)
+    S_I, V_I = _sums(config.levels, config.caches, I)
+    T_J = sum((Fraction(config.levels[j].files) for j in J), Fraction(0))
     M_tilde = None
     if I:
         M_tilde = (M - T_J + V_I) / S_I

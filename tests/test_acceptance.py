@@ -15,8 +15,8 @@ from cachelab.experiments import (audit, dichotomy_multi_user,
                                   dichotomy_single_user,
                                   random_multi_user_config)
 from cachelab.model import Setup, SystemConfig
-from cachelab.multi_user import (allocate_memory, find_m_feasible_partition,
-                                 level_rate_bounds)
+from cachelab.multi_user import (find_m_feasible_partition, level_rate_bounds,
+                                 rate_memory_sharing)
 from cachelab.radicals import exact_sign
 from cachelab.single_level import (deliver, place, rate_single_level,
                                    scheme_rate, verify_decode)
@@ -148,7 +148,7 @@ def test_criterion_7_partition_oracle_equivalence():
             chosen = find_m_feasible_partition(config, M)
             oracle = enumerate_feasible_partitions(config, M)
             assert partition_key(chosen) in oracle, (config, M)
-            allocation = allocate_memory(chosen, config, M)
+            allocation = rate_memory_sharing(config, M).allocation
             acc = Fraction(0)
             for lv, amount in zip(config.levels, allocation.amounts):
                 assert exact_sign(amount) >= 0
@@ -168,8 +168,7 @@ def test_criterion_8_per_level_rate_caps():
         total = config.total_files
         for k in (0, 1, 3, 7, 9, 10):
             M = Fraction(total) * k / 10
-            partition = find_m_feasible_partition(config, M)
-            amounts = allocate_memory(partition, config, M).amounts
+            amounts = rate_memory_sharing(config, M).allocation.amounts
             caps = level_rate_bounds(config, M)
             for lv, amount, cap in zip(config.levels, amounts, caps):
                 achieved = rate_single_level(amount, config.caches, lv.files, lv.users)

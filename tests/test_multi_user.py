@@ -8,8 +8,7 @@ import pytest
 from cachelab import radicals
 from cachelab.experiments import random_multi_user_config
 from cachelab.model import SystemConfig, validate_multi_user
-from cachelab.multi_user import (Partition, _SplitPlan, _sums, allocate_memory,
-                                 find_m_feasible_partition, level_rate_bounds,
+from cachelab.multi_user import (_SplitPlan, find_m_feasible_partition, level_rate_bounds,
                                  rate_memory_sharing)
 from cachelab.radicals import exact_sign
 from cachelab.single_level import rate_single_level
@@ -108,17 +107,14 @@ def test_memory_sharing_is_total_on_any_config():
 
 def test_allocation_examples():
     cfg = one_level()
-    p = find_m_feasible_partition(cfg, 2)
-    a = allocate_memory(p, cfg, 2)
+    a = rate_memory_sharing(cfg, 2).allocation
     assert a.amounts == (Fraction(2),)
     assert allocation_alphas(a) == (Fraction(1),)
 
-    p8 = find_m_feasible_partition(cfg, 8)
-    a8 = allocate_memory(p8, cfg, 8)
+    a8 = rate_memory_sharing(cfg, 8).allocation
     assert a8.amounts == (Fraction(8),)  # full storage endpoint
 
-    p9 = find_m_feasible_partition(cfg, 9)
-    a9 = allocate_memory(p9, cfg, 9)
+    a9 = rate_memory_sharing(cfg, 9).allocation
     assert a9.amounts == (Fraction(8),)  # J level stores its library
 
 
@@ -129,8 +125,7 @@ def test_allocation_invariants_randomized():
         total = cfg.total_files
         for M in (Fraction(0), Fraction(total, 9), Fraction(total, 3),
                   Fraction(2 * total, 3), Fraction(total)):
-            p = find_m_feasible_partition(cfg, M)
-            a = allocate_memory(p, cfg, M)
+            a = rate_memory_sharing(cfg, M).allocation
             acc = Fraction(0)
             for lv, amount in zip(cfg.levels, a.amounts):
                 assert exact_sign(amount) >= 0
@@ -209,8 +204,7 @@ def test_per_level_rate_below_bound():
         total = cfg.total_files
         for M in (Fraction(0), Fraction(total, 11), Fraction(total, 2),
                   Fraction(9 * total, 10)):
-            p = find_m_feasible_partition(cfg, M)
-            amounts = allocate_memory(p, cfg, M).amounts
+            amounts = rate_memory_sharing(cfg, M).allocation.amounts
             caps = level_rate_bounds(cfg, M)
             for lv, amount, cap in zip(cfg.levels, amounts, caps):
                 achieved = rate_single_level(amount, cfg.caches, lv.files, lv.users)
@@ -391,8 +385,8 @@ def test_allocation_matches_fraction_formula_oracle():
             mems |= {Fraction(lv.files, cfg.caches), Fraction(lv.files)}
         mems |= {Fraction(rng.randint(0, 8 * total), rng.randint(1, 8)) for _ in range(6)}
         for M in sorted(mems):
-            partition = find_m_feasible_partition(cfg, M)
-            amounts = allocate_memory(partition, cfg, M).amounts
+            report = rate_memory_sharing(cfg, M)
+            partition, amounts = report.partition, report.allocation.amounts
             for i in partition.I:
                 expected = fraction_allocation_amount(partition, cfg, M, i)
                 assert type(amounts[i]) is type(expected) and amounts[i] == expected, (cfg, M)
@@ -414,17 +408,6 @@ def test_exact_threshold_takes_the_certified_fallback(monkeypatch, M):
     assert report.to_json_dict() == scan_rate_memory_sharing(one_level(), M).to_json_dict()
 
 
-def test_allocation_rejects_an_I_that_is_not_a_run_of_the_order():
-    # I holds the first and last levels of the canonical order and J the
-    # middle one, so no split of the scan has this I.
-    cfg = SystemConfig.multi_user(2, [(4, 1), (400, 1), (40000, 1)])
-    I, J = frozenset((0, 2)), frozenset((1,))
-    S_I, T_J, V_I = _sums(cfg.levels, cfg.caches, I, J)
-    partition = Partition(frozenset(), I, J, S_I, T_J, V_I, None)
-    with pytest.raises(ValueError, match="is not the levels between J and H"):
-        allocate_memory(partition, cfg, 500)
-
-
 def test_partition_scan_rejects_a_single_user_config():
     with pytest.raises(ValueError, match="expected a multi-user config, got single-user"):
         find_m_feasible_partition(SystemConfig.single_user(4, [(8, 4)]), 1)
@@ -437,3 +420,15 @@ def test_rate_memory_sharing_validates_a_config_once(count_calls):
     for M in range(8):
         rate_memory_sharing(cfg, M)
     assert len(calls) == 1 and calls[0] is cfg
+
+
+def test_rate_memory_sharing_scans_the_partition_once(count_calls):
+    # The allocation and approx_rate read the block of the split the scan
+    # found, so each rate runs the scan once; above the library size too,
+    # where every level is fully stored.
+    cfg = SystemConfig.multi_user(4, [(8, 2), (25600, 1)])
+    memories = [0, 1, 8, 100, cfg.total_files, cfg.total_files + 1]
+    calls = count_calls(find_m_feasible_partition)
+    for M in memories:
+        rate_memory_sharing(cfg, M)
+    assert calls == [cfg] * len(memories)

@@ -9,11 +9,14 @@ the closed-form witness parameters used by the gap analysis, so the audited
 ratios stay within the published constants.  For each parameter choice the
 bound is a line in M, and the grid does not depend on M, so the optimizer
 builds the upper envelope of these lines once per config, together with
-its breakpoints, the memories where consecutive lines meet.  They do not
-decrease, so the maximum at M is the first line whose breakpoint is at
-least M (``bisect_left``), and the lines tied with it are the ones that
-follow while the breakpoint equals M.  A query costs one bisection over
-Fractions and one ``A - (t/b)*M``; no float takes part.
+its breakpoints, the memories where consecutive lines meet, all as
+integers.  The breakpoints do not decrease, so the maximum at M is the
+first line whose breakpoint is at least M (`_locate`, a bisection by
+integer cross-multiplication, which H1's pivot test below shares), and the
+lines tied with it are the ones that follow while the breakpoint equals M;
+the smallest (t, b) among them wins.  A query builds one Fraction, the
+line's value at M, and computes the window counts of that one line; no
+float takes part.
 
 The envelope is built in one integer pass.  The ``b`` ladder that every
 window size shares is built once per config, and each ``t`` adds only its
@@ -31,8 +34,7 @@ decreasing slope m.  A line is dropped when its A is strictly below
 m.  Such a line is strictly below H1 at every M, hence strictly below the
 final envelope, which would have dropped it anyway; a line that touches
 H1 at a vertex, which can be an exact tie on the envelope, stays, and so
-does a line steeper or flatter than all of H1, which has no minimum.  Window
-counts are recomputed only for the lines left on the envelope.
+does a line steeper or flatter than all of H1, which has no minimum.
 
 Along each t's grid, every level keeps its window count and its side of the
 min over runs of consecutive b, which end at per-level integer
@@ -162,36 +164,47 @@ def _b_crossings(levels: list[tuple[int, int]], t: int, K: int, b_max: int) -> s
     return {c for c in cands if 1 <= c <= b_max}
 
 
-def _upper_hull(lines: list[tuple]) -> list[tuple]:
+def _envelope(lines: list[tuple]) -> tuple[tuple[tuple, ...], tuple[tuple[int, int], ...]]:
     """Upper envelope of lines ``(a, d, t, b)``, meaning ``a/d - (t/b)*M``,
-    given steepest first with distinct slopes.
+    given steepest first with distinct slopes, and its breakpoints.
 
     A line is dropped only when its neighbours beat it strictly at every M,
     so every line that attains the maximum somewhere, exact ties included,
-    stays.
+    stays.  Breakpoint k, where lines k and k + 1 meet, is
+    ``(A_k - A_(k+1))/(m_k - m_(k+1))`` as an unreduced integer pair
+    ``(num, den)`` with den > 0; the breakpoints do not decrease.
     """
     hull: list[tuple] = []
+    breaks: list[tuple[int, int]] = []
     for line in lines:
-        a3, d3, t3, b3 = line
-        # The last line is below the higher of its neighbours at every M iff
-        # it meets the one before it strictly right of where it meets this
-        # one: (A1-A2)/(m1-m2) > (A2-A3)/(m2-m3), cross-multiplied.
-        while len(hull) >= 2:
-            (a1, d1, t1, b1), (a2, d2, t2, b2) = hull[-2], hull[-1]
-            if ((a1 * d2 - a2 * d1) * (t2 * b3 - t3 * b2) * d3 * b1
-                    <= (a2 * d3 - a3 * d2) * (t1 * b2 - t2 * b1) * d1 * b3):
+        a2, d2, t2, b2 = line
+        while hull:
+            a1, d1, t1, b1 = hull[-1]
+            x_n, x_d = (a1 * d2 - a2 * d1) * b1 * b2, d1 * d2 * (t1 * b2 - t2 * b1)
+            # The last line is below the higher of its neighbours at every M
+            # iff it meets the one before it strictly right of where it
+            # meets this one.
+            if not breaks or breaks[-1][0] * x_d <= x_n * breaks[-1][1]:
+                breaks.append((x_n, x_d))
                 break
             hull.pop()
+            breaks.pop()
         hull.append(line)
-    return hull
+    return tuple(hull), tuple(breaks)
 
 
-def _breakpoint(left: tuple, right: tuple) -> tuple[int, int]:
-    """Where two lines ``(a, d, t, b)`` meet, the left one steeper:
-    ``(A1 - A2)/(m1 - m2)`` as an unreduced numerator and positive
-    denominator."""
-    (a1, d1, t1, b1), (a2, d2, t2, b2) = left, right
-    return (a1 * d2 - a2 * d1) * b1 * b2, d1 * d2 * (t1 * b2 - t2 * b1)
+def _locate(breaks: tuple[tuple[int, int], ...], num: int, den: int) -> int:
+    """The first k with ``num/den <= breaks[k]``, den > 0, or len(breaks):
+    the first envelope line that is largest at M = num/den."""
+    lo, hi = 0, len(breaks)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        x_n, x_d = breaks[mid]
+        if num * x_d <= x_n * den:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def _cut_run(zones: list[tuple], smax: int, b: int, last: int) -> tuple[int, int, int, int]:
@@ -231,38 +244,29 @@ def _cut_run(zones: list[tuple], smax: int, b: int, last: int) -> tuple[int, int
     return whole, num, den, end
 
 
-def _above_h1(vertices: list[tuple], whole: int, num: int, dt: int) -> bool:
+def _above_h1(h1: tuple, whole: int, num: int, dt: int) -> bool:
     """Whether H1 is strictly above ``whole`` at ``M* = num/dt``, dt > 0.
 
-    ``vertices`` holds H1's lines ``(b_k, p_k, q_k, r_k)``, steepest first:
-    line k is ``q_k/p_k - M/b_k`` with p_k > 0, and it meets line k + 1 at
-    ``X_k = r_k*b_k/p_k``.  H1 at M* is line k for the first k with
-    ``M* <= X_k``, or the last line, found by bisection in integers.
+    ``h1`` is the envelope of the t = 1 lines and its breakpoints, as
+    `_envelope` returns them; H1 at M* is the line that `_locate` finds.
     """
-    lo, hi = 0, len(vertices) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        b1, p, _, r = vertices[mid]
-        if num * p <= r * b1 * dt:
-            hi = mid
-        else:
-            lo = mid + 1
-    b1, p, q, _ = vertices[lo]
-    # q/p - num/(dt*b1) > whole, times p*dt*b1 > 0
-    return (q - whole * p) * dt * b1 > num * p
+    lines, breaks = h1
+    a, d, _, b = lines[_locate(breaks, num, dt)]
+    # a/d - num/(dt*b) > whole, times d*dt*b > 0
+    return (a - whole * d) * dt * b > num * d
 
 
-def _bound_lines(config: SystemConfig
-                 ) -> tuple[tuple[tuple[Fraction, Fraction, tuple], ...], tuple[Fraction, ...]]:
+def _bound_lines(config: SystemConfig) -> tuple[tuple[tuple, ...], tuple[tuple[int, int], ...]]:
     """Upper envelope of the bound lines ``A - (t/b)*M``, with its breakpoints.
 
-    There is one line per grid candidate (t, b) with its best window counts
-    s, and A is the cut sum at M = 0.  Lines are ``(A, t/b, (t, b, s))``,
-    steepest first.  Of lines with equal slope only the one with the
-    largest A, then the smallest key, is kept.  A line is dropped only when
-    its neighbours beat it strictly at every M, so every line that attains
-    the maximum somewhere, exact ties included, stays.  Breakpoint k is the
-    memory where lines k and k + 1 meet; the breakpoints do not decrease.
+    There is one line per grid candidate (t, b) with its best window counts,
+    and A is the cut sum at M = 0.  Lines are integer tuples ``(a, d, t, b)``
+    with ``A = a/d``, steepest first, and breakpoints are integer pairs, as
+    `_envelope` returns them.  Of lines with equal slope only the one with
+    the largest A, then the smallest (t, b), is kept, so the lines have
+    distinct (t, b).  A line is dropped only when its neighbours beat it
+    strictly at every M, so every line that attains the maximum somewhere,
+    exact ties included, stays.
 
     A candidate (t, b) with g = gcd(t, b) > 1 is skipped when (t/g, b/g) is
     in the grid of t/g: the window counts g*s are valid for (t/g, b/g)
@@ -272,11 +276,11 @@ def _bound_lines(config: SystemConfig
 
     The t = 1 lines come first, and their upper envelope H1 filters the
     rest: a line ``A - m*M`` with ``m_i >= m > m_(i+1)`` for the slopes of
-    H1's lines i and i + 1, which meet at X_i, is dropped when
-    ``A < A_i + (m - m_i)*X_i``, the minimum of ``H1(M) + m*M``.  It is
-    then strictly below H1, hence strictly below the final envelope at
-    every M, and the hull would have dropped it; a line that only touches
-    H1 stays.
+    H1's lines i and i + 1, which meet at X_i, is dropped when it is
+    strictly below H1 at X_i, that is when ``A < A_i + (m - m_i)*X_i``, the
+    minimum of ``H1(M) + m*M``.  It is then strictly below H1, hence
+    strictly below the final envelope at every M, and the hull would have
+    dropped it; a line that only touches H1 stays.
 
     Each t's sorted grid splits into runs of consecutive b over which every
     level keeps its window count and its side of the min; `_cut_run` gives a
@@ -292,14 +296,13 @@ def _bound_lines(config: SystemConfig
     strictly above alpha at M*, the inner lines are strictly below the final
     envelope at every M and are skipped: the hull would have dropped them,
     and a line of equal slope on the envelope is strictly higher, so it is
-    kept either way.  `_above_h1` decides this in integers from H1's
-    vertices.  The test costs a bisection over H1's lines, so it is made only
-    when the run has more inner candidates than that bisection has steps;
-    otherwise, and when H1 at M* is not strictly above alpha, every
-    candidate is visited, its cut sum read off alpha and beta.  t = 1, which
-    builds H1, visits every candidate.  The window counts are computed inline
-    as in `best_cut_sizes`; only the lines left on the envelope get their s
-    from it.
+    kept either way.  `_above_h1` decides this in integers.  The test costs
+    a bisection over H1's breakpoints, so it is made only when the run has
+    more inner candidates than that bisection has steps; otherwise, and
+    when H1 at M* is not strictly above alpha, every candidate is visited,
+    its cut sum read off alpha and beta.  t = 1, which builds H1, visits
+    every candidate.  The window counts are computed inline as in
+    `best_cut_sizes`, and no line keeps them.
     """
     K = config.caches
     b_max = _b_search_limit(config)
@@ -308,7 +311,7 @@ def _bound_lines(config: SystemConfig
     ladder_sorted = sorted(ladder)
     crossings: list[set[int]] = [set()]  # t -> its grid values outside the ladder
     by_slope: dict[tuple[int, int], tuple] = {}  # reduced (t, b) -> line
-    vertices: list[tuple] = []  # H1's lines, each with where it meets the next
+    h1: tuple = ((), ())  # the envelope of the t = 1 lines, once t = 1 is done
     steps = 0  # of _above_h1's bisection
     for t in range(1, K // 2 + 1):
         smax = K // (2 * t)
@@ -317,15 +320,16 @@ def _bound_lines(config: SystemConfig
         extra = _b_crossings(levels, t, K, b_max) - ladder
         crossings.append(extra)
         grid = sorted(ladder_sorted + sorted(extra))
+        h1_lines, h1_breaks = h1
         h = 0  # H1's last line at least as steep as t/b; b only grows
         # H1 filters the b with m_0 >= t/b > m_last.
-        filter_lo, filter_hi = (t * vertices[0][0], t * vertices[-1][0]) if vertices else (0, 0)
+        filter_lo, filter_hi = (t * h1_lines[0][3], t * h1_lines[-1][3]) if h1_lines else (0, 0)
         i = 0
         while i < len(grid):
             whole, num, den, end = _cut_run(zones, smax, grid[i], b_max)
             j = bisect.bisect_right(grid, end, i) - 1  # the run is grid[i..j]
             run = grid[i:j + 1]
-            if t > 1 and j - i - 1 > steps and _above_h1(vertices, whole, num, den * t):
+            if t > 1 and j - i - 1 > steps and _above_h1(h1, whole, num, den * t):
                 run = [grid[i], grid[j]]
             i = j + 1
             for b in run:
@@ -334,11 +338,12 @@ def _bound_lines(config: SystemConfig
                     continue
                 a, d = whole * den * b + num, den * b
                 if filter_lo <= b < filter_hi:
-                    while t * vertices[h + 1][0] <= b:
+                    while t * h1_lines[h + 1][3] <= b:
                         h += 1
-                    b1, p, q, r = vertices[h]
-                    # a/d < A_i + (t/b - 1/b_i)*X_i, times d*b*d_i*b_i*x_d > 0
-                    if a * b * p < d * (b * q + (t * b1 - b) * r):
+                    a1, d1, _, b1 = h1_lines[h]
+                    x_n, x_d = h1_breaks[h]
+                    # a/d - (t/b)*X_h < a1/d1 - X_h/b1, times d*d1*b*b1*x_d > 0
+                    if (a * d1 - a1 * d) * b * b1 * x_d < x_n * d * d1 * (t * b1 - b):
                         continue
                 slope = (t // g, b // g)
                 kept = by_slope.get(slope)
@@ -346,34 +351,14 @@ def _bound_lines(config: SystemConfig
                 if kept is None or a * kept[1] > kept[0] * d:
                     by_slope[slope] = (a, d, t, b)
         if t == 1:
-            hull = _upper_hull(list(by_slope.values()))  # increasing b: steepest first
-            by_slope = {(1, line[3]): line for line in hull}
-            for left, right in zip(hull, hull[1:]):
-                a1, d1, _, b1 = left
-                x_n, x_d = _breakpoint(left, right)
-                vertices.append((b1, d1 * b1 * x_d, a1 * b1 * x_d, x_n * d1))
-            a1, d1, _, b1 = hull[-1]
-            vertices.append((b1, d1 * b1, a1 * b1, 0))  # meets no line
-            steps = len(vertices).bit_length()
+            h1 = _envelope(list(by_slope.values()))  # increasing b: steepest first
+            by_slope = {(1, line[3]): line for line in h1[0]}
+            steps = len(h1[0]).bit_length()
     # Distinct reduced slopes differ by at least 1/P, so floor(t*P/b) orders
     # them strictly, in integers.
     P = max((b for _, b in by_slope), default=1) ** 2
-    hull = _upper_hull([by_slope[slope] for slope in
-                        sorted(by_slope, key=lambda tb: tb[0] * P // tb[1], reverse=True)])
-    lines = tuple((Fraction(a, d), Fraction(t, b), (t, b, best_cut_sizes(config, t, b)))
-                  for a, d, t, b in hull)
-    # Tied lines share a breakpoint: most of them are the t = 1 lines with
-    # every s_i = 1, which all meet at the total library size.  A breakpoint
-    # equal to the one before reuses its Fraction.
-    breakpoints: list[Fraction] = []
-    x_n = x_d = 0
-    for left, right in zip(hull, hull[1:]):
-        n, d = _breakpoint(left, right)
-        if n * x_d != x_n * d or not breakpoints:
-            x_n, x_d = n, d
-            x = Fraction(n, d)
-        breakpoints.append(x)
-    return lines, tuple(breakpoints)
+    return _envelope([by_slope[slope] for slope in
+                      sorted(by_slope, key=lambda tb: tb[0] * P // tb[1], reverse=True)])
 
 
 def optimize_lower_bound_mu(config: SystemConfig, M: MemoryLike
@@ -383,8 +368,9 @@ def optimize_lower_bound_mu(config: SystemConfig, M: MemoryLike
     Every parameter choice in range yields a valid bound, so maximizing
     over the candidate grid is sound by construction.  The maximum is read
     off the config's envelope of lines, ``config.fact(_bound_lines)``,
-    exactly; ties keep the lexicographically smallest (t, b, s).  Raises
-    ValueError for more than ``MAX_BOUND_CACHES`` caches.
+    exactly; ties keep the smallest (t, b), and its window counts come
+    from `best_cut_sizes`.  Raises ValueError for more than
+    ``MAX_BOUND_CACHES`` caches.
     """
     M = check_memory(M)
     if config.caches < 2:
@@ -392,17 +378,20 @@ def optimize_lower_bound_mu(config: SystemConfig, M: MemoryLike
     if config.caches > MAX_BOUND_CACHES:
         raise ValueError(f"the multi-user lower bound is limited to {MAX_BOUND_CACHES} caches, "
                          f"got {config.caches}")
-    lines, breakpoints = config.fact(_bound_lines)
+    lines, breaks = config.fact(_bound_lines)
+    p, q = M.numerator, M.denominator
     # Line k is at least line k + 1 exactly when M is at most their
     # breakpoint, so the maximum is the first line whose breakpoint is at
     # least M, and the lines tied with it follow while the breakpoint is M.
-    k = bisect.bisect_left(breakpoints, M)
-    A, slope, key = lines[k]
-    while k < len(breakpoints) and breakpoints[k] == M:
+    k = _locate(breaks, p, q)
+    a, d, t, b = lines[k]
+    key = (t, b)
+    while k < len(breaks) and breaks[k][0] * q == p * breaks[k][1]:
         k += 1
-        key = min(key, lines[k][2])
-    value = A - slope * M
-    return (value if value > 0 else Fraction(0)), MultiUserBoundParams(*key)
+        key = min(key, lines[k][2:])
+    n = a * b * q - t * p * d  # a/d - (t/b)*(p/q), times d*b*q
+    value = Fraction(n, d * b * q) if n > 0 else Fraction(0)
+    return value, MultiUserBoundParams(*key, best_cut_sizes(config, *key))
 
 
 @dataclass(frozen=True)

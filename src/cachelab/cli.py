@@ -42,6 +42,12 @@ def _emit(data: dict) -> None:
     print(json.dumps(data, indent=2, default=str))
 
 
+def _with_float(data: dict, key: str) -> str:
+    """The exact value at `key`, then its float companion unless it overflowed."""
+    approx = data[key + "_float"]
+    return data[key] if approx is None else f"{data[key]} (~{approx:.6g})"
+
+
 def cmd_rate(args) -> int:
     config = load_config(args.config)
     report, _ = experiments.evaluate(config, args.mem, strict=args.strict)
@@ -50,7 +56,7 @@ def cmd_rate(args) -> int:
     print(f"memory:     {data['memory']}")
     for label, key in (("achievable:", "achievable"), ("lower:", "lower"), ("gap:", "gap_ratio")):
         if key in data:
-            print(f"{label:<11} {data[key]} (~{data[key + '_float']:.6g})")
+            print(f"{label:<11} {_with_float(data, key)}")
     _emit(data)
     return 0
 
@@ -110,7 +116,7 @@ def cmd_mixed(args) -> int:
     config = load_config(args.config)
     report = experiments.mixed_rate(config, args.mem, gamma=args.gamma)
     data = report.to_json_dict()
-    print(f"achievable: {data['achievable']} (~{data['achievable_float']:.6g})")
+    print(f"achievable: {_with_float(data, 'achievable')}")
     _emit(data)
     return 0
 

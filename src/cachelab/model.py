@@ -220,6 +220,14 @@ def validate(config: SystemConfig) -> ValidationReport:
                             + (su.fact(validate_single_user).violations if su else ()))
 
 
+def _float_or_none(value: ExactValue) -> Optional[float]:
+    """``float(value)``, or None when the value is past the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return None
+
+
 @dataclass
 class RateReport:
     """Achievable rate with the witnesses that produced it.
@@ -243,19 +251,21 @@ class RateReport:
     extras: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
+        """The report as JSON values; a ``*_float`` companion is None when
+        its exact value is past the float range."""
         out = {
             "setup": self.setup.value,
             "memory": as_exact_str(self.memory),
             "achievable": as_exact_str(self.achievable),
-            "achievable_float": float(self.achievable),
+            "achievable_float": _float_or_none(self.achievable),
             "regular": self.regular,
         }
         if self.lower is not None:
             out["lower"] = as_exact_str(self.lower)
-            out["lower_float"] = float(self.lower)
+            out["lower_float"] = _float_or_none(self.lower)
         if self.ratio is not None:
             out["gap_ratio"] = as_exact_str(self.ratio)
-            out["gap_ratio_float"] = float(self.ratio)
+            out["gap_ratio_float"] = _float_or_none(self.ratio)
         if self.partition is not None:
             out["partition"] = describe(self.partition)
         if self.allocation is not None:

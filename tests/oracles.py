@@ -448,6 +448,16 @@ def conjugate_product_inverse(x):
     return product / norm
 
 
+def fraction_lines(config):
+    """`_bound_lines` in the form of `reference_bound_lines`: lines
+    ``(A, t/b, (t, b, s))`` with s from `best_cut_sizes`, and the
+    breakpoints as Fractions."""
+    lines, breaks = _bound_lines(config)
+    return (tuple((Fraction(a, d), Fraction(t, b), (t, b, best_cut_sizes(config, t, b)))
+                  for a, d, t, b in lines),
+            tuple(Fraction(n, d) for n, d in breaks))
+
+
 def linear_envelope_scan(config, M):
     """The multi-user bound by a scan of the cached envelope from its first line.
 
@@ -458,7 +468,7 @@ def linear_envelope_scan(config, M):
     if config.caches < 2:
         return Fraction(0), None
     best_val = best_key = None
-    for A, slope, key in _bound_lines(config)[0]:
+    for A, slope, key in fraction_lines(config)[0]:
         value = A - slope * M
         if best_val is not None and value < best_val:
             break

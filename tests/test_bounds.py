@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import math
 import random
@@ -7,18 +8,19 @@ import pytest
 
 from cachelab import bounds
 from cachelab.bounds import (MAX_BOUND_CACHES, MultiUserBoundParams, SingleUserBoundParams,
-                             _b_search_limit, _bound_lines, _cut_run, best_cut_sizes, gap_report,
-                             lower_bound_single_user, optimize_lower_bound_mu)
+                             _b_search_limit, _bound_lines, _cut_run, _locate, best_cut_sizes,
+                             gap_report, lower_bound_single_user, optimize_lower_bound_mu)
 from cachelab.experiments import (audit_grid, random_multi_user_config,
                                   random_single_user_config)
 from cachelab.model import Setup, SystemConfig
 from cachelab.multi_user import rate_memory_sharing
 from cachelab.radicals import exact_sign
 from cachelab.single_user import rate_clustering
-from oracles import (CaseNotApplicable, candidate_b_values, cut_sum, grid_bound_mu,
-                     linear_envelope_scan, lower_bound_multi_user, matched_bound_params,
-                     reference_bound_lines, refine_partition, refine_partition_su,
-                     regime_lower_bound_su, regime_memories, validate_bound_params)
+from oracles import (CaseNotApplicable, candidate_b_values, cut_sum, fraction_lines,
+                     grid_bound_mu, linear_envelope_scan, lower_bound_multi_user,
+                     matched_bound_params, reference_bound_lines, refine_partition,
+                     refine_partition_su, regime_lower_bound_su, regime_memories,
+                     validate_bound_params)
 
 
 def one_level():
@@ -105,7 +107,7 @@ def _oracle_configs():
 
 def _breakpoints(cfg):
     """Non-negative memories where consecutive envelope lines meet."""
-    return sorted({M for M in _bound_lines(cfg)[1] if M >= 0})
+    return sorted({M for M in fraction_lines(cfg)[1] if M >= 0})
 
 
 def test_optimizer_matches_grid_oracle():
@@ -120,7 +122,7 @@ def test_optimizer_matches_grid_oracle():
 def test_bisection_matches_linear_envelope_scan():
     # Every breakpoint ties two lines, so the tie rule is exercised there.
     for cfg in _oracle_configs():
-        slopes = [m for _, m, _ in _bound_lines(cfg)[0]]
+        slopes = [m for _, m, _ in fraction_lines(cfg)[0]]
         assert all(m1 > m2 for m1, m2 in zip(slopes, slopes[1:]))  # steepest first
         points = [Fraction(0)] + _breakpoints(cfg)
         mids = [(a + b) / 2 for a, b in zip(points, points[1:])]
@@ -205,7 +207,44 @@ def _envelope_configs():
 
 def test_envelope_matches_reference_construction():
     for cfg in _envelope_configs():
-        assert _bound_lines(cfg) == reference_bound_lines(cfg), cfg
+        assert fraction_lines(cfg) == reference_bound_lines(cfg), cfg
+
+
+def test_cached_envelope_holds_only_integers():
+    configs = _envelope_configs()
+    for cfg in configs[:40] + configs[-2:]:
+        optimize_lower_bound_mu(cfg, 1)
+        lines, breaks = cfg.fact(_bound_lines)
+        assert lines and len(breaks) == len(lines) - 1
+        assert all(type(x) is int for entry in lines + breaks for x in entry), cfg
+        assert all(len(line) == 4 for line in lines) and all(len(x) == 2 for x in breaks)
+
+
+def test_locate_matches_bisect_left_over_fraction_breakpoints():
+    # At 0, at every breakpoint (runs of equal breakpoints included), between
+    # consecutive breakpoints and past the last one.
+    ties = 0
+    for cfg in _envelope_configs():
+        breaks = _bound_lines(cfg)[1]
+        points = [Fraction(n, d) for n, d in breaks]
+        ties += sum(x == y for x, y in zip(points, points[1:]))
+        mids = [(x + y) / 2 for x, y in zip(points, points[1:])]
+        past = [points[-1] + 1] if points else [Fraction(1)]
+        for M in [Fraction(0)] + points + mids + past:
+            assert _locate(breaks, M.numerator, M.denominator) == bisect.bisect_left(points, M)
+    assert ties > 100
+
+
+def test_only_the_query_computes_window_counts(count_calls):
+    # The envelope build computes no window counts; a query computes those
+    # of its one line.
+    cfg = SystemConfig.multi_user(16, [(40, 2), (3000, 1), (10 ** 6, 3)])
+    calls = count_calls(best_cut_sizes)
+    _bound_lines(cfg)
+    assert calls == []
+    for count, M in enumerate([Fraction(0), Fraction(1, 3), Fraction(7), Fraction(10 ** 7)], 1):
+        optimize_lower_bound_mu(cfg, M)
+        assert len(calls) == count
 
 
 def _level_states(cfg, t, b):
@@ -253,14 +292,14 @@ def _pivot_tests(monkeypatch, cfg):
     tests = []
     above_h1 = bounds._above_h1
 
-    def recorded(vertices, whole, num, dt):
-        decision = above_h1(vertices, whole, num, dt)
+    def recorded(h1, whole, num, dt):
+        decision = above_h1(h1, whole, num, dt)
         h1 = max(A - m * Fraction(num, dt) for A, m in ones)
         tests.append((decision, (h1 > whole) - (h1 < whole)))
         return decision
 
     monkeypatch.setattr(bounds, "_above_h1", recorded)
-    return _bound_lines(cfg), tests
+    return fraction_lines(cfg), tests
 
 
 @pytest.mark.parametrize("caches, levels, sign", [
@@ -308,8 +347,8 @@ def test_envelope_keeps_a_line_whose_reduced_pair_is_off_grid():
     cfg = SystemConfig.multi_user(6, [(1288, 6), (1506, 5), (2095, 2)])
     assert 29 not in candidate_b_values(cfg, 1)
     assert 87 in candidate_b_values(cfg, 3)
-    assert (3, 87, (1, 1, 1)) in [key for _, _, key in _bound_lines(cfg)[0]]
-    assert _bound_lines(cfg) == reference_bound_lines(cfg)
+    assert (3, 87, (1, 1, 1)) in [key for _, _, key in fraction_lines(cfg)[0]]
+    assert fraction_lines(cfg) == reference_bound_lines(cfg)
 
 
 def _matched_case_config():

@@ -218,26 +218,42 @@ def test_directory_config_is_config_error(tmp_path, capsys):
     ["dichotomy", "mu", "--r", "1", "--mem", "0"],
     ["dichotomy", "mu", "--r", "1", "--mem", "288"],
     ["dichotomy", "su", "--levels", "2", "--files", "4", "--mem", "8"],
-    # exact values past the float range overflow where a decimal is printed
-    ["rate", "{huge_users}", "--mem", "0"],
+    # a sweep's exact values past the float range overflow where a decimal is printed
     ["sweep", "{huge_files}", "--points", "2", "--out", "{out}"],
+    # a memory outside [0, N] anywhere in the list rejects the whole sweep
+    ["sweep", "{mu}", "--mems", "1,-1", "--out", "{out}"],
 ])
 def test_bad_input_exits_2_with_one_line(mu_config, tmp_path, capsys, argv):
     zero_beta = tmp_path / "zero_beta.json"
     zero_beta.write_text(json.dumps({"setup": "multi-user", "caches": 4, "beta": "1/0",
                                      "levels": [{"files": 8, "users": 2}]}))
-    huge_users, huge_files = tmp_path / "huge_users.json", tmp_path / "huge_files.json"
-    huge_users.write_text(json.dumps({"setup": "multi-user", "caches": 2, "levels": [
-        {"files": 10 ** 401, "users": 10 ** 400}]}))
+    huge_files = tmp_path / "huge_files.json"
     huge_files.write_text(json.dumps({"setup": "multi-user", "caches": 2, "levels": [
         {"files": 10 ** 400, "users": 1}]}))
-    argv = [a.format(mu=mu_config, zero_beta=zero_beta, huge_users=huge_users,
-                     huge_files=huge_files, out=tmp_path / "rows.csv") for a in argv]
+    argv = [a.format(mu=mu_config, zero_beta=zero_beta, huge_files=huge_files,
+                     out=tmp_path / "rows.csv") for a in argv]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     # a sweep renders every row before it opens its output
     assert not (tmp_path / "rows.csv").exists()
+
+
+def test_rate_past_the_float_range_keeps_the_exact_values(tmp_path, capsys):
+    # The rate and the bound overflow a float; the report keeps their exact
+    # strings, with null float companions and no decimal in the text lines.
+    huge_users = tmp_path / "huge_users.json"
+    huge_users.write_text(json.dumps({"setup": "multi-user", "caches": 2, "levels": [
+        {"files": 10 ** 401, "users": 10 ** 400}]}))
+    assert cli.main(["rate", str(huge_users), "--mem", "0"]) == 0
+    out = capsys.readouterr().out
+    data = json.loads(out[out.index("{"):])
+    assert data["achievable"] == str(2 * 10 ** 400) and data["lower"] == str(10 ** 400)
+    assert data["achievable_float"] is None and data["lower_float"] is None
+    assert data["gap_ratio"] == "2" and data["gap_ratio_float"] == 2.0
+    lines = out.splitlines()
+    assert f"achievable: {2 * 10 ** 400}" in lines and f"lower:      {10 ** 400}" in lines
+    assert "gap:        2 (~2)" in lines
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -16,7 +16,13 @@ and H = ``range(h_start, L)``.  Everything that does not depend on M (the
 prefix sums ``T_J``, the sums over each candidate I, the threshold
 constants with their enclosures, ``S_I^-1``) lives in a `_SplitPlan` that
 each config object keeps as ``config.fact(_SplitPlan)``, one block per
-split, filled only as far as the queries reach.  A membership test forms
+split, filled only as far as the queries reach.  A block also owns the
+memory-independent parts of its split's report: the sets H and J with
+``T_J``, the fixed amounts and rate of the H and J levels, and
+``approx_rate``'s user constant; the plan owns the all-J partition of every
+memory above the library size.  So a report at one memory computes only W,
+the amounts and rates of the levels in I, ``M_tilde`` and ``approx_rate``.
+A membership test forms
 ``K*W = K*(M - T_J + V_I)`` as an unreduced integer numerator and
 denominator, from M's and from ``V_I - T_J``, which the block keeps as an
 integer pair, and compares it by integer cross-multiplication with the
@@ -103,17 +109,35 @@ class _Block:
     integer numerator and positive denominator.  S_I is summed in the order
     of the frozenset I, as `Partition.S_I` is; only the value of a cut
     constant matters, but its inverse, square and shares are printed.
+
+    The block also owns the parts of its split's report that do not depend
+    on M: the sets H and J with ``T_J``, the fixed amounts (each J level's
+    whole library, nothing for H), the fixed levels' rate ``K*sum U_H`` (a
+    fully stored level sends nothing, a level with no memory ``K*U_h``), and
+    ``approx_rate``'s user constant ``K*sum U_H - sum U_I``
+    (`approx_users`).
     """
 
-    __slots__ = ("I", "S_I", "V_I", "offset", "_levels", "_x", "_cuts", "_inverse",
+    __slots__ = ("H", "I", "J", "T_J", "S_I", "V_I", "offset", "J_amounts", "H_amounts",
+                 "fixed_rate", "approx_users", "_levels", "_x", "_cuts", "_inverse",
                  "_square", "_shares")
 
-    def __init__(self, plan: _SplitPlan, I: frozenset[int], T_J: Fraction):
-        self.I = I
-        self.S_I, self.V_I = _sums(plan.levels, plan.caches, I)
-        offset = self.V_I - T_J
+    def __init__(self, plan: _SplitPlan, j_end: int, h_start: int):
+        levels, K = plan.levels, plan.caches
+        L = len(levels)
+        self.H = frozenset(range(h_start, L))
+        self.I = frozenset(range(j_end, h_start))
+        self.J = frozenset(range(j_end))
+        self.T_J = plan.T[j_end]
+        self.S_I, self.V_I = _sums(levels, K, self.I)
+        offset = self.V_I - self.T_J
         self.offset = (offset.numerator, offset.denominator)
-        self._levels, self._x = plan.levels, plan.x
+        self.J_amounts = plan.library[:j_end]
+        self.H_amounts = (Fraction(0),) * (L - h_start)
+        users_H = K * sum(lv.users for lv in levels[h_start:])
+        self.fixed_rate = Fraction(users_H)
+        self.approx_users = users_H - sum(lv.users for lv in levels[j_end:h_start])
+        self._levels, self._x = levels, plan.x
         self._cuts: dict[int, Enclosure] = {}
         self._inverse: Optional[ExactValue] = None
         self._square: Optional[ExactValue] = None
@@ -153,11 +177,13 @@ class _SplitPlan:
     """Memory-independent state of a multi-user config's partition scan.
 
     Holds the levels and cache count (not the config, which keeps the plan),
-    ``sqrt(N_i/U_i)``, the prefix sums ``T[j] = sum_{l<j} N_l``, and one
-    `_Block` per split met so far, keyed by its index pair
-    ``(j_end, h_start)``.  A nonempty I fixes its split, so a partition's
-    block is the one at ``(len(J), L - len(H))``.  A config that is not
-    multi-user is refused with `validate_multi_user`'s ValueError.
+    ``sqrt(N_i/U_i)``, the prefix sums ``T[j] = sum_{l<j} N_l``, each
+    level's library as a Fraction, the all-J `Partition` of every memory
+    above the library size, and one `_Block` per split met so far, keyed by
+    its index pair ``(j_end, h_start)``.  A nonempty I fixes its split, so a
+    partition's block is the one at ``(len(J), L - len(H))``.  A config
+    that is not multi-user is refused with `validate_multi_user`'s
+    ValueError.
     """
 
     def __init__(self, config: SystemConfig):
@@ -168,14 +194,17 @@ class _SplitPlan:
         self.T = [Fraction(0)]
         for lv in self.levels:
             self.T.append(self.T[-1] + lv.files)
+        self.library = tuple(Fraction(lv.files) for lv in self.levels)
+        L = len(self.levels)
+        self.full = Partition(frozenset(), frozenset(), frozenset(range(L)), Fraction(0),
+                              self.T[L], Fraction(0), None)
         self._blocks: dict[tuple[int, int], _Block] = {}
 
     def split_block(self, j_end: int, h_start: int) -> _Block:
         """The block of ``I = range(j_end, h_start)``."""
         block = self._blocks.get((j_end, h_start))
         if block is None:
-            block = self._blocks[j_end, h_start] = _Block(
-                self, frozenset(range(j_end, h_start)), self.T[j_end])
+            block = self._blocks[j_end, h_start] = _Block(self, j_end, h_start)
         return block
 
     def admits(self, block: _Block, j_end: int, h_start: int,
@@ -244,15 +273,13 @@ def find_m_feasible_partition(config: SystemConfig, M: MemoryLike) -> Partition:
     plan = config.fact(_SplitPlan)
     L = len(plan.levels)
     if M.numerator > plan.T[L].numerator * M.denominator:
-        return Partition(frozenset(), frozenset(), frozenset(range(L)), Fraction(0),
-                         plan.T[L], Fraction(0), None)
+        return plan.full
     for j_end in range(L):
         for h_start in range(L, j_end, -1):
             block = plan.split_block(j_end, h_start)
             W = plan.admits(block, j_end, h_start, M)
             if W is not None:
-                return Partition(frozenset(range(h_start, L)), block.I, frozenset(range(j_end)),
-                                 block.S_I, plan.T[j_end], block.V_I,
+                return Partition(block.H, block.I, block.J, block.S_I, block.T_J, block.V_I,
                                  block.inverse() * Fraction(*W))
     raise AssertionError(f"no feasible level partition at M={M}")
 
@@ -283,53 +310,60 @@ def rate_memory_sharing(config: SystemConfig, M: MemoryLike) -> RateReport:
     ``W = M - T_J + V_I``, read from the block of the split the scan found.
     W is the integer pair w/d of `_Block.weight`; with a rational share a/b
     (every split with one partial level) the amount is the one Fraction
-    ``(K*a*w - b*N_i*d) / (K*b*d)``.
+    ``(K*a*w - b*N_i*d) / (K*b*d)``.  The amounts of H and J, and their
+    rates, are the block's: only the partial levels depend on M.
 
-    The exact rate sums ``rate_single_level`` over the allocation.  The
-    closed-form display expression
+    The exact rate sums ``rate_single_level`` over the partial levels, in
+    level order, then adds the block's whole-number rate ``K*sum U_H`` of
+    the other levels.  The closed-form display expression
     ``sum_H K*U_h + S_I^2/(M - T_J) - sum_I U_i`` is attached to the report
     as ``approx_rate``; it is a known approximation and is never used in
     gap checks.  A rational ``S_I^2 = s/r`` (one partial level) makes it the
     one Fraction ``(c*r*m + s*e) / (r*m)``, with ``M - T_J = m/e`` and c the
-    two user sums.
+    block's user constant.
     """
     M = check_memory(M)
     partition = find_m_feasible_partition(config, M)
-    K, levels = config.caches, config.levels
-    j_end, h_start = len(partition.J), len(levels) - len(partition.H)
-    amounts: list[ExactValue] = [Fraction(lv.files) for lv in levels[:j_end]]
-    if partition.I:
-        block = config.fact(_SplitPlan).split_block(j_end, h_start)
+    plan = config.fact(_SplitPlan)
+    if not partition.I:
+        amounts, rate, approx = plan.library, Fraction(0), None
+    else:
+        K, levels = plan.caches, plan.levels
+        j_end, h_start = len(partition.J), len(levels) - len(partition.H)
+        block = plan.split_block(j_end, h_start)
         w, d = block.weight(M)
+        partial: list[ExactValue] = []
+        rates: list[ExactValue] = []
         for i in range(j_end, h_start):
-            share, files = block.share(i), levels[i].files
+            share, lv = block.share(i), levels[i]
             if type(share) is Fraction:
                 a, b = share.numerator, share.denominator
-                amounts.append(Fraction(K * a * w - b * files * d, K * b * d))
+                amount = Fraction(K * a * w - b * lv.files * d, K * b * d)
             else:
-                amounts.append(share * Fraction(w, d) - Fraction(files, K))
-    amounts += [Fraction(0)] * (len(levels) - h_start)
-    rate = _exact_sum([rate_single_level(amount, K, lv.files, lv.users)
-                       for lv, amount in zip(levels, amounts)])
-    approx = None
-    if partition.I and M != partition.T_J:
-        users_H = sum(K * levels[h].users for h in partition.H)
-        users_I = sum(levels[i].users for i in partition.I)
-        square = block.square()
-        if type(square) is Fraction:
-            # T_J is a whole number, so M - T_J = (p - T_J*q)/q at M = p/q
-            m, e = M.numerator - partition.T_J.numerator * M.denominator, M.denominator
-            s, r = square.numerator, square.denominator
-            approx = Fraction((users_H - users_I) * r * m + s * e, r * m)
-        else:
-            approx = users_H + square / (M - partition.T_J) - users_I
+                amount = share * Fraction(w, d) - Fraction(lv.files, K)
+            partial.append(amount)
+            rates.append(rate_single_level(amount, K, lv.files, lv.users))
+        if block.H:
+            rates.append(block.fixed_rate)
+        rate = _exact_sum(rates)
+        amounts = block.J_amounts + tuple(partial) + block.H_amounts
+        # T_J is a whole number, so M - T_J = (p - T_J*q)/q = m/e at M = p/q
+        m, e = M.numerator - block.T_J.numerator * M.denominator, M.denominator
+        approx = None
+        if m:
+            square = block.square()
+            if type(square) is Fraction:
+                s, r = square.numerator, square.denominator
+                approx = Fraction(block.approx_users * r * m + s * e, r * m)
+            else:
+                approx = block.approx_users + square / Fraction(m, e)
     return RateReport(
         setup=Setup.MULTI_USER,
         memory=M,
         achievable=rate,
         regular=config.fact(validate_multi_user).ok,
         partition=partition,
-        allocation=MemoryAllocation(tuple(amounts), M),
+        allocation=MemoryAllocation(amounts, M),
         extras={"approx_rate": approx},
     )
 

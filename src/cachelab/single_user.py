@@ -7,6 +7,13 @@ over exactly the caches whose users request super-level files.  All
 threshold comparisons are exact: at M = p/q, level h is uncoded iff
 ``p*K_h < N_h*q``, and the clustering rate, with its clamp at zero, is one
 integer numerator and denominator made into one Fraction.
+
+That test runs in one place, `_Clusterings`, which each config object keeps
+as ``config.fact(_Clusterings)``.  The canonical order sorts ``N_h/K_h``
+ascending, so the uncoded set is a suffix of it that only shrinks as M
+grows: there are at most L+1 of them.  Each one met so far, keyed by its
+mask, owns its `ClusterPartition`, its uncoded users and its super-level
+library, and `partition_su` and `rate_clustering` read them from there.
 """
 
 from __future__ import annotations
@@ -30,27 +37,56 @@ class ClusterPartition:
     Iprime: frozenset[int]
 
 
+class _Clusterings:
+    """Memory-independent state of a config's clustering partitions.
+
+    The uncoded set at M is a suffix of the canonical order (see the module
+    docstring); its mask is the number of coded levels in front of it, read
+    by one integer pass ``p*K_h < N_h*q`` at M = p/q, so there are at most
+    L+1 masks.  Each mask met so far keeps its `ClusterPartition`, its
+    uncoded users and its super-level library ``sum N_i`` over I'.  Holds
+    the levels' (files, users) pairs, not the config, which keeps this fact.
+    """
+
+    __slots__ = ("_pairs", "_masks")
+
+    def __init__(self, config: SystemConfig):
+        self._pairs = tuple((lv.files, lv.users) for lv in config.levels)
+        self._masks: dict[int, tuple[ClusterPartition, int, int]] = {}
+
+    def at(self, M: Fraction) -> tuple[ClusterPartition, int, int]:
+        """The partition, uncoded users and super-level library at M."""
+        p, q = M.numerator, M.denominator
+        coded = 0
+        for files, users in self._pairs:
+            if p * users < files * q:
+                break
+            coded += 1
+        entry = self._masks.get(coded)
+        if entry is None:
+            pairs = self._pairs
+            entry = self._masks[coded] = (
+                ClusterPartition(frozenset(range(coded, len(pairs))), frozenset(range(coded))),
+                sum(users for _, users in pairs[coded:]),
+                sum(files for files, _ in pairs[:coded]))
+        return entry
+
+
 def partition_su(config: SystemConfig, M: MemoryLike) -> ClusterPartition:
     """Exact threshold split: h is uncoded iff M < N_h/K_h, that is iff
     ``p*K_h < N_h*q`` for M = p/q."""
-    M = check_memory(M)
-    p, q = M.numerator, M.denominator
-    hp = frozenset(i for i, lv in enumerate(config.levels) if p * lv.users < lv.files * q)
-    ip = frozenset(range(len(config.levels))) - hp
-    return ClusterPartition(hp, ip)
+    return config.fact(_Clusterings).at(check_memory(M))[0]
 
 
 def rate_clustering(config: SystemConfig, M: MemoryLike) -> RateReport:
     """Clustering rate: uncoded users plus ``max{(sum_I' N_i)/M - 1, 0}``.
 
     For M = p/q that is ``(u*p + max{n*q - p, 0})/p`` with u the uncoded
-    users and n the super-level library, one Fraction (just u at M = 0).
+    users and n the super-level library, one Fraction (just u at M = 0);
+    the partition, u and n are the mask's.
     """
     M = check_memory(M)
-    part = partition_su(config, M)
-    levels = config.levels
-    users = sum(levels[h].users for h in part.Hprime)
-    n_super = sum(levels[i].files for i in part.Iprime)
+    part, users, n_super = config.fact(_Clusterings).at(M)
     p = M.numerator
     if n_super and p:
         rate = Fraction(users * p + max(n_super * M.denominator - p, 0), p)

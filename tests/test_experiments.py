@@ -6,17 +6,18 @@ from fractions import Fraction
 
 import pytest
 
-from cachelab import cli, experiments, multi_user
-from cachelab.experiments import (AuditSummary, audit, audit_grid, dichotomy_multi_user,
-                                  dichotomy_single_user, evaluate, linear_grid, mixed_rate,
-                                  random_multi_user_config, random_single_user_config,
-                                  sweep, write_plot_data, write_sweep_csv,
-                                  write_sweep_json)
+from cachelab import cli, experiments, multi_user, single_user
+from cachelab.experiments import (GAMMA_GRID, AuditSummary, audit, audit_grid,
+                                  dichotomy_multi_user, dichotomy_single_user, evaluate,
+                                  linear_grid, mixed_rate, random_multi_user_config,
+                                  random_single_user_config, sweep, write_plot_data,
+                                  write_sweep_csv, write_sweep_json)
 from cachelab.model import (LevelSpec, Setup, SystemConfig, config_from_dict, mixed_classes,
                             validate, validate_multi_user, validate_single_user)
 from cachelab.multi_user import rate_memory_sharing
 from cachelab.radicals import exact_sign
 from cachelab.single_user import rate_clustering
+from oracles import fraction_rate_clustering
 
 
 def test_default_grid():
@@ -208,6 +209,28 @@ def test_mixed_rate_validates_each_class_once(count_calls):
     assert mu_calls[0] is mu and su_calls[0] is su
 
 
+def test_mixed_rate_fills_one_mask_per_uncoded_set_and_few_blocks():
+    # One 101-point scan fills a clustering mask per uncoded set it meets, at
+    # most L+1 since the set only shrinks as M grows, and a block per split
+    # it meets, at most L*(L+1)/2 of them (one per run of levels I).
+    filled = []
+    for M in (Fraction(7, 2), Fraction(30), Fraction(100), Fraction(1200)):
+        cfg = SystemConfig(Setup.MIXED, 6, (LevelSpec(8, 2), LevelSpec(900, 1), LevelSpec(30, 3)),
+                           (LevelSpec(12, 3), LevelSpec(50, 1), LevelSpec(7, 4), LevelSpec(90, 2)))
+        mixed_rate(cfg, M)
+        mu, su = cfg.fact(mixed_classes)
+        masks = su.fact(single_user._Clusterings)._masks
+        last = GAMMA_GRID - 1
+        uncoded = {fraction_rate_clustering(su, M * Fraction(last - k, last))[0]
+                   for k in range(GAMMA_GRID)}
+        assert len(masks) == len(uncoded) <= len(su.levels) + 1
+        assert {masks[c][0].Hprime for c in masks} == uncoded
+        L = len(mu.levels)
+        assert 1 <= len(mu.fact(multi_user._SplitPlan)._blocks) <= L * (L + 1) // 2
+        filled.append(len(masks))
+    assert max(filled) == len(su.levels) + 1 and min(filled) < max(filled)
+
+
 def test_sweep_builds_each_class_fact_once(count_calls, monkeypatch):
     # The golden sweep_mixed_grid case: every grid point's gamma scan and
     # `validate` read one pair of class configs, each planned and validated once.
@@ -259,10 +282,16 @@ def test_an_evaluated_config_is_freed_without_the_cycle_collector():
     try:
         for cfg in (SystemConfig.multi_user(5, [(15, 1), (97000, 1)]),
                     SystemConfig.single_user(7, [(11, 3), (43, 4)]),
-                    SystemConfig(Setup.MIXED, 5, (LevelSpec(15, 3),), (LevelSpec(13, 2),))):
+                    SystemConfig(Setup.MIXED, 5, (LevelSpec(15, 3),), (LevelSpec(13, 2),)),
+                    SystemConfig(Setup.MIXED, 6, (LevelSpec(18, 1), LevelSpec(700, 2)),
+                                 (LevelSpec(11, 2), LevelSpec(40, 1)))):
             evaluate(cfg, Fraction(7, 3))
             refs.append(weakref.ref(cfg))
+        # The last config after a gamma scan: its class configs, which hold
+        # its blocks and masks, are freed too.
+        mixed_rate(cfg, 30, Fraction(1, 2))
+        refs += [weakref.ref(part) for part in cfg.fact(mixed_classes)]
         del cfg
-        assert [ref() for ref in refs] == [None, None, None]
+        assert [ref() for ref in refs] == [None] * 6
     finally:
         gc.enable()

@@ -7,7 +7,8 @@ import pytest
 
 from cachelab import radicals
 from cachelab.experiments import random_multi_user_config
-from cachelab.model import SystemConfig, validate_multi_user
+from cachelab.model import (LevelSpec, Setup, SystemConfig, mixed_classes,
+                            validate_multi_user)
 from cachelab.multi_user import (_SplitPlan, find_m_feasible_partition, level_rate_bounds,
                                  rate_memory_sharing)
 from cachelab.radicals import exact_sign
@@ -330,12 +331,25 @@ def _report_json(rate, cfg, M):
     return json.dumps(rate(cfg, M).to_json_dict())
 
 
+def _replicated_class():
+    # The replicated class of a fresh mixed config, as `mixed_rate` queries it.
+    mixed = SystemConfig(Setup.MIXED, 4, (LevelSpec(8, 2), LevelSpec(900, 1), LevelSpec(30, 3)),
+                         (LevelSpec(12, 3), LevelSpec(50, 1)))
+    return mixed.fact(mixed_classes)[0]
+
+
 def test_rate_matches_per_memory_scan_oracle():
     # Prefix sums of the library sizes in the scan order are exact rational
     # thresholds (M = T_J and M = T_J + N_i when I = {i}), where the cached
-    # enclosures cannot decide and the certified fallback must.
-    rng = random.Random(73)
-    for cfg in _oracle_configs():
+    # enclosures cannot decide and the certified fallback must.  Blocks fill
+    # lazily in query order, and the order of RootSum operations decides how
+    # a value prints, so each config is queried on fresh config objects in
+    # ascending, descending and shuffled order, byte for byte as the oracle.
+    rng, orders = random.Random(73), random.Random(79)
+    makers = [lambda cfg=cfg: SystemConfig(cfg.setup, cfg.caches, cfg.levels)
+              for cfg in _oracle_configs()]
+    for make in makers + [_replicated_class]:
+        cfg = make()
         total = cfg.total_files
         order = sorted(cfg.levels, key=lambda lv: Fraction(lv.files, lv.users))
         prefix = [sum(lv.files for lv in order[:k]) for k in range(len(order) + 1)]
@@ -345,9 +359,14 @@ def test_rate_matches_per_memory_scan_oracle():
         big = 10 ** 30 + 7
         mems |= {Fraction(m * big + 1, big) for m in prefix} | {Fraction(total * big // 3, big)}
         mems.add(Fraction(total + 1))
-        for M in sorted(mems):
-            assert _report_json(rate_memory_sharing, cfg, M) \
-                == _report_json(scan_rate_memory_sharing, cfg, M), (cfg, M)
+        ascending = sorted(mems)
+        shuffled = ascending[:]
+        orders.shuffle(shuffled)
+        want = {M: _report_json(scan_rate_memory_sharing, cfg, M) for M in ascending}
+        for queries in (ascending, ascending[::-1], shuffled):
+            fresh = make()
+            got = {M: _report_json(rate_memory_sharing, fresh, M) for M in queries}
+            assert got == want, (cfg, queries)
 
 
 def test_split_check_matches_every_level_oracle():

@@ -1,11 +1,13 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from cachelab.experiments import random_single_user_config
-from cachelab.model import SystemConfig, validate_single_user
+from cachelab.model import (LevelSpec, Setup, SystemConfig, mixed_classes,
+                            validate_single_user)
 from cachelab.single_user import (cluster_place_deliver,
                                   cluster_place_deliver_decentralized,
                                   partition_su, rate_clustering)
@@ -51,29 +53,50 @@ def test_rate_examples():
     assert rate_clustering(single, 6).achievable == 0
 
 
+def _row_class():
+    # The single-row class of a fresh mixed config, as `mixed_rate` queries it.
+    mixed = SystemConfig(Setup.MIXED, 4, (LevelSpec(8, 2),),
+                         (LevelSpec(12, 3), LevelSpec(50, 1), LevelSpec(7, 4), LevelSpec(12, 3)))
+    return mixed.fact(mixed_classes)[1]
+
+
 def test_rate_matches_fraction_formula_oracle():
     # Random rational memories plus M = 0, every threshold N_h/K_h exactly and
     # just off it, the library size and above it, on regular configs and on
     # configs that break both single-user rules: the same uncoded set and
-    # rate as the Fraction formula, and the rate is a Fraction.
-    rng = random.Random(137)
+    # rate as the Fraction formula, and the rate is a Fraction.  The masks
+    # fill lazily in query order, so each config is queried on fresh config
+    # objects in ascending, descending and shuffled order, and every order
+    # gives the same reports byte for byte.
+    rng, orders = random.Random(137), random.Random(139)
     configs = [random_single_user_config(rng) for _ in range(10)]
     for _ in range(10):
         levels = [(rng.randint(1, 30), rng.randint(1, 8)) for _ in range(rng.randint(1, 4))]
         levels.append((1, 2))                                   # SU-FILES
         configs.append(SystemConfig.single_user(sum(k for _, k in levels) + 1, levels))
+    makers = [lambda cfg=cfg: SystemConfig(cfg.setup, cfg.caches, cfg.levels)
+              for cfg in configs]
     big = 10 ** 20 + 3
-    for cfg in configs:
+    for make in makers + [_row_class]:
+        cfg = make()
         total = cfg.total_files
         mems = {Fraction(0), Fraction(total), Fraction(total + 1), Fraction(3 * total, 2)}
         for lv in cfg.levels:
             mems |= {Fraction(lv.files * big + d, lv.users * big) for d in (-1, 0, 1)}
         mems |= {Fraction(rng.randint(0, 8 * total), rng.randint(1, 8)) for _ in range(8)}
-        for M in sorted(mems):
+        ascending = sorted(mems)
+        shuffled = ascending[:]
+        orders.shuffle(shuffled)
+        for M in ascending:
             report = rate_clustering(cfg, M)
             uncoded, rate = fraction_rate_clustering(cfg, M)
             assert report.partition.Hprime == uncoded, (cfg, M)
             assert type(report.achievable) is Fraction and report.achievable == rate, (cfg, M)
+        want = {M: json.dumps(rate_clustering(cfg, M).to_json_dict()) for M in ascending}
+        for queries in (ascending[::-1], shuffled):
+            fresh = make()
+            got = {M: json.dumps(rate_clustering(fresh, M).to_json_dict()) for M in queries}
+            assert got == want, (cfg, queries)
     assert sum(not rate_clustering(cfg, 1).regular for cfg in configs) == 10
 
 

@@ -6,8 +6,10 @@ M = 2, delivers the worst-case demand vector and checks the transcript, 300
 times, with the garbage collector off as ``timeit`` does.  It prints the
 best time of each of the three and the best total of one repetition, in ms.
 It then builds the multi-user bound's envelope of lines
-(``bounds._bound_lines``) on three fixed configs, each time on a fresh
-config object so that nothing is cached, and prints the best build time.
+(``bounds._bound_lines``) on three fixed configs, and runs ``mixed_rate``'s
+101-point gamma scan on demo 06's config at M = 6, without and with
+gamma = 1/2, each time on a fresh config object so that nothing is cached
+(as a ``cachelab mixed`` call loads one), and prints the best times.
 It uses the standard library only and writes nothing.  From the root of a
 checkout:
 
@@ -28,7 +30,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
                                 "src"))
 
 from cachelab.bounds import _bound_lines  # noqa: E402
-from cachelab.model import SystemConfig  # noqa: E402
+from cachelab.experiments import mixed_rate  # noqa: E402
+from cachelab.model import LevelSpec, Setup, SystemConfig  # noqa: E402
 from cachelab.single_level import deliver, place, verify_decode, worst_case_demands  # noqa: E402
 
 CACHES = (8, 10)
@@ -46,6 +49,13 @@ ENVELOPES = {
     "K = 8, wide": (8, [(396, 4), (393, 3), (239, 1), (879, 3)]),
 }
 ENVELOPE_REPEAT = 100
+# Demo 06's mixed config: one level at every cache, two in one row of users.
+MIXED_CACHES = 4
+MIXED_LEVELS = (LevelSpec(8, 2),)
+MIXED_ROW = (LevelSpec(12, 3), LevelSpec(50, 1))
+MIXED_MEMORY = Fraction(6)
+MIXED_GAMMAS = {"grid optimum": None, "gamma = 1/2": Fraction(1, 2)}
+MIXED_REPEAT = 100
 
 
 def layer_times(K: int, M: Fraction, repeat: int) -> dict[str, float]:
@@ -73,22 +83,35 @@ def layer_times(K: int, M: Fraction, repeat: int) -> dict[str, float]:
     return best
 
 
-def envelope_time(K: int, levels: list[tuple[int, int]], repeat: int) -> float:
-    """Best seconds of one envelope build on a fresh multi-user config."""
+def _best_fresh(make, run, repeat: int) -> float:
+    """Best seconds of ``run(make())``, timing only `run`, on a fresh object
+    from `make` each repetition."""
     best = float("inf")
     clock = time.perf_counter
     enabled = gc.isenabled()
     gc.disable()
     try:
         for _ in range(repeat):
-            config = SystemConfig.multi_user(K, levels)
+            fresh = make()
             t0 = clock()
-            _bound_lines(config)
+            run(fresh)
             best = min(best, clock() - t0)
     finally:
         if enabled:
             gc.enable()
     return best
+
+
+def envelope_time(K: int, levels: list[tuple[int, int]], repeat: int) -> float:
+    """Best seconds of one envelope build on a fresh multi-user config."""
+    return _best_fresh(lambda: SystemConfig.multi_user(K, levels), _bound_lines, repeat)
+
+
+def mixed_time(gamma, repeat: int) -> float:
+    """Best seconds of one ``mixed_rate`` call at `gamma` (None for the grid
+    optimum) on a fresh copy of demo 06's config."""
+    return _best_fresh(lambda: SystemConfig(Setup.MIXED, MIXED_CACHES, MIXED_LEVELS, MIXED_ROW),
+                       lambda config: mixed_rate(config, MIXED_MEMORY, gamma), repeat)
 
 
 def main() -> None:
@@ -100,6 +123,9 @@ def main() -> None:
     print(f"\nbound envelope build, best of {ENVELOPE_REPEAT}, times in ms")
     for name, (K, levels) in ENVELOPES.items():
         print(f"{name:>20}{envelope_time(K, levels, ENVELOPE_REPEAT) * 1e3:>15.3f}")
+    print(f"\nmixed_rate, demo 06 at M = {MIXED_MEMORY}, best of {MIXED_REPEAT}, times in ms")
+    for name, gamma in MIXED_GAMMAS.items():
+        print(f"{name:>20}{mixed_time(gamma, MIXED_REPEAT) * 1e3:>15.3f}")
 
 
 if __name__ == "__main__":

@@ -405,17 +405,31 @@ class SingleUserBoundParams:
 
 
 def _fit_cut_budget(s: list[int], s_j: int, K: int) -> tuple[list[int], int]:
-    """Shrink the cuts, largest first, until ``sum s + s_j <= K``.
+    """Shrink the cuts, one unit off a largest cut at a time, until
+    ``sum s + s_j <= K``.
 
     Each cut then spans at most K caches; a bound over fewer caches is still
-    a bound.  Ties go to `s_j`, then to the first level.
+    a bound.  Ties go to `s_j`, then to the first level.  In closed form,
+    with E the excess: every unit above the least height h with at most E
+    units above it goes (h by bisection), and the rest of E one unit each
+    from the first cuts at h in tie order.
     """
-    while sum(s) + s_j > K:
-        if s_j >= max(s):
-            s_j -= 1
+    excess = sum(s) + s_j - K
+    if excess <= 0:
+        return s, s_j
+    cuts = [s_j, *s]
+    lo, hi = 0, max(cuts)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if sum(c - mid for c in cuts if c > mid) <= excess:
+            hi = mid
         else:
-            s[s.index(max(s))] -= 1
-    return s, s_j
+            lo = mid + 1
+    rest = excess - sum(c - lo for c in cuts if c > lo)
+    cuts = [min(c, lo) for c in cuts]
+    for k in [k for k, c in enumerate(cuts) if c == lo][:rest]:
+        cuts[k] -= 1
+    return cuts[1:], cuts[0]
 
 
 def lower_bound_single_user(config: SystemConfig, M: MemoryLike
@@ -429,7 +443,8 @@ def lower_bound_single_user(config: SystemConfig, M: MemoryLike
     leaves uncoded (`partition_su`) cuts ``ceil(K_h/6)`` users, 1 when it
     has at most five, and every other level ``ceil(N_i/(6M))``.  The total
     cut budget ``sum s_i + s_J <= K`` is repaired greedily (largest cut
-    first) if violated; a bound over fewer caches is still a bound.
+    first, by `_fit_cut_budget`'s closed form) if violated; a bound over
+    fewer caches is still a bound.
     """
     M = check_memory(M)
     levels = config.levels

@@ -111,18 +111,18 @@ SWEEP_HEADER = ["M", "rate_achievable", "rate_lower", "gap_ratio",
                 "partition_H", "partition_I", "partition_J"]
 
 
+def _cells(row: SweepRow, number, missing, sets) -> list:
+    """A row's cells in `SWEEP_HEADER` order: `number` renders each value,
+    `missing` an absent one, and `sets` each partition set."""
+    return [number(row.M), number(row.achievable),
+            *(missing if value is None else number(value) for value in (row.lower, row.ratio)),
+            *(sets(s) for s in (row.partition_H, row.partition_I, row.partition_J))]
+
+
 def write_sweep_csv(rows: Sequence[SweepRow], path: str) -> None:
     """Decimal CSV of the rows; every row is rendered before the file is
     opened, so a value that cannot be rendered leaves no file."""
-    cells = [[
-        to_decimal(row.M),
-        to_decimal(row.achievable),
-        to_decimal(row.lower) if row.lower is not None else "",
-        to_decimal(row.ratio) if row.ratio is not None else "",
-        ";".join(str(i) for i in row.partition_H),
-        ";".join(str(i) for i in row.partition_I),
-        ";".join(str(i) for i in row.partition_J),
-    ] for row in rows]
+    cells = [_cells(row, to_decimal, "", lambda s: ";".join(map(str, s))) for row in rows]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SWEEP_HEADER)
@@ -130,16 +130,9 @@ def write_sweep_csv(rows: Sequence[SweepRow], path: str) -> None:
 
 
 def write_sweep_json(rows: Sequence[SweepRow], path: str) -> None:
-    """Companion file carrying the exact values alongside the decimal CSV."""
-    data = [{
-        "M": as_exact_str(row.M),
-        "rate_achievable": as_exact_str(row.achievable),
-        "rate_lower": as_exact_str(row.lower) if row.lower is not None else None,
-        "gap_ratio": as_exact_str(row.ratio) if row.ratio is not None else None,
-        "partition_H": list(row.partition_H),
-        "partition_I": list(row.partition_I),
-        "partition_J": list(row.partition_J),
-    } for row in rows]
+    """Companion file carrying the exact values alongside the decimal CSV,
+    one object per row keyed by `SWEEP_HEADER`."""
+    data = [dict(zip(SWEEP_HEADER, _cells(row, as_exact_str, None, list))) for row in rows]
     with open(path, "w") as fh:
         json.dump(data, fh, indent=2)
         fh.write("\n")
@@ -147,7 +140,8 @@ def write_sweep_json(rows: Sequence[SweepRow], path: str) -> None:
 
 def write_plot_data(rows: Sequence[SweepRow], path: str) -> None:
     """gnuplot-friendly whitespace-delimited columns: M, achievable, lower;
-    rendered before the file is opened, like `write_sweep_csv`."""
+    rendered before the file is opened, like `write_sweep_csv`.  It renders
+    no ratio, so one past the float range does not fail it."""
     lines = [f"{to_decimal(row.M)} {to_decimal(row.achievable)} "
              f"{to_decimal(row.lower) if row.lower is not None else 'nan'}\n" for row in rows]
     with open(path, "w") as fh:

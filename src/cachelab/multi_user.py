@@ -395,9 +395,7 @@ def level_rate_bounds(config: SystemConfig, M: MemoryLike) -> list[ExactValue]:
     levels = config.levels
     inv_beta = 1 / BETA
     W = M - part.T_J + part.V_I
-    S_low: ExactValue = Fraction(0)
-    for i in part.I - high:
-        S_low = S_low + _sqrt_nu(levels[i])
+    S_low, _ = _sums(levels, K, part.I - high)
     bounds: list[ExactValue] = []
     for idx, lv in enumerate(levels):
         if idx in part.H:

@@ -22,11 +22,12 @@ nonzero, and a sum starts from ``Fraction(0)``.  ``math.floor`` and
 
 Arithmetic stays on integers.  Scaling by ``a/b`` multiplies the numerators
 by ``a`` and the denominator by ``b``; a sum brings both operands over the
-lcm of their denominators; a product of two irrational sums adds its term
-products as integer numerators over the product of the two denominators.
-Each result then divides out one content gcd.  The only Fractions are the
-values that leave the class: a rational result, a rational square root, and
-``interval``.
+lcm of their denominators and inserts the addend's terms one by one, a
+rational addend as the kernel-1 term; a product of two irrational sums
+adds its term products as integer numerators over the product of the two
+denominators.  Each result then divides out one content gcd.  The only
+Fractions are the values that leave the class: a rational result, a
+rational square root, and ``interval``.
 
 The interval refinement starts at 256 bits and doubles the precision until
 the answer is certain; the starting precision only sets how soon that is.
@@ -126,28 +127,20 @@ class RootSum:
         return None
 
     def __add__(self, other) -> "ExactValue":
+        # Both operands over the lcm of their denominators; the terms of
+        # other are inserted one by one, a rational as the kernel-1 term.
         if isinstance(other, RootSum):
-            # Both operands over the lcm of their denominators; the terms of
-            # other are inserted one by one.
-            g = math.gcd(self._den, other._den)
-            nums = _times(self._nums, other._den // g)
-            scale = self._den // g
-            for kernel, n in other._nums.items():
-                _insert(nums, kernel, n * scale)
-            return _canonical(_reduced(self._den // g * other._den, nums))
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        # A rational operand only touches kernel 1, as the _insert route
-        # would, and leaves the irrational kernels of self.
-        p, q = other.numerator, other.denominator
-        g = math.gcd(self._den, q)
-        nums = _times(self._nums, q // g)
-        constant = nums.get(1, 0) + p * (self._den // g)
-        if constant:
-            nums[1] = constant
+            den, terms = other._den, other._nums.items()
+        elif isinstance(other, (int, Fraction)):
+            den, terms = other.denominator, ((1, other.numerator),)
         else:
-            nums.pop(1, None)
-        return _reduced(self._den // g * q, nums)
+            return NotImplemented
+        g = math.gcd(self._den, den)
+        nums = _times(self._nums, den // g)
+        scale = self._den // g
+        for kernel, n in terms:
+            _insert(nums, kernel, n * scale)
+        return _canonical(_reduced(self._den // g * den, nums))
 
     __radd__ = __add__
 
@@ -412,7 +405,7 @@ def _insert(nums: dict, kernel: int, coeff: int) -> None:
     if coeff:
         nums[kernel] = coeff
     else:
-        del nums[kernel]
+        nums.pop(kernel, None)  # a zero addend is a zero term nums may not hold
 
 
 def _times(nums: dict[int, int], factor: int) -> dict[int, int]:

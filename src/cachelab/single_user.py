@@ -13,7 +13,8 @@ as ``config.fact(_Clusterings)``.  The canonical order sorts ``N_h/K_h``
 ascending, so the uncoded set is a suffix of it that only shrinks as M
 grows: there are at most L+1 of them.  Each one met so far, keyed by its
 mask, owns its `ClusterPartition`, its uncoded users and its super-level
-library, and `partition_su` and `rate_clustering` read them from there.
+library; the fact also places each level in the merged library, and
+`partition_su`, `rate_clustering` and the clustered runs read it all there.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 from .model import (MemoryLike, RateReport, Setup, SystemConfig, check_memory,
@@ -43,15 +45,18 @@ class _Clusterings:
     The uncoded set at M is a suffix of the canonical order (see the module
     docstring); its mask is the number of coded levels in front of it, read
     by one integer pass ``p*K_h < N_h*q`` at M = p/q, so there are at most
-    L+1 masks.  Each mask met so far keeps its `ClusterPartition`, its
-    uncoded users and its super-level library ``sum N_i`` over I'.  Holds
-    the levels' (files, users) pairs, not the config, which keeps this fact.
+    L+1 masks.  `first` holds each level's first file in the merged
+    library, as prefix sums; the coded levels are a prefix, so a mask's
+    super-level library is ``first[coded]``.  Each mask met so far keeps
+    its `ClusterPartition`, its uncoded users and that library.  Holds the
+    levels' (files, users) pairs, not the config, which keeps this fact.
     """
 
-    __slots__ = ("_pairs", "_masks")
+    __slots__ = ("_pairs", "first", "_masks")
 
     def __init__(self, config: SystemConfig):
         self._pairs = tuple((lv.files, lv.users) for lv in config.levels)
+        self.first = tuple(accumulate((files for files, _ in self._pairs), initial=0))
         self._masks: dict[int, tuple[ClusterPartition, int, int]] = {}
 
     def at(self, M: Fraction) -> tuple[ClusterPartition, int, int]:
@@ -67,8 +72,7 @@ class _Clusterings:
             pairs = self._pairs
             entry = self._masks[coded] = (
                 ClusterPartition(frozenset(range(coded, len(pairs))), frozenset(range(coded))),
-                sum(users for _, users in pairs[coded:]),
-                sum(files for files, _ in pairs[:coded]))
+                sum(users for _, users in pairs[coded:]), self.first[coded])
         return entry
 
 
@@ -141,7 +145,7 @@ def _super_level(config: SystemConfig, M: Fraction, assignment: Sequence[int],
     Returns the partition, the uncoded transmissions (cache, level, file),
     the active caches whose users request super-level files, the size of
     the merged super-level library, and each active cache's demand within
-    that library (indexed like `active`).
+    that library (indexed like `active`), all read off `_Clusterings`.
     """
     _check_assignment(config, assignment)
     if len(demands) != config.caches:
@@ -149,16 +153,12 @@ def _super_level(config: SystemConfig, M: Fraction, assignment: Sequence[int],
     for c, (lvl, f) in enumerate(zip(assignment, demands)):
         if not (0 <= f < config.levels[lvl].files):
             raise ValueError(f"cache {c}: file {f} outside level {lvl}")
-    part = partition_su(config, M)
+    clusterings = config.fact(_Clusterings)
+    part, _, n_super = clusterings.at(M)
     uncoded = tuple((c, assignment[c], demands[c])
                     for c in range(config.caches) if assignment[c] in part.Hprime)
     active = tuple(c for c in range(config.caches) if assignment[c] in part.Iprime)
-    offsets = {}
-    n_super = 0
-    for i in sorted(part.Iprime):
-        offsets[i] = n_super
-        n_super += config.levels[i].files
-    wants = [offsets[assignment[c]] + demands[c] for c in active]
+    wants = [clusterings.first[assignment[c]] + demands[c] for c in active]
     return part, uncoded, active, n_super, wants
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from cachelab.bounds import (SMALL_MEMORY_THRESHOLD, MultiUserBoundParams,
                              SingleUserBoundParams, _b_crossings, _b_ladder, _b_search_limit,
-                             _bound_lines, _fit_cut_budget, _window_limit, best_cut_sizes)
+                             _bound_lines, _window_limit, best_cut_sizes)
 from cachelab.experiments import audit_grid
 from cachelab.model import BETA, RateReport, Setup, check_memory, validate_multi_user
 from cachelab.multi_user import (MemoryAllocation, Partition, _sqrt_n_over_u, _sqrt_nu,
@@ -191,6 +191,19 @@ def refine_partition_su(config, M):
     return RefinedClusterPartition(frozenset(G), frozenset(H), frozenset(I), frozenset(J))
 
 
+def fit_cut_budget(s, s_j, K):
+    """The single-user cut budget repair as a loop: one unit off a largest
+    cut per pass (ties to `s_j`, then to the first level) until
+    ``sum s + s_j <= K``; its time grows with the excess."""
+    s = list(s)
+    while sum(s) + s_j > K:
+        if s_j >= max(s):
+            s_j -= 1
+        else:
+            s[s.index(max(s))] -= 1
+    return s, s_j
+
+
 def regime_lower_bound_su(config, M):
     """The single-user cut-set bound with one branch per regime of
     `refine_partition_su`: below M = 1/6 every user in one broadcast;
@@ -200,7 +213,7 @@ def regime_lower_bound_su(config, M):
     levels = config.levels
     K = config.caches
     if M < SMALL_MEMORY_THRESHOLD:
-        s, _ = _fit_cut_budget([lv.users for lv in levels], 0, K)
+        s, _ = fit_cut_budget([lv.users for lv in levels], 0, K)
         value = Fraction(0)
         for s_i, lv in zip(s, levels):
             if s_i:
@@ -219,7 +232,7 @@ def regime_lower_bound_su(config, M):
         s[i] = math.ceil(Fraction(levels[i].files) / (6 * M))
     n_total_j = sum(levels[j].files for j in refined.J)
     s_j = math.ceil(Fraction(n_total_j) / (6 * M)) if refined.J and M < n_total_j else 0
-    s, s_j = _fit_cut_budget(s, s_j, K)
+    s, s_j = fit_cut_budget(s, s_j, K)
 
     value = Fraction(0)
     for idx, lv in enumerate(levels):

@@ -8,16 +8,17 @@ import pytest
 
 from cachelab import bounds
 from cachelab.bounds import (MAX_BOUND_CACHES, MultiUserBoundParams, SingleUserBoundParams,
-                             _b_search_limit, _bound_lines, _cut_run, _locate, best_cut_sizes,
-                             gap_report, lower_bound_single_user, optimize_lower_bound_mu)
+                             _b_search_limit, _bound_lines, _cut_run, _fit_cut_budget, _locate,
+                             best_cut_sizes, gap_report, lower_bound_single_user,
+                             optimize_lower_bound_mu)
 from cachelab.experiments import (audit_grid, random_multi_user_config,
                                   random_single_user_config)
 from cachelab.model import Setup, SystemConfig
 from cachelab.multi_user import rate_memory_sharing
 from cachelab.radicals import exact_sign
 from cachelab.single_user import rate_clustering
-from oracles import (CaseNotApplicable, candidate_b_values, cut_sum, fraction_lines,
-                     grid_bound_mu, linear_envelope_scan, lower_bound_multi_user,
+from oracles import (CaseNotApplicable, candidate_b_values, cut_sum, fit_cut_budget,
+                     fraction_lines, grid_bound_mu, linear_envelope_scan, lower_bound_multi_user,
                      matched_bound_params, reference_bound_lines, refine_partition,
                      refine_partition_su, regime_lower_bound_su, regime_memories,
                      validate_bound_params)
@@ -460,6 +461,19 @@ def _irregular_single_user_configs(rng, count):
     for _ in range(count):
         levels = [(rng.randint(1, 40), rng.randint(1, 8)) for _ in range(rng.randint(1, 4))]
         yield SystemConfig.single_user(rng.randint(1, 10), levels)
+
+
+def test_cut_budget_closed_form_matches_the_loop():
+    # Small cuts make ties common; s_J is drawn at the maximum cut, below it
+    # and above it, and K from 1 to past the total.
+    rng = random.Random(41)
+    for _ in range(12000):
+        top = rng.choice((3, 8, 60))
+        s = [rng.randint(0, top) for _ in range(rng.randint(1, 6))]
+        s_j = rng.choice((0, max(s), rng.randint(0, top), max(s) + rng.randint(1, 3)))
+        K = rng.randint(1, sum(s) + s_j + 2)
+        expected = fit_cut_budget(s, s_j, K)
+        assert _fit_cut_budget(list(s), s_j, K) == expected, (s, s_j, K)
 
 
 def test_single_user_bound_budget():

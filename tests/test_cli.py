@@ -190,6 +190,20 @@ def test_huge_cache_count_exits_2_at_once(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_huge_user_count_cut_budget_at_once(tmp_path, capsys):
+    # 10**12 users over two caches: the single-user cut budget is repaired
+    # in closed form, not one unit at a time.
+    path = tmp_path / "users.json"
+    path.write_text(json.dumps({"setup": "single-user", "caches": 2, "levels": [
+        {"files": 10 ** 12, "users": 10 ** 12}]}))
+    start = time.perf_counter()
+    assert cli.main(["rate", str(path), "--mem", "1/12"]) == 0
+    assert time.perf_counter() - start < 1
+    out = capsys.readouterr().out
+    data = json.loads(out[out.index("{"):])
+    assert data["lower"] == "11/6" and data["bound_params"]["s"] == [2]
+
+
 def test_huge_config_integer_is_config_error(tmp_path, capsys):
     # json.load refuses integers past the interpreter's digit limit (4300
     # digits by default) with a ValueError that is not a JSONDecodeError.

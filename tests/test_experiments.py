@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from cachelab import cli, experiments, multi_user, single_user
-from cachelab.experiments import (GAMMA_GRID, AuditSummary, audit, audit_grid,
+from cachelab.experiments import (GAMMA_GRID, AuditSummary, SweepRow, audit, audit_grid,
                                   dichotomy_multi_user, dichotomy_single_user, evaluate,
                                   linear_grid, mixed_rate, random_multi_user_config,
                                   random_single_user_config, sweep, write_plot_data,
@@ -122,6 +122,15 @@ def test_sweep_csv_byte_stable(tmp_path):
     p = tmp_path / "a.dat"
     write_plot_data(rows, str(p))
     assert p.read_text().startswith("# M rate_achievable rate_lower\n")
+
+
+def test_plot_data_renders_only_its_columns(tmp_path):
+    # The ratio is past the float range; the plot file never renders it.
+    row = SweepRow(Fraction(1), Fraction(1), Fraction(1, 10 ** 400), Fraction(10 ** 400),
+                   (), (0,), ())
+    p = tmp_path / "a.dat"
+    write_plot_data([row], str(p))
+    assert p.read_text() == "# M rate_achievable rate_lower\n1 1 0\n"
 
 
 def test_generators_produce_valid_instances():

@@ -69,6 +69,9 @@ MULTI_USER_GAP = 192
 SINGLE_USER_GAP = 72
 SMALL_MEMORY_GAP = Fraction(6, 5)
 SMALL_MEMORY_THRESHOLD = Fraction(1, 6)
+_MULTI_USER_CONSTANT = Fraction(MULTI_USER_GAP)
+_SINGLE_USER_CONSTANT = Fraction(SINGLE_USER_GAP)
+_ZERO = Fraction(0)
 # The envelope holds lines for every window size t up to K/2.  At this many
 # caches the first bound query takes 0.06-0.07 s on one level (N = 4096,
 # U = 1), 0.14-0.19 s on four levels of 4096, 8192, 12288 and 16384 files
@@ -497,19 +500,38 @@ class GapReport:
 
 def gap_report(setup: Setup, achievable: ExactValue, lower: Fraction,
                M: MemoryLike, config: SystemConfig) -> GapReport:
+    """The gap of `achievable` over `lower` at memory M, against the constant
+    of the setup and memory.
+
+    A rational rate a/b, with lower = c/d and the constant k/n, is decided
+    by integer cross-multiplication: inversion is ``a*d < c*b`` and, for
+    c > 0, within is ``a*d*n <= k*c*b`` and the ratio the one Fraction
+    ``(a*d)/(b*c)``.  An irrational rate compares and divides as a RootSum.
+    """
     M = check_memory(M)
     if setup is Setup.MULTI_USER:
-        constant = Fraction(MULTI_USER_GAP)
+        constant = _MULTI_USER_CONSTANT
     elif M < SMALL_MEMORY_THRESHOLD:
         constant = SMALL_MEMORY_GAP
     else:
-        constant = Fraction(SINGLE_USER_GAP)
+        constant = _SINGLE_USER_CONSTANT
+    if type(achievable) is Fraction:
+        a, b = achievable.numerator, achievable.denominator
+        c, d = lower.numerator, lower.denominator
+        ad = a * d
+        inversion = ad < c * b
+        if c > 0:
+            ratio = Fraction(ad, b * c)
+            within = ad * constant.denominator <= constant.numerator * c * b
+        else:
+            within = a == 0
+            ratio = _ZERO if within else None
+        return GapReport(achievable, lower, ratio, constant, within, inversion)
     inversion = achievable < lower
     if lower > 0:
         ratio = achievable / lower
         within = achievable <= constant * lower
     else:
-        zero = achievable == 0
-        ratio = Fraction(0) if zero else None
-        within = zero
+        within = achievable == 0
+        ratio = _ZERO if within else None
     return GapReport(achievable, lower, ratio, constant, within, inversion)

@@ -21,8 +21,8 @@ memory-independent parts of its split's report: the sets H and J with
 ``T_J``, the fixed amounts and rate of the H and J levels, and
 ``approx_rate``'s user constant; the plan owns the all-J partition of every
 memory above the library size.  So a report at one memory computes only W,
-the amounts and rates of the levels in I, ``M_tilde`` and ``approx_rate``.
-A membership test forms
+the amounts and rates of the levels in I and ``approx_rate``; ``M_tilde``
+waits for its first read.  A membership test forms
 ``K*W = K*(M - T_J + V_I)`` as an unreduced integer numerator and
 denominator, from M's and from ``V_I - T_J``, which the block keeps as an
 integer pair, and compares it by integer cross-multiplication with the
@@ -30,14 +30,17 @@ enclosures of the thresholds that bind, at the ends of H, I and J; no
 Fraction is built unless M falls inside an enclosure.
 
 The rest of the rate path is fraction-free where its values are rational.
-A feasible split hands its W back as that integer pair, and ``M_tilde``
-is built from it; `rate_memory_sharing` allocates from the block of the
-split the scan found, with W as the same pair from `_Block.weight`, so a
-level with a rational share (every split with one partial level) gets its
-memory as one Fraction; it adds the rational per-level rates, and forms a
-rational ``approx_rate``, as integer pairs.  Irrational values keep the
-order of their RootSum operations: it decides which of two equivalent
-kernels a sum keeps, and so how it prints.
+A feasible split hands its W back as that integer pair.  The partition
+keeps it with the split's block and builds ``M_tilde = S_I^-1 * W`` when
+the field is first read: a printed report reads it, while the rate, the
+bound and the gap never do.  `rate_memory_sharing` allocates from the
+block of the split the scan found, with W as the same pair from
+`_Block.weight`, so a level with a rational share (every split with one
+partial level) gets its memory as one Fraction; it adds the rational
+per-level rates, and forms a rational ``approx_rate``, as integer pairs,
+at every memory.  Irrational values keep the order of their RootSum
+operations: it decides which of two equivalent kernels a sum keeps, and so
+how it prints.
 """
 
 from __future__ import annotations
@@ -60,6 +63,40 @@ def _sqrt_n_over_u(level: LevelSpec) -> ExactValue:
     return RootSum.sqrt(Fraction(level.files, level.users))
 
 
+class _Pending:
+    """``M_tilde = S_I^-1 * W`` of a feasible split, not yet computed: the
+    split's block and W as `_Block.weight`'s integer pair."""
+
+    __slots__ = ("block", "weight")
+
+    def __init__(self, block: _Block, weight: tuple[int, int]):
+        self.block, self.weight = block, weight
+
+    def value(self) -> ExactValue:
+        return self.block.inverse() * Fraction(*self.weight)
+
+
+class _OnFirstRead:
+    """Data descriptor of `Partition.M_tilde`, which the constructor may
+    pass as a `_Pending`: the field's first read computes it and keeps the
+    value, so every read, ``==``, `hash` and `repr` see the value.  Read on
+    the class, it raises AttributeError, so the field has no default."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)
+        value = obj.__dict__[self.name]
+        if type(value) is _Pending:
+            value = obj.__dict__[self.name] = value.value()
+        return value
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class Partition:
     """(H, I, J) split with its derived quantities.
@@ -67,6 +104,10 @@ class Partition:
     ``S_I = sum sqrt(N_i*U_i)`` over I, ``T_J = sum N_j`` over J,
     ``V_I = sum N_i/K`` over I, and ``M_tilde = (M - T_J + V_I)/S_I``
     (None encodes +infinity for the everything-cacheable case I = {}).
+    A value given to the constructor is kept as given; the scan gives
+    ``M_tilde`` as a `_Pending`, which its first read computes, since the
+    rate, the bound and the gap never read it and a printed report does.
+    ``==``, `hash` and `repr` read it as well, so they see the value.
     """
 
     H: frozenset[int]
@@ -75,7 +116,7 @@ class Partition:
     S_I: ExactValue
     T_J: Fraction
     V_I: Fraction
-    M_tilde: Optional[ExactValue]
+    M_tilde: Optional[ExactValue] = _OnFirstRead()
 
 
 @dataclass(frozen=True)
@@ -280,7 +321,7 @@ def find_m_feasible_partition(config: SystemConfig, M: MemoryLike) -> Partition:
             W = plan.admits(block, j_end, h_start, M)
             if W is not None:
                 return Partition(block.H, block.I, block.J, block.S_I, block.T_J, block.V_I,
-                                 block.inverse() * Fraction(*W))
+                                 _Pending(block, W))
     raise AssertionError(f"no feasible level partition at M={M}")
 
 
@@ -320,7 +361,8 @@ def rate_memory_sharing(config: SystemConfig, M: MemoryLike) -> RateReport:
     as ``approx_rate``; it is a known approximation and is never used in
     gap checks.  A rational ``S_I^2 = s/r`` (one partial level) makes it the
     one Fraction ``(c*r*m + s*e) / (r*m)``, with ``M - T_J = m/e`` and c the
-    block's user constant.
+    block's user constant.  ``approx_rate`` is built at every memory; the
+    partition's ``M_tilde`` only when it is first read.
     """
     M = check_memory(M)
     partition = find_m_feasible_partition(config, M)

@@ -11,7 +11,8 @@ from fractions import Fraction
 
 from dataclasses import dataclass
 
-from cachelab.bounds import (SMALL_MEMORY_THRESHOLD, MultiUserBoundParams,
+from cachelab.bounds import (MULTI_USER_GAP, SINGLE_USER_GAP, SMALL_MEMORY_GAP,
+                             SMALL_MEMORY_THRESHOLD, GapReport, MultiUserBoundParams,
                              SingleUserBoundParams, _b_crossings, _b_ladder, _b_search_limit,
                              _bound_lines, _window_limit, best_cut_sizes)
 from cachelab.experiments import audit_grid
@@ -289,6 +290,27 @@ def fraction_allocation_amount(partition, config, M, i):
     lv = config.levels[i]
     W = check_memory(M) - partition.T_J + partition.V_I
     return W * (_sqrt_nu(lv) * (1 / partition.S_I)) - Fraction(lv.files, config.caches)
+
+
+def fraction_gap_report(setup, achievable, lower, M, config):
+    """`gap_report` by comparisons and division of the exact values
+    themselves, Fraction or RootSum alike."""
+    M = check_memory(M)
+    if setup is Setup.MULTI_USER:
+        constant = Fraction(MULTI_USER_GAP)
+    elif M < SMALL_MEMORY_THRESHOLD:
+        constant = SMALL_MEMORY_GAP
+    else:
+        constant = Fraction(SINGLE_USER_GAP)
+    inversion = achievable < lower
+    if lower > 0:
+        ratio = achievable / lower
+        within = achievable <= constant * lower
+    else:
+        zero = achievable == 0
+        ratio = Fraction(0) if zero else None
+        within = zero
+    return GapReport(achievable, lower, ratio, constant, within, inversion)
 
 
 def allocation_alphas(allocation):

@@ -5,7 +5,9 @@ lines and timings.  All tolerances are exact unless a criterion states a
 percentage explicitly.
 """
 
+import hashlib
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
@@ -24,10 +26,22 @@ from cachelab.single_user import cluster_place_deliver, rate_clustering
 from oracles import enumerate_feasible_partitions, partition_key
 
 SEED = 20260809
+# sha256 of each audit summary's to_json_dict() as json.dumps prints it:
+# the verdicts of the 4,000 and 4,400 audit points of criteria 1 and 2 and
+# each constant's largest ratio with its config and memory.  A change that
+# regenerates printed output on purpose updates these with it.
+AUDIT_DIGESTS = {
+    Setup.MULTI_USER: "39e6e91f8f180dbf24ae40ce5bb005e4095ec08f766e7a11e7d458f8a4159822",
+    Setup.SINGLE_USER: "7317e43e9dfab2649d602fd26d4e22d032b098ebcf580d7de1b1c20c2812da62",
+}
 
 
 def _report(number: int, detail: str) -> None:
     print(f"\nACCEPTANCE {number}: PASS — {detail}")
+
+
+def _digest(summary) -> str:
+    return hashlib.sha256(json.dumps(summary.to_json_dict()).encode()).hexdigest()
 
 
 def test_criterion_1_multi_user_gap_constant():
@@ -35,6 +49,7 @@ def test_criterion_1_multi_user_gap_constant():
     summary = audit(Setup.MULTI_USER, 200, seed=SEED, grid_points=20)
     assert not summary.inversions, summary.inversions[:1]
     assert not summary.gap_violations, summary.gap_violations[:1]
+    assert _digest(summary) == AUDIT_DIGESTS[Setup.MULTI_USER]
     worst = max((v[0] for v in summary.max_ratio.values()), default=0.0)
     assert worst <= 192
     _report(1, f"200 instances x 20 memories: max gap {worst:.3f} <= 192, "
@@ -46,6 +61,7 @@ def test_criterion_2_single_user_gap_constants():
     summary = audit(Setup.SINGLE_USER, 200, seed=SEED, grid_points=20)
     assert not summary.inversions, summary.inversions[:1]
     assert not summary.gap_violations, summary.gap_violations[:1]
+    assert _digest(summary) == AUDIT_DIGESTS[Setup.SINGLE_USER]
     big = summary.max_ratio.get("72", (0.0,))[0]
     small = summary.max_ratio.get("6/5", (0.0,))[0]
     assert big <= 72 and small <= 1.2

@@ -15,10 +15,10 @@ from cachelab.experiments import (audit_grid, random_multi_user_config,
                                   random_single_user_config)
 from cachelab.model import Setup, SystemConfig
 from cachelab.multi_user import rate_memory_sharing
-from cachelab.radicals import exact_sign
+from cachelab.radicals import RootSum, exact_sign
 from cachelab.single_user import rate_clustering
 from oracles import (CaseNotApplicable, candidate_b_values, cut_sum, fit_cut_budget,
-                     fraction_lines, grid_bound_mu, linear_envelope_scan, lower_bound_multi_user,
+                     fraction_gap_report, fraction_lines, grid_bound_mu, linear_envelope_scan, lower_bound_multi_user,
                      matched_bound_params, reference_bound_lines, refine_partition,
                      refine_partition_su, regime_lower_bound_su, regime_memories,
                      validate_bound_params)
@@ -566,3 +566,54 @@ def test_gap_report_examples():
     # boundary memory M = 1/6 uses the general single-user constant
     g6 = gap_report(Setup.SINGLE_USER, Fraction(1), Fraction(1), Fraction(1, 6), cfg_su)
     assert g6.constant == 72
+
+
+def test_gap_report_matches_the_fraction_oracle():
+    # A rational rate takes the integer path and an irrational one the
+    # RootSum path; both must give the oracle's report, field for field and
+    # type for type.  The constants are 192, 72 and the non-integer 6/5
+    # below M = 1/6; a rate of exactly constant*lower is within it.
+    rng = random.Random(173)
+    cfg_mu = SystemConfig.multi_user(4, [(8, 2)])
+    cfg_su = SystemConfig.single_user(5, [(4, 4), (100, 1)])
+    points = [(Setup.MULTI_USER, Fraction(2), 192), (Setup.SINGLE_USER, Fraction(1, 12),
+              Fraction(6, 5)), (Setup.SINGLE_USER, Fraction(1, 6), 72),
+              (Setup.SINGLE_USER, Fraction(7, 3), 72)]
+
+    def fraction():
+        return Fraction(rng.randint(0, 10 ** rng.randint(1, 30)), rng.randint(1, 10 ** 6))
+
+    def root_sum():
+        return fraction() + rng.randint(1, 50) * RootSum.sqrt(rng.choice((2, 3, 6, 10, 15)))
+
+    kinds = {"within": 0, "outside": 0, "at the constant": 0, "inversion": 0,
+             "zero lower": 0, "RootSum": 0}
+    for setup, M, constant in points:
+        cfg = cfg_mu if setup is Setup.MULTI_USER else cfg_su
+        cases = [(Fraction(0), Fraction(0)), (Fraction(3, 7), Fraction(0)),
+                 (fraction() + 1, Fraction(0)), (Fraction(1, 3), Fraction(1, 2)),
+                 (Fraction(5, 11), Fraction(5, 11)),
+                 (constant * Fraction(5, 11), Fraction(5, 11)),
+                 (constant * Fraction(5, 11) + Fraction(1, 10 ** 40), Fraction(5, 11))]
+        for _ in range(300):
+            lower = fraction()
+            cases.append((lower * Fraction(rng.randint(0, 400), rng.randint(1, 200)), lower))
+            cases.append((constant * lower, lower))
+            cases.append((root_sum(), lower))
+            cases.append((root_sum(), Fraction(0)))
+        for achievable, lower in cases:
+            got = gap_report(setup, achievable, lower, M, cfg)
+            want = fraction_gap_report(setup, achievable, lower, M, cfg)
+            assert got == want and repr(got) == repr(want), (setup, M, achievable, lower)
+            assert type(got.ratio) is type(want.ratio)
+            if type(achievable) is RootSum:
+                kinds["RootSum"] += 1
+            elif lower == 0:
+                kinds["zero lower"] += 1
+            elif achievable < lower:
+                kinds["inversion"] += 1
+            elif achievable == constant * lower:
+                kinds["at the constant"] += 1
+            else:
+                kinds["within" if got.within else "outside"] += 1
+    assert min(kinds.values()) >= 4, kinds

@@ -71,3 +71,45 @@ def test_mixed_rows_time_a_fresh_demo_config_and_write_nothing(tmp_path, monkeyp
                    for _, report in calls)
     assert gc.isenabled()
     assert not list(tmp_path.iterdir()) and not capsys.readouterr().out
+
+
+def test_audit_point_rows_time_a_warm_config_and_write_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert [layer_times.ENVELOPES[name] for name in layer_times.AUDIT_CONFIGS] == \
+        [(128, [(256, 2)]), (128, [(256, 2), (2457600, 3), (20971520000, 4),
+                                   (134217728000000, 4)])]
+    assert layer_times.AUDIT_COLUMNS == ("rate", "bound", "gap", "point")
+    calls = []
+
+    def recorded(name):
+        fn = getattr(layer_times, name)
+
+        def call(*args):
+            calls.append((name, args))
+            return fn(*args)
+        monkeypatch.setattr(layer_times, name, call)
+
+    for name in ("rate_memory_sharing", "optimize_lower_bound_mu", "gap_report"):
+        recorded(name)
+    for name in layer_times.AUDIT_CONFIGS:
+        K, levels = layer_times.ENVELOPES[name]
+        calls.clear()
+        best = layer_times.audit_point_times(K, levels, 2)
+        assert list(best) == list(layer_times.AUDIT_COLUMNS)
+        assert min(best.values()) >= 0
+        assert best["point"] >= max(best["rate"], best["bound"], best["gap"])
+        # One config, regular, at its 20 audit memories: an untimed pass
+        # that builds its facts, then two timed passes of rate, bound, gap.
+        config = calls[0][1][0]
+        assert validate_multi_user(config).ok and config.caches == K
+        grid = layer_times.audit_grid(config)
+        assert len(grid) == 20
+        # (M, config) of each call; gap_report takes (setup, achievable, lower, M, config).
+        points = [(name, args[3:] if name == "gap_report" else (args[1], args[0]))
+                  for name, args in calls]
+        assert [(name, M) for name, (M, _) in points] == \
+            [(name, M) for M in grid for name in ("rate_memory_sharing",
+                                                  "optimize_lower_bound_mu", "gap_report")] * 3
+        assert all(cfg is config for _, (_, cfg) in points)
+    assert gc.isenabled()
+    assert not list(tmp_path.iterdir()) and not capsys.readouterr().out

@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from cachelab import radicals
-from cachelab.experiments import random_multi_user_config
-from cachelab.model import (LevelSpec, Setup, SystemConfig, mixed_classes,
+from cachelab import multi_user, radicals
+from cachelab.bounds import gap_report, optimize_lower_bound_mu
+from cachelab.experiments import audit, random_multi_user_config
+from cachelab.model import (LevelSpec, Setup, SystemConfig, describe, mixed_classes,
                             validate_multi_user)
-from cachelab.multi_user import (_SplitPlan, find_m_feasible_partition, level_rate_bounds,
-                                 rate_memory_sharing)
+from cachelab.multi_user import (Partition, _SplitPlan, find_m_feasible_partition,
+                                 level_rate_bounds, rate_memory_sharing)
 from cachelab.radicals import exact_sign
 from cachelab.single_level import rate_single_level
 from oracles import (_split_conditions, allocation_alphas, enumerate_feasible_partitions,
@@ -451,3 +452,92 @@ def test_rate_memory_sharing_scans_the_partition_once(count_calls):
     for M in memories:
         rate_memory_sharing(cfg, M)
     assert calls == [cfg] * len(memories)
+
+
+def _m_tilde_cases():
+    # Criterion 7's grids (its seed, 100 configs of up to five levels, at
+    # M = 0, total/3 and 9*total/10), then the oracle configs on fresh
+    # objects at every prefix sum and seeded memories, in shuffled order.
+    rng = random.Random(20260809)
+    for _ in range(100):
+        cfg = random_multi_user_config(rng, max_levels=5)
+        total = cfg.total_files
+        yield cfg, [Fraction(0), Fraction(total, 3), Fraction(9 * total, 10)]
+    rng, orders = random.Random(163), random.Random(167)
+    for cfg in _oracle_configs():
+        mems = {Fraction(sum(lv.files for lv in cfg.levels[:k]))
+                for k in range(len(cfg.levels) + 1)}
+        mems |= {Fraction(rng.randint(0, 8 * cfg.total_files), rng.randint(1, 8))
+                 for _ in range(6)}
+        mems = sorted(mems)
+        orders.shuffle(mems)
+        yield cfg, mems
+
+
+def test_m_tilde_on_first_read_matches_the_eager_oracle():
+    # Every partition of a config is found before any M_tilde is read, and
+    # they are read in reverse, so the blocks were filled by other queries
+    # first; each value and its printed form are the oracle's.
+    checked = 0
+    for cfg, mems in _m_tilde_cases():
+        found = [(M, find_m_feasible_partition(cfg, M)) for M in mems]
+        for M, partition in reversed(found):
+            want = scan_partition(cfg, M).M_tilde
+            assert partition.M_tilde == want and repr(partition.M_tilde) == repr(want), (cfg, M)
+            assert type(partition.M_tilde) is type(want)
+            checked += want is not None
+    assert checked >= 400
+
+
+def test_positional_partition_equals_the_scan_partition():
+    # A Partition built positionally with an eager M_tilde (as the oracles
+    # build one) equals the scan's partition before its M_tilde was read,
+    # and prints and hashes alike; RootSum values are unhashable, so such a
+    # partition refuses to hash either way.
+    hashed = 0
+    for cfg, mems in _m_tilde_cases():
+        for M in mems:
+            want = scan_partition(cfg, M)
+            eager = Partition(want.H, want.I, want.J, want.S_I, want.T_J, want.V_I,
+                              want.M_tilde)
+            lazy = find_m_feasible_partition(SystemConfig(cfg.setup, cfg.caches, cfg.levels), M)
+            assert lazy == eager and eager == lazy, (cfg, M)
+            assert repr(lazy) == repr(eager) and describe(lazy) == describe(eager)
+            if type(eager.S_I) is Fraction and type(eager.M_tilde) is not radicals.RootSum:
+                assert hash(lazy) == hash(eager)
+                hashed += 1
+            else:
+                for partition in (lazy, eager):
+                    with pytest.raises(TypeError):
+                        hash(partition)
+    assert hashed >= 100
+
+
+def test_an_audit_point_never_computes_m_tilde(monkeypatch):
+    # The rate, the bound and the gap of an audit point leave M_tilde
+    # pending; the first read computes it, once, and a printed report reads it.
+    computed = []
+    value = multi_user._Pending.value
+
+    def counted(pending):
+        computed.append(pending)
+        return value(pending)
+
+    monkeypatch.setattr(multi_user._Pending, "value", counted)
+    cfg = SystemConfig.multi_user(4, [(8, 2), (25600, 1)])
+    reports = []
+    for M in (Fraction(0), Fraction(1, 3), Fraction(8), Fraction(25608, 7)):
+        report = rate_memory_sharing(cfg, M)
+        lower, _ = optimize_lower_bound_mu(cfg, M)
+        gap_report(Setup.MULTI_USER, report.achievable, lower, M, cfg)
+        reports.append(report)
+    assert audit(Setup.MULTI_USER, 3, seed=1, grid_points=5).ok
+    assert computed == []
+    partition = reports[1].partition
+    first = partition.M_tilde
+    assert partition.M_tilde is first and len(computed) == 1
+    reports[1].to_json_dict()
+    assert len(computed) == 1
+    assert reports[2].to_json_dict()["partition"]["M_tilde"] == \
+        describe(scan_partition(cfg, Fraction(8)).M_tilde)
+    assert len(computed) == 2

@@ -10,6 +10,11 @@ It then builds the multi-user bound's envelope of lines
 101-point gamma scan on demo 06's config at M = 6, without and with
 gamma = 1/2, each time on a fresh config object so that nothing is cached
 (as a ``cachelab mixed`` call loads one), and prints the best times.
+Last it times a warm multi-user audit point, as ``cachelab audit`` and
+perfbench's mu-audit run one: ``rate_memory_sharing``, the
+``optimize_lower_bound_mu`` query and ``gap_report`` at each of the 20
+audit memories of the two regular envelope configs, once the config's
+facts are built, and prints each part's best time per memory.
 It uses the standard library only and writes nothing.  From the root of a
 checkout:
 
@@ -29,9 +34,10 @@ from fractions import Fraction
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "src"))
 
-from cachelab.bounds import _bound_lines  # noqa: E402
-from cachelab.experiments import mixed_rate  # noqa: E402
+from cachelab.bounds import _bound_lines, gap_report, optimize_lower_bound_mu  # noqa: E402
+from cachelab.experiments import audit_grid, mixed_rate  # noqa: E402
 from cachelab.model import LevelSpec, Setup, SystemConfig  # noqa: E402
+from cachelab.multi_user import rate_memory_sharing  # noqa: E402
 from cachelab.single_level import deliver, place, verify_decode, worst_case_demands  # noqa: E402
 
 CACHES = (8, 10)
@@ -56,6 +62,10 @@ MIXED_ROW = (LevelSpec(12, 3), LevelSpec(50, 1))
 MIXED_MEMORY = Fraction(6)
 MIXED_GAMMAS = {"grid optimum": None, "gamma = 1/2": Fraction(1, 2)}
 MIXED_REPEAT = 100
+# The audit-point rows run on the two regular envelope configs.
+AUDIT_CONFIGS = ("K = 128, 1 level", "K = 128, 4 levels")
+AUDIT_COLUMNS = ("rate", "bound", "gap", "point")
+AUDIT_REPEAT = 50
 
 
 def layer_times(K: int, M: Fraction, repeat: int) -> dict[str, float]:
@@ -114,6 +124,42 @@ def mixed_time(gamma, repeat: int) -> float:
                        lambda config: mixed_rate(config, MIXED_MEMORY, gamma), repeat)
 
 
+def audit_point_times(K: int, levels: list[tuple[int, int]], repeat: int) -> dict[str, float]:
+    """Best seconds per memory of each part of a warm audit point, and of
+    the whole point, over the config's audit memories.
+
+    Each pass times the rate, the bound query and the gap at every memory.
+    The first pass builds the config's facts and is not counted; of the
+    `repeat` passes after it, the best of each part is kept.
+    """
+    config = SystemConfig.multi_user(K, levels)
+    grid = audit_grid(config)
+    best = dict.fromkeys(AUDIT_COLUMNS, float("inf"))
+    clock = time.perf_counter
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for warm in range(repeat + 1):
+            parts = [0.0] * len(AUDIT_COLUMNS)
+            for M in grid:
+                t0 = clock()
+                report = rate_memory_sharing(config, M)
+                t1 = clock()
+                lower, _ = optimize_lower_bound_mu(config, M)
+                t2 = clock()
+                gap_report(Setup.MULTI_USER, report.achievable, lower, M, config)
+                t3 = clock()
+                for k, seconds in enumerate((t1 - t0, t2 - t1, t3 - t2, t3 - t0)):
+                    parts[k] += seconds
+            if warm:
+                for name, seconds in zip(AUDIT_COLUMNS, parts):
+                    best[name] = min(best[name], seconds / len(grid))
+    finally:
+        if enabled:
+            gc.enable()
+    return best
+
+
 def main() -> None:
     print(f"best of {REPEAT}, M = {MEMORY}, worst-case demands, times in ms")
     print(f"{'K = N':>5}" + "".join(f"{name:>15}" for name in COLUMNS))
@@ -126,6 +172,12 @@ def main() -> None:
     print(f"\nmixed_rate, demo 06 at M = {MIXED_MEMORY}, best of {MIXED_REPEAT}, times in ms")
     for name, gamma in MIXED_GAMMAS.items():
         print(f"{name:>20}{mixed_time(gamma, MIXED_REPEAT) * 1e3:>15.3f}")
+    print(f"\nwarm audit point, best of {AUDIT_REPEAT} passes over the 20 audit memories, "
+          f"times in us per memory")
+    print(f"{'':>20}" + "".join(f"{name:>15}" for name in AUDIT_COLUMNS))
+    for name in AUDIT_CONFIGS:
+        best = audit_point_times(*ENVELOPES[name], AUDIT_REPEAT)
+        print(f"{name:>20}" + "".join(f"{best[part] * 1e6:>15.2f}" for part in AUDIT_COLUMNS))
 
 
 if __name__ == "__main__":

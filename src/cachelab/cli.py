@@ -13,8 +13,10 @@ output path, 5 audit failure.  Every failure prints one line to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -87,13 +89,21 @@ def cmd_sweep(args) -> int:
     config = load_config(args.config)
     grid = _parse_grid(args, config)
     rows = experiments.sweep(config, grid)
+    json_path = args.out[:-4] + ".json" if args.out.endswith(".csv") else args.out + ".json"
+    outputs = [(experiments.write_sweep_csv, args.out),
+               (experiments.write_sweep_json, json_path)]
+    if args.plot_out:
+        outputs.append((experiments.write_plot_data, args.plot_out))
+    written = []
     try:
-        experiments.write_sweep_csv(rows, args.out)
-        json_path = args.out[:-4] + ".json" if args.out.endswith(".csv") else args.out + ".json"
-        experiments.write_sweep_json(rows, json_path)
-        if args.plot_out:
-            experiments.write_plot_data(rows, args.plot_out)
+        for write, path in outputs:
+            write(rows, path)
+            written.append(path)
     except OSError as exc:
+        # A failed sweep leaves no output file: the files it already wrote go.
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.remove(path)
         print(f"cannot write output: {exc}", file=sys.stderr)
         return EXIT_UNWRITABLE
     print(f"wrote {len(rows)} rows to {args.out} (exact values in {json_path})")

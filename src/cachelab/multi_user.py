@@ -38,9 +38,7 @@ block of the split the scan found, with W as the same pair from
 `_Block.weight`, so a level with a rational share (every split with one
 partial level) gets its memory as one Fraction; it adds the rational
 per-level rates, and forms a rational ``approx_rate``, as integer pairs,
-at every memory.  Irrational values keep the order of their RootSum
-operations: it decides which of two equivalent kernels a sum keeps, and so
-how it prints.
+at every memory.
 """
 
 from __future__ import annotations
@@ -79,7 +77,7 @@ class _Pending:
 class _OnFirstRead:
     """Data descriptor of `Partition.M_tilde`, which the constructor may
     pass as a `_Pending`: the field's first read computes it and keeps the
-    value, so every read, ``==``, `hash` and `repr` see the value.  Read on
+    value, so every read, ``==`` and `repr` see the value.  Read on
     the class, it raises AttributeError, so the field has no default."""
 
     def __set_name__(self, owner, name: str) -> None:
@@ -107,7 +105,9 @@ class Partition:
     A value given to the constructor is kept as given; the scan gives
     ``M_tilde`` as a `_Pending`, which its first read computes, since the
     rate, the bound and the gap never read it and a printed report does.
-    ``==``, `hash` and `repr` read it as well, so they see the value.
+    ``==`` and `repr` read it as well, so they see the value.  A partition
+    hashes by its sets H, I and J, which equal partitions share, so one
+    with an irrational (unhashable) ``S_I`` or ``M_tilde`` hashes too.
     """
 
     H: frozenset[int]
@@ -117,6 +117,9 @@ class Partition:
     T_J: Fraction
     V_I: Fraction
     M_tilde: Optional[ExactValue] = _OnFirstRead()
+
+    def __hash__(self) -> int:
+        return hash((self.H, self.I, self.J))
 
 
 @dataclass(frozen=True)
@@ -129,11 +132,7 @@ class MemoryAllocation:
 
 def _sums(levels: tuple[LevelSpec, ...], K: int,
           I: Iterable[int]) -> tuple[ExactValue, Fraction]:
-    """``S_I`` and ``V_I`` of a partial-memory set, as defined on `Partition`.
-
-    I is summed in the caller's order, which fixes how equivalent kernels
-    of ``S_I`` are represented.
-    """
+    """``S_I`` and ``V_I`` of a partial-memory set, as defined on `Partition`."""
     S_I: ExactValue = Fraction(0)
     for i in I:
         S_I = S_I + _sqrt_nu(levels[i])
@@ -147,9 +146,7 @@ class _Block:
     The membership conditions compare ``K*W = K*(M - T_J + V_I)`` with the
     cut constants ``S_I*sqrt(N_l/U_l)`` (`cut`), and the allocation scales
     ``sqrt(N_i*U_i)*S_I^-1`` (`share`) by W; `offset` is ``V_I - T_J`` as an
-    integer numerator and positive denominator.  S_I is summed in the order
-    of the frozenset I, as `Partition.S_I` is; only the value of a cut
-    constant matters, but its inverse, square and shares are printed.
+    integer numerator and positive denominator.
 
     The block also owns the parts of its split's report that do not depend
     on M: the sets H and J with ``T_J``, the fixed amounts (each J level's
@@ -329,8 +326,7 @@ def _exact_sum(values: list[ExactValue]) -> ExactValue:
     """``sum(values)`` in order, as Fractions add.
 
     The rational terms before the first irrational one are added as an
-    integer pair; from that term on every addition is the RootSum one, in
-    order, so equivalent kernels merge as they always have.
+    integer pair; from that term on every addition is the RootSum one.
     """
     num, den = 0, 1
     for k, value in enumerate(values):

@@ -4,12 +4,12 @@ Memory allocations and rate expressions in this package involve terms like
 ``sqrt(N*U)``, which are irrational for most inputs.  A ``RootSum`` stores a
 value of the form ``sum_k n_k * sqrt(k) / den`` with integer numerators
 ``n_k``, one denominator ``den > 0`` and positive integer kernels ``k``
-(kernel 1 holds the rational part), kept pairwise inequivalent (no two
-kernels whose product is a perfect square).  In that form the value is zero
-iff every numerator is zero, which makes comparisons decidable: an exact
-zero test first, then interval refinement that is guaranteed to terminate
-for nonzero values.  No numerator is zero, ``gcd(den, *nums)`` is 1, and
-the terms keep the order in which a sum first met their kernels.
+(kernel 1 holds the rational part), each other kernel a product of
+distinct atoms: pairwise coprime non-squares.  Two such products are never
+a square apart (Besicovitch 1940), so the value is zero iff every numerator
+is zero, which makes comparisons decidable: an exact zero test first, then
+interval refinement that terminates for nonzero values.  No numerator is
+zero and ``gcd(den, *nums)`` is 1.
 
 Every arithmetic result is canonical: a ``Fraction`` when its value is
 rational, an irrational ``RootSum`` otherwise.  That holds for ``+``, ``-``,
@@ -20,14 +20,23 @@ ways to make a ``RootSum``, so every ``RootSum`` is irrational, hence
 nonzero, and a sum starts from ``Fraction(0)``.  ``math.floor`` and
 ``math.ceil`` are not exact on a ``RootSum``: they fall back to ``float``.
 
+Each value carries its base of atoms.  ``RootSum.sqrt`` seeds it with the
+shrunk kernel; a sum or product of two irrational operands joins their bases
+by gcd splitting (Bernstein 2005; no factoring), replaces a split-off square
+by its root, and rewrites the operand whose atoms split.  The joined base
+depends only on the square roots a value was built from, so it prints the
+same whatever the order of its operations, as long as no intermediate result
+is rational (a ``Fraction`` carries no base).  Equal values built from other
+roots can print apart: a lone ``sqrt(5618)`` is ``53*sqrt(2)``.
+
 Arithmetic stays on integers.  Scaling by ``a/b`` multiplies the numerators
 by ``a`` and the denominator by ``b``; a sum brings both operands over the
-lcm of their denominators and inserts the addend's terms one by one, a
-rational addend as the kernel-1 term; a product of two irrational sums
-adds its term products as integer numerators over the product of the two
-denominators.  Each result then divides out one content gcd.  The only
-Fractions are the values that leave the class: a rational result, a
-rational square root, and ``interval``.
+lcm of their denominators and adds the addend's terms by kernel, a rational
+addend as the kernel-1 term; a product of two irrational sums adds its term
+products as integer numerators over the product of the two denominators.
+Each result then divides out one content gcd.  The only Fractions are the
+values that leave the class: a rational result, a rational square root, and
+``interval``.
 
 The interval refinement starts at 256 bits and doubles the precision until
 the answer is certain; the starting precision only sets how soon that is.
@@ -37,18 +46,12 @@ bounds out as ``Fraction``s.  An ``Enclosure`` keeps the 256-bit bounds of a
 fixed value, so comparing it with many rationals costs integer products,
 and ``sign`` only for a rational inside the bounds.
 
-Division climbs a tower of quadratic extensions.  Over a generator basis
-``g_1..g_m`` of the kernels' square classes, conjugating ``sqrt(g_m)``
-(flipping the sign of every term whose class contains ``g_m``) gives a
-``conj`` with ``x * conj`` free of ``g_m``; so ``1/x = conj / (x * conj)``
-and the inner inverse needs one generator fewer.  That is ``m`` conjugations
-and about ``4^m`` term products, where the product of all ``2^m - 1`` sign
-conjugates costs about ``8^m``.  The value of an inverse is unique, and so is
-its printed form when every kernel is squarefree after ``_shrink_kernel``.
-A kernel that keeps the square of a prime above 47 (``53^2 * 2`` and ``2``
-are one square class) prints as whichever member of its class a sum met
-first, so the printed form of such a value depends on the order of the
-products that built it; its value does not.
+Division climbs a tower of quadratic extensions.  Conjugating an atom ``a``
+that divides some kernel (flipping the sign of every term whose kernel ``a``
+divides) gives a ``conj`` with ``x * conj`` free of ``a``; so
+``1/x = conj / (x * conj)`` and the inner inverse has one atom fewer.  Over
+``m`` atoms that is about ``4^m`` term products, where the product of all
+``2^m - 1`` sign conjugates costs about ``8^m``.
 """
 
 from __future__ import annotations
@@ -65,15 +68,15 @@ _PRECISION_CEILING = 1 << 20
 _DECIMAL_DIGITS = 12  # significant digits of `to_decimal`
 
 # Squares of small primes, used to shrink kernels opportunistically.
-_SMALL_SQUARES = [p * p for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)]
+_SMALL_SQUARES = tuple(p * p for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47))
 
 
 def _shrink_kernel(n: int) -> tuple[int, int]:
     """Return (kernel, mult) with sqrt(n) = mult * sqrt(kernel), kernel square-reduced.
 
     Only guarantees removal of the full square part and small prime-square
-    factors; full squarefree decomposition is not needed because kernels are
-    additionally grouped by the pairwise perfect-square test on insertion.
+    factors, so ``sqrt(12)`` prints as ``2*sqrt(3)``; a larger square factor
+    comes out when a base join splits it off.
     """
     r = math.isqrt(n)
     if r * r == n:
@@ -92,9 +95,11 @@ def _shrink_kernel(n: int) -> tuple[int, int]:
 class RootSum:
     """Exact irrational value ``sum_k n_k*sqrt(k) / den``, with integer
     numerators ``n_k`` over one denominator (kernel 1 holds the rational
-    part); immutable, and made only by `RootSum.sqrt` and arithmetic."""
+    part) and every other kernel a product of distinct atoms of the
+    ascending tuple ``_base``; immutable, and made only by `RootSum.sqrt`
+    and arithmetic."""
 
-    __slots__ = ("_den", "_nums")
+    __slots__ = ("_den", "_nums", "_base")
 
     def __init__(self, *_):
         raise TypeError("a RootSum comes from RootSum.sqrt or arithmetic")
@@ -112,7 +117,7 @@ class RootSum:
         if kernel == 1:
             return Fraction(mult, value.denominator)
         g = math.gcd(mult, value.denominator)
-        return _make(value.denominator // g, {kernel: mult // g})
+        return _make(value.denominator // g, {kernel: mult // g}, (kernel,))
 
     # -- ring operations ---------------------------------------------------
 
@@ -127,25 +132,28 @@ class RootSum:
         return None
 
     def __add__(self, other) -> "ExactValue":
-        # Both operands over the lcm of their denominators; the terms of
-        # other are inserted one by one, a rational as the kernel-1 term.
+        # Both operands over one base and the lcm of their denominators;
+        # other's terms add by kernel, a rational as the kernel-1 term.
         if isinstance(other, RootSum):
-            den, terms = other._den, other._nums.items()
+            base = _joined(self._base, other._base)
+            mine = _over(self, base)
+            den, terms = other._den, _over(other, base).items()
         elif isinstance(other, (int, Fraction)):
+            base, mine = self._base, self._nums
             den, terms = other.denominator, ((1, other.numerator),)
         else:
             return NotImplemented
         g = math.gcd(self._den, den)
-        nums = _times(self._nums, den // g)
+        nums = _times(mine, den // g)
         scale = self._den // g
         for kernel, n in terms:
             _insert(nums, kernel, n * scale)
-        return _canonical(_reduced(self._den // g * den, nums))
+        return _canonical(_reduced(self._den // g * den, nums, base))
 
     __radd__ = __add__
 
     def __neg__(self) -> "RootSum":
-        return _make(self._den, {k: -n for k, n in self._nums.items()})
+        return _make(self._den, {k: -n for k, n in self._nums.items()}, self._base)
 
     def __sub__(self, other):
         if not isinstance(other, (RootSum, int, Fraction)):
@@ -164,7 +172,7 @@ class RootSum:
             nums[kernel] = nums.get(kernel, 0) - n * scale
         if nums.get(1) == 0:
             del nums[1]
-        return _reduced(self._den // g * q, nums)
+        return _reduced(self._den // g * q, nums, self._base)
 
     def __mul__(self, other) -> "ExactValue":
         if not isinstance(other, (RootSum, int, Fraction)):
@@ -177,34 +185,22 @@ class RootSum:
         """``self * other`` as a raw RootSum, rational or not; `other` may be a
         raw rational RootSum from `_tower_inverse`."""
         q = other._rational() if isinstance(other, RootSum) else other
-        # A rational operand only scales the numerators and the denominator:
-        # the kernels are already shrunk and pairwise inequivalent, so
-        # _insert would keep them, in order.
+        # A rational operand only scales the numerators and the denominator.
         if q is not None:
             if not q:
-                return _make(1, {})
-            return _reduced(self._den * q.denominator, _times(self._nums, q.numerator))
-        # Term products are inserted as integer numerators over the product
-        # of the two denominators, in the order and with the merges and
-        # deletions of the term-by-term sum.
+                return _make(1, {}, self._base)
+            return _reduced(self._den * q.denominator, _times(self._nums, q.numerator),
+                            self._base)
+        # Over one base, sqrt(k1*k2) = g*sqrt((k1/g)*(k2/g)) with g = gcd;
+        # the products add by kernel over the product of the denominators.
+        base = _joined(self._base, other._base)
         nums: dict[int, int] = {}
-        b = list(other._nums.items())
-        for k1, n1 in self._nums.items():
+        b = list(_over(other, base).items())
+        for k1, n1 in _over(self, base).items():
             for k2, n2 in b:
-                if k1 == 1 or k2 == 1:
-                    kernel, n = k1 * k2, n1 * n2
-                else:
-                    g = math.gcd(k1, k2)
-                    kernel, n = (k1 // g) * (k2 // g), n1 * n2 * g
-                if kernel in nums:
-                    n += nums[kernel]
-                    if n:
-                        nums[kernel] = n
-                    else:
-                        del nums[kernel]
-                else:
-                    _insert(nums, kernel, n)
-        return _reduced(self._den * other._den, nums)
+                g = math.gcd(k1, k2)
+                _insert(nums, (k1 // g) * (k2 // g), n1 * n2 * g)
+        return _reduced(self._den * other._den, nums, base)
 
     def __truediv__(self, other) -> "ExactValue":
         if isinstance(other, RootSum):
@@ -220,52 +216,32 @@ class RootSum:
 
     def inverse(self) -> "ExactValue":
         """Exact multiplicative inverse, by a tower of quadratic conjugations."""
-        return _canonical(self._tower_inverse(len(self._nums)))
+        return _canonical(self._tower_inverse(self._base))
 
-    def _tower_inverse(self, rank: int) -> "RootSum":
-        # self = a + b*sqrt(g_m) and conj = a - b*sqrt(g_m) over a greedy
-        # generator basis g_1..g_m; self * conj = a^2 - b^2*g_m needs only
-        # g_1..g_{m-1}.  `rank` bounds m, so the recursion cannot loop.
+    def _tower_inverse(self, atoms: tuple[int, ...] | list[int]) -> "RootSum":
+        # self = a + b*sqrt(t) and conj = a - b*sqrt(t), with t the largest
+        # of `atoms` that divides some kernel; self * conj = a^2 - b^2*t is
+        # free of t, so the recursion takes at most len(atoms) steps.
         # Private, so a traced inverse() is entered once per division.
         nums = self._nums
-        kernels = [k for k in nums if k != 1]
-        if not kernels:
+        atoms = [t for t in atoms if any(k % t == 0 for k in nums)]
+        if not atoms:
+            if len(nums) != 1:
+                raise ArithmeticError("a conjugation did not remove its atom")
             n = nums[1]
-            return _make(abs(n), {1: self._den if n > 0 else -self._den})
-        gens: list[int] = []
-        expo: dict[int, int] = {}
-        for k in kernels:
-            mask = self._class_mask(k, gens)
-            if mask is None:
-                gens.append(k)
-                mask = 1 << (len(gens) - 1)
-            expo[k] = mask
-        if len(gens) > rank:
-            raise ArithmeticError("a conjugation did not remove its generator")
-        top = 1 << (len(gens) - 1)
-        conj = _make(self._den, {k: (-n if k != 1 and expo[k] & top else n)
-                                 for k, n in nums.items()})
-        return conj._product(self._product(conj)._tower_inverse(len(gens) - 1))
-
-    @staticmethod
-    def _class_mask(kernel: int, gens: list[int]) -> int | None:
-        """Mask of generators whose product is square-equivalent to kernel."""
-        for mask in range(1 << len(gens)):
-            prod = kernel
-            for i, g in enumerate(gens):
-                if mask & (1 << i):
-                    prod *= g
-            r = math.isqrt(prod)
-            if r * r == prod:
-                return mask
-        return None
+            return _make(abs(n), {1: self._den if n > 0 else -self._den}, self._base)
+        top = atoms.pop()
+        conj = _make(self._den, {k: (-n if k % top == 0 else n) for k, n in nums.items()},
+                     self._base)
+        return conj._product(self._product(conj)._tower_inverse(atoms))
 
     # -- comparisons -------------------------------------------------------
 
     def sign(self) -> int:
         """Certified sign: -1 or +1."""
-        # Kernels are pairwise inequivalent, so the value is nonzero unless
-        # every numerator is zero (and zero numerators are never stored).
+        # Distinct kernels are distinct products of coprime non-square atoms,
+        # so the value is nonzero unless every numerator is zero (and zero
+        # numerators are never stored).
         prec = _PRECISION_FLOOR
         while prec <= _PRECISION_CEILING:
             lo, hi, _ = self._scaled_interval(prec)
@@ -369,43 +345,71 @@ def _ratio_str(num: int, den: int) -> str:
     return f"{_int_str(num)}/{_int_str(den)}"
 
 
-def _insert(nums: dict, kernel: int, coeff: int) -> None:
-    """Add ``coeff * sqrt(kernel)`` to the numerators `nums`, keeping the
-    kernels shrunk and pairwise inequivalent and no zero numerator.
-
-    A merge into a kernel with a larger square part can leave a Fraction
-    numerator; `_reduced` rescales it away.
-    """
-    if kernel in nums:
-        # Stored kernels are already shrunk and pairwise inequivalent, so
-        # the merge scan below would land on this same key.
-        coeff += nums[kernel]
-        if coeff:
-            nums[kernel] = coeff
-        else:
-            del nums[kernel]
-        return
-    if kernel != 1:
-        kernel, mult = _shrink_kernel(kernel)
-        coeff *= mult
-    if kernel != 1:
-        # Merge with an equivalent kernel if one exists: sqrt(n) is a
-        # rational multiple of sqrt(k), namely r/k, exactly when n*k = r^2.
-        for k in nums:
-            if k == 1:
-                continue
-            prod = k * kernel
-            r = math.isqrt(prod)
-            if r * r == prod:
-                kernel = k
-                coeff *= r
-                coeff = coeff // k if coeff % k == 0 else Fraction(coeff, k)
-                break
+def _insert(nums: dict[int, int], kernel: int, coeff: int) -> None:
+    """Add ``coeff * sqrt(kernel)`` to the numerators `nums`, keeping no zero
+    numerator; both sides are over one base, so equal kernels merge by key."""
     coeff += nums.get(kernel, 0)
     if coeff:
         nums[kernel] = coeff
     else:
         nums.pop(kernel, None)  # a zero addend is a zero term nums may not hold
+
+
+def _joined(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The coprime base of the atoms of `a` and `b`, ascending: atoms ``x``
+    and ``y`` with ``g = gcd(x, y) > 1`` split into ``x/g``, ``g`` and ``y/g``
+    until all are coprime, and then a square is replaced by its root."""
+    if a == b:
+        return a
+    kept = list(a)
+    pending = [x for x in b if x not in a]
+    split = False
+    while pending:
+        x = pending.pop()
+        for i, y in enumerate(kept):
+            g = math.gcd(x, y)
+            if g != 1:
+                del kept[i]
+                pending += [p for p in (x // g, g, y // g) if p != 1]
+                split = True
+                break
+        else:
+            kept.append(x)
+    if split:
+        for i, x in enumerate(kept):
+            while (r := math.isqrt(x)) * r == x:
+                x = r
+            kept[i] = x
+    return tuple(sorted(kept))
+
+
+def _over(x: RootSum, base: tuple[int, ...]) -> dict[int, int]:
+    """The numerators of `x` over `base`, a coprime refinement of its own.
+
+    An atom ``o`` of x that split is a product of powers of atoms of `base`;
+    with their squares divided out it leaves ``kernel``, and each kernel of
+    x that ``o`` divides takes ``sqrt(o) = isqrt(o/kernel) * sqrt(kernel)``.
+    """
+    if x._base == base:
+        return x._nums
+    roots = []
+    for o in x._base:
+        if o not in base:
+            kernel = o
+            for t in base:
+                while kernel % (t * t) == 0:
+                    kernel //= t * t
+            roots.append((o, math.isqrt(o // kernel), kernel))
+    if not roots:
+        return x._nums
+    nums = {}
+    for k, n in x._nums.items():
+        for o, mult, kernel in roots:
+            if k % o == 0:
+                k = k // o * kernel
+                n *= mult
+        nums[k] = n
+    return nums
 
 
 def _times(nums: dict[int, int], factor: int) -> dict[int, int]:
@@ -415,29 +419,23 @@ def _times(nums: dict[int, int], factor: int) -> dict[int, int]:
     return {k: n * factor for k, n in nums.items()}
 
 
-def _reduced(den: int, nums: dict) -> RootSum:
-    """A raw RootSum over `nums` (which it takes over) and ``den > 0``, with
-    the content gcd divided out."""
-    try:
-        g = math.gcd(den, *nums.values())
-    except TypeError:
-        # A merge left Fraction numerators: rescale once to integers.
-        scale = math.lcm(*(n.denominator for n in nums.values()))
-        nums = {k: (n * scale).numerator for k, n in nums.items()}
-        den *= scale
-        g = math.gcd(den, *nums.values())
+def _reduced(den: int, nums: dict[int, int], base: tuple[int, ...]) -> RootSum:
+    """A raw RootSum over `nums` (which it takes over), ``den > 0`` and
+    `base`, with the content gcd divided out."""
+    g = math.gcd(den, *nums.values())
     if g != 1:
         nums = {k: n // g for k, n in nums.items()}
         den //= g
-    return _make(den, nums)
+    return _make(den, nums, base)
 
 
-def _make(den: int, nums: dict[int, int]) -> RootSum:
+def _make(den: int, nums: dict[int, int], base: tuple[int, ...]) -> RootSum:
     """A RootSum worth ``sum n*sqrt(k) / den`` over `nums`, which it takes
-    over; the only way to build one besides `RootSum.sqrt`."""
+    over, and `base`; the only way to build one besides `RootSum.sqrt`."""
     out = object.__new__(RootSum)
     out._den = den
     out._nums = nums
+    out._base = base
     return out
 
 

@@ -451,6 +451,20 @@ def reference_bound_lines(config):
                         for (A1, m1, _), (A2, m2, _) in zip(lines, lines[1:]))
 
 
+def class_mask(kernel, gens):
+    """Mask of generators whose product is square-equivalent to kernel, or
+    None when no product of them is."""
+    for mask in range(1 << len(gens)):
+        prod = kernel
+        for i, g in enumerate(gens):
+            if mask & (1 << i):
+                prod *= g
+        r = math.isqrt(prod)
+        if r * r == prod:
+            return mask
+    return None
+
+
 def conjugate_product_inverse(x):
     """1/x as the product of all 2^g - 1 nontrivial sign conjugates over the norm.
 
@@ -467,7 +481,7 @@ def conjugate_product_inverse(x):
     gens: list[int] = []
     expo: dict[int, int] = {}
     for k in kernels:
-        mask = RootSum._class_mask(k, gens)
+        mask = class_mask(k, gens)
         if mask is None:
             gens.append(k)
             mask = 1 << (len(gens) - 1)
@@ -530,10 +544,12 @@ def _shrink(n):
 class RawSum:
     """``sum c_k * sqrt(k)`` with Fraction coefficients, built term by term.
 
-    The reference for the terms, their order and the printed form of a
-    `RootSum`: `insert` keeps the kernels shrunk and pairwise inequivalent
-    and no zero coefficient, and a kernel first met keeps its place.  Unlike
-    a RootSum, a raw sum may be rational or zero.
+    The reference for the value and the term order of a `RootSum`, and for
+    its printed form when no kernel keeps the square of a prime above 47
+    (a RootSum prints such a class over its joined base, a raw sum as the
+    member first met): `insert` keeps the kernels shrunk and pairwise
+    inequivalent and no zero coefficient, and a kernel first met keeps its
+    place.  Unlike a RootSum, a raw sum may be rational or zero.
     """
 
     def __init__(self, terms=()):

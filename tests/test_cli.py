@@ -284,9 +284,20 @@ def test_usage_error_is_one_line(mu_config, capsys, argv, message):
     assert err.startswith("usage error: " + message) and err.count("\n") == 1
 
 
-def test_sweep_unwritable_exit(mu_config):
+def test_sweep_unwritable_exit(mu_config, tmp_path, monkeypatch):
     assert cli.main(["sweep", mu_config, "--mems", "0,2",
                      "--out", "/nonexistent-dir/x.csv"]) == 4
+    # A failure after the first file removes every file the run wrote.
+    out = tmp_path / "out"
+    out.mkdir()
+    monkeypatch.chdir(out)
+    (out / "rows.json").mkdir()
+    assert cli.main(["sweep", mu_config, "--mems", "0,2", "--out", "rows.csv"]) == 4
+    assert [p.name for p in out.iterdir()] == ["rows.json"]
+    (out / "rows.json").rmdir()
+    assert cli.main(["sweep", mu_config, "--mems", "0,2", "--out", "rows.csv",
+                     "--plot-out", "nodir/x.dat"]) == 4
+    assert not list(out.iterdir())
 
 
 def test_dichotomy_commands(capsys):

@@ -113,3 +113,30 @@ def test_audit_point_rows_time_a_warm_config_and_write_nothing(tmp_path, monkeyp
         assert all(cfg is config for _, (_, cfg) in points)
     assert gc.isenabled()
     assert not list(tmp_path.iterdir()) and not capsys.readouterr().out
+
+
+def test_radical_row_times_a_fresh_six_level_rate_and_writes_nothing(tmp_path, monkeypatch,
+                                                                     capsys):
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    rate = layer_times.rate_memory_sharing
+
+    def recorded(config, M):
+        report = rate(config, M)
+        calls.append((config, M, report))
+        return report
+
+    monkeypatch.setattr(layer_times, "rate_memory_sharing", recorded)
+    assert layer_times.radical_rate_time(3) >= 0
+    # A fresh config per repetition, each rated once at M = 196.
+    assert len({id(config) for config, _, _ in calls}) == len(calls) == 3
+    for config, M, report in calls:
+        assert (config.caches, M) == (8, 196)
+        assert [(lv.files, lv.users) for lv in config.levels] == layer_times.RADICAL_LEVELS
+        # Every level is partial, and the three most popular get more than N/K.
+        assert sorted(report.partition.I) == list(range(6))
+        above = [a > Fraction(lv.files, 8)
+                 for a, lv in zip(report.allocation.amounts, config.levels)]
+        assert above == [True] * 3 + [False] * 3
+    assert gc.isenabled()
+    assert not list(tmp_path.iterdir()) and not capsys.readouterr().out

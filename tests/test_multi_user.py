@@ -492,9 +492,9 @@ def test_m_tilde_on_first_read_matches_the_eager_oracle():
 def test_positional_partition_equals_the_scan_partition():
     # A Partition built positionally with an eager M_tilde (as the oracles
     # build one) equals the scan's partition before its M_tilde was read,
-    # and prints and hashes alike; RootSum values are unhashable, so such a
-    # partition refuses to hash either way.
-    hashed = 0
+    # and prints and hashes alike.  A partition hashes by H, I and J, so one
+    # whose S_I or M_tilde is an (unhashable) RootSum hashes as well.
+    irrational = 0
     for cfg, mems in _m_tilde_cases():
         for M in mems:
             want = scan_partition(cfg, M)
@@ -503,14 +503,21 @@ def test_positional_partition_equals_the_scan_partition():
             lazy = find_m_feasible_partition(SystemConfig(cfg.setup, cfg.caches, cfg.levels), M)
             assert lazy == eager and eager == lazy, (cfg, M)
             assert repr(lazy) == repr(eager) and describe(lazy) == describe(eager)
-            if type(eager.S_I) is Fraction and type(eager.M_tilde) is not radicals.RootSum:
-                assert hash(lazy) == hash(eager)
-                hashed += 1
-            else:
-                for partition in (lazy, eager):
-                    with pytest.raises(TypeError):
-                        hash(partition)
-    assert hashed >= 100
+            assert hash(lazy) == hash(eager) == hash((want.H, want.I, want.J))
+            assert len({lazy, eager}) == 1
+            irrational += radicals.RootSum in (type(eager.S_I), type(eager.M_tilde))
+    assert irrational >= 300
+
+
+def test_a_partition_hashes_without_reading_m_tilde():
+    cfg = SystemConfig.multi_user(4, [(8, 2), (50, 1)])
+    partition = find_m_feasible_partition(cfg, 10)
+    assert type(partition.S_I) is radicals.RootSum
+    fresh = find_m_feasible_partition(SystemConfig.multi_user(4, [(8, 2), (50, 1)]), 10)
+    # Hashing reads only the sets; a dict lookup then compares with ==.
+    assert hash(fresh) == hash(partition) == hash((fresh.H, fresh.I, fresh.J))
+    assert type(fresh.__dict__["M_tilde"]) is multi_user._Pending
+    assert {partition: 1}[fresh] == 1
 
 
 def test_an_audit_point_never_computes_m_tilde(monkeypatch):

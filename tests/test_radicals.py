@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -23,10 +24,18 @@ def _same_value(got, value):
 
 def _assert_reduced(x):
     """The integer form of a RootSum: a positive denominator, no common
-    factor with the numerators, and no zero numerator."""
+    factor with the numerators, and no zero numerator, over an ascending
+    base of pairwise coprime non-square atoms, every kernel the product of
+    the atoms that divide it, each taken once."""
     assert type(x._den) is int and x._den > 0, x._den
     assert all(type(n) is int and n for n in x._nums.values()), x._nums
     assert math.gcd(x._den, *x._nums.values()) == 1, (x._den, x._nums)
+    base = x._base
+    assert type(base) is tuple and list(base) == sorted(set(base)), base
+    assert all(math.isqrt(a) ** 2 != a for a in base), base
+    assert all(math.gcd(a, b) == 1 for a, b in itertools.combinations(base, 2)), base
+    for kernel in x._nums:
+        assert kernel == math.prod(a for a in base if kernel % a == 0), (kernel, base)
 
 
 def _assert_canonical(got, value):
@@ -34,6 +43,23 @@ def _assert_canonical(got, value):
     an irrational RootSum otherwise, and equal to it."""
     assert type(got) is (Fraction if _is_rational_route(value) else RootSum), (got, value)
     assert _same_value(got, value), (got, value)
+
+
+def _carries_a_large_square(value):
+    """True when a kernel of `value` keeps the square of 53 or 59, which
+    `_shrink_kernel` leaves in place (no test kernel has a larger prime)."""
+    return any(k % (p * p) == 0 for k in raw(value).terms for p in (53, 59))
+
+
+def assert_same_terms(got, want):
+    """`got` is the canonical form of the raw sum `want`, and an irrational
+    `got` keeps the terms of `want` in order, each equal in value; a kernel
+    that keeps a large square may print as another member of its class."""
+    _assert_canonical(got, want)
+    if type(got) is RootSum:
+        _assert_reduced(got)
+        assert [(c * c * k, c > 0) for k, c in raw(got).terms.items()] \
+            == [(c * c * k, c > 0) for k, c in want.terms.items()], (got, want)
 
 
 def assert_canonical_route(got, want):
@@ -209,17 +235,20 @@ def test_irrational_products_match_insert_route():
         (r2 + r3, r2 - r3),
         (1 + r2 + r3 + r6, 1 - r2 - r3 + r6),
         (Fraction(1, 3) * r2 - Fraction(5, 7) * r3, Fraction(1, 3) * r2 + Fraction(5, 7) * r3),
-        # 53^2 stays in a kernel, so sqrt(6) and sqrt(6*53^2) are one class:
-        # the later kernel merges into the earlier one, scaled by 53 or 1/53.
+        # sqrt(3*53^2) and sqrt(2) split into the atoms 2, 3 and 53, so
+        # sqrt(3*53^2) is 53*sqrt(3) and both orders print alike.
         (r2 + RootSum.sqrt(3 * big), r3 + r2),
         (RootSum.sqrt(3 * big) + r2, r2 + r3),
         (Fraction(2, 5) * RootSum.sqrt(3 * big) - r2, Fraction(3, 4) * r2 + r3),
     ]
     for x, y in cases:
-        assert_canonical_route(x * y, insert_route_mul(x, y))
+        if _carries_a_large_square(x) or _carries_a_large_square(y):
+            assert_same_terms(x * y, insert_route_mul(x, y))
+        else:
+            assert_canonical_route(x * y, insert_route_mul(x, y))
     products = [as_exact_str(x * y) for x, y in cases[-6:]]
     assert products == ["-1", "2", "-577/441", "161 + 54*sqrt(6)",
-                        "161 + 54/53*sqrt(16854)", "621/10 + 149/530*sqrt(16854)"]
+                        "161 + 54*sqrt(6)", "621/10 + 149/10*sqrt(6)"]
 
 
 def _property_operands():
@@ -254,7 +283,10 @@ def test_results_are_canonical_and_match_the_insert_route():
                 continue
             _assert_canonical(a + b, insert_route_add(a, b))
             _assert_canonical(a - b, insert_route_add(a, insert_route_mul(b, -1)))
-            assert_canonical_route(a * b, insert_route_mul(a, b))
+            if _carries_a_large_square(a) or _carries_a_large_square(b):
+                assert_same_terms(a * b, insert_route_mul(a, b))
+            else:
+                assert_canonical_route(a * b, insert_route_mul(a, b))
             if b:
                 _assert_canonical(a / b, insert_route_mul(a, conjugate_product_inverse(b)))
             else:
@@ -310,22 +342,84 @@ def test_scaling_divides_out_the_common_factor():
 
 
 def test_merge_into_a_larger_square_part_rescales():
-    # sqrt(2*53^2) keeps its square, so sqrt(2) merges into it as
-    # sqrt(2*53^2)/53 and leaves a numerator of 1/53 before the rescale.
+    # sqrt(2*53^2) keeps its square until sqrt(2) splits its atom into 2
+    # and 53^2, whose root 53 takes its place: sqrt(2*53^2) is 53*sqrt(2),
+    # with an integer numerator, in either operand order.
     big = 53 * 53
-    got = RootSum.sqrt(2 * big) + RootSum.sqrt(2)
-    assert got == Fraction(54, 53) * RootSum.sqrt(2 * big)
-    assert repr(got) == "54/53*sqrt(5618)"
-    assert (got._den, got._nums) == (53, {5618: 54})
-    assert_canonical_route(got, insert_route_add(RootSum.sqrt(2 * big), RootSum.sqrt(2)))
-    # In a product: sqrt(3) merges into sqrt(3*53^2) and 3*sqrt(2) into
-    # sqrt(2*53^2), each scaled by 1/53.
+    for a, b in ((RootSum.sqrt(2 * big), RootSum.sqrt(2)),
+                 (RootSum.sqrt(2), RootSum.sqrt(2 * big))):
+        got = a + b
+        assert got == Fraction(54, 53) * RootSum.sqrt(2 * big)
+        assert repr(got) == "54*sqrt(2)"
+        assert (got._den, got._nums) == (1, {2: 54})
+        assert got._base == (2, 53)
+        assert_same_terms(got, insert_route_add(a, b))
+    # In a product: sqrt(6) splits sqrt(2*53^2) and sqrt(3) joins the base.
     x, y = RootSum.sqrt(2 * big) + RootSum.sqrt(3), 1 + RootSum.sqrt(6)
-    got = x * y
-    assert got == Fraction(56, 53) * RootSum.sqrt(2 * big) \
-        + Fraction(107, 53) * RootSum.sqrt(3 * big)
-    assert repr(got) == "56/53*sqrt(5618) + 107/53*sqrt(8427)"
-    assert_canonical_route(got, insert_route_mul(x, y))
+    for got in (x * y, y * x):
+        assert got == Fraction(56, 53) * RootSum.sqrt(2 * big) \
+            + Fraction(107, 53) * RootSum.sqrt(3 * big)
+        assert repr(got) == "56*sqrt(2) + 107*sqrt(3)"
+        assert_same_terms(got, insert_route_mul(x, y))
+
+
+def test_split_atoms_end_on_one_base_in_every_order():
+    # A split-off square is replaced by its root, not dropped: sqrt(2*53^2),
+    # sqrt(2) and sqrt(3*53^2) end on the atoms 2, 3 and 53 whichever comes
+    # first, and so does the value they sum to.
+    big = 53 * 53
+    results = set()
+    for order in itertools.permutations((2 * big, 2, 3 * big)):
+        got = Fraction(0)
+        for k in order:
+            got = got + RootSum.sqrt(k)
+        _assert_reduced(got)
+        assert got._base == (2, 3, 53)
+        results.add(repr(got))
+    assert results == {"54*sqrt(2) + 53*sqrt(3)"}
+    # sqrt(2*53^2) made before sqrt(2), and the reverse, in a product.
+    for a, b in ((RootSum.sqrt(2 * big), 1 + RootSum.sqrt(2)),
+                 (1 + RootSum.sqrt(2), RootSum.sqrt(2 * big))):
+        got = a * b
+        assert repr(got) == "106 + 53*sqrt(2)" and got._base == (2, 53)
+
+
+_PRIMES_TO_47 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+positive_sums = st.lists(
+    st.tuples(st.fractions(min_value=Fraction(1, 12), max_value=20, max_denominator=12),
+              st.sets(st.sampled_from(_PRIMES_TO_47), min_size=1, max_size=3),
+              st.sampled_from((1, 53 * 53, 59 * 59))),
+    min_size=1, max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(positive_sums, min_size=2, max_size=4), st.randoms(use_true_random=False))
+def test_products_print_alike_in_every_order(factors, rng):
+    # Each factor is 1 + sum c_i*sqrt(k_i) with c_i > 0, so no partial
+    # product is rational and every value keeps its base.  Shuffled factor
+    # and term orders meet the same square roots, so they end on one base
+    # and print alike; only a rational intermediate, which carries no base,
+    # could break that.
+    def build(factors):
+        product = Fraction(1)
+        for terms in factors:
+            factor = Fraction(1)
+            for c, primes, square in terms:
+                factor = factor + c * RootSum.sqrt(math.prod(primes) * square)
+            product = product * factor
+        return product
+
+    def shuffled():
+        return [rng.sample(terms, len(terms)) for terms in rng.sample(factors, len(factors))]
+
+    first, second = build(shuffled()), build(shuffled())
+    assert type(first) is RootSum and type(second) is RootSum
+    _assert_reduced(first)
+    _assert_reduced(second)
+    assert first._base == second._base
+    assert repr(first) == repr(second)
+    assert first == second
 
 
 radical_sums = st.lists(

@@ -15,6 +15,9 @@ perfbench's mu-audit run one: ``rate_memory_sharing``, the
 ``optimize_lower_bound_mu`` query and ``gap_report`` at each of the 20
 audit memories of the two regular envelope configs, once the config's
 facts are built, and prints each part's best time per memory.
+Last of all it times ``rate_memory_sharing`` on a fresh wide config with
+six partial levels, three of them above N/K, whose rate is built from
+``RootSum`` products and inverses, and prints the best time.
 It uses the standard library only and writes nothing.  From the root of a
 checkout:
 
@@ -66,6 +69,12 @@ MIXED_REPEAT = 100
 AUDIT_CONFIGS = ("K = 128, 1 level", "K = 128, 4 levels")
 AUDIT_COLUMNS = ("rate", "bound", "gap", "point")
 AUDIT_REPEAT = 50
+# Six partial levels, three of them above N/K, at M = 196: each of those
+# three inverts its memory, a sum of radicals over six atoms.
+RADICAL_CACHES = 8
+RADICAL_LEVELS = [(47, 1), (79, 1), (303, 3), (393, 3), (1076, 4), (1084, 4)]
+RADICAL_MEMORY = Fraction(196)
+RADICAL_REPEAT = 15
 
 
 def layer_times(K: int, M: Fraction, repeat: int) -> dict[str, float]:
@@ -160,6 +169,13 @@ def audit_point_times(K: int, levels: list[tuple[int, int]], repeat: int) -> dic
     return best
 
 
+def radical_rate_time(repeat: int) -> float:
+    """Best seconds of one ``rate_memory_sharing`` call on a fresh copy of
+    the six-level radical config."""
+    return _best_fresh(lambda: SystemConfig.multi_user(RADICAL_CACHES, RADICAL_LEVELS),
+                       lambda config: rate_memory_sharing(config, RADICAL_MEMORY), repeat)
+
+
 def main() -> None:
     print(f"best of {REPEAT}, M = {MEMORY}, worst-case demands, times in ms")
     print(f"{'K = N':>5}" + "".join(f"{name:>15}" for name in COLUMNS))
@@ -178,6 +194,9 @@ def main() -> None:
     for name in AUDIT_CONFIGS:
         best = audit_point_times(*ENVELOPES[name], AUDIT_REPEAT)
         print(f"{name:>20}" + "".join(f"{best[part] * 1e6:>15.2f}" for part in AUDIT_COLUMNS))
+    print(f"\nrate_memory_sharing, 6 partial levels (3 above N/K) at M = {RADICAL_MEMORY}, "
+          f"best of {RADICAL_REPEAT}, times in ms")
+    print(f"{'K = 8, radicals':>20}{radical_rate_time(RADICAL_REPEAT) * 1e3:>15.3f}")
 
 
 if __name__ == "__main__":

@@ -12,11 +12,10 @@ builds the upper envelope of these lines once per config, together with
 its breakpoints, the memories where consecutive lines meet, all as
 integers.  The breakpoints do not decrease, so the maximum at M is the
 first line whose breakpoint is at least M (`_locate`, a bisection by
-integer cross-multiplication, which H1's pivot test below shares), and the
-lines tied with it are the ones that follow while the breakpoint equals M;
-the smallest (t, b) among them wins.  A query builds one Fraction, the
-line's value at M, and computes the window counts of that one line; no
-float takes part.
+integer cross-multiplication), and the lines tied with it are the ones
+that follow while the breakpoint equals M; the smallest (t, b) among them
+wins.  A query builds one Fraction, the line's value at M, and computes
+the window counts of that one line; no float takes part.
 
 The envelope is built in one integer pass.  The ``b`` ladder that every
 window size shares is built once per config, and each ``t`` adds only its
@@ -41,10 +40,11 @@ min over runs of consecutive b, which end at per-level integer
 thresholds.  Inside a run the cut sum is ``alpha + beta/b`` (alpha the s*t*U
 terms, beta the sum of the other levels' N_i/s_i), so all of the run's lines
 pass through the pivot ``(beta/t, alpha)``, and at any other M each line
-strictly inside the run is strictly below the run's first or last line.  When
-H1 is strictly above alpha at the pivot, the inner lines are strictly below
-the final envelope and are skipped without a cut sum; otherwise each inner
-line's cut sum is read off alpha and beta.
+strictly inside the run is strictly below the run's first or last line.  At
+the pivot it ties with the first line, which has the same t and a smaller b,
+so no query returns it, and only the two end lines of each run are built.
+Every line a query can return stays on the envelope; `_bound_lines` gives
+the proof.
 
 The single-user bound is one cut-set recipe in one pass over the levels:
 the levels with ``6M > N_j`` share a collective cut, the levels that the
@@ -73,12 +73,12 @@ _MULTI_USER_CONSTANT = Fraction(MULTI_USER_GAP)
 _SINGLE_USER_CONSTANT = Fraction(SINGLE_USER_GAP)
 _ZERO = Fraction(0)
 # The envelope holds lines for every window size t up to K/2.  At this many
-# caches the first bound query takes 0.06-0.07 s on one level (N = 4096,
-# U = 1), 0.14-0.19 s on four levels of 4096, 8192, 12288 and 16384 files
-# and 0.27-0.29 s on four regular levels 6400 times apart in popularity
-# (8192, 78643200, 671088640000 and 4294967296000000 files, 2 to 4 users
-# per cache; best of 3, 2 vCPU, CPython 3.11.7); above it the multi-user
-# bound is refused.
+# caches the first bound query takes 0.025-0.026 s on one level (N = 4096,
+# U = 1), 0.072-0.073 s on four levels of 4096, 8192, 12288 and 16384 files
+# (U = 1) and 0.151-0.154 s on four regular levels 6400 times apart in
+# popularity (8192, 78643200, 671088640000 and 4294967296000000 files, 2 to
+# 4 users per cache; best of 3, two runs, 2 vCPU, CPython 3.11.7); above it
+# the multi-user bound is refused.
 MAX_BOUND_CACHES = 4096
 
 
@@ -172,10 +172,10 @@ def _envelope(lines: list[tuple]) -> tuple[tuple[tuple, ...], tuple[tuple[int, i
     given steepest first with distinct slopes, and its breakpoints.
 
     A line is dropped only when its neighbours beat it strictly at every M,
-    so every line that attains the maximum somewhere, exact ties included,
-    stays.  Breakpoint k, where lines k and k + 1 meet, is
-    ``(A_k - A_(k+1))/(m_k - m_(k+1))`` as an unreduced integer pair
-    ``(num, den)`` with den > 0; the breakpoints do not decrease.
+    so every line a query can return stays, even one that reaches the
+    maximum only in a tie at one M.  Breakpoint k, where lines k and k + 1
+    meet, is ``(A_k - A_(k+1))/(m_k - m_(k+1))`` as an unreduced integer
+    pair ``(num, den)`` with den > 0; the breakpoints do not decrease.
     """
     hull: list[tuple] = []
     breaks: list[tuple[int, int]] = []
@@ -247,29 +247,20 @@ def _cut_run(zones: list[tuple], smax: int, b: int, last: int) -> tuple[int, int
     return whole, num, den, end
 
 
-def _above_h1(h1: tuple, whole: int, num: int, dt: int) -> bool:
-    """Whether H1 is strictly above ``whole`` at ``M* = num/dt``, dt > 0.
-
-    ``h1`` is the envelope of the t = 1 lines and its breakpoints, as
-    `_envelope` returns them; H1 at M* is the line that `_locate` finds.
-    """
-    lines, breaks = h1
-    a, d, _, b = lines[_locate(breaks, num, dt)]
-    # a/d - num/(dt*b) > whole, times d*dt*b > 0
-    return (a - whole * d) * dt * b > num * d
-
-
 def _bound_lines(config: SystemConfig) -> tuple[tuple[tuple, ...], tuple[tuple[int, int], ...]]:
     """Upper envelope of the bound lines ``A - (t/b)*M``, with its breakpoints.
 
-    There is one line per grid candidate (t, b) with its best window counts,
+    A line stands for a grid candidate (t, b) with its best window counts,
     and A is the cut sum at M = 0.  Lines are integer tuples ``(a, d, t, b)``
     with ``A = a/d``, steepest first, and breakpoints are integer pairs, as
     `_envelope` returns them.  Of lines with equal slope only the one with
     the largest A, then the smallest (t, b), is kept, so the lines have
-    distinct (t, b).  A line is dropped only when its neighbours beat it
-    strictly at every M, so every line that attains the maximum somewhere,
-    exact ties included, stays.
+    distinct (t, b).  A query at M returns the smallest (t, b) among the
+    grid candidates whose line attains the maximum at M, and every line a
+    query can return stays: each candidate that is not on the envelope is,
+    at every M, strictly below some candidate's line or tied with the line
+    of a smaller (t, b), so the one a query returns is on it.  The rules
+    below show this one by one.
 
     A candidate (t, b) with g = gcd(t, b) > 1 is skipped when (t/g, b/g) is
     in the grid of t/g: the window counts g*s are valid for (t/g, b/g)
@@ -281,9 +272,8 @@ def _bound_lines(config: SystemConfig) -> tuple[tuple[tuple, ...], tuple[tuple[i
     rest: a line ``A - m*M`` with ``m_i >= m > m_(i+1)`` for the slopes of
     H1's lines i and i + 1, which meet at X_i, is dropped when it is
     strictly below H1 at X_i, that is when ``A < A_i + (m - m_i)*X_i``, the
-    minimum of ``H1(M) + m*M``.  It is then strictly below H1, hence
-    strictly below the final envelope at every M, and the hull would have
-    dropped it; a line that only touches H1 stays.
+    minimum of ``H1(M) + m*M``.  It is then strictly below H1 at every M,
+    and the hull would have dropped it; a line that only touches H1 stays.
 
     Each t's sorted grid splits into runs of consecutive b over which every
     level keeps its window count and its side of the min; `_cut_run` gives a
@@ -294,18 +284,23 @@ def _bound_lines(config: SystemConfig) -> tuple[tuple[tuple, ...], tuple[tuple[i
     through the pivot ``(M*, alpha)`` with ``M* = beta/t``, and at any other
     M their value is strictly monotone in b: a line strictly inside the run
     is strictly below the run's first line left of M* and below its last
-    line right of it.  Those two are at most the final envelope at every M,
-    as every candidate's line is.  So when H1, hence the final envelope, is
-    strictly above alpha at M*, the inner lines are strictly below the final
-    envelope at every M and are skipped: the hull would have dropped them,
-    and a line of equal slope on the envelope is strictly higher, so it is
-    kept either way.  `_above_h1` decides this in integers.  The test costs
-    a bisection over H1's breakpoints, so it is made only when the run has
-    more inner candidates than that bisection has steps; otherwise, and
-    when H1 at M* is not strictly above alpha, every candidate is visited,
-    its cut sum read off alpha and beta.  t = 1, which builds H1, visits
-    every candidate.  The window counts are computed inline as in
-    `best_cut_sizes`, and no line keeps them.
+    line right of it.  At M* it ties with the first line, which has the same
+    t and a smaller b.  So only the two end lines of each run are built,
+    their cut sums read off alpha and beta, and no query changes:
+
+    - when the first line is gcd-skipped, its reduced pair has a smaller
+      (t, b) and reaches at least alpha at M*; when it meets a line of equal
+      slope in ``by_slope``, the line kept has a smaller (t, b) and the same
+      A, or a larger A and so a value strictly above alpha at M*;
+    - when the H1 filter or the hull drops the first line, the envelope is
+      strictly above alpha at M*;
+    - H1 is built from end lines only, and is still the maximum of every
+      t = 1 grid line, since an inner line never rises above its run's end
+      lines; the filter reads only that function, so it drops what it would
+      drop with every t = 1 line built.
+
+    The window counts are computed inline as in `best_cut_sizes`, and no
+    line keeps them.
     """
     K = config.caches
     b_max = _b_search_limit(config)
@@ -314,8 +309,7 @@ def _bound_lines(config: SystemConfig) -> tuple[tuple[tuple, ...], tuple[tuple[i
     ladder_sorted = sorted(ladder)
     crossings: list[set[int]] = [set()]  # t -> its grid values outside the ladder
     by_slope: dict[tuple[int, int], tuple] = {}  # reduced (t, b) -> line
-    h1: tuple = ((), ())  # the envelope of the t = 1 lines, once t = 1 is done
-    steps = 0  # of _above_h1's bisection
+    h1_lines, h1_breaks = (), ()  # H1, the envelope of the t = 1 lines, once t = 1 is done
     for t in range(1, K // 2 + 1):
         smax = K // (2 * t)
         zones = [(files, t * users, files // (t * users), files // (smax * smax * t * users))
@@ -323,7 +317,6 @@ def _bound_lines(config: SystemConfig) -> tuple[tuple[tuple, ...], tuple[tuple[i
         extra = _b_crossings(levels, t, K, b_max) - ladder
         crossings.append(extra)
         grid = sorted(ladder_sorted + sorted(extra))
-        h1_lines, h1_breaks = h1
         h = 0  # H1's last line at least as steep as t/b; b only grows
         # H1 filters the b with m_0 >= t/b > m_last.
         filter_lo, filter_hi = (t * h1_lines[0][3], t * h1_lines[-1][3]) if h1_lines else (0, 0)
@@ -331,9 +324,7 @@ def _bound_lines(config: SystemConfig) -> tuple[tuple[tuple, ...], tuple[tuple[i
         while i < len(grid):
             whole, num, den, end = _cut_run(zones, smax, grid[i], b_max)
             j = bisect.bisect_right(grid, end, i) - 1  # the run is grid[i..j]
-            run = grid[i:j + 1]
-            if t > 1 and j - i - 1 > steps and _above_h1(h1, whole, num, den * t):
-                run = [grid[i], grid[j]]
+            run = (grid[i], grid[j]) if j > i else (grid[i],)
             i = j + 1
             for b in run:
                 g = math.gcd(t, b)
@@ -354,9 +345,9 @@ def _bound_lines(config: SystemConfig) -> tuple[tuple[tuple, ...], tuple[tuple[i
                 if kept is None or a * kept[1] > kept[0] * d:
                     by_slope[slope] = (a, d, t, b)
         if t == 1:
-            h1 = _envelope(list(by_slope.values()))  # increasing b: steepest first
-            by_slope = {(1, line[3]): line for line in h1[0]}
-            steps = len(h1[0]).bit_length()
+            # In increasing b, so steepest first.
+            h1_lines, h1_breaks = _envelope(list(by_slope.values()))
+            by_slope = {(1, line[3]): line for line in h1_lines}
     # Distinct reduced slopes differ by at least 1/P, so floor(t*P/b) orders
     # them strictly, in integers.
     P = max((b for _, b in by_slope), default=1) ** 2

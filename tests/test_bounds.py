@@ -111,13 +111,59 @@ def _breakpoints(cfg):
     return sorted({M for M in fraction_lines(cfg)[1] if M >= 0})
 
 
+def _level_states(cfg, t, b):
+    """The window counts at (t, b), and per level whether its term is s*t*U."""
+    s = best_cut_sizes(cfg, t, b)
+    return s, tuple(si * si * t * b * lv.users <= lv.files for si, lv in zip(s, cfg.levels))
+
+
+def _runs(cfg):
+    """Each t with each of its runs, found apart from `_cut_run`: the longest
+    blocks of consecutive grid b with equal window counts and sides.  A b
+    strictly inside a run has both grid neighbours in its state."""
+    for t in range(1, cfg.caches // 2 + 1):
+        runs, last = [], None
+        for b in candidate_b_values(cfg, t):
+            state = _level_states(cfg, t, b)
+            if state == last:
+                runs[-1].append(b)
+            else:
+                runs.append([b])
+            last = state
+        for run in runs:
+            yield t, run
+
+
+def _pivots(cfg):
+    """``(t, run, alpha, M*)`` of each run with an inner candidate: the cut
+    sum along the run is ``alpha + beta/b``, so every line of the run reads
+    alpha at ``M* = beta/t``."""
+    out = []
+    for t, run in _runs(cfg):
+        if len(run) > 2:
+            s, sides = _level_states(cfg, t, run[0])
+            terms = list(zip(s, sides, cfg.levels))
+            alpha = sum(si * t * lv.users for si, side, lv in terms if side)
+            beta = sum((Fraction(lv.files, si) for si, side, lv in terms if not side),
+                       Fraction(0))
+            out.append((t, run, alpha, beta / t))
+    return out
+
+
 def test_optimizer_matches_grid_oracle():
+    # At a run's pivot its inner lines, which the envelope never holds, tie
+    # with the run's first line; those are the only memories where a line
+    # left out of the build meets the maximum.
     rng = random.Random(61)
+    pivots = 0
     for cfg in _oracle_configs():
         total = cfg.total_files
         mems = [Fraction(0)] + [Fraction(rng.randint(0, 8 * total), 7) for _ in range(6)]
-        for M in mems + _breakpoints(cfg):
+        at_pivots = [pivot for *_, pivot in _pivots(cfg)]
+        pivots += len(at_pivots)
+        for M in mems + _breakpoints(cfg) + at_pivots:
             assert optimize_lower_bound_mu(cfg, M) == grid_bound_mu(cfg, M), (cfg, M)
+    assert pivots > 100
 
 
 def test_bisection_matches_linear_envelope_scan():
@@ -130,8 +176,10 @@ def test_bisection_matches_linear_envelope_scan():
         for M in points + mids + [points[-1] + 1, 10 * cfg.total_files]:
             assert optimize_lower_bound_mu(cfg, M) == linear_envelope_scan(cfg, M), (cfg, M)
     # The audit-generator configs (K up to 128) on the audit grid: at
-    # M = total the t = 1 lines with every s_i = 1 meet at 0, a run of 13
-    # to 20 tied lines.  Large numerators and denominators take the same path.
+    # M = total the t = 1 lines with every s_i = 1 meet at 0.  The envelope
+    # holds the two end lines of their run and the line just before it, one
+    # of whose cut terms has its two sides equal: 3 tied lines.  Large
+    # numerators and denominators take the same path.
     big = 10 ** 30 + 7
     for cfg in _envelope_configs()[:40]:
         total = cfg.total_files
@@ -206,9 +254,55 @@ def _envelope_configs():
         SystemConfig.multi_user(10, [(36, 2)])]
 
 
-def test_envelope_matches_reference_construction():
+def _reference_queries(ref_lines, points):
+    """The bound at each memory of `points` as a scan over the reference
+    lines: the largest value, clamped at zero, with the smallest (t, b, s)
+    among the lines that reach it.  The values at M = p/q are compared in
+    integers, times L*q for a common denominator L of every A and slope."""
+    L = math.lcm(*(x.denominator for A, m, _ in ref_lines for x in (A, m)))
+    ints = [(int(A * L), int(m * L), key) for A, m, key in ref_lines]
+    out = []
+    for M in points:
+        p, q = M.numerator, M.denominator
+        best = max(a * q - c * p for a, c, _ in ints)
+        key = min(key for a, c, key in ints if a * q - c * p == best)
+        out.append((max(Fraction(best, L * q), Fraction(0)), MultiUserBoundParams(*key)))
+    return out
+
+
+def test_envelope_matches_reference_construction(monkeypatch):
+    # The reference builds a line for every grid candidate; the package
+    # builds only the end lines of each run.  Its envelope keeps the
+    # reference's lines in order, less some strictly inside a run, and each
+    # query reads the same value and (t, b, s) as a scan of the reference.
+    handed = []
+    envelope = bounds._envelope
+
+    def recorded(lines):
+        handed.append(lines)
+        return envelope(lines)
+
+    monkeypatch.setattr(bounds, "_envelope", recorded)
+    left_out = 0
     for cfg in _envelope_configs():
-        assert fraction_lines(cfg) == reference_bound_lines(cfg), cfg
+        handed.clear()
+        lines, _ = fraction_lines(cfg)
+        ref_lines, ref_breaks = reference_bound_lines(cfg)
+        inner = {(t, b) for t, run in _runs(cfg) for b in run[1:-1]}
+        rest = iter(ref_lines)
+        assert all(line in rest for line in lines), cfg  # a subsequence
+        gone = {key[:2] for _, _, key in ref_lines} - {key[:2] for _, _, key in lines}
+        assert gone <= inner, cfg
+        left_out += len(gone)
+        # H1's build and the final one are handed run end lines only.
+        assert len(handed) == 2, cfg
+        assert not any(line[2:] in inner for lines_in in handed for line in lines_in), cfg
+        points = [Fraction(0)] + sorted({M for M in ref_breaks if M >= 0})
+        mids = [(x + y) / 2 for x, y in zip(points, points[1:])]
+        points += mids + [points[-1] + 1]
+        for M, want in zip(points, _reference_queries(ref_lines, points)):
+            assert optimize_lower_bound_mu(cfg, M) == want, (cfg, M)
+    assert left_out > 1000
 
 
 def test_cached_envelope_holds_only_integers():
@@ -248,12 +342,6 @@ def test_only_the_query_computes_window_counts(count_calls):
         assert len(calls) == count
 
 
-def _level_states(cfg, t, b):
-    """The window counts at (t, b), and per level whether its term is s*t*U."""
-    s = best_cut_sizes(cfg, t, b)
-    return s, tuple(si * si * t * b * lv.users <= lv.files for si, lv in zip(s, cfg.levels))
-
-
 def test_cut_runs_keep_every_level_state():
     # Every grid b of a run has the run's window counts and sides, and so
     # its cut sum; the first grid b past the run's end has another state.
@@ -284,36 +372,31 @@ def test_cut_runs_keep_every_level_state():
     assert runs > 10000 and longest > 20
 
 
-def _pivot_tests(monkeypatch, cfg):
-    """The envelope of cfg, and each pivot test its build makes: the
-    decision, and the sign of H1(M*) - alpha, with H1 the maximum of every
-    t = 1 grid line, in Fractions."""
+@pytest.mark.parametrize("caches, levels, sign", [
+    (8, [(17, 1)], 1),  # H1 strictly above alpha at a pivot
+    (32, [(128, 1)], -1),  # H1 strictly below alpha at a pivot
+    (5, [(22, 1)], 0),  # H1 touches alpha at the pivot
+])
+def test_query_at_a_run_pivot_returns_no_inner_line(caches, levels, sign):
+    # At a run's pivot M* every line of the run reads alpha, and an inner
+    # line ties with the run's first line, of the same t and a smaller b.
+    # So the query returns that line or a smaller (t, b) when the maximum
+    # is alpha, and a line above alpha otherwise: never an inner line, which
+    # the envelope does not hold.  H1, the maximum of every t = 1 line in
+    # Fractions, is above, below or at alpha at the pivots of larger t.
+    cfg = SystemConfig.multi_user(caches, levels)
     ones = [(Fraction(*cut_sum(cfg, 1, b, best_cut_sizes(cfg, 1, b))), Fraction(1, b))
             for b in candidate_b_values(cfg, 1)]
-    tests = []
-    above_h1 = bounds._above_h1
-
-    def recorded(h1, whole, num, dt):
-        decision = above_h1(h1, whole, num, dt)
-        h1 = max(A - m * Fraction(num, dt) for A, m in ones)
-        tests.append((decision, (h1 > whole) - (h1 < whole)))
-        return decision
-
-    monkeypatch.setattr(bounds, "_above_h1", recorded)
-    return fraction_lines(cfg), tests
-
-
-@pytest.mark.parametrize("caches, levels, sign", [
-    (8, [(17, 1)], 1),  # H1 above alpha at the pivot: the inner lines are skipped
-    (32, [(128, 1)], -1),  # H1 below alpha: every line of the run is visited
-    (5, [(22, 1)], 0),  # H1 meets alpha at the pivot: not strictly above, so visited
-])
-def test_pivot_decides_in_integers(monkeypatch, caches, levels, sign):
-    cfg = SystemConfig.multi_user(caches, levels)
-    lines, tests = _pivot_tests(monkeypatch, cfg)
-    assert lines == reference_bound_lines(cfg)
-    assert all(decision == (h1_sign > 0) for decision, h1_sign in tests)
-    assert (sign > 0, sign) in tests
+    signs = set()
+    for t, run, alpha, pivot in _pivots(cfg):
+        value, params = optimize_lower_bound_mu(cfg, pivot)
+        assert (value, params) == grid_bound_mu(cfg, pivot), (t, run)
+        assert value > alpha or (value == alpha and (params.t, params.b) <= (t, run[0])), (t, run)
+        assert not (params.t == t and run[0] < params.b < run[-1]), (t, run)
+        if t > 1:
+            h1 = max(A - m * pivot for A, m in ones)
+            signs.add((h1 > alpha) - (h1 < alpha))
+    assert sign in signs
 
 
 def test_reduced_slope_dominates_its_multiples():
@@ -343,13 +426,15 @@ def test_reduced_slope_dominates_its_multiples():
 
 
 def test_envelope_keeps_a_line_whose_reduced_pair_is_off_grid():
-    # (3, 87) is on the envelope, and (1, 29) is no candidate of t = 1, so
-    # the line at (3, 87) has to be built.
-    cfg = SystemConfig.multi_user(6, [(1288, 6), (1506, 5), (2095, 2)])
-    assert 29 not in candidate_b_values(cfg, 1)
-    assert 87 in candidate_b_values(cfg, 3)
-    assert (3, 87, (1, 1, 1)) in [key for _, _, key in fraction_lines(cfg)[0]]
-    assert fraction_lines(cfg) == reference_bound_lines(cfg)
+    # (1, 31) is no candidate of t = 1, so the line at (5, 155) has to be
+    # built, and the query returns it between its breakpoints 13373/95 and
+    # 60411/350.  Found by a search over random.Random(1) configs.
+    cfg = SystemConfig.multi_user(12, [(1549, 2)])
+    assert 31 not in candidate_b_values(cfg, 1)
+    assert 155 in candidate_b_values(cfg, 5)
+    M = Fraction(150)
+    assert optimize_lower_bound_mu(cfg, M) == grid_bound_mu(cfg, M)
+    assert optimize_lower_bound_mu(cfg, M)[1] == MultiUserBoundParams(5, 155, (1,))
 
 
 def _matched_case_config():

@@ -44,6 +44,41 @@ def test_envelope_rows_time_a_fresh_build_and_write_nothing(tmp_path, monkeypatc
     assert not list(tmp_path.iterdir()) and not capsys.readouterr().out
 
 
+def test_envelope_rows_print_each_envelope_line_count(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    built = []
+    build = layer_times._bound_lines
+
+    def recorded(config):
+        built.append(config)
+        return build(config)
+
+    monkeypatch.setattr(layer_times, "_bound_lines", recorded)
+    counts = {}
+    for name, (K, levels) in layer_times.ENVELOPES.items():
+        built.clear()
+        counts[name] = layer_times.envelope_lines(K, levels)
+        # One build, on a fresh config, whose envelope has that many lines.
+        assert len(built) == 1 and not built[0]._facts
+        assert counts[name] == len(build(SystemConfig.multi_user(K, levels))[0]) > 0
+    # main prints the count beside the build time, under a "lines" column;
+    # the other sections are stubbed out.
+    monkeypatch.setattr(layer_times, "layer_times",
+                        lambda K, M, repeat: dict.fromkeys(layer_times.COLUMNS, 0.0))
+    monkeypatch.setattr(layer_times, "envelope_time", lambda K, levels, repeat: 0.00125)
+    monkeypatch.setattr(layer_times, "mixed_time", lambda gamma, repeat: 0.0)
+    monkeypatch.setattr(layer_times, "audit_point_times",
+                        lambda K, levels, repeat: dict.fromkeys(layer_times.AUDIT_COLUMNS, 0.0))
+    monkeypatch.setattr(layer_times, "radical_rate_time", lambda repeat: 0.0)
+    layer_times.main()
+    out = capsys.readouterr().out.splitlines()
+    head = out.index(f"bound envelope build, best of {layer_times.ENVELOPE_REPEAT}, times in ms")
+    assert out[head + 1].split() == ["build", "lines"]
+    assert out[head + 2:head + 2 + len(counts)] == \
+        [f"{name:>20}{1.25:>15.3f}{count:>15}" for name, count in counts.items()]
+    assert not list(tmp_path.iterdir())
+
+
 def test_mixed_rows_time_a_fresh_demo_config_and_write_nothing(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert layer_times.MIXED_MEMORY == 6

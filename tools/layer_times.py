@@ -6,7 +6,8 @@ M = 2, delivers the worst-case demand vector and checks the transcript, 300
 times, with the garbage collector off as ``timeit`` does.  It prints the
 best time of each of the three and the best total of one repetition, in ms.
 It then builds the multi-user bound's envelope of lines
-(``bounds._bound_lines``) on three fixed configs, and runs ``mixed_rate``'s
+(``bounds._bound_lines``) on three fixed configs, and prints each best
+build time beside the envelope's line count.  It runs ``mixed_rate``'s
 101-point gamma scan on demo 06's config at M = 6, without and with
 gamma = 1/2, each time on a fresh config object so that nothing is cached
 (as a ``cachelab mixed`` call loads one), and prints the best times.
@@ -126,6 +127,11 @@ def envelope_time(K: int, levels: list[tuple[int, int]], repeat: int) -> float:
     return _best_fresh(lambda: SystemConfig.multi_user(K, levels), _bound_lines, repeat)
 
 
+def envelope_lines(K: int, levels: list[tuple[int, int]]) -> int:
+    """The number of lines on the envelope of a fresh multi-user config."""
+    return len(_bound_lines(SystemConfig.multi_user(K, levels))[0])
+
+
 def mixed_time(gamma, repeat: int) -> float:
     """Best seconds of one ``mixed_rate`` call at `gamma` (None for the grid
     optimum) on a fresh copy of demo 06's config."""
@@ -183,8 +189,10 @@ def main() -> None:
         best = layer_times(K, MEMORY, REPEAT)
         print(f"{K:>5}" + "".join(f"{best[name] * 1e3:>15.3f}" for name in COLUMNS))
     print(f"\nbound envelope build, best of {ENVELOPE_REPEAT}, times in ms")
+    print(f"{'':>20}{'build':>15}{'lines':>15}")
     for name, (K, levels) in ENVELOPES.items():
-        print(f"{name:>20}{envelope_time(K, levels, ENVELOPE_REPEAT) * 1e3:>15.3f}")
+        print(f"{name:>20}{envelope_time(K, levels, ENVELOPE_REPEAT) * 1e3:>15.3f}"
+              f"{envelope_lines(K, levels):>15}")
     print(f"\nmixed_rate, demo 06 at M = {MIXED_MEMORY}, best of {MIXED_REPEAT}, times in ms")
     for name, gamma in MIXED_GAMMAS.items():
         print(f"{name:>20}{mixed_time(gamma, MIXED_REPEAT) * 1e3:>15.3f}")

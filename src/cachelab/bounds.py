@@ -19,21 +19,15 @@ the window counts of that one line; no float takes part.
 
 The envelope is built in one integer pass.  The ``b`` ladder that every
 window size shares is built once per config, and each ``t`` adds only its
-crossing points.  A candidate ``(t, b)`` whose reduced pair
-``(t/g, b/g)``, ``g = gcd(t, b) > 1``, is itself a candidate is skipped: the
-reduced pair has the same slope and a cut sum at least as large, so the
-skipped line could never be kept.  For each t a level's window count
-depends on b through ``floor(sqrt(hi/b))`` with ``hi = N//(t*U)``: it is 1
-for ``b > hi`` and the largest count ``smax`` for
-``b <= lo = N//(smax^2*t*U)``, so only the b in between take a square root.
-The t = 1 lines are built first; their upper envelope H1 then filters the
-lines of every larger t, which are met in increasing b and so in
-decreasing slope m.  A line is dropped when its A is strictly below
-``min_M (H1(M) + m*M)``, read off the vertex of H1 where H1's slope passes
-m.  Such a line is strictly below H1 at every M, hence strictly below the
-final envelope, which would have dropped it anyway; a line that touches
-H1 at a vertex, which can be an exact tie on the envelope, stays, and so
-does a line steeper or flatter than all of H1, which has no minimum.
+crossing points.  For each t a level's window count depends on b through
+``floor(sqrt(hi/b))`` with ``hi = N//(t*U)``: it is 1 for ``b > hi`` and
+the largest count ``smax`` for ``b <= lo = N//(smax^2*t*U)``, so only the b
+in between take a square root.  Each line is keyed by the integer
+``floor(t*P/b)`` with ``P = b_max^2``: no grid b exceeds b_max, so two
+distinct slopes differ by at least 1/P, and their keys differ and keep
+their order.  Of the lines of one slope the largest A is kept, the first
+met on ties, and the keys in decreasing order hand the lines to one hull
+pass, steepest first.
 
 Along each t's grid, every level keeps its window count and its side of the
 min over runs of consecutive b, which end at per-level integer
@@ -73,12 +67,12 @@ _MULTI_USER_CONSTANT = Fraction(MULTI_USER_GAP)
 _SINGLE_USER_CONSTANT = Fraction(SINGLE_USER_GAP)
 _ZERO = Fraction(0)
 # The envelope holds lines for every window size t up to K/2.  At this many
-# caches the first bound query takes 0.025-0.026 s on one level (N = 4096,
-# U = 1), 0.072-0.073 s on four levels of 4096, 8192, 12288 and 16384 files
-# (U = 1) and 0.151-0.154 s on four regular levels 6400 times apart in
-# popularity (8192, 78643200, 671088640000 and 4294967296000000 files, 2 to
-# 4 users per cache; best of 3, two runs, 2 vCPU, CPython 3.11.7); above it
-# the multi-user bound is refused.
+# caches the first bound query takes 0.023-0.024 s on one level (N = 4096,
+# U = 1), 0.065-0.069 s on four levels of 4096, 8192, 12288 and 16384 files
+# (U = 1) and 0.174-0.177 s on four regular levels 6400 times apart in
+# popularity (8192, 78643200, 671088640000 and 4294967296000000 files, 2, 3,
+# 4 and 4 users per cache; best of 3 by `tools/layer_times.py`, three runs,
+# 2 vCPU, CPython 3.11.7); above it the multi-user bound is refused.
 MAX_BOUND_CACHES = 4096
 
 
@@ -158,7 +152,7 @@ def _b_crossings(levels: list[tuple[int, int]], t: int, K: int, b_max: int) -> s
     within 1..b_max."""
     cands = set()
     for files, users in levels:
-        for s in {1, 2, 3, 4, K // (2 * t)}:
+        for s in (1, 2, 3, 4, K // (2 * t)):
             q, r = divmod(files, t * users * s * s)
             cands.add(q)
             cands.add(q + 1)
@@ -253,27 +247,13 @@ def _bound_lines(config: SystemConfig) -> tuple[tuple[tuple, ...], tuple[tuple[i
     A line stands for a grid candidate (t, b) with its best window counts,
     and A is the cut sum at M = 0.  Lines are integer tuples ``(a, d, t, b)``
     with ``A = a/d``, steepest first, and breakpoints are integer pairs, as
-    `_envelope` returns them.  Of lines with equal slope only the one with
-    the largest A, then the smallest (t, b), is kept, so the lines have
-    distinct (t, b).  A query at M returns the smallest (t, b) among the
-    grid candidates whose line attains the maximum at M, and every line a
-    query can return stays: each candidate that is not on the envelope is,
-    at every M, strictly below some candidate's line or tied with the line
-    of a smaller (t, b), so the one a query returns is on it.  The rules
-    below show this one by one.
-
-    A candidate (t, b) with g = gcd(t, b) > 1 is skipped when (t/g, b/g) is
-    in the grid of t/g: the window counts g*s are valid for (t/g, b/g)
-    whenever s is valid for (t, b), and give every cut term the same value,
-    so A(t, b) <= A(t/g, b/g), and the line of equal slope met first is
-    never replaced by one that is not strictly higher.
-
-    The t = 1 lines come first, and their upper envelope H1 filters the
-    rest: a line ``A - m*M`` with ``m_i >= m > m_(i+1)`` for the slopes of
-    H1's lines i and i + 1, which meet at X_i, is dropped when it is
-    strictly below H1 at X_i, that is when ``A < A_i + (m - m_i)*X_i``, the
-    minimum of ``H1(M) + m*M``.  It is then strictly below H1 at every M,
-    and the hull would have dropped it; a line that only touches H1 stays.
+    `_envelope` returns them.  A query at M returns the smallest (t, b)
+    among the grid candidates whose line attains the maximum at M, and every
+    line a query can return stays: each candidate that is not on the
+    envelope is, at every M, strictly below some candidate's line or tied
+    with the line of a smaller (t, b), so the one a query returns is on it.
+    Two rules drop lines before the hull, which drops only a line that its
+    neighbours beat strictly at every M.
 
     Each t's sorted grid splits into runs of consecutive b over which every
     level keeps its window count and its side of the min; `_cut_run` gives a
@@ -286,40 +266,34 @@ def _bound_lines(config: SystemConfig) -> tuple[tuple[tuple, ...], tuple[tuple[i
     is strictly below the run's first line left of M* and below its last
     line right of it.  At M* it ties with the first line, which has the same
     t and a smaller b.  So only the two end lines of each run are built,
-    their cut sums read off alpha and beta, and no query changes:
+    their cut sums read off alpha and beta.
 
-    - when the first line is gcd-skipped, its reduced pair has a smaller
-      (t, b) and reaches at least alpha at M*; when it meets a line of equal
-      slope in ``by_slope``, the line kept has a smaller (t, b) and the same
-      A, or a larger A and so a value strictly above alpha at M*;
-    - when the H1 filter or the hull drops the first line, the envelope is
-      strictly above alpha at M*;
-    - H1 is built from end lines only, and is still the maximum of every
-      t = 1 grid line, since an inner line never rises above its run's end
-      lines; the filter reads only that function, so it drops what it would
-      drop with every t = 1 line built.
+    Every line goes into ``by_slope`` under the integer key
+    ``floor(t*P/b)``, ``P = b_max^2``.  Every grid b is at most b_max, so
+    two distinct slopes differ by at least ``1/(b1*b2) >= 1/P``: their keys
+    differ and keep the slopes' order, and equal slopes share a key.  Of the
+    lines of one slope only the one with the largest A is kept, and on equal
+    A the first met, which has the smaller t: the lines arrive in increasing
+    t, and one t meets a slope at one b.  A line replaced there is strictly
+    below the line kept at every M, or equal to it with a larger t.  The
+    keys in decreasing order hand the kept lines, steepest first, to one
+    `_envelope` pass.
 
     The window counts are computed inline as in `best_cut_sizes`, and no
     line keeps them.
     """
     K = config.caches
     b_max = _b_search_limit(config)
+    P = b_max * b_max
     levels = [(lv.files, lv.users) for lv in config.levels]
     ladder = _b_ladder(b_max)
     ladder_sorted = sorted(ladder)
-    crossings: list[set[int]] = [set()]  # t -> its grid values outside the ladder
-    by_slope: dict[tuple[int, int], tuple] = {}  # reduced (t, b) -> line
-    h1_lines, h1_breaks = (), ()  # H1, the envelope of the t = 1 lines, once t = 1 is done
+    by_slope: dict[int, tuple] = {}  # floor(t*P/b) -> line
     for t in range(1, K // 2 + 1):
         smax = K // (2 * t)
         zones = [(files, t * users, files // (t * users), files // (smax * smax * t * users))
                  for files, users in levels]
-        extra = _b_crossings(levels, t, K, b_max) - ladder
-        crossings.append(extra)
-        grid = sorted(ladder_sorted + sorted(extra))
-        h = 0  # H1's last line at least as steep as t/b; b only grows
-        # H1 filters the b with m_0 >= t/b > m_last.
-        filter_lo, filter_hi = (t * h1_lines[0][3], t * h1_lines[-1][3]) if h1_lines else (0, 0)
+        grid = sorted(ladder_sorted + sorted(_b_crossings(levels, t, K, b_max) - ladder))
         i = 0
         while i < len(grid):
             whole, num, den, end = _cut_run(zones, smax, grid[i], b_max)
@@ -327,32 +301,13 @@ def _bound_lines(config: SystemConfig) -> tuple[tuple[tuple, ...], tuple[tuple[i
             run = (grid[i], grid[j]) if j > i else (grid[i],)
             i = j + 1
             for b in run:
-                g = math.gcd(t, b)
-                if g > 1 and (b // g in ladder or b // g in crossings[t // g]):
-                    continue
                 a, d = whole * den * b + num, den * b
-                if filter_lo <= b < filter_hi:
-                    while t * h1_lines[h + 1][3] <= b:
-                        h += 1
-                    a1, d1, _, b1 = h1_lines[h]
-                    x_n, x_d = h1_breaks[h]
-                    # a/d - (t/b)*X_h < a1/d1 - X_h/b1, times d*d1*b*b1*x_d > 0
-                    if (a * d1 - a1 * d) * b * b1 * x_d < x_n * d * d1 * (t * b1 - b):
-                        continue
-                slope = (t // g, b // g)
+                slope = t * P // b
                 kept = by_slope.get(slope)
-                # Keys of one slope arrive in increasing t, so equal A keeps the first.
+                # Lines of one slope arrive in increasing t, so equal A keeps the first.
                 if kept is None or a * kept[1] > kept[0] * d:
                     by_slope[slope] = (a, d, t, b)
-        if t == 1:
-            # In increasing b, so steepest first.
-            h1_lines, h1_breaks = _envelope(list(by_slope.values()))
-            by_slope = {(1, line[3]): line for line in h1_lines}
-    # Distinct reduced slopes differ by at least 1/P, so floor(t*P/b) orders
-    # them strictly, in integers.
-    P = max((b for _, b in by_slope), default=1) ** 2
-    return _envelope([by_slope[slope] for slope in
-                      sorted(by_slope, key=lambda tb: tb[0] * P // tb[1], reverse=True)])
+    return _envelope([by_slope[slope] for slope in sorted(by_slope, reverse=True)])
 
 
 def optimize_lower_bound_mu(config: SystemConfig, M: MemoryLike

@@ -1,4 +1,5 @@
 import bisect
+import hashlib
 import itertools
 import math
 import random
@@ -249,8 +250,7 @@ def _envelope_configs():
         SystemConfig.multi_user(MAX_BOUND_CACHES, [(MAX_BOUND_CACHES, 1)]),
         # The t = 1 lines (1, 1) and (1, 2) meet at M = 4, and the line of
         # (4, 5), 36/5 - (4/5)*M, touches them there and nowhere else: it
-        # stays on the envelope, so the t = 1 hull filter may drop only
-        # lines strictly below.
+        # stays on the envelope, which drops only lines strictly below.
         SystemConfig.multi_user(10, [(36, 2)])]
 
 
@@ -294,15 +294,81 @@ def test_envelope_matches_reference_construction(monkeypatch):
         gone = {key[:2] for _, _, key in ref_lines} - {key[:2] for _, _, key in lines}
         assert gone <= inner, cfg
         left_out += len(gone)
-        # H1's build and the final one are handed run end lines only.
-        assert len(handed) == 2, cfg
-        assert not any(line[2:] in inner for lines_in in handed for line in lines_in), cfg
+        # One hull pass, handed run end lines only.
+        assert len(handed) == 1, cfg
+        assert not any(line[2:] in inner for line in handed[0]), cfg
         points = [Fraction(0)] + sorted({M for M in ref_breaks if M >= 0})
         mids = [(x + y) / 2 for x, y in zip(points, points[1:])]
         points += mids + [points[-1] + 1]
         for M, want in zip(points, _reference_queries(ref_lines, points)):
             assert optimize_lower_bound_mu(cfg, M) == want, (cfg, M)
     assert left_out > 1000
+
+
+# The three configs that the MAX_BOUND_CACHES comment quotes.
+_MAX_CACHE_CONFIGS = [
+    (MAX_BOUND_CACHES, [(4096, 1)]),
+    (MAX_BOUND_CACHES, [(4096, 1), (8192, 1), (12288, 1), (16384, 1)]),
+    (MAX_BOUND_CACHES, [(8192, 2), (78643200, 3), (671088640000, 4), (4294967296000000, 4)]),
+]
+
+
+def test_slope_key_orders_like_the_slope():
+    # `_bound_lines` keys the line of (t, b) by floor(t*P/b), P = b_max^2.
+    # With b1, b2 <= b_max, distinct slopes differ by at least
+    # 1/(b1*b2) >= 1/P, so the keys are equal exactly when the slopes are
+    # and order as they do.  Farey neighbours, t1*b2 - t2*b1 = 1, differ by
+    # exactly 1/(b1*b2), and multiples share a slope.
+    rng = random.Random(79)
+    limits = [1, 2, 37, 10 ** 6 + 3] + [_b_search_limit(SystemConfig.multi_user(K, levels))
+                                        for K, levels in _MAX_CACHE_CONFIGS]
+    equal = neighbours = 0
+    for b_max in limits:
+        P = b_max * b_max
+        pairs = []
+        for _ in range(2000):
+            b1, b2 = rng.randint(1, b_max), rng.randint(1, b_max)
+            t1 = rng.randint(1, 2048)
+            pairs.append(((t1, b1), (rng.randint(1, 2048), b2)))
+            g = rng.randint(2, max(2, b_max // b1))
+            if b1 * g <= b_max:
+                pairs.append(((t1, b1), (t1 * g, b1 * g)))
+            if math.gcd(b1, b2) == 1:
+                n1 = pow(b2, -1, b1) + 2 * b1
+                pairs.append(((n1, b1), ((n1 * b2 - 1) // b1, b2)))
+        for (t1, b1), (t2, b2) in pairs:
+            k1, k2 = t1 * P // b1, t2 * P // b2
+            x1, x2 = Fraction(t1, b1), Fraction(t2, b2)
+            assert (k1 == k2) == (x1 == x2) and (k1 < k2) == (x1 < x2), (b_max, t1, b1, t2, b2)
+            equal += x1 == x2
+            neighbours += abs(x1 - x2) == Fraction(1, b1 * b2)
+    assert equal > 1000 and neighbours > 1000
+
+
+def _digest_configs():
+    """Audit-generator, wide-levels, irregular and K = 4096 configs."""
+    rng = random.Random(83)
+    regular = [random_multi_user_config(rng) for _ in range(48)]
+    wide = [_wide_levels_config(rng) for _ in range(48)]
+    irregular = [SystemConfig.multi_user(rng.randint(2, 40),
+                                         [(rng.randint(1, 3000), rng.randint(1, 6))
+                                          for _ in range(rng.randint(1, 4))])
+                 for _ in range(150)]
+    return regular + wide + irregular + [SystemConfig.multi_user(K, levels)
+                                         for K, levels in _MAX_CACHE_CONFIGS]
+
+
+# sha256 of the repr of every envelope (lines and breakpoints) of
+# `_digest_configs`, one after the other: a build that moves, adds or drops
+# any line or breakpoint fails here.
+_ENVELOPE_DIGEST = "616b67c55602da521d51daa33196239b505b91e6c5ead32647b23d84e3dea940"
+
+
+def test_envelope_lines_and_breakpoints_are_pinned():
+    digest = hashlib.sha256()
+    for cfg in _digest_configs():
+        digest.update(repr(_bound_lines(cfg)).encode())
+    assert digest.hexdigest() == _ENVELOPE_DIGEST
 
 
 def test_cached_envelope_holds_only_integers():
@@ -400,8 +466,9 @@ def test_query_at_a_run_pivot_returns_no_inner_line(caches, levels, sign):
 
 
 def test_reduced_slope_dominates_its_multiples():
-    # The envelope skips (t, b) when (t/g, b/g) is a candidate; that is exact
-    # because the reduced pair's best cut sum is never smaller.
+    # Lines of one slope arrive in increasing t, and the first keeps its
+    # place on equal A, so when (t/g, b/g) and (t, b) are both built the
+    # reduced pair is kept: its best cut sum is never smaller.
     rng = random.Random(71)
     configs = [random_multi_user_config(rng, max_levels=3) for _ in range(6)]
     configs += [SystemConfig.multi_user(rng.randint(4, 40),
@@ -426,9 +493,9 @@ def test_reduced_slope_dominates_its_multiples():
 
 
 def test_envelope_keeps_a_line_whose_reduced_pair_is_off_grid():
-    # (1, 31) is no candidate of t = 1, so the line at (5, 155) has to be
-    # built, and the query returns it between its breakpoints 13373/95 and
-    # 60411/350.  Found by a search over random.Random(1) configs.
+    # (1, 31) is no candidate of t = 1, so the line of slope 1/31 is that of
+    # (5, 155), and the query returns it between its breakpoints 13373/95
+    # and 60411/350.  Found by a search over random.Random(1) configs.
     cfg = SystemConfig.multi_user(12, [(1549, 2)])
     assert 31 not in candidate_b_values(cfg, 1)
     assert 155 in candidate_b_values(cfg, 5)

@@ -7,6 +7,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
                                 "tools"))
 
 import layer_times  # noqa: E402
+from cachelab.bounds import MAX_BOUND_CACHES  # noqa: E402
 from cachelab.model import LevelSpec, Setup, SystemConfig, validate_multi_user  # noqa: E402
 
 
@@ -66,6 +67,7 @@ def test_envelope_rows_print_each_envelope_line_count(tmp_path, monkeypatch, cap
     monkeypatch.setattr(layer_times, "layer_times",
                         lambda K, M, repeat: dict.fromkeys(layer_times.COLUMNS, 0.0))
     monkeypatch.setattr(layer_times, "envelope_time", lambda K, levels, repeat: 0.00125)
+    monkeypatch.setattr(layer_times, "first_query_time", lambda K, levels, repeat: 0.0)
     monkeypatch.setattr(layer_times, "mixed_time", lambda gamma, repeat: 0.0)
     monkeypatch.setattr(layer_times, "audit_point_times",
                         lambda K, levels, repeat: dict.fromkeys(layer_times.AUDIT_COLUMNS, 0.0))
@@ -76,6 +78,47 @@ def test_envelope_rows_print_each_envelope_line_count(tmp_path, monkeypatch, cap
     assert out[head + 1].split() == ["build", "lines"]
     assert out[head + 2:head + 2 + len(counts)] == \
         [f"{name:>20}{1.25:>15.3f}{count:>15}" for name, count in counts.items()]
+    assert not list(tmp_path.iterdir())
+
+
+def test_first_query_rows_time_a_fresh_config_and_write_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    # The three configs that the MAX_BOUND_CACHES comment quotes.
+    assert [(K, len(levels)) for K, levels in layer_times.FIRST_QUERY.values()] == \
+        [(MAX_BOUND_CACHES, 1), (MAX_BOUND_CACHES, 4), (MAX_BOUND_CACHES, 4)]
+    assert validate_multi_user(SystemConfig.multi_user(*layer_times.FIRST_QUERY[
+        "K = 4096, regular"])).ok
+    calls = []
+
+    def recorded(config, M):
+        calls.append((config, M))
+        return Fraction(0), None
+
+    # The query is stubbed: a real one builds a K = 4096 envelope.
+    monkeypatch.setattr(layer_times, "optimize_lower_bound_mu", recorded)
+    for K, levels in layer_times.FIRST_QUERY.values():
+        calls.clear()
+        assert layer_times.first_query_time(K, levels, 3) >= 0
+        # A fresh config per repetition, queried once, whose fact store is empty.
+        assert len({id(config) for config, _ in calls}) == len(calls) == 3
+        assert all(config == SystemConfig.multi_user(K, levels) and not config._facts
+                   and M == layer_times.FIRST_QUERY_MEMORY for config, M in calls)
+    monkeypatch.setattr(layer_times, "layer_times",
+                        lambda K, M, repeat: dict.fromkeys(layer_times.COLUMNS, 0.0))
+    monkeypatch.setattr(layer_times, "envelope_time", lambda K, levels, repeat: 0.0)
+    monkeypatch.setattr(layer_times, "envelope_lines", lambda K, levels: 0)
+    monkeypatch.setattr(layer_times, "first_query_time", lambda K, levels, repeat: 0.02575)
+    monkeypatch.setattr(layer_times, "mixed_time", lambda gamma, repeat: 0.0)
+    monkeypatch.setattr(layer_times, "audit_point_times",
+                        lambda K, levels, repeat: dict.fromkeys(layer_times.AUDIT_COLUMNS, 0.0))
+    monkeypatch.setattr(layer_times, "radical_rate_time", lambda repeat: 0.0)
+    layer_times.main()
+    out = capsys.readouterr().out.splitlines()
+    head = out.index(f"first bound query at M = 1 on a fresh config, "
+                     f"best of {layer_times.FIRST_QUERY_REPEAT}, times in ms")
+    assert out[head + 1:head + 1 + len(layer_times.FIRST_QUERY)] == \
+        [f"{name:>20}{25.75:>15.3f}" for name in layer_times.FIRST_QUERY]
+    assert gc.isenabled()
     assert not list(tmp_path.iterdir())
 
 

@@ -7,7 +7,10 @@ times, with the garbage collector off as ``timeit`` does.  It prints the
 best time of each of the three and the best total of one repetition, in ms.
 It then builds the multi-user bound's envelope of lines
 (``bounds._bound_lines``) on three fixed configs, and prints each best
-build time beside the envelope's line count.  It runs ``mixed_rate``'s
+build time beside the envelope's line count.  It times the first bound
+query, at M = 1, on a fresh config for the three K = 4096 configs that the
+``MAX_BOUND_CACHES`` comment in ``bounds.py`` quotes, best of 3, which is
+almost all envelope build.  It runs ``mixed_rate``'s
 101-point gamma scan on demo 06's config at M = 6, without and with
 gamma = 1/2, each time on a fresh config object so that nothing is cached
 (as a ``cachelab mixed`` call loads one), and prints the best times.
@@ -59,6 +62,17 @@ ENVELOPES = {
     "K = 8, wide": (8, [(396, 4), (393, 3), (239, 1), (879, 3)]),
 }
 ENVELOPE_REPEAT = 100
+# The configs of the MAX_BOUND_CACHES comment: one level; four levels of
+# 4096..16384 files; four regular levels 6400 times apart in popularity, as
+# perfbench's regular_levels draws them.
+FIRST_QUERY = {
+    "K = 4096, 1 level": (4096, [(4096, 1)]),
+    "K = 4096, 4 levels": (4096, [(4096, 1), (8192, 1), (12288, 1), (16384, 1)]),
+    "K = 4096, regular": (4096, [(8192, 2), (78643200, 3), (671088640000, 4),
+                                 (4294967296000000, 4)]),
+}
+FIRST_QUERY_MEMORY = Fraction(1)
+FIRST_QUERY_REPEAT = 3
 # Demo 06's mixed config: one level at every cache, two in one row of users.
 MIXED_CACHES = 4
 MIXED_LEVELS = (LevelSpec(8, 2),)
@@ -132,6 +146,12 @@ def envelope_lines(K: int, levels: list[tuple[int, int]]) -> int:
     return len(_bound_lines(SystemConfig.multi_user(K, levels))[0])
 
 
+def first_query_time(K: int, levels: list[tuple[int, int]], repeat: int) -> float:
+    """Best seconds of the first multi-user bound query on a fresh config."""
+    return _best_fresh(lambda: SystemConfig.multi_user(K, levels),
+                       lambda config: optimize_lower_bound_mu(config, FIRST_QUERY_MEMORY), repeat)
+
+
 def mixed_time(gamma, repeat: int) -> float:
     """Best seconds of one ``mixed_rate`` call at `gamma` (None for the grid
     optimum) on a fresh copy of demo 06's config."""
@@ -193,6 +213,10 @@ def main() -> None:
     for name, (K, levels) in ENVELOPES.items():
         print(f"{name:>20}{envelope_time(K, levels, ENVELOPE_REPEAT) * 1e3:>15.3f}"
               f"{envelope_lines(K, levels):>15}")
+    print(f"\nfirst bound query at M = {FIRST_QUERY_MEMORY} on a fresh config, "
+          f"best of {FIRST_QUERY_REPEAT}, times in ms")
+    for name, (K, levels) in FIRST_QUERY.items():
+        print(f"{name:>20}{first_query_time(K, levels, FIRST_QUERY_REPEAT) * 1e3:>15.3f}")
     print(f"\nmixed_rate, demo 06 at M = {MIXED_MEMORY}, best of {MIXED_REPEAT}, times in ms")
     for name, gamma in MIXED_GAMMAS.items():
         print(f"{name:>20}{mixed_time(gamma, MIXED_REPEAT) * 1e3:>15.3f}")

@@ -26,10 +26,16 @@ and each (t+1)-subset's drop-one pairs ``(c, S - c)``.  ``deliver`` walks
 the pairs, takes a pair list as it is when every cache demands in the row,
 and builds a ``SubfileId`` for each message part only.  A ``Message`` is a
 NamedTuple, so it unpacks and equals the plain tuple of its fields.
+``deliver`` builds both as ``tuple.__new__(cls, fields)``: that is the call
+a NamedTuple's generated ``__new__`` makes, without its Python-level frame,
+so the object has the same type, fields, ``==`` and ``hash`` as one built
+by ``SubfileId(file, subset, layer)`` or ``Message(targets, parts, size)``.
 ``verify_decode`` reads only a message's parts and turns a part into its bit
 ``(layer offset + subset number)*N + file`` through the numbers alone, so
 its check never reads how the transcript was built.  No table of all
-N*sum C(K, t) subfiles is built on that path.
+N*sum C(K, t) subfiles is built on that path.  Its span check peels rows
+left with one unknown symbol, a test of ``mask.bit_count() > 1`` on a
+nonnegative row, which counts bits without building ``mask - 1``.
 """
 
 from __future__ import annotations
@@ -195,17 +201,19 @@ def _layers(K: int, N: int, M: Fraction) -> tuple[Layer, ...]:
         raise ValueError(f"need at least one cache and one file, got K={K}, N={N}")
     if M > N:
         raise ValueError(f"memory {M} exceeds library size {N}")
-    t_exact = Fraction(K) * M / N
-    t0 = math.floor(t_exact)
+    # t = K*M/N = num/den, so t0 = floor(t) and the lower sublayer's weight
+    # t0 + 1 - t is lam_n/den, all in integers; a Fraction is built only for
+    # each layer's part and subfile size.
+    num, den = K * M.numerator, N * M.denominator
+    t0 = num // den
     if t0 >= K:
         return (Layer(K, Fraction(1), Fraction(1)),)
-    lam = t0 + 1 - t_exact  # weight of the lower sublayer
-    layers = []
-    if lam > 0:
-        layers.append(Layer(t0, lam, lam / math.comb(K, t0)))
-    if lam < 1:
-        layers.append(Layer(t0 + 1, 1 - lam, (1 - lam) / math.comb(K, t0 + 1)))
-    return tuple(layers)
+    lam_n = (t0 + 1) * den - num  # 0 < lam_n <= den
+    lower = Layer(t0, Fraction(lam_n, den), Fraction(lam_n, den * math.comb(K, t0)))
+    if lam_n == den:  # integer t: one sublayer
+        return (lower,)
+    up = den - lam_n
+    return (lower, Layer(t0 + 1, Fraction(up, den), Fraction(up, den * math.comb(K, t0 + 1))))
 
 
 def scheme_rate(M: MemoryLike, K: int, N: int) -> Fraction:
@@ -245,6 +253,8 @@ def _rows(demands: Sequence[tuple[int, int]], K: int, N: int) -> list[dict[int, 
     """Split demands into rows with at most one user per cache."""
     per_cache: dict[int, list[int]] = {}
     for cache, file in demands:
+        if type(cache) is not int or type(file) is not int:
+            raise ValueError(f"demand ({cache!r}, {file!r}) needs an integer cache and file")
         if not (0 <= cache < K):
             raise ValueError(f"demand references cache {cache} outside 0..{K - 1}")
         if not (0 <= file < N):
@@ -265,9 +275,11 @@ def deliver(placement: PlacementState, demands: Sequence[tuple[int, int]]) -> Tr
     identical side information.
     """
     K, N = placement.K, placement.N
+    new = tuple.__new__  # the NamedTuples' own construction, minus their __new__ frame
     messages = []
     for row in _rows(demands, K, N):
         full = len(row) == K  # every cache demands: every pair is hit
+        target = {c: (c, f) for c, f in row.items()}
         for li, layer in enumerate(placement.layers):
             if layer.t >= K:
                 continue  # fully stored sublayer
@@ -279,8 +291,12 @@ def deliver(placement: PlacementState, demands: Sequence[tuple[int, int]]) -> Tr
                         continue
                 # The parts sit on distinct subsets S minus c, so they are
                 # pairwise distinct and their XOR keeps every one of them.
-                parts = frozenset([SubfileId(row[c], rest, li) for c, rest in hit])
-                messages.append(Message(tuple([(c, row[c]) for c, _ in hit]), parts, size))
+                parts, targets = [], []
+                for c, rest in hit:
+                    pair = target[c]
+                    targets.append(pair)
+                    parts.append(new(SubfileId, (pair[1], rest, li)))
+                messages.append(new(Message, (tuple(targets), frozenset(parts), size)))
     return Transcript(tuple(messages))
 
 
@@ -302,7 +318,9 @@ def symbol_mask(index: dict, symbols: Iterable) -> int:
 def span_contains(rows: Iterable[int], known: int, wanted: int) -> bool:
     """Is every symbol of `wanted` in the GF(2) span of `rows` and `known`?
 
-    Rows and symbol sets are bit masks, one bit per symbol.  The `known`
+    Rows and symbol sets are nonnegative bit masks, one bit per symbol (as
+    ``verify_decode`` and ``symbol_mask`` build them), so a row that keeps
+    more than one unknown symbol is one with ``bit_count() > 1``.  The `known`
     symbols are unit vectors, so they are cleared from every row first.  A
     row left with exactly one unknown symbol reveals it, which joins
     `known`; this peeling repeats until no row reveals a new symbol, and
@@ -318,7 +336,7 @@ def span_contains(rows: Iterable[int], known: int, wanted: int) -> bool:
         revealed, rest, unknown = 0, [], ~known
         for mask in rows:
             mask &= unknown
-            if mask & (mask - 1):
+            if mask.bit_count() > 1:
                 rest.append(mask)
             else:
                 revealed |= mask  # one unknown symbol, or none

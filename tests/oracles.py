@@ -20,8 +20,8 @@ from cachelab.model import BETA, RateReport, Setup, check_memory, validate_multi
 from cachelab.multi_user import (MemoryAllocation, Partition, _sqrt_n_over_u, _sqrt_nu,
                                  _sums)
 from cachelab.radicals import RootSum
-from cachelab.single_level import (Message, PlacementState, SubfileId, Transcript, _layers,
-                                   _rows, symbol_mask)
+from cachelab.single_level import (Layer, Message, PlacementState, SubfileId, Transcript,
+                                   _layers, _rows, symbol_mask)
 from cachelab.single_user import DecentralizedRun, _super_level
 
 
@@ -777,6 +777,26 @@ def team_enumeration_decentralized(config, M, assignment, demands, seed, segment
                  symbol_mask(index, ((file, s) for s in range(segments))))
              for slot, file in enumerate(wants))
     return DecentralizedRun(uncoded, tuple(sizes), ok)
+
+
+def fraction_layers(K, N, M):
+    """The memory split of `_layers` computed from Fractions: t = K*M/N, its
+    floor t0 and the lower sublayer's weight t0 + 1 - t."""
+    if K < 1 or N < 1:
+        raise ValueError(f"need at least one cache and one file, got K={K}, N={N}")
+    if M > N:
+        raise ValueError(f"memory {M} exceeds library size {N}")
+    t_exact = Fraction(K) * M / N
+    t0 = math.floor(t_exact)
+    if t0 >= K:
+        return (Layer(K, Fraction(1), Fraction(1)),)
+    lam = t0 + 1 - t_exact  # weight of the lower sublayer
+    layers = []
+    if lam > 0:
+        layers.append(Layer(t0, lam, lam / math.comb(K, t0)))
+    if lam < 1:
+        layers.append(Layer(t0 + 1, 1 - lam, (1 - lam) / math.comb(K, t0 + 1)))
+    return tuple(layers)
 
 
 def place_caches(K, N, M):

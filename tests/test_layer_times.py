@@ -13,12 +13,53 @@ from cachelab.model import LevelSpec, Setup, SystemConfig, validate_multi_user  
 
 def test_layer_times_reports_each_layer_and_writes_nothing(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    best = layer_times.layer_times(2, Fraction(1), 2)
-    assert list(best) == list(layer_times.COLUMNS)
-    assert min(best.values()) >= 0
-    assert best["sum"] >= max(best["place"], best["deliver"], best["verify_decode"])
+    for demands in layer_times.DEMANDS.values():
+        best = layer_times.layer_times(2, Fraction(1), demands(2, 2), 2)
+        assert list(best) == list(layer_times.COLUMNS)
+        assert min(best.values()) >= 0
+        assert best["sum"] >= max(best["place"], best["deliver"], best["verify_decode"])
     assert gc.isenabled()
     assert not list(tmp_path.iterdir()) and not capsys.readouterr().out
+
+
+def test_decode_rows_time_worst_case_and_repeated_demands(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert list(layer_times.DEMANDS) == ["worst-case", "repeated"]
+    for K in layer_times.CACHES:
+        worst = layer_times.DEMANDS["worst-case"](K, K)
+        repeated = layer_times.DEMANDS["repeated"](K, K)
+        # One user per cache; distinct files against a seeded vector with repeats.
+        assert [c for c, _ in worst] == [c for c, _ in repeated] == list(range(K))
+        assert len({f for _, f in worst}) == K
+        assert 1 < len({f for _, f in repeated}) < K
+        assert all(0 <= f < K for _, f in repeated)
+        assert layer_times.repeated_demands(K, K) == repeated
+    assert layer_times.repeated_demands(3, 1) == [(0, 0), (1, 0), (2, 0)]
+    # main prints one row per K and demand vector, timed on that vector.
+    timed = []
+
+    def recorded(K, M, demands, repeat):
+        timed.append((K, M, demands, repeat))
+        return dict.fromkeys(layer_times.COLUMNS, 0.0005)
+
+    monkeypatch.setattr(layer_times, "layer_times", recorded)
+    monkeypatch.setattr(layer_times, "envelope_time", lambda K, levels, repeat: 0.0)
+    monkeypatch.setattr(layer_times, "envelope_lines", lambda K, levels: 0)
+    monkeypatch.setattr(layer_times, "first_query_time", lambda K, levels, repeat: 0.0)
+    monkeypatch.setattr(layer_times, "mixed_time", lambda gamma, repeat: 0.0)
+    monkeypatch.setattr(layer_times, "audit_point_times",
+                        lambda K, levels, repeat: dict.fromkeys(layer_times.AUDIT_COLUMNS, 0.0))
+    monkeypatch.setattr(layer_times, "radical_rate_time", lambda repeat: 0.0)
+    layer_times.main()
+    assert timed == [(K, layer_times.MEMORY, demands(K, K), layer_times.REPEAT)
+                     for K in layer_times.CACHES for demands in layer_times.DEMANDS.values()]
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"best of {layer_times.REPEAT}, M = 2, times in ms"
+    assert out[1].split() == ["K", "=", "N", "demands", *layer_times.COLUMNS]
+    assert out[2:2 + len(timed)] == [f"{K:>5}{kind:>12}" + f"{0.5:>15.3f}" * 4
+                                     for K in layer_times.CACHES
+                                     for kind in layer_times.DEMANDS]
+    assert not list(tmp_path.iterdir())
 
 
 def test_envelope_rows_time_a_fresh_build_and_write_nothing(tmp_path, monkeypatch, capsys):
@@ -65,7 +106,7 @@ def test_envelope_rows_print_each_envelope_line_count(tmp_path, monkeypatch, cap
     # main prints the count beside the build time, under a "lines" column;
     # the other sections are stubbed out.
     monkeypatch.setattr(layer_times, "layer_times",
-                        lambda K, M, repeat: dict.fromkeys(layer_times.COLUMNS, 0.0))
+                        lambda K, M, demands, repeat: dict.fromkeys(layer_times.COLUMNS, 0.0))
     monkeypatch.setattr(layer_times, "envelope_time", lambda K, levels, repeat: 0.00125)
     monkeypatch.setattr(layer_times, "first_query_time", lambda K, levels, repeat: 0.0)
     monkeypatch.setattr(layer_times, "mixed_time", lambda gamma, repeat: 0.0)
@@ -104,7 +145,7 @@ def test_first_query_rows_time_a_fresh_config_and_write_nothing(tmp_path, monkey
         assert all(config == SystemConfig.multi_user(K, levels) and not config._facts
                    and M == layer_times.FIRST_QUERY_MEMORY for config, M in calls)
     monkeypatch.setattr(layer_times, "layer_times",
-                        lambda K, M, repeat: dict.fromkeys(layer_times.COLUMNS, 0.0))
+                        lambda K, M, demands, repeat: dict.fromkeys(layer_times.COLUMNS, 0.0))
     monkeypatch.setattr(layer_times, "envelope_time", lambda K, levels, repeat: 0.0)
     monkeypatch.setattr(layer_times, "envelope_lines", lambda K, levels: 0)
     monkeypatch.setattr(layer_times, "first_query_time", lambda K, levels, repeat: 0.02575)

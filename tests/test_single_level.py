@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 import oracles
 from cachelab.radicals import RootSum
-from cachelab.single_level import (Message, SubfileId, Transcript, _subset_table, deliver,
-                                   place, rate_single_level, scheme_rate, span_contains,
-                                   verify_decode, worst_case_demands)
+from cachelab.single_level import (Message, SubfileId, Transcript, _layers, _subset_table,
+                                   deliver, place, rate_single_level, scheme_rate,
+                                   span_contains, verify_decode, worst_case_demands)
 
 
 def test_rate_examples():
@@ -76,6 +76,34 @@ def test_scheme_rate_interpolates_between_integer_subset_sizes():
                     expected = (lam * Fraction(K - t0, t0 + 1)
                                 + (1 - lam) * Fraction(K - t0 - 1, t0 + 2))
                 assert scheme_rate(M, K, N) == expected
+
+
+def test_layers_match_the_fraction_split():
+    # The integer split of t = K*M/N equals the one built from Fractions:
+    # M = 0, M = N (t = K), every integer t, and random p/q <= N.
+    rng = random.Random(33)
+    cases = 0
+    for K in range(1, 13):
+        for N in range(1, 13):
+            memories = {Fraction(0), Fraction(N)}
+            memories.update(Fraction(t * N, K) for t in range(K + 1))
+            for _ in range(8):
+                q = rng.randint(1, 60)
+                memories.add(Fraction(rng.randint(0, N * q), q))
+            for M in memories:
+                layers = _layers(K, N, M)
+                assert layers == oracles.fraction_layers(K, N, M)
+                assert all(type(layer.part) is type(layer.subfile_size) is Fraction
+                           for layer in layers)
+                cases += 1
+    assert cases > 1500
+    for K, N, M in [(0, 3, Fraction(1)), (-2, 3, Fraction(0)), (3, 0, Fraction(0)),
+                    (3, -1, Fraction(0)), (3, 2, Fraction(5, 2)), (1, 1, Fraction(7, 6))]:
+        with pytest.raises(ValueError) as got:
+            _layers(K, N, M)
+        with pytest.raises(ValueError) as want:
+            oracles.fraction_layers(K, N, M)
+        assert str(got.value) == str(want.value)
 
 
 def test_place_examples():
@@ -252,6 +280,37 @@ def test_message_is_a_named_tuple_of_its_fields():
     assert msg._replace(size=Fraction(1)) != msg
 
 
+def test_delivered_named_tuples_equal_their_constructed_twins():
+    # deliver builds each Message and SubfileId with tuple.__new__: the
+    # objects must be those the constructors build from the same fields, on
+    # the differential cases and on decode-sim's K = N = 9 strata.
+    rng = random.Random(34)
+    cases = list(_differential_cases(rng))
+    K = N = 9
+    demand_vectors = [worst_case_demands(K, N), [(c, rng.randrange(N)) for c in range(K)],
+                      [(c, rng.randrange(N)) for c in range(K)]
+                      + [(c, rng.randrange(N)) for c in rng.sample(range(K), 3)]]
+    cases += [(K, N, t * N / K, demands)
+              for t in (Fraction(3, 2), Fraction(2), Fraction(5, 2), Fraction(3))
+              for demands in demand_vectors]
+    messages = parts = 0
+    for K, N, M, demands in cases:
+        for msg in deliver(place(K, N, M), demands).messages:
+            assert type(msg) is Message and len(msg) == 3
+            assert (msg.targets, msg.parts, msg.size) == (msg[0], msg[1], msg[2])
+            twin = Message(msg.targets, msg.parts, msg.size)
+            assert msg == twin and hash(msg) == hash(twin)
+            assert msg._asdict() == {"targets": msg[0], "parts": msg[1], "size": msg[2]}
+            for part in msg.parts:
+                assert type(part) is SubfileId and len(part) == 3
+                assert (part.file, part.subset, part.layer) == (part[0], part[1], part[2])
+                twin = SubfileId(part.file, part.subset, part.layer)
+                assert part == twin and hash(part) == hash(twin)
+                parts += 1
+            messages += 1
+    assert messages > 3000 and parts > 10000
+
+
 def test_verdict_reads_only_the_parts():
     # Rewriting every message's targets and size changes no verdict: of the
     # delivered transcript, of drop-one controls, or of forged parts.
@@ -304,6 +363,32 @@ def test_span_contains_matches_plain_elimination():
         assert got == oracles.span_contains_reference(rows, known, wanted), (rows, known, wanted)
         verdicts[got] += 1
     assert min(verdicts.values()) > 500
+    # Widths up to 1200 bits, as decode-sim's K = 9 masks (1134 bits): every
+    # row spans several digits of a Python int.  Even cases peel a chain
+    # spread over the width; odd ones leave a few unknown symbols under
+    # dense random rows, which elimination must resolve.
+    rng = random.Random(21)
+    verdicts = {True: 0, False: 0}
+    for i in range(600):
+        width = rng.randint(64, 1200)
+        if i % 2:
+            unknown = sum(1 << s for s in rng.sample(range(width), rng.randint(1, 16)))
+            known = (1 << width) - 1 & ~unknown
+            rows = [rng.getrandbits(width) for _ in range(rng.randint(0, 20))]
+            wanted = rng.getrandbits(width)
+        else:
+            chain = rng.sample(range(width), rng.randint(2, 24))
+            rows = [1 << chain[0]] + [1 << a | 1 << b for a, b in zip(chain, chain[1:])]
+            rows += [rng.getrandbits(width) for _ in range(rng.randint(0, 4))]
+            rng.shuffle(rows)
+            if i % 4 == 2:
+                del rows[rng.randrange(len(rows))]
+            known = rng.getrandbits(width) & rng.getrandbits(width)
+            wanted = known & rng.getrandbits(width) | 1 << rng.choice(chain)
+        got = span_contains(iter(rows), known, wanted)
+        assert got == oracles.span_contains_reference(rows, known, wanted), (rows, known, wanted)
+        verdicts[got] += 1
+    assert min(verdicts.values()) > 100
     # A whole chain reveals its last symbol; any row missing breaks it.
     rng = random.Random(20)
     for _ in range(200):
@@ -387,6 +472,16 @@ def test_deliver_rejects_bad_demands():
     with pytest.raises(ValueError):
         deliver(pl, [(0, 5)])
     assert not verify_decode(pl, deliver(pl, [(0, 0), (1, 1)]), [(0, 0), (2, 1)])
+    # A cache or file that is no int (a bool, a float, a string) is refused
+    # like an out-of-range one, with a one-line message.
+    pl = place(3, 3, 1)
+    tr = deliver(pl, [(0, 0)])
+    for bad in [(0, "a"), ("0", 0), (True, 0), (0, False), (1.0, 0), (0, 1.0)]:
+        with pytest.raises(ValueError) as err:
+            deliver(pl, [bad])
+        assert "\n" not in str(err.value)
+        assert verify_decode(pl, tr, [bad]) is False
+        assert verify_decode(pl, tr, [(0, 0), bad]) is False
 
 
 def test_verify_detects_missing_message():

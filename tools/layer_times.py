@@ -2,9 +2,11 @@
 """Best-of-N times of the simulator's layers and of the bound optimizer.
 
 For K = 8 and 10 it places a library of N = K files on K caches at memory
-M = 2, delivers the worst-case demand vector and checks the transcript, 300
-times, with the garbage collector off as ``timeit`` does.  It prints the
-best time of each of the three and the best total of one repetition, in ms.
+M = 2, delivers a demand vector and checks the transcript, 300 times, with
+the garbage collector off as ``timeit`` does, once on the worst-case
+demands (distinct files) and once on one seeded demand vector with repeats.
+It prints the best time of each of the three and the best total of one
+repetition, in ms.
 It then builds the multi-user bound's envelope of lines
 (``bounds._bound_lines``) on three fixed configs, and prints each best
 build time beside the envelope's line count.  It times the first bound
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import gc
 import os
+import random
 import sys
 import time
 from fractions import Fraction
@@ -92,9 +95,21 @@ RADICAL_MEMORY = Fraction(196)
 RADICAL_REPEAT = 15
 
 
-def layer_times(K: int, M: Fraction, repeat: int) -> dict[str, float]:
+def repeated_demands(K: int, N: int) -> list[tuple[int, int]]:
+    """One user per cache, each on a file drawn, seeded by (K, N), from the
+    first half of the library (the first file when N = 1), so some file is
+    demanded at two caches as soon as K > N // 2."""
+    rng = random.Random(f"repeated:{K}:{N}")
+    return [(c, rng.randrange(max(1, N // 2))) for c in range(K)]
+
+
+# The demand vectors of the simulator rows, by name; each takes (K, N).
+DEMANDS = {"worst-case": worst_case_demands, "repeated": repeated_demands}
+
+
+def layer_times(K: int, M: Fraction, demands: list[tuple[int, int]],
+                repeat: int) -> dict[str, float]:
     """Best seconds of each layer and of one whole repetition at K = N."""
-    demands = worst_case_demands(K, K)
     best = dict.fromkeys(COLUMNS, float("inf"))
     clock = time.perf_counter
     enabled = gc.isenabled()
@@ -203,11 +218,13 @@ def radical_rate_time(repeat: int) -> float:
 
 
 def main() -> None:
-    print(f"best of {REPEAT}, M = {MEMORY}, worst-case demands, times in ms")
-    print(f"{'K = N':>5}" + "".join(f"{name:>15}" for name in COLUMNS))
+    print(f"best of {REPEAT}, M = {MEMORY}, times in ms")
+    print(f"{'K = N':>5}{'demands':>12}" + "".join(f"{name:>15}" for name in COLUMNS))
     for K in CACHES:
-        best = layer_times(K, MEMORY, REPEAT)
-        print(f"{K:>5}" + "".join(f"{best[name] * 1e3:>15.3f}" for name in COLUMNS))
+        for kind, demands in DEMANDS.items():
+            best = layer_times(K, MEMORY, demands(K, K), REPEAT)
+            print(f"{K:>5}{kind:>12}" + "".join(f"{best[name] * 1e3:>15.3f}"
+                                                for name in COLUMNS))
     print(f"\nbound envelope build, best of {ENVELOPE_REPEAT}, times in ms")
     print(f"{'':>20}{'build':>15}{'lines':>15}")
     for name, (K, levels) in ENVELOPES.items():

@@ -244,6 +244,10 @@ def mixed_rate(config: SystemConfig, M: MemoryLike,
     carries ``best_gamma`` and ``best_rate`` in either case; a given gamma
     then costs one more evaluation.  Each grid memory ``g*M`` and
     ``(1 - g)*M`` is built as one Fraction from the integers of g and M.
+    Where both class rates are rational, their sum is an integer pair and
+    is compared with the best so far by cross-multiplication; an irrational
+    sum (a replicated class with two partial levels of distinct kernels)
+    falls back to the exact comparison.  ``best_rate`` is built once.
     """
     if config.setup is not Setup.MIXED:
         raise ValueError("mixed_rate needs a mixed-setup config")
@@ -252,26 +256,43 @@ def mixed_rate(config: SystemConfig, M: MemoryLike,
 
     p, q = M.numerator, M.denominator
 
-    def rate_at(g: Fraction) -> ExactValue:
+    def rate_at(g: Fraction):
+        """The sum of the two class rates at g: an unreduced integer pair
+        (numerator, positive denominator) when both are rational, else the
+        exact value."""
         a, b = g.numerator, g.denominator
-        total: ExactValue = (Fraction(0) if f_cfg is None else
-                             rate_memory_sharing(f_cfg, Fraction(a * p, b * q)).achievable)
+        rates = []
+        if f_cfg is not None:
+            rates.append(rate_memory_sharing(f_cfg, Fraction(a * p, b * q)).achievable)
         if g_cfg is not None:
-            total = total + rate_clustering(g_cfg, Fraction((b - a) * p, b * q)).achievable
-        return total
+            rates.append(rate_clustering(g_cfg, Fraction((b - a) * p, b * q)).achievable)
+        if all(type(rate) is Fraction for rate in rates):
+            num, den = 0, 1
+            for rate in rates:
+                num, den = num * rate.denominator + rate.numerator * den, den * rate.denominator
+            return num, den
+        return sum(rates, Fraction(0))
+
+    def exact(value) -> ExactValue:
+        return Fraction(*value) if type(value) is tuple else value
 
     if gamma is not None:
         gamma = Fraction(gamma)
         if not (0 <= gamma <= 1):
             raise ValueError("gamma must lie in [0, 1]")
-    best_g, best_rate = None, None
-    for k in range(GAMMA_GRID):
+    best_g, best = Fraction(0), rate_at(Fraction(0))
+    for k in range(1, GAMMA_GRID):
         g = Fraction(k, GAMMA_GRID - 1)
         value = rate_at(g)
-        if best_rate is None or value < best_rate:
-            best_g, best_rate = g, value
+        if type(value) is tuple and type(best) is tuple:
+            below = value[0] * best[1] < best[0] * value[1]
+        else:
+            below = exact(value) < exact(best)
+        if below:
+            best_g, best = g, value
+    best_rate = exact(best)
     chosen = gamma if gamma is not None else best_g
-    achieved = rate_at(chosen) if gamma is not None else best_rate
+    achieved = exact(rate_at(chosen)) if gamma is not None else best_rate
     return RateReport(
         setup=Setup.MIXED,
         memory=M,

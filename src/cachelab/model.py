@@ -210,14 +210,24 @@ def mixed_classes(config: SystemConfig) -> tuple[Optional[SystemConfig], Optiona
 
 
 def validate(config: SystemConfig) -> ValidationReport:
+    """The config's regularity report.
+
+    A mixed config's classes are each checked against their own setup's
+    rules, the single-row class on as many caches as it has users, and
+    MX-ROW then requires that row to fit on the caches: its users must not
+    outnumber them.
+    """
     if config.setup is Setup.MULTI_USER:
         return config.fact(validate_multi_user)
     if config.setup is Setup.SINGLE_USER:
         return config.fact(validate_single_user)
-    # Mixed: each class checked against its own setup's rules.
     mu, su = config.fact(mixed_classes)
-    return ValidationReport((mu.fact(validate_multi_user).violations if mu else ())
-                            + (su.fact(validate_single_user).violations if su else ()))
+    violations = ((mu.fact(validate_multi_user).violations if mu else ())
+                  + (su.fact(validate_single_user).violations if su else ()))
+    if su is not None and su.caches > config.caches:
+        violations += (Violation(
+            "MX-ROW", (), f"single-row users {su.caches} > caches {config.caches}"),)
+    return ValidationReport(violations)
 
 
 def _float_or_none(value: ExactValue) -> Optional[float]:

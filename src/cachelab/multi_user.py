@@ -13,10 +13,14 @@ Levels are scanned in the canonical order of `SystemConfig` (``N_i/U_i``
 ascending, input order on ties), and a split is the index pair
 ``(j_end, h_start)``: J = ``range(j_end)``, I = ``range(j_end, h_start)``
 and H = ``range(h_start, L)``.  Everything that does not depend on M (the
-prefix sums ``T_J``, the sums over each candidate I, the threshold
-constants with their enclosures, ``S_I^-1``) lives in a `_SplitPlan` that
-each config object keeps as ``config.fact(_SplitPlan)``, one block per
-split, filled only as far as the queries reach.  A block also owns the
+prefix sums ``T_J``, each level's threshold rules, the sums over each
+candidate I, the threshold constants with their enclosures, ``S_I^-1``)
+lives in a `_SplitPlan` that each config object keeps as
+``config.fact(_SplitPlan)``, one block per split, filled only as far as the
+queries reach.  Before the scan, integer comparisons of M with the prefix
+sums and with each level's water-filling thresholds settle which side of
+H and of J a level lies on wherever they can, so the scan tries only the
+splits left; on separated levels that is one split.  A block also owns the
 memory-independent parts of its split's report: the sets H and J with
 ``T_J``, the fixed amounts and rate of the H and J levels, and
 ``approx_rate``'s user constant; the plan owns the all-J partition of every
@@ -36,9 +40,11 @@ the field is first read: a printed report reads it, while the rate, the
 bound and the gap never do.  `rate_memory_sharing` allocates from the
 block of the split the scan found, with W as the same pair from
 `_Block.weight`, so a level with a rational share (every split with one
-partial level) gets its memory as one Fraction; it adds the rational
-per-level rates, and forms a rational ``approx_rate``, as integer pairs,
-at every memory.
+partial level) gets its memory as one Fraction; a rational split adds its
+per-level rates and its fixed rate as one integer pair, and forms a
+rational ``approx_rate`` as one, so it builds one Fraction per reported
+value.  The partition and the allocation are filled without the frozen
+dataclass's per-field setattr calls.
 """
 
 from __future__ import annotations
@@ -140,6 +146,74 @@ def _sums(levels: tuple[LevelSpec, ...], K: int,
     return S_I, V_I
 
 
+def _frozen(cls, **fields):
+    """An instance of the frozen dataclass `cls` holding `fields`, filled
+    without the generated ``__init__``'s one ``object.__setattr__`` per
+    field; ``==``, `hash`, `repr` and every read see what ``cls(**fields)``
+    would hold (a `_Pending` ``M_tilde`` is computed on its first read)."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+def _threshold_rules(levels: tuple[LevelSpec, ...], K: int,
+                     T: list[int]) -> tuple[tuple, tuple]:
+    """The `_side` rules of the thresholds ``g(x_l/K)`` (H) and
+    ``g((1+1/K)*x_j)`` (J) of each level, for `find_m_feasible_partition`.
+
+    Adjacent levels l, l+1 are *separated* when ``x_{l+1} >= (K+1)*x_l``,
+    that is ``(K+1)^2*N_l*U_{l+1} <= N_{l+1}*U_l``; the ends of the order
+    count as separated from the levels beyond them.  With ``T_l`` the
+    prefix sums, ``g(x_l/K)`` is ``T_l`` if l-1, l are separated, else
+    ``T_{l-1} + (sqrt(N_{l-1}*U_{l-1}*N_l/U_l) - N_{l-1})/K`` if l-2, l-1
+    are: each level below l-1 is then full and l-1 is partial.  Likewise
+    ``g((1+1/K)*x_j)`` is ``T_{j+1}`` if j, j+1 are separated, else
+    ``T_{j+1} + ((K+1)*sqrt(N_j*N_{j+1}*U_{j+1}/U_j) - N_{j+1})/K`` if
+    j+1, j+2 are.  A rule is ``(T, 0, 0, 0)`` for the threshold T,
+    ``(T, n, u, c)`` for ``T + (r - n)/K`` with ``r = sqrt(c/u)``, or None
+    when the threshold takes more than one root; the scan then knows only
+    the bounds ``g(x_l/K) <= T_l`` and ``g((1+1/K)*x_j) >= T_{j+1}``.
+    """
+    L = len(levels)
+    N, U = [lv.files for lv in levels], [lv.users for lv in levels]
+    # separated[l] is the pair (l-1, l).
+    separated = [True] + [(K + 1) ** 2 * N[l] * U[l + 1] <= N[l + 1] * U[l]
+                          for l in range(L - 1)] + [True]
+    h_rules, j_rules = [], []
+    for l in range(L):
+        if separated[l]:
+            h_rules.append((T[l], 0, 0, 0))
+        elif separated[l - 1]:
+            h_rules.append((T[l - 1], N[l - 1], U[l], N[l] * N[l - 1] * U[l - 1]))
+        else:
+            h_rules.append(None)
+        if separated[l + 1]:
+            j_rules.append((T[l + 1], 0, 0, 0))
+        elif separated[l + 2]:
+            j_rules.append((T[l + 1], N[l + 1], U[l], (K + 1) ** 2 * N[l] * N[l + 1] * U[l + 1]))
+        else:
+            j_rules.append(None)
+    return tuple(h_rules), tuple(j_rules)
+
+
+def _side(rule: tuple, K: int, p: int, q: int) -> int:
+    """The sign of ``M - g`` at ``M = p/q`` for the threshold g of a
+    `_threshold_rules` rule.
+
+    For one root, ``M - g`` has the sign of ``D - q*r`` with
+    ``D = K*(p - T*q) + n*q``: negative if ``D <= 0``, else that of
+    ``D^2*u - c*q^2``.
+    """
+    T, n, u, c = rule
+    s = p - T * q
+    if n:
+        D = K * s + n * q
+        if D <= 0:
+            return -1
+        s = D * D * u - c * q * q
+    return (s > 0) - (s < 0)
+
+
 class _Block:
     """Memory-independent state of the split ``(j_end, h_start)``, filled lazily.
 
@@ -166,20 +240,19 @@ class _Block:
         self.H = frozenset(range(h_start, L))
         self.I = frozenset(range(j_end, h_start))
         self.J = frozenset(range(j_end))
-        self.T_J = plan.T[j_end]
+        self.T_J = Fraction(plan.T[j_end])
         self.S_I, self.V_I = _sums(levels, K, self.I)
         offset = self.V_I - self.T_J
         self.offset = (offset.numerator, offset.denominator)
         self.J_amounts = plan.library[:j_end]
         self.H_amounts = (Fraction(0),) * (L - h_start)
-        users_H = K * sum(lv.users for lv in levels[h_start:])
-        self.fixed_rate = Fraction(users_H)
-        self.approx_users = users_H - sum(lv.users for lv in levels[j_end:h_start])
+        self.fixed_rate = K * sum(lv.users for lv in levels[h_start:])
+        self.approx_users = self.fixed_rate - sum(lv.users for lv in levels[j_end:h_start])
         self._levels, self._x = levels, plan.x
         self._cuts: dict[int, Enclosure] = {}
         self._inverse: Optional[ExactValue] = None
         self._square: Optional[ExactValue] = None
-        self._shares: dict[int, ExactValue] = {}
+        self._shares: Optional[tuple[ExactValue, ...]] = None
 
     def weight(self, M: Fraction) -> tuple[int, int]:
         """``W = M - T_J + V_I`` as an unreduced integer numerator and
@@ -204,21 +277,23 @@ class _Block:
             self._square = self.S_I * self.S_I
         return self._square
 
-    def share(self, i: int) -> ExactValue:
-        share = self._shares.get(i)
-        if share is None:
-            share = self._shares[i] = _sqrt_nu(self._levels[i]) * self.inverse()
-        return share
+    def shares(self) -> tuple[ExactValue, ...]:
+        """``sqrt(N_i*U_i)*S_I^-1`` of each level of I, in level order."""
+        if self._shares is None:
+            inverse = self.inverse()
+            self._shares = tuple(_sqrt_nu(self._levels[i]) * inverse for i in sorted(self.I))
+        return self._shares
 
 
 class _SplitPlan:
     """Memory-independent state of a multi-user config's partition scan.
 
     Holds the levels and cache count (not the config, which keeps the plan),
-    ``sqrt(N_i/U_i)``, the prefix sums ``T[j] = sum_{l<j} N_l``, each
-    level's library as a Fraction, the all-J `Partition` of every memory
-    above the library size, and one `_Block` per split met so far, keyed by
-    its index pair ``(j_end, h_start)``.  A nonempty I fixes its split, so a
+    ``sqrt(N_i/U_i)``, the integer prefix sums ``T[j] = sum_{l<j} N_l``,
+    each level's library as a Fraction, the all-J `Partition` of every
+    memory above the library size, each level's `_threshold_rules`, and one
+    `_Block` per split met so far, keyed by its index pair
+    ``(j_end, h_start)``.  A nonempty I fixes its split, so a
     partition's block is the one at ``(len(J), L - len(H))``.  A config
     that is not multi-user is refused with `validate_multi_user`'s
     ValueError.
@@ -226,17 +301,18 @@ class _SplitPlan:
 
     def __init__(self, config: SystemConfig):
         config.fact(validate_multi_user)  # refuses a config of another setup
-        self.levels = config.levels
-        self.caches = config.caches
-        self.x = tuple(_sqrt_n_over_u(lv) for lv in self.levels)
-        self.T = [Fraction(0)]
-        for lv in self.levels:
-            self.T.append(self.T[-1] + lv.files)
-        self.library = tuple(Fraction(lv.files) for lv in self.levels)
-        L = len(self.levels)
-        self.full = Partition(frozenset(), frozenset(), frozenset(range(L)), Fraction(0),
-                              self.T[L], Fraction(0), None)
+        self.levels = levels = config.levels
+        self.caches = K = config.caches
+        self.x = tuple(_sqrt_n_over_u(lv) for lv in levels)
+        self.T = T = [0]
+        for lv in levels:
+            T.append(T[-1] + lv.files)
+        self.library = tuple(Fraction(lv.files) for lv in levels)
+        L = len(levels)
+        self.full = _frozen(Partition, H=frozenset(), I=frozenset(), J=frozenset(range(L)),
+                            S_I=Fraction(0), T_J=Fraction(T[L]), V_I=Fraction(0), M_tilde=None)
         self._blocks: dict[tuple[int, int], _Block] = {}
+        self.h_rules, self.j_rules = _threshold_rules(levels, K, T)
 
     def split_block(self, j_end: int, h_start: int) -> _Block:
         """The block of ``I = range(j_end, h_start)``."""
@@ -303,40 +379,67 @@ def find_m_feasible_partition(config: SystemConfig, M: MemoryLike) -> Partition:
     run of it.  Summing the terms, ``sum_I (λ*a_i - N_i/K) = M - T_J``, so
     ``λ = (M - T_J + V_I)/S_I = M_tilde`` and the split meets every
     membership condition.  `_SplitPlan.admits` decides those conditions
-    exactly (the tests check it against every level's), and the scan tries
-    every contiguous split with a nonempty I, so it returns; its final
-    raise is an internal check.
+    exactly (the tests check it against every level's).
+
+    Conversely, every feasible split s is the one of its own
+    ``λ_s = M_tilde``: its conditions put each term of g at ``λ_s`` at 0 on
+    H, at ``N_j`` on J and at ``λ_s*a_i - N_i/K`` on I, so ``g(λ_s) = M``,
+    and they give ``H = {h: λ_s < x_h/K}`` and ``J = {j: λ_s > (1+1/K)x_j}``.
+    As g is nondecreasing, ``M < g(x_l/K)`` puts level l in H of every
+    feasible split and ``M > g(x_l/K)`` puts it outside; ``M > g((1+1/K)x_j)``
+    puts j in J of every feasible split and ``M < g((1+1/K)x_j)`` puts it
+    outside.  `_threshold_rules` gives those thresholds, exactly or as a
+    bound, from integers (`_side` decides each sign, or leaves it open), so
+    before its scan the plan settles the range of ``j_end`` and of
+    ``h_start`` that every feasible split lies in.  The scan tries only the
+    splits in that window, in the same order, so it returns the same split
+    as a scan of every contiguous split with a nonempty I; the window holds
+    the split built above, so the final raise is an internal check.  On
+    separated levels the window is one split whenever M lies strictly
+    between two prefix sums.
     """
     M = check_memory(M)
     plan = config.fact(_SplitPlan)
-    L = len(plan.levels)
-    if M.numerator > plan.T[L].numerator * M.denominator:
+    L, K, T = len(plan.levels), plan.caches, plan.T
+    p, q = M.numerator, M.denominator
+    if p > T[L] * q:
         return plan.full
-    for j_end in range(L):
-        for h_start in range(L, j_end, -1):
+    # T_k <= M < T_{k+1}, or k = L at M = T_L.  As g(x_l/K) <= T_l, every
+    # level below k is outside H, and so is k unless M = T_k; as
+    # g((1+1/K)*x_j) >= T_{j+1}, every level from k on is outside J.
+    k = 0
+    while k < L and T[k + 1] * q <= p:
+        k += 1
+    h_lo = k + 1 if T[k] * q < p else max(k, 1)
+    h_hi, j_lo, j_hi = L, 0, min(k, L - 1)
+    # A threshold ascends with its level: the first level found in H puts
+    # every later one there, and the last found in J every earlier one.
+    for l in range(h_lo, L):
+        rule = plan.h_rules[l]
+        if rule is not None:
+            side = _side(rule, K, p, q)
+            if side < 0:
+                h_hi = l
+                break
+            if side > 0:
+                h_lo = l + 1
+    for j in range(j_hi - 1, -1, -1):
+        rule = plan.j_rules[j]
+        if rule is not None:
+            side = _side(rule, K, p, q)
+            if side > 0:
+                j_lo = j + 1
+                break
+            if side < 0:
+                j_hi = j
+    for j_end in range(j_lo, j_hi + 1):
+        for h_start in range(h_hi, max(h_lo, j_end + 1) - 1, -1):
             block = plan.split_block(j_end, h_start)
             W = plan.admits(block, j_end, h_start, M)
             if W is not None:
-                return Partition(block.H, block.I, block.J, block.S_I, block.T_J, block.V_I,
-                                 _Pending(block, W))
+                return _frozen(Partition, H=block.H, I=block.I, J=block.J, S_I=block.S_I,
+                               T_J=block.T_J, V_I=block.V_I, M_tilde=_Pending(block, W))
     raise AssertionError(f"no feasible level partition at M={M}")
-
-
-def _exact_sum(values: list[ExactValue]) -> ExactValue:
-    """``sum(values)`` in order, as Fractions add.
-
-    The rational terms before the first irrational one are added as an
-    integer pair; from that term on every addition is the RootSum one.
-    """
-    num, den = 0, 1
-    for k, value in enumerate(values):
-        if type(value) is not Fraction:
-            total = Fraction(num, den)
-            for value in values[k:]:
-                total = total + value
-            return total
-        num, den = num * value.denominator + value.numerator * den, den * value.denominator
-    return Fraction(num, den)
 
 
 def rate_memory_sharing(config: SystemConfig, M: MemoryLike) -> RateReport:
@@ -350,9 +453,12 @@ def rate_memory_sharing(config: SystemConfig, M: MemoryLike) -> RateReport:
     ``(K*a*w - b*N_i*d) / (K*b*d)``.  The amounts of H and J, and their
     rates, are the block's: only the partial levels depend on M.
 
-    The exact rate sums ``rate_single_level`` over the partial levels, in
-    level order, then adds the block's whole-number rate ``K*sum U_H`` of
-    the other levels.  The closed-form display expression
+    The exact rate is the sum of the partial levels' single-level rates,
+    in level order, and the block's whole-number rate ``K*sum U_H`` of the
+    other levels.  On a rational split each level's rate is taken from its
+    amount p/q by ``rate_single_level``'s two branches and the sum is kept
+    as one integer pair, so the rate is one Fraction; an irrational split
+    calls ``rate_single_level`` and adds the values in level order.  The closed-form display expression
     ``sum_H K*U_h + S_I^2/(M - T_J) - sum_I U_i`` is attached to the report
     as ``approx_rate``; it is a known approximation and is never used in
     gap checks.  A rational ``S_I^2 = s/r`` (one partial level) makes it the
@@ -370,20 +476,34 @@ def rate_memory_sharing(config: SystemConfig, M: MemoryLike) -> RateReport:
         j_end, h_start = len(partition.J), len(levels) - len(partition.H)
         block = plan.split_block(j_end, h_start)
         w, d = block.weight(M)
+        shares = block.shares()
         partial: list[ExactValue] = []
-        rates: list[ExactValue] = []
-        for i in range(j_end, h_start):
-            share, lv = block.share(i), levels[i]
-            if type(share) is Fraction:
-                a, b = share.numerator, share.denominator
-                amount = Fraction(K * a * w - b * lv.files * d, K * b * d)
-            else:
-                amount = share * Fraction(w, d) - Fraction(lv.files, K)
-            partial.append(amount)
-            rates.append(rate_single_level(amount, K, lv.files, lv.users))
-        if block.H:
-            rates.append(block.fixed_rate)
-        rate = _exact_sum(rates)
+        if all(type(share) is Fraction for share in shares):
+            # rate_single_level's two branches on each amount p/q, added
+            # with the fixed rate as one integer pair num/den
+            num, den = block.fixed_rate, 1
+            for share, lv in zip(shares, levels[j_end:h_start]):
+                a, b, N = share.numerator, share.denominator, lv.files
+                amount = Fraction(K * a * w - b * N * d, K * b * d)
+                partial.append(amount)
+                p, q = amount.numerator, amount.denominator
+                Nq = N * q
+                if Nq >= K * p:
+                    r_num, r_den = lv.users * K * (Nq - p), Nq
+                else:
+                    r_num, r_den = lv.users * (Nq - p), p
+                num, den = num * r_den + r_num * den, den * r_den
+            rate = Fraction(num, den)
+        else:
+            W = Fraction(w, d)
+            rate = None
+            for share, lv in zip(shares, levels[j_end:h_start]):
+                amount = share * W - Fraction(lv.files, K)
+                partial.append(amount)
+                level_rate = rate_single_level(amount, K, lv.files, lv.users)
+                rate = level_rate if rate is None else rate + level_rate
+            if block.fixed_rate:
+                rate = rate + block.fixed_rate
         amounts = block.J_amounts + tuple(partial) + block.H_amounts
         # T_J is a whole number, so M - T_J = (p - T_J*q)/q = m/e at M = p/q
         m, e = M.numerator - block.T_J.numerator * M.denominator, M.denominator
@@ -401,7 +521,7 @@ def rate_memory_sharing(config: SystemConfig, M: MemoryLike) -> RateReport:
         achievable=rate,
         regular=config.fact(validate_multi_user).ok,
         partition=partition,
-        allocation=MemoryAllocation(amounts, M),
+        allocation=_frozen(MemoryAllocation, amounts=amounts, M=M),
         extras={"approx_rate": approx},
     )
 

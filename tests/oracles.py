@@ -15,14 +15,15 @@ from cachelab.bounds import (MULTI_USER_GAP, SINGLE_USER_GAP, SMALL_MEMORY_GAP,
                              SMALL_MEMORY_THRESHOLD, GapReport, MultiUserBoundParams,
                              SingleUserBoundParams, _b_crossings, _b_ladder, _b_search_limit,
                              _bound_lines, _window_limit, best_cut_sizes)
-from cachelab.experiments import audit_grid
-from cachelab.model import BETA, RateReport, Setup, check_memory, validate_multi_user
+from cachelab.experiments import GAMMA_GRID, audit_grid
+from cachelab.model import (BETA, RateReport, Setup, check_memory, mixed_classes,
+                            validate_multi_user)
 from cachelab.multi_user import (MemoryAllocation, Partition, _sqrt_n_over_u, _sqrt_nu,
-                                 _sums)
+                                 _sums, rate_memory_sharing)
 from cachelab.radicals import RootSum
 from cachelab.single_level import (Layer, Message, PlacementState, SubfileId, Transcript,
                                    _layers, _rows, symbol_mask)
-from cachelab.single_user import DecentralizedRun, _super_level
+from cachelab.single_user import DecentralizedRun, _super_level, rate_clustering
 
 
 def _split_conditions(config, M, H, I, J):
@@ -914,3 +915,28 @@ def verify_decode(placement, transcript, demands):
     return all(span_contains_reference(messages, symbol_mask(index, placement.caches[cache]),
                                        symbol_mask(index, subfiles_of(file)))
                for row in rows for cache, file in row.items())
+
+
+def fraction_mixed_rate(config, M, gamma=None):
+    """``(achievable, gamma, best_gamma, best_rate)`` of `mixed_rate`, each
+    grid rate the Fraction or RootSum sum of the two class rates, compared
+    with the best so far as exact values."""
+    M = check_memory(M)
+    f_cfg, g_cfg = config.fact(mixed_classes)
+
+    def rate_at(g):
+        total = Fraction(0) if f_cfg is None else rate_memory_sharing(f_cfg, g * M).achievable
+        if g_cfg is not None:
+            total = total + rate_clustering(g_cfg, (1 - g) * M).achievable
+        return total
+
+    best_g, best_rate = None, None
+    for k in range(GAMMA_GRID):
+        g = Fraction(k, GAMMA_GRID - 1)
+        value = rate_at(g)
+        if best_rate is None or value < best_rate:
+            best_g, best_rate = g, value
+    if gamma is None:
+        return best_rate, best_g, best_g, best_rate
+    gamma = Fraction(gamma)
+    return rate_at(gamma), gamma, best_g, best_rate

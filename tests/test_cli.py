@@ -74,6 +74,24 @@ def test_rate_strict_exit_mixed(tmp_path, capsys):
     assert "files 3 < caches*users = 8" in captured.err and "files 1 < users 3" in captured.err
 
 
+def test_rate_strict_exit_mixed_row_over_the_caches(tmp_path, capsys):
+    # Each class passes its own rules, but the single row has five users
+    # on four caches (MX-ROW).
+    path = tmp_path / "wide_row.json"
+    path.write_text(json.dumps({
+        "setup": "mixed", "caches": 4,
+        "levels": [{"files": 8, "users": 1}],
+        "mixed_levels": [{"files": 10, "users": 5}]}))
+    assert cli.main(["rate", str(path), "--mem", "1"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out[out.index("{"):])["regular"] is False
+    assert cli.main(["rate", str(path), "--mem", "1", "--strict"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("regularity violation: instance violates regularity "
+                            "conditions: single-row users 5 > caches 4\n")
+
+
 def test_rate_strict_exit_single_user(tmp_path, capsys):
     # The more popular level, level 0, has fewer files than users (SU-FILES),
     # and the users do not fill the caches (SU-COUNT).  The report is computed once per config, so the

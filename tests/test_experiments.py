@@ -15,9 +15,9 @@ from cachelab.experiments import (GAMMA_GRID, AuditSummary, SweepRow, audit, aud
 from cachelab.model import (LevelSpec, Setup, SystemConfig, config_from_dict, mixed_classes,
                             validate, validate_multi_user, validate_single_user)
 from cachelab.multi_user import rate_memory_sharing
-from cachelab.radicals import exact_sign
+from cachelab.radicals import RootSum, exact_sign
 from cachelab.single_user import rate_clustering
-from oracles import fraction_rate_clustering
+from oracles import fraction_mixed_rate, fraction_rate_clustering
 
 
 def test_default_grid():
@@ -78,6 +78,33 @@ def test_mixed_optimum_dominates_endpoints():
     for endpoint in (Fraction(0), Fraction(1)):
         value = mixed_rate(cfg, 6, gamma=endpoint).achievable
         assert exact_sign(value - best) >= 0
+
+
+def test_mixed_gamma_scan_matches_exact_comparisons():
+    # Two replicated levels with the kernels 2 and 3 make every grid rate with
+    # both partial irrational, so the scan mixes integer-pair comparisons with
+    # exact ones.  At M = 20 the best rate is irrational; at M = 30 and 40
+    # the rate is 0 at several gammas, so a tie keeps the first of them.
+    cfg = SystemConfig(Setup.MIXED, 4, (LevelSpec(8, 1), LevelSpec(12, 1)), (LevelSpec(6, 2),))
+    mu, su = cfg.fact(mixed_classes)
+    kinds = set()
+    for M in (Fraction(20), Fraction(30), Fraction(40)):
+        grid = [rate_memory_sharing(mu, M * Fraction(k, GAMMA_GRID - 1)).achievable
+                + rate_clustering(su, M * Fraction(GAMMA_GRID - 1 - k, GAMMA_GRID - 1)).achievable
+                for k in range(GAMMA_GRID)]
+        irrational = sum(type(value) is RootSum for value in grid)
+        assert 0 < irrational < GAMMA_GRID
+        best = min(grid)
+        kinds.add((type(best), sum(value == best for value in grid) > 1))
+        for gamma in (None, Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(7, 10),
+                      Fraction(1)):
+            report = mixed_rate(cfg, M, gamma)
+            got = (report.achievable, report.extras["gamma"], report.extras["best_gamma"],
+                   report.extras["best_rate"])
+            want = fraction_mixed_rate(cfg, M, gamma)
+            assert got == want and tuple(map(type, got)) == tuple(map(type, want)), (M, gamma)
+            assert report.extras["best_rate"] == best
+    assert kinds == {(RootSum, False), (Fraction, True)}
 
 
 def test_mixed_gamma_validation():

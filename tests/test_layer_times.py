@@ -194,9 +194,18 @@ def test_mixed_rows_time_a_fresh_demo_config_and_write_nothing(tmp_path, monkeyp
 
 def test_audit_point_rows_time_a_warm_config_and_write_nothing(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    assert [layer_times.ENVELOPES[name] for name in layer_times.AUDIT_CONFIGS] == \
+    assert list(layer_times.AUDIT_CONFIGS.values()) == \
         [(128, [(256, 2)]), (128, [(256, 2), (2457600, 3), (20971520000, 4),
-                                   (134217728000000, 4)])]
+                                   (134217728000000, 4)]),
+         (16, [(32, 2), (307200, 3), (655360000, 1), (16777216000000, 4)])]
+    # The K = 128 rows are envelope rows, whose adjacent levels overlap; on
+    # K = 16 every adjacent pair is separated, x_{l+1} >= (K+1)*x_l.
+    for name in list(layer_times.AUDIT_CONFIGS)[:2]:
+        assert layer_times.AUDIT_CONFIGS[name] == layer_times.ENVELOPES[name]
+    for K, levels in list(layer_times.AUDIT_CONFIGS.values())[1:]:
+        separated = [(K + 1) ** 2 * n * v <= m * u
+                     for (n, u), (m, v) in zip(levels, levels[1:])]
+        assert separated == [K == 16] * 3
     assert layer_times.AUDIT_COLUMNS == ("rate", "bound", "gap", "point")
     calls = []
 
@@ -210,8 +219,7 @@ def test_audit_point_rows_time_a_warm_config_and_write_nothing(tmp_path, monkeyp
 
     for name in ("rate_memory_sharing", "optimize_lower_bound_mu", "gap_report"):
         recorded(name)
-    for name in layer_times.AUDIT_CONFIGS:
-        K, levels = layer_times.ENVELOPES[name]
+    for K, levels in layer_times.AUDIT_CONFIGS.values():
         calls.clear()
         best = layer_times.audit_point_times(K, levels, 2)
         assert list(best) == list(layer_times.AUDIT_COLUMNS)
@@ -232,6 +240,32 @@ def test_audit_point_rows_time_a_warm_config_and_write_nothing(tmp_path, monkeyp
         assert all(cfg is config for _, (_, cfg) in points)
     assert gc.isenabled()
     assert not list(tmp_path.iterdir()) and not capsys.readouterr().out
+    # main prints one row per audit config, timed on that config; the other
+    # sections are stubbed out.
+    timed = []
+
+    def stub(K, levels, repeat):
+        timed.append((K, levels, repeat))
+        return dict.fromkeys(layer_times.AUDIT_COLUMNS, 0.0000125)
+
+    monkeypatch.setattr(layer_times, "layer_times",
+                        lambda K, M, demands, repeat: dict.fromkeys(layer_times.COLUMNS, 0.0))
+    monkeypatch.setattr(layer_times, "envelope_time", lambda K, levels, repeat: 0.0)
+    monkeypatch.setattr(layer_times, "envelope_lines", lambda K, levels: 0)
+    monkeypatch.setattr(layer_times, "first_query_time", lambda K, levels, repeat: 0.0)
+    monkeypatch.setattr(layer_times, "mixed_time", lambda gamma, repeat: 0.0)
+    monkeypatch.setattr(layer_times, "audit_point_times", stub)
+    monkeypatch.setattr(layer_times, "radical_rate_time", lambda repeat: 0.0)
+    layer_times.main()
+    assert timed == [(K, levels, layer_times.AUDIT_REPEAT)
+                     for K, levels in layer_times.AUDIT_CONFIGS.values()]
+    out = capsys.readouterr().out.splitlines()
+    head = out.index(f"warm audit point, best of {layer_times.AUDIT_REPEAT} passes over the "
+                     f"20 audit memories, times in us per memory")
+    assert out[head + 1].split() == list(layer_times.AUDIT_COLUMNS)
+    assert out[head + 2:head + 2 + len(timed)] == \
+        [f"{name:>20}" + f"{12.5:>15.2f}" * 4 for name in layer_times.AUDIT_CONFIGS]
+    assert not list(tmp_path.iterdir())
 
 
 def test_radical_row_times_a_fresh_six_level_rate_and_writes_nothing(tmp_path, monkeypatch,

@@ -180,10 +180,24 @@ def test_validate_dispatch_mixed():
     no_row = SystemConfig(Setup.MIXED, 4, (LevelSpec(7, 2),), ())
     assert [(v.rule, v.levels, v.message) for v in validate(no_row).violations] == [
         ("MU-FILES", (0,), "level 0: files 7 < caches*users = 8")]
+    # Five row users on three caches also break MX-ROW, listed last.
     both = SystemConfig(Setup.MIXED, 3, (LevelSpec(5, 2), LevelSpec(40, 1)),
                         (LevelSpec(2, 3), LevelSpec(1, 2)))
     assert [(v.rule, v.levels, v.message) for v in validate(both).violations] == [
         ("MU-FILES", (0,), "level 0: files 5 < caches*users = 6"),
         ("MU-POP", (0, 1), "levels 0,1: popularity ratio 16 < 6400 (pairwise check)"),
         ("SU-FILES", (0,), "level 0: files 1 < users 2"),
-        ("SU-FILES", (1,), "level 1: files 2 < users 3")]
+        ("SU-FILES", (1,), "level 1: files 2 < users 3"),
+        ("MX-ROW", (), "single-row users 5 > caches 3")]
+
+
+def test_validate_mixed_row_must_fit_on_the_caches():
+    # MX-ROW: the single row holds at most one user per cache.  A row that
+    # fills the caches exactly is regular, one more user is not, with or
+    # without a replicated class.
+    for levels in ((LevelSpec(8, 1),), ()):
+        fits = SystemConfig(Setup.MIXED, 4, levels, (LevelSpec(10, 3), LevelSpec(7, 1)))
+        assert validate(fits).ok
+        over = SystemConfig(Setup.MIXED, 4, levels, (LevelSpec(10, 5),))
+        assert [(v.rule, v.levels, v.message) for v in validate(over).violations] == [
+            ("MX-ROW", (), "single-row users 5 > caches 4")]

@@ -548,3 +548,80 @@ def test_an_audit_point_never_computes_m_tilde(monkeypatch):
     assert reports[2].to_json_dict()["partition"]["M_tilde"] == \
         describe(scan_partition(cfg, Fraction(8)).M_tilde)
     assert len(computed) == 2
+
+
+def _window_configs(rng):
+    # Regular configs at K = 96 and 128, whose levels are 6400 apart in N/U,
+    # less than (K+1)^2, so each overlaps its neighbours; adjacent levels
+    # exactly (K+1)^2 apart (and one off it either way); tied levels; and
+    # wide-levels-like configs, whose levels all overlap.
+    for K in (96, 128):
+        for L in (2, 3, 4):
+            for _ in range(3):
+                levels, per_user = [], K * rng.randint(1, 4)
+                for _ in range(L):
+                    users = rng.randint(1, 4)
+                    levels.append((users * per_user, users))
+                    per_user *= 6400 + rng.randint(0, 3)
+                yield SystemConfig.multi_user(K, levels)
+    for _ in range(24):
+        K = rng.choice((1, 2, 3, 5, 16, 96, 128))
+        levels, per_user = [], rng.randint(1, 9)
+        for _ in range(rng.randint(2, 4)):
+            users = rng.randint(1, 4)
+            levels.append((users * per_user, users))
+            per_user *= (K + 1) ** 2 + rng.choice((-1, 0, 0, 1))
+        if rng.random() < 0.5:
+            files, users = rng.choice(levels)
+            scale = rng.randint(2, 3)
+            levels.insert(rng.randint(0, len(levels)), (scale * files, scale * users))
+        yield SystemConfig.multi_user(K, levels)
+    for partial in (2, 3, 4, 5):
+        for _ in range(2):
+            yield _wide_config(rng, partial)
+
+
+def test_window_scan_matches_the_scan_oracle():
+    # The scan tries only the splits that the integer threshold tests leave;
+    # at every prefix sum, every T_J + N_i/K and T_J + N_i, the 20-point
+    # audit grid and seeded memories it returns the full scan's split.
+    rng = random.Random(211)
+    checked = configs = 0
+    for cfg in _window_configs(rng):
+        K, total = cfg.caches, cfg.total_files
+        plan = cfg.fact(_SplitPlan)
+        mems = set(plan.T) | {Fraction(total) * k / 19 for k in range(20)}
+        for T_J in plan.T:
+            for lv in cfg.levels:
+                mems |= {T_J + Fraction(lv.files, K), T_J + lv.files}
+        mems |= {Fraction(rng.randint(0, 97 * total), 97) for _ in range(6)}
+        for M in sorted(M for M in mems if M <= total):
+            got = find_m_feasible_partition(cfg, M)
+            assert partition_key(got) == partition_key(scan_partition(cfg, M)), (cfg, M)
+            checked += 1
+        configs += 1
+    assert configs == 50 and checked >= 1500
+
+
+def test_separated_levels_between_prefix_sums_take_one_admits_call(monkeypatch):
+    # K = 16 and four regular levels: (K+1)^2 = 289 < 6400, so every
+    # adjacent pair is separated, and between two prefix sums the integer
+    # tests settle every level's side; the scan checks one split.
+    cfg = SystemConfig.multi_user(16, [(32, 2), (307200, 3), (655360000, 1),
+                                       (16777216000000, 4)])
+    calls = []
+    admits = _SplitPlan.admits
+
+    def counted(plan, block, j_end, h_start, M):
+        calls.append((j_end, h_start))
+        return admits(plan, block, j_end, h_start, M)
+
+    monkeypatch.setattr(_SplitPlan, "admits", counted)
+    T = cfg.fact(_SplitPlan).T
+    for k in range(len(cfg.levels)):
+        for M in (T[k] + Fraction(1, 3), Fraction(T[k] + T[k + 1], 2),
+                  T[k + 1] - Fraction(1, 7)):
+            calls.clear()
+            partition = find_m_feasible_partition(cfg, M)
+            assert calls == [(k, k + 1)], (M, calls)
+            assert partition_key(partition) == partition_key(scan_partition(cfg, M))

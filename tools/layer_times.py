@@ -19,8 +19,11 @@ gamma = 1/2, each time on a fresh config object so that nothing is cached
 Last it times a warm multi-user audit point, as ``cachelab audit`` and
 perfbench's mu-audit run one: ``rate_memory_sharing``, the
 ``optimize_lower_bound_mu`` query and ``gap_report`` at each of the 20
-audit memories of the two regular envelope configs, once the config's
-facts are built, and prints each part's best time per memory.
+audit memories of three regular configs, once the config's facts are
+built, and prints each part's best time per memory.  The two K = 128
+configs are envelope configs, whose adjacent levels overlap, so the
+partition scan settles a level's side by a one-root test; on K = 16 the
+levels are separated, and prefix sums settle it.
 Last of all it times ``rate_memory_sharing`` on a fresh wide config with
 six partial levels, three of them above N/K, whose rate is built from
 ``RootSum`` products and inverses, and prints the best time.
@@ -83,8 +86,14 @@ MIXED_ROW = (LevelSpec(12, 3), LevelSpec(50, 1))
 MIXED_MEMORY = Fraction(6)
 MIXED_GAMMAS = {"grid optimum": None, "gamma = 1/2": Fraction(1, 2)}
 MIXED_REPEAT = 100
-# The audit-point rows run on the two regular envelope configs.
-AUDIT_CONFIGS = ("K = 128, 1 level", "K = 128, 4 levels")
+# The audit-point rows: the two regular envelope configs, and four regular
+# levels 6400 times apart in popularity on K = 16, more than (K+1)^2 = 289,
+# so every adjacent pair of levels is separated.
+AUDIT_CONFIGS = {
+    "K = 128, 1 level": ENVELOPES["K = 128, 1 level"],
+    "K = 128, 4 levels": ENVELOPES["K = 128, 4 levels"],
+    "K = 16, 4 levels": (16, [(32, 2), (307200, 3), (655360000, 1), (16777216000000, 4)]),
+}
 AUDIT_COLUMNS = ("rate", "bound", "gap", "point")
 AUDIT_REPEAT = 50
 # Six partial levels, three of them above N/K, at M = 196: each of those
@@ -240,8 +249,8 @@ def main() -> None:
     print(f"\nwarm audit point, best of {AUDIT_REPEAT} passes over the 20 audit memories, "
           f"times in us per memory")
     print(f"{'':>20}" + "".join(f"{name:>15}" for name in AUDIT_COLUMNS))
-    for name in AUDIT_CONFIGS:
-        best = audit_point_times(*ENVELOPES[name], AUDIT_REPEAT)
+    for name, (K, levels) in AUDIT_CONFIGS.items():
+        best = audit_point_times(K, levels, AUDIT_REPEAT)
         print(f"{name:>20}" + "".join(f"{best[part] * 1e6:>15.2f}" for part in AUDIT_COLUMNS))
     print(f"\nrate_memory_sharing, 6 partial levels (3 above N/K) at M = {RADICAL_MEMORY}, "
           f"best of {RADICAL_REPEAT}, times in ms")
